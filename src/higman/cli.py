@@ -151,6 +151,11 @@ def _print_report(report: AnalysisReport, as_json: bool) -> None:
     print(f"criterion right-hand sides: {sp.get('rhs_candidates')}")
     v = report.verdicts or {}
     print("verdicts: " + "  ".join(f"{k}={v[k]}" for k in sorted(v)))
+    dismantle = (report.verdict_details or {}).get("dismantlable", {})
+    for key, res in dismantle.items():
+        if not res["exhaustive"]:
+            print(f"dismantlability over {key.replace('_', ' ')}: sampled, "
+                  f"{res['unions_checked']} unions checked, not exhaustive")
     if report.consistent is False:
         print("FATAL: verdicts disagree")
     elif v.get("criterion"):
@@ -161,16 +166,10 @@ def _print_report(report: AnalysisReport, as_json: bool) -> None:
 
 def cmd_analyze(args) -> int:
     try:
-        matrix, declared_rank = schemes.parse_scheme_file(args.file)
+        scheme = schemes.read_scheme(args.file)
     except (OSError, schemes.SchemeParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
-    try:
-        scheme = schemes.validate(matrix)
-        if scheme.rank != declared_rank:
-            raise schemes.SchemeError(
-                f"header says rank {declared_rank}, matrix has rank "
-                f"{scheme.rank}")
     except schemes.SchemeError as exc:
         print(f"not a scheme: {exc}", file=sys.stderr)
         return EXIT_BAD_SCHEME
@@ -300,7 +299,7 @@ def _print_linked(system) -> None:
 def cmd_verify_linked(args) -> int:
     try:
         system = constructions.read_linked_system(args.file)
-    except (OSError, GroupError) as exc:
+    except (OSError, GroupError, constructions.FileFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
     except ConstructionError as exc:

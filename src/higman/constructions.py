@@ -44,6 +44,10 @@ class ConstructionError(ValueError):
     pass
 
 
+class FileFormatError(ConstructionError):
+    """A linked-system or partition file is not in its text format."""
+
+
 # -- divisible and relative difference sets -------------------------------------
 
 @dataclass(frozen=True)
@@ -70,6 +74,8 @@ def verify_dds(G: FiniteGroup, N: Subgroup, X: Iterable[int]) -> DivisibleDiffer
     """Read (m, n, k, lambda1, lambda2) off the difference multiset of X,
     or raise with a witness element."""
     xs = tuple(sorted(set(int(x) for x in X)))
+    if xs and not 0 <= xs[0] <= xs[-1] < G.order:
+        raise ConstructionError(f"element outside 0..{G.order - 1}")
     gre = GroupRingElement.from_set(G, xs)
     diffs = gre_multiply(gre, gre.star()).coeffs.copy()
     diffs[G.identity] -= len(xs)
@@ -848,20 +854,27 @@ def write_linked_system(system: LinkedSystem, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _int_line(line: str, what: str) -> list[int]:
+    try:
+        return [int(tok) for tok in line.split()]
+    except ValueError:
+        raise FileFormatError(f"{what}: non-integer token") from None
+
+
 def read_linked_system(path) -> LinkedSystem:
     with open(path) as fh:
         lines = [ln for ln in (l.strip() for l in fh) if ln]
     if len(lines) < 4:
-        raise ConstructionError("linked-system file too short")
+        raise FileFormatError("linked-system file too short")
     G = build_family(lines[0])
-    N = G.subgroup(int(tok) for tok in lines[1].split())
+    N = G.subgroup(_int_line(lines[1], "subgroup line"))
     try:
         w = int(lines[2])
     except ValueError:
-        raise ConstructionError("bad w line") from None
+        raise FileFormatError("bad w line") from None
     if len(lines) != 3 + w:
-        raise ConstructionError(f"expected {w} RDS lines, found {len(lines) - 3}")
-    sets = [[int(tok) for tok in ln.split()] for ln in lines[3:]]
+        raise FileFormatError(f"expected {w} RDS lines, found {len(lines) - 3}")
+    sets = [_int_line(ln, f"RDS line {i + 1}") for i, ln in enumerate(lines[3:])]
     return verify_linked_system(G, N, sets)
 
 
@@ -878,7 +891,8 @@ def read_partition(path) -> SRingPartition:
     with open(path) as fh:
         lines = [ln for ln in (l.strip() for l in fh) if ln]
     if len(lines) < 2:
-        raise ConstructionError("partition file too short")
+        raise FileFormatError("partition file too short")
     G = build_family(lines[0])
-    parts = tuple(tuple(int(tok) for tok in ln.split()) for ln in lines[1:])
+    parts = tuple(tuple(_int_line(ln, f"part line {i + 1}"))
+                  for i, ln in enumerate(lines[1:]))
     return SRingPartition(group=G, parts=parts)

@@ -186,6 +186,8 @@ class Subgroup:
 
     def __init__(self, parent: FiniteGroup, elements: Iterable[int]) -> None:
         els = tuple(sorted(set(int(x) for x in elements)))
+        if els and not 0 <= els[0] <= els[-1] < parent.order:
+            raise GroupError(f"subgroup element outside 0..{parent.order - 1}")
         if parent.identity not in els:
             raise GroupError("subgroup must contain the identity")
         sset = frozenset(els)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .quadratic import QuadraticNumber
 from .schemes import (Parabolic, SchemeError, SchemeTable, is_wreath_over,
-                      nontrivial_parabolics, quotient, restriction)
+                      nontrivial_parabolics, restriction)
 from . import spectral
 
 QN = QuadraticNumber
@@ -126,15 +126,10 @@ def detect_higmanian(scheme: SchemeTable, strict: bool = True) -> DetectionResul
     for E, F in itertools.permutations(parabs, 2):
         if not (E.colors < F.colors):
             continue
+        # the restriction to a class of P has rank |P|
         if len(E.colors) != 2 or len(F.colors) != 3:
             continue
-        if restriction(scheme, E.classes[0]).rank != 2:
-            continue
-        if quotient(scheme, F).rank != 2:
-            continue
-        if restriction(scheme, F.classes[0]).rank != 3:
-            continue
-        if quotient(scheme, E).rank != 3:
+        if F.corank != 2 or E.corank != 3:
             continue
         chain = (E, F)
         break
@@ -196,8 +191,7 @@ def _per_class_count(scheme: SchemeTable, F: Parabolic, color: int) -> int | Non
     or None when not constant."""
     member = np.zeros((scheme.v, F.num_classes), dtype=np.float64)
     member[np.arange(scheme.v), F.class_of] = 1.0
-    counts = np.rint(scheme.adjacency(color).astype(np.float64) @ member
-                     ).astype(np.int64)
+    counts = np.rint(scheme.adjacency(color) @ member).astype(np.int64)
     own = counts[np.arange(scheme.v), F.class_of]
     if (own != 0).any():
         return None
@@ -243,7 +237,7 @@ def is_uniform_by_definition(scheme: SchemeTable,
                              parab: Parabolic) -> DefinitionCheck:
     """Literal check of the definition over one parabolic: cork 2, and every
     block product A_i^{DG} A_j^{GL} constant on each color inside D x L."""
-    cork = quotient(scheme, parab).rank
+    cork = parab.corank
     if cork != 2:
         return DefinitionCheck(ok=False, cork=cork)
     r = scheme.rank
@@ -251,7 +245,7 @@ def is_uniform_by_definition(scheme: SchemeTable,
     c = parab.num_classes
     class_of = parab.class_of
     color = scheme.color.astype(np.int64)
-    basis = [scheme.adjacency(i).astype(np.float64) for i in range(r)]
+    basis = [scheme.adjacency(i) for i in range(r)]
     member = np.zeros((v, c))
     member[np.arange(v), class_of] = 1.0
     occurs = [np.rint(member.T @ basis[i] @ member).astype(np.int64) > 0
@@ -431,7 +425,8 @@ def verdict_bundle(scheme: SchemeTable, strict: bool = True, seed: int = 0,
     criterion = is_uniform_by_criterion(params)
     eigen, kr, qh = _spectral_verdict(params)
     definition, def_details = is_uniform_by_definition_any(scheme)
-    dismantlable, dis_details = is_dismantlable_any(scheme, seed=seed)
+    dismantlable, dis_details = is_dismantlable_any(
+        scheme, seed=seed, max_unions=DISMANTLE_UNION_CAP)
 
     alt_agrees = True
     if det.alt_params is not None:

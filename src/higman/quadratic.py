@@ -158,18 +158,6 @@ class QuadraticNumber:
             return NotImplemented
         return o * self.inverse()
 
-    def __pow__(self, n: int) -> QuadraticNumber:
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = QuadraticNumber(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- exact order --------------------------------------------------------
 
     def sign(self) -> int:

@@ -5,8 +5,9 @@ diagonal, every color has an inverse color landing on the transposed cells,
 and the count of two-colored paths between two points depends only on the
 color joining them (the intersection numbers p_ij^k).  Validation derives
 the full intersection tensor and rejects non-schemes with the first violated
-axiom.  Quotients, restrictions, wreath detection and Cayley schemes from
-group partitions all operate on this one representation.
+axiom.  Parabolics, their coranks and the wreath test are read off that
+tensor; quotients, restrictions and Cayley schemes from group partitions
+work on the color matrix.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from .groups import FiniteGroup
 
 PARABOLIC_RANK_LIMIT = 16
+FLOAT32_EXACT_LIMIT = 1 << 24  # integers below this are exact in float32
 
 
 class SchemeError(ValueError):
@@ -29,41 +31,26 @@ class SchemeError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class IntersectionNumbers:
-    rank: int
-    p: np.ndarray          # (rank, rank, rank) tensor, p[i, j, k] = p_ij^k
-    valencies: np.ndarray  # n_i = p[i, i*, 0]
-    inverse: np.ndarray    # color involution i -> i*
-
-
 class SchemeTable:
     """A validated association scheme; construct via :func:`validate`."""
 
-    def __init__(self, color: np.ndarray, numbers: IntersectionNumbers) -> None:
+    def __init__(self, color: np.ndarray, p: np.ndarray,
+                 inverse: np.ndarray) -> None:
         self.color = color
         self.color.setflags(write=False)
         self.v: int = color.shape[0]
-        self.rank: int = numbers.rank
-        self.intersection = numbers
-        self.p = numbers.p
-        self.valencies = numbers.valencies
-        self.inverse = numbers.inverse
-        self._adj: dict[int, np.ndarray] = {}
+        self.rank: int = len(p)
+        self.p = p                # p[i, j, k] = p_ij^k
+        self.inverse = inverse    # color involution i -> i*
+        self.valencies = p[np.arange(self.rank), inverse, 0]  # n_i = p_ii*^0
+        self._parabolics: list[tuple] | None = None  # see parabolics()
 
     def adjacency(self, i: int) -> np.ndarray:
-        """0/1 int matrix of relation i."""
-        if i not in self._adj:
-            m = (self.color == i).astype(np.int64)
-            m.setflags(write=False)
-            self._adj[i] = m
-        return self._adj[i]
+        """0/1 float64 matrix of relation i, built on each call."""
+        return (self.color == i).astype(np.float64)
 
     def is_symmetric(self) -> bool:
         return bool((self.inverse == np.arange(self.rank)).all())
-
-    def is_commutative(self) -> bool:
-        return bool((self.p == self.p.transpose(1, 0, 2)).all())
 
     def __repr__(self) -> str:
         return f"<SchemeTable v={self.v} rank={self.rank}>"
@@ -76,17 +63,23 @@ def validate(matrix) -> SchemeTable:
         raise SchemeError("color matrix must be square")
     if not np.issubdtype(color.dtype, np.integer):
         raise SchemeError("color matrix must be integral")
-    color = color.astype(np.int16)
     v = color.shape[0]
     if v == 0:
         raise SchemeError("empty point set")
+    if v >= FLOAT32_EXACT_LIMIT:
+        raise SchemeError(f"{v} points: validation needs fewer than "
+                          f"{FLOAT32_EXACT_LIMIT} (exact float32 products)")
     if color.min() < 0:
         raise SchemeError("negative color")
-    rank = int(color.max()) + 1
-    used = np.zeros(rank, dtype=bool)
-    used[np.unique(color)] = True
-    if not used.all():
-        raise SchemeError(f"color {int(np.nonzero(~used)[0][0])} unused")
+    # row-major first cell of each color; checked before narrowing the dtype
+    used, first = np.unique(color, return_index=True)
+    gaps = np.nonzero(used != np.arange(len(used)))[0]
+    if len(gaps):
+        raise SchemeError(f"color {int(gaps[0])} unused")
+    rank = len(used)
+    if rank > np.iinfo(np.int16).max + 1:
+        raise SchemeError(f"rank {rank} over the int16 color limit")
+    color = color.astype(np.int16)
 
     diag = np.diagonal(color)
     if (diag != 0).any():
@@ -100,13 +93,9 @@ def validate(matrix) -> SchemeTable:
                           witness=(x, y))
 
     # inverse colors: the transpose of each relation must be a single color
-    colorT = color.T
-    istar = np.empty(rank, dtype=np.int16)
-    rep = _first_cells(color, rank)
-    for i in range(rank):
-        x, y = rep[i]
-        istar[i] = color[y, x]
-    bad = np.argwhere(colorT != istar[color])
+    rep_x, rep_y = np.divmod(first, v)
+    istar = color[rep_y, rep_x].astype(np.int64)
+    bad = np.argwhere(color.T != istar[color])
     if len(bad):
         x, y = map(int, bad[0])
         raise SchemeError(
@@ -115,14 +104,18 @@ def validate(matrix) -> SchemeTable:
     if (istar[istar] != np.arange(rank)).any():
         raise SchemeError("color inversion is not an involution")
 
-    # intersection numbers: B_i B_j must be constant on every color class
-    basis = [(color == i).astype(np.float64) for i in range(rank)]
+    # intersection numbers: B_i B_j must be constant on every color class.
+    # B_0 = I, and (B_i B_j)^T = B_j* B_i*, so only the first product of each
+    # such pair is formed.  float32 is exact: every partial sum is an integer
+    # of at most v < 2^24.
+    basis = [(color == i).astype(np.float32) for i in range(rank)]
     p = np.zeros((rank, rank, rank), dtype=np.int64)
-    rep_x = np.array([c[0] for c in rep])
-    rep_y = np.array([c[1] for c in rep])
-    for i in range(rank):
-        for j in range(rank):
-            prod = np.rint(basis[i] @ basis[j]).astype(np.int64)
+    p[0] = p[:, 0] = np.eye(rank, dtype=np.int64)
+    for i in range(1, rank):
+        for j in range(1, rank):
+            if (istar[j], istar[i]) < (i, j):
+                continue
+            prod = basis[i] @ basis[j]
             p[i, j] = prod[rep_x, rep_y]
             bad = np.argwhere(prod != p[i, j][color])
             if len(bad):
@@ -132,28 +125,9 @@ def validate(matrix) -> SchemeTable:
                     f"p_{i},{j}^{k} is not constant: cell ({x},{y}) has "
                     f"{int(prod[x, y])}, expected {int(p[i, j, k])}",
                     witness=(i, j, k, x, y))
+            p[istar[j], istar[i]] = p[i, j][istar]
 
-    valencies = np.array([p[i, istar[i], 0] for i in range(rank)], dtype=np.int64)
-    numbers = IntersectionNumbers(rank=rank, p=p, valencies=valencies,
-                                  inverse=istar.astype(np.int64))
-    return SchemeTable(color, numbers)
-
-
-def _first_cells(color: np.ndarray, rank: int) -> list[tuple[int, int]]:
-    """Row-major first occurrence of each color."""
-    rep: list[tuple[int, int] | None] = [None] * rank
-    remaining = rank
-    for x in range(color.shape[0]):
-        if not remaining:
-            break
-        row = color[x]
-        for i in range(rank):
-            if rep[i] is None:
-                hits = np.nonzero(row == i)[0]
-                if len(hits):
-                    rep[i] = (x, int(hits[0]))
-                    remaining -= 1
-    return rep  # type: ignore[return-value]
+    return SchemeTable(color, p, istar)
 
 
 def trivial_scheme(v: int) -> SchemeTable:
@@ -184,105 +158,97 @@ class Parabolic:
     def is_trivial(self) -> bool:
         return self.n_class in (1, self.scheme.v)
 
+    def double_cosets(self) -> list[frozenset[int]]:
+        """The distinct color sets P i P for colors i outside P.
 
-def _equivalence_from_colors(scheme: SchemeTable,
-                             colors: frozenset[int]) -> Parabolic | None:
-    istar = scheme.inverse
-    if any(int(istar[c]) not in colors for c in colors):
-        return None
-    mask = np.isin(scheme.color, list(colors))
-    # transitivity: reachability within the union must not leave it
-    reach = (mask.astype(np.float64) @ mask.astype(np.float64)) > 0
-    if (reach & ~mask).any():
-        return None
-    _, class_of = np.unique(mask, axis=0, return_inverse=True)
-    # order classes by minimal point and check equal sizes
-    order = {}
-    for x in range(scheme.v):
-        order.setdefault(int(class_of[x]), []).append(x)
-    blocks = sorted((tuple(pts) for pts in order.values()), key=lambda b: b[0])
-    sizes = {len(b) for b in blocks}
-    if len(sizes) != 1:
-        return None
-    relabel = np.empty(len(blocks), dtype=np.int64)
-    for bi, b in enumerate(blocks):
-        relabel[class_of[b[0]]] = bi
-    return Parabolic(scheme, colors, tuple(blocks), relabel[class_of])
+        These are the color sets met by the blocks between two different
+        classes, so they are the colors of the quotient."""
+        p = self.scheme.p
+        inside = sorted(self.colors)
+        left = p[inside].any(axis=0)          # [i, s]: s in P i
+        right = p[:, inside].any(axis=1)      # [s, k]: k in s P
+        reach = (left.astype(np.int64) @ right) > 0
+        outside = [i for i in range(self.scheme.rank) if i not in self.colors]
+        return list(dict.fromkeys(
+            frozenset(np.nonzero(reach[i])[0].tolist()) for i in outside))
+
+    @property
+    def corank(self) -> int:
+        """Rank of the quotient scheme on the classes."""
+        return 1 + len(self.double_cosets())
 
 
 def parabolics(scheme: SchemeTable) -> list[Parabolic]:
-    """All parabolics, found by scanning color subsets containing 0."""
-    d = scheme.rank - 1
-    if scheme.rank > PARABOLIC_RANK_LIMIT:
-        raise SchemeError(
-            f"parabolic scan is exponential in rank; rank {scheme.rank} over "
-            f"limit {PARABOLIC_RANK_LIMIT}")
-    found = []
-    for bits in range(1 << d):
-        colors = frozenset({0} | {i + 1 for i in range(d) if bits >> i & 1})
-        parab = _equivalence_from_colors(scheme, colors)
-        if parab is not None:
-            found.append(parab)
-    return sorted(found, key=lambda e: e.n_class)
+    """All parabolics, ordered by class size; scanned once per scheme.
+
+    An inverse-closed color set C containing 0 is a parabolic iff
+    p_ij^k = 0 for all i, j in C and k outside C.
+    """
+    if scheme._parabolics is None:
+        d = scheme.rank - 1
+        if scheme.rank > PARABOLIC_RANK_LIMIT:
+            raise SchemeError(
+                f"parabolic scan is exponential in rank; rank {scheme.rank} "
+                f"over limit {PARABOLIC_RANK_LIMIT}")
+        found = []
+        for bits in range(1 << d):
+            colors = [0] + [i + 1 for i in range(d) if bits >> i & 1]
+            outside = [k for k in range(scheme.rank) if k not in colors]
+            if (any(int(scheme.inverse[c]) not in colors for c in colors)
+                    or scheme.p[np.ix_(colors, colors, outside)].any()):
+                continue
+            # each point's least class-mate names its class; all classes
+            # have the same size, the sum of the valencies in C
+            lead = np.isin(scheme.color, colors).argmax(axis=1)
+            leads, class_of = np.unique(lead, return_inverse=True)
+            order = np.argsort(class_of, kind="stable")
+            classes = tuple(map(tuple, order.reshape(len(leads), -1).tolist()))
+            found.append((frozenset(colors), classes, class_of))
+        # the cache holds no Parabolic, which points back at the scheme: a
+        # reference cycle would keep every dropped scheme alive until the
+        # cyclic collector runs
+        scheme._parabolics = sorted(found, key=lambda e: len(e[1][0]))
+    return [Parabolic(scheme, *entry) for entry in scheme._parabolics]
 
 
 def nontrivial_parabolics(scheme: SchemeTable) -> list[Parabolic]:
     return [e for e in parabolics(scheme) if not e.is_trivial()]
 
 
+def _relabel(sub: np.ndarray) -> np.ndarray:
+    """Colors renumbered 0, 1, ... in row-major order of first occurrence."""
+    _, first, inverse = np.unique(sub, return_index=True, return_inverse=True)
+    label = np.empty(len(first), dtype=np.int16)
+    label[np.argsort(first)] = np.arange(len(first))
+    return label[inverse.reshape(sub.shape)]
+
+
 def quotient(scheme: SchemeTable, parab: Parabolic) -> SchemeTable:
     """Scheme on the classes; block colors keyed by the color sets they meet."""
     if parab.scheme is not scheme:
         raise SchemeError("parabolic belongs to a different scheme")
-    c = parab.num_classes
-    seen: dict[frozenset[int], int] = {}
-    qcolor = np.zeros((c, c), dtype=np.int16)
-    for a in range(c):
-        pa = list(parab.classes[a])
-        for b in range(c):
-            if a == b:
-                continue
-            block = scheme.color[np.ix_(pa, list(parab.classes[b]))]
-            key = frozenset(int(x) for x in np.unique(block))
-            if key not in seen:
-                seen[key] = len(seen) + 1
-            qcolor[a, b] = seen[key]
-    return validate(qcolor)
+    order = np.concatenate(parab.classes)
+    starts = np.arange(0, scheme.v, parab.n_class)
+    bits = np.left_shift(1, scheme.color[np.ix_(order, order)].astype(np.int64))
+    blocks = np.bitwise_or.reduceat(
+        np.bitwise_or.reduceat(bits, starts, axis=0), starts, axis=1)
+    # diagonal blocks hold color 0, off-diagonal ones never do
+    return validate(_relabel(blocks))
 
 
 def restriction(scheme: SchemeTable, points: Sequence[int]) -> SchemeTable:
     """Restrict to a point subset, relabel colors densely, re-validate."""
     pts = sorted(set(int(x) for x in points))
-    sub = scheme.color[np.ix_(pts, pts)]
-    relabel: dict[int, int] = {}
-    out = np.empty_like(sub)
-    for x in range(len(pts)):
-        for y in range(len(pts)):
-            col = int(sub[x, y])
-            if col not in relabel:
-                relabel[col] = len(relabel)
-            out[x, y] = relabel[col]
-    return validate(out)
+    return validate(_relabel(scheme.color[np.ix_(pts, pts)]))
 
 
 def is_wreath_over(scheme: SchemeTable, parab: Parabolic) -> bool:
     """True when every relation outside the parabolic is block-constant
-    on off-diagonal class pairs (the wreath-product pattern)."""
+    on off-diagonal class pairs (the wreath-product pattern), i.e. every
+    double coset P i P with i outside P is {i}."""
     if parab.is_trivial():
         raise SchemeError("wreath test needs a nontrivial proper parabolic")
-    c = parab.num_classes
-    size = parab.n_class
-    member = np.zeros((scheme.v, c), dtype=np.float64)
-    member[np.arange(scheme.v), parab.class_of] = 1.0
-    offdiag = ~np.eye(c, dtype=bool)
-    for col in range(scheme.rank):
-        if col in parab.colors:
-            continue
-        counts = np.rint(member.T @ scheme.adjacency(col) @ member).astype(np.int64)
-        vals = counts[offdiag]
-        if not np.isin(vals, (0, size * size)).all():
-            return False
-    return True
+    return all(len(dc) == 1 for dc in parab.double_cosets())
 
 
 def is_decomposable(scheme: SchemeTable) -> bool:
@@ -374,7 +340,10 @@ def parse_scheme_file(path) -> tuple[np.ndarray, int]:
             raise SchemeParseError(
                 f"row {li + 1} has {len(row)} entries, expected {v}")
         rows.append(row)
-    return np.array(rows, dtype=np.int16), rank
+    try:
+        return np.array(rows, dtype=np.int64), rank
+    except OverflowError:
+        raise SchemeParseError("entry out of the 64-bit integer range") from None
 
 
 def read_scheme(path) -> SchemeTable:

@@ -328,7 +328,7 @@ def float_eigen_oracle(scheme: SchemeTable, exact: EigenData,
     """
     order = list(relation_order) if relation_order is not None \
         else list(range(scheme.rank))
-    mats = [scheme.adjacency(c).astype(np.float64) for c in order]
+    mats = [scheme.adjacency(c) for c in order]
     r = scheme.rank
     for attempt in range(10):
         rng = np.random.default_rng(12345 + attempt)

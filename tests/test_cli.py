@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from higman import higmanian
 from higman.cli import main
 from higman.schemes import trivial_scheme, wreath_product, write_scheme
 
@@ -151,3 +154,56 @@ def test_construct_analyze_identical_verdicts(tmp_path, capsys):
     report = json.loads(stdout_a)
     assert report["params"] == [4, 9, 3, 18, 16]
     assert all(report["verdicts"].values())
+
+
+@pytest.mark.parametrize("body, code, message", [
+    # colors past the int16 range: rejected as schemes, not wrapped
+    ("scheme 2 2\n0 40000\n40000 0\n", 4, "not a scheme: color 1 unused"),
+    ("scheme 2 2\n0 65537\n65537 0\n", 4, "not a scheme: color 1 unused"),
+    ("scheme 2 2\n0 99999999999999999999\n1 0\n", 3,
+     "error: entry out of the 64-bit integer range"),
+    ("scheme 2 2\n0 x\n1 0\n", 3, "error: row 1: non-integer entry"),
+    ("scheme 2 3\n0 1\n1 0\n", 4, "not a scheme: header says rank 3"),
+])
+def test_analyze_malformed_schemes(tmp_path, capsys, body, code, message):
+    path = tmp_path / "m.scheme"
+    path.write_text(body)
+    got, stdout, err = run(capsys, "analyze", str(path))
+    assert got == code and stdout == ""
+    assert err.splitlines() == [err.strip()] and err.startswith(message)
+
+
+@pytest.mark.parametrize("body, code, message", [
+    ("Q8cp:1\n0 x\n2\n0 2 4 6\n0 2 4 7\n", 3,
+     "error: subgroup line: non-integer token"),
+    ("Q8cp:1\n0 1\n2\n0 2 4 6\n0 2 y 7\n", 3,
+     "error: RDS line 2: non-integer token"),
+    ("Q8cp:1\n0 1\nw\n0 2 4 6\n0 2 4 7\n", 3, "error: bad w line"),
+    ("Q8cp:1\n0 1\n3\n0 2 4 6\n0 2 4 7\n", 3,
+     "error: expected 3 RDS lines"),
+    ("Q8cp:1\n0 1\n", 3, "error: linked-system file too short"),
+    ("Q8cp:1\n0 99\n2\n0 2 4 6\n0 2 4 7\n", 3,
+     "error: subgroup element outside 0..7"),
+    ("Q8cp:1\n0 1\n2\n0 2 4 6\n0 2 4 99\n", 4,
+     "invalid linked system: element outside 0..7"),
+])
+def test_verify_linked_malformed(tmp_path, capsys, body, code, message):
+    path = tmp_path / "m.linked"
+    path.write_text(body)
+    got, stdout, err = run(capsys, "verify-linked", str(path))
+    assert got == code and stdout == ""
+    assert err.splitlines() == [err.strip()] and err.startswith(message)
+
+
+def test_analyze_reports_sampled_dismantlability(tmp_path, capsys,
+                                                 monkeypatch):
+    out = tmp_path / "q8.scheme"
+    run(capsys, "construct", "q8cp", "1", "-o", str(out))
+    code, stdout, _ = run(capsys, "analyze", str(out))
+    assert code == 0 and "not exhaustive" not in stdout
+    # the 3 classes of F have 7 unions, over a cap of 4
+    monkeypatch.setattr(higmanian, "DISMANTLE_UNION_CAP", 4)
+    code, stdout, _ = run(capsys, "analyze", str(out))
+    assert code == 0
+    assert ("dismantlability over classes of 8: sampled, 7 unions checked, "
+            "not exhaustive") in stdout.splitlines()

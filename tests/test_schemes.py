@@ -200,3 +200,31 @@ def test_scheme_file_errors(tmp_path):
     p.write_text("scheme 2 3\n0 1\n2 0\n")
     with pytest.raises(SchemeError):
         read_scheme(p)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[0, 65537], [65537, 0]], "color 1 unused"),  # 65537 wraps to 1 in int16
+    ([[0, 40000], [40000, 0]], "color 1 unused"),
+    ([[0, 2**40], [2**40, 0]], "color 1 unused"),
+    ([[0, -1], [-1, 0]], "negative color"),
+    ([[0, 1], [1, 0], [1, 1]], "square"),
+    ([[0.0, 1.0], [1.0, 0.0]], "integral"),
+])
+def test_validate_checks_range_before_narrowing(matrix, message):
+    with pytest.raises(SchemeError, match=message):
+        validate(np.array(matrix))
+
+
+def test_validate_point_limit():
+    # a zero-stride view: the size check must come before any work
+    huge = np.broadcast_to(np.int16(0), (1 << 24, 1 << 24))
+    with pytest.raises(SchemeError, match=str(1 << 24)):
+        validate(huge)
+
+
+def test_parabolics_scanned_once(q8_construction):
+    scheme = q8_construction.result.scheme
+    first, again = parabolics(scheme), parabolics(scheme)
+    assert all(a.class_of is b.class_of for a, b in zip(first, again))
+    assert [e.corank for e in first] == [quotient(scheme, e).rank
+                                         for e in first]

@@ -1,0 +1,204 @@
+"""Cross-check of the tensor-derived structure against a brute-force
+matrix reference.
+
+The reference below works on the v x v color matrix only: parabolics by a
+union-matmul transitivity scan, quotients by scanning every block between
+two classes, the wreath test by counting each outside relation per block,
+and restrictions by a row-major relabeling loop.  `higman.schemes` takes
+parabolics, coranks and the wreath test from the intersection tensor
+instead; both must agree everywhere.
+"""
+
+import numpy as np
+import pytest
+
+from higman.groups import build_family, quaternion_group
+from higman.schemes import (SchemeError, cayley_scheme, is_wreath_over,
+                            parabolics, quotient, restriction, trivial_scheme,
+                            validate, wreath_product)
+
+
+# -- the matrix reference ----------------------------------------------------------
+
+def ref_parabolics(scheme):
+    """(colors, classes, class_of) of every parabolic, by class size."""
+    found = []
+    d = scheme.rank - 1
+    for bits in range(1 << d):
+        colors = {0} | {i + 1 for i in range(d) if bits >> i & 1}
+        if any(int(scheme.inverse[c]) not in colors for c in colors):
+            continue
+        mask = np.isin(scheme.color, sorted(colors))
+        m = mask.astype(np.int64)
+        if ((m @ m > 0) & ~mask).any():
+            continue
+        classes = sorted({tuple(np.nonzero(row)[0].tolist()) for row in mask})
+        class_of = np.empty(scheme.v, dtype=np.int64)
+        for ci, cls in enumerate(classes):
+            class_of[list(cls)] = ci
+        found.append((frozenset(colors), tuple(classes), class_of))
+    return sorted(found, key=lambda e: len(e[1][0]))
+
+
+def ref_intersection_numbers(color):
+    """p[i, j, k] from all r^2 products B_i B_j, read at a cell of color k."""
+    r = int(color.max()) + 1
+    basis = [(color == i).astype(np.int64) for i in range(r)]
+    cells = [tuple(np.argwhere(color == k)[0]) for k in range(r)]
+    p = np.zeros((r, r, r), dtype=np.int64)
+    for i in range(r):
+        for j in range(r):
+            prod = basis[i] @ basis[j]
+            for k, cell in enumerate(cells):
+                assert (prod[color == k] == prod[cell]).all()
+                p[i, j, k] = prod[cell]
+    return p
+
+
+def ref_relabel(sub):
+    out = np.empty(sub.shape, dtype=np.int16)
+    relabel = {}
+    for x in range(sub.shape[0]):
+        for y in range(sub.shape[1]):
+            out[x, y] = relabel.setdefault(int(sub[x, y]), len(relabel))
+    return out
+
+
+def ref_quotient_colors(scheme, classes):
+    c = len(classes)
+    seen = {}
+    qcolor = np.zeros((c, c), dtype=np.int16)
+    for a in range(c):
+        for b in range(c):
+            if a != b:
+                block = scheme.color[np.ix_(classes[a], classes[b])]
+                key = frozenset(np.unique(block).tolist())
+                qcolor[a, b] = seen.setdefault(key, len(seen) + 1)
+    return qcolor
+
+
+def ref_is_wreath(scheme, colors, classes, class_of):
+    c, size = len(classes), len(classes[0])
+    member = np.zeros((scheme.v, c), dtype=np.int64)
+    member[np.arange(scheme.v), class_of] = 1
+    offdiag = ~np.eye(c, dtype=bool)
+    for col in range(scheme.rank):
+        if col not in colors:
+            counts = member.T @ (scheme.color == col).astype(np.int64) @ member
+            if not np.isin(counts[offdiag], (0, size * size)).all():
+                return False
+    return True
+
+
+def ref_restriction_colors(scheme, points):
+    pts = sorted(set(points))
+    return ref_relabel(scheme.color[np.ix_(pts, pts)])
+
+
+# -- the schemes -------------------------------------------------------------------------
+
+def two_level_wreath():
+    return wreath_product(wreath_product(trivial_scheme(2), trivial_scheme(3)),
+                          trivial_scheme(2))
+
+
+def octagon():
+    return cayley_scheme(build_family("C:8"),
+                         [[0], [1, 7], [2, 6], [3, 5], [4]])
+
+
+@pytest.fixture(scope="module")
+def reference_schemes(constructions_by_family, example1_results):
+    out = {f"{fam} {dict(kw)}": con.result.scheme
+           for (fam, kw), con in constructions_by_family.items()}
+    for i, res in enumerate(example1_results):
+        out[f"example1 #{i}"] = res.scheme
+    out["wreath T3 by T4"] = wreath_product(trivial_scheme(3), trivial_scheme(4))
+    out["two-level wreath"] = two_level_wreath()
+    out["octagon"] = octagon()
+    # S3 has a non-normal subgroup, where P i P is larger than P i
+    s3 = build_family("GenDih:C:3")
+    out["thin S3"] = cayley_scheme(s3, [[x] for x in range(s3.order)])
+    return out
+
+
+SCHEME_NAMES = ("q8cp {'r': 1}", "q8cp {'r': 2}", "heis {'q': 3, 'r': 1}",
+                "ea {'j': 1, 'q': 3, 'r': 1}", "example1 #0", "example1 #1",
+                "wreath T3 by T4", "two-level wreath", "octagon", "thin S3")
+
+
+def thin_schemes():
+    """Nonsymmetric schemes, one of them noncommutative."""
+    q8 = quaternion_group()
+    return [cayley_scheme(build_family("C:5"), [[i] for i in range(5)]),
+            cayley_scheme(q8, [[i] for i in range(q8.order)]),
+            cayley_scheme(build_family("C:7"), [[0], [1, 2, 4], [3, 5, 6]])]
+
+
+def test_reference_covers_every_scheme(reference_schemes):
+    assert sorted(reference_schemes) == sorted(SCHEME_NAMES)
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_tensor_structure_matches_reference(reference_schemes, name):
+    scheme = reference_schemes[name]
+    ref = ref_parabolics(scheme)
+    got = parabolics(scheme)
+    assert [(e.colors, e.classes) for e in got] == [r[:2] for r in ref]
+    for parab, (colors, classes, class_of) in zip(got, ref):
+        assert parab.class_of.tolist() == class_of.tolist()
+        ref_q = validate(ref_quotient_colors(scheme, classes))
+        assert parab.corank == ref_q.rank
+        q = quotient(scheme, parab)
+        assert q.color.dtype == ref_q.color.dtype
+        assert q.color.tobytes() == ref_q.color.tobytes()
+        if not parab.is_trivial():
+            assert is_wreath_over(scheme, parab) == ref_is_wreath(
+                scheme, colors, classes, class_of)
+        for cls in classes:
+            ref_r = validate(ref_restriction_colors(scheme, cls))
+            assert ref_r.rank == len(colors)
+            assert restriction(scheme, cls).color.tobytes() == \
+                ref_r.color.tobytes()
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_restriction_of_unions_matches_reference(reference_schemes, name):
+    # unions of two classes may or may not induce a scheme; both sides
+    # must accept or reject alike and relabel identically
+    scheme = reference_schemes[name]
+    for parab in parabolics(scheme):
+        if parab.num_classes < 2:
+            continue
+        pts = parab.classes[-1] + parab.classes[0]
+        ref_colors = ref_restriction_colors(scheme, pts)
+        try:
+            ref_r = validate(ref_colors)
+        except SchemeError:
+            with pytest.raises(SchemeError):
+                restriction(scheme, pts)
+            continue
+        assert restriction(scheme, pts).color.tobytes() == \
+            ref_r.color.tobytes()
+
+
+def test_wreath_verdicts_on_wreath_products():
+    # the tensor test must see the wreath structure the reference sees
+    w = wreath_product(trivial_scheme(3), trivial_scheme(4))
+    (mid,) = [e for e in parabolics(w) if not e.is_trivial()]
+    assert is_wreath_over(w, mid) and mid.corank == 2
+    two = two_level_wreath()
+    mids = [e for e in parabolics(two) if not e.is_trivial()]
+    assert [e.n_class for e in mids] == [2, 6]
+    assert all(is_wreath_over(two, e) for e in mids)
+
+
+def test_validate_matches_all_products(reference_schemes):
+    # validate forms one product of each transpose pair and none with B_0
+    schemes = list(reference_schemes.values()) + thin_schemes()
+    assert any(not (s.p == s.p.transpose(1, 0, 2)).all() for s in schemes)
+    for scheme in schemes:
+        p = ref_intersection_numbers(scheme.color)
+        assert (scheme.p == p).all()
+        assert (scheme.valencies == p[np.arange(scheme.rank),
+                                      scheme.inverse, 0]).all()
