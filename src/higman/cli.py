@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import constructions, higmanian, schemes
 from .constructions import ConstructionError
-from .groups import GroupError, build_family, prime_power
+from .groups import GroupError, build_family
 from .higmanian import VerdictInconsistencyError
 
 EXIT_UNIFORM = 0
@@ -336,15 +336,6 @@ def _point_label(family, q, r, j) -> str:
     return " ".join(bits)
 
 
-def _scheme_order(family, q, r, j) -> int:
-    if family == "q8cp":
-        return 3 * 2 ** (2 * r + 1)
-    if family == "heis":
-        return q ** (2 * r + 1) * (q + 1)
-    p, _ = prime_power(q)
-    return q ** (2 * r + 1) * p ** j
-
-
 def cmd_tables(args) -> int:
     failures = 0
     for family, q, r, j in TABLE_GRID:
@@ -354,7 +345,7 @@ def cmd_tables(args) -> int:
         except ConstructionError as exc:
             print(f"{label}: SKIP ({exc})")
             continue
-        order = _scheme_order(family, q, r, j)
+        order = constructions.table2_params(family, q, r, j).v
         if order > TABLES_ORDER_LIMIT:
             print(f"{label}: SKIP (scheme order {order} > "
                   f"{TABLES_ORDER_LIMIT})")

@@ -19,6 +19,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 FULL_ASSOCIATIVITY_LIMIT = 512
+# largest order a built-in family may have: an int32 table of 2^28 entries
+# (1 GiB) is checked before it is allocated
+GROUP_ORDER_LIMIT = 1 << 14
 _SPOT_CHECK_TRIPLES = 1000
 
 
@@ -93,20 +96,6 @@ class FiniteGroup:
 
     # -- basic queries -------------------------------------------------------
 
-    def op(self, x: int, y: int) -> int:
-        return int(self.mul[x, y])
-
-    def power(self, x: int, n: int) -> int:
-        if n < 0:
-            return self.power(int(self.inv[x]), -n)
-        out, base = self.identity, x
-        while n:
-            if n & 1:
-                out = int(self.mul[out, base])
-            base = int(self.mul[base, base])
-            n >>= 1
-        return out
-
     def element_order(self, x: int) -> int:
         y, n = x, 1
         while y != self.identity:
@@ -122,10 +111,6 @@ class FiniteGroup:
 
     def label(self, x: int) -> str:
         return self.element_labels[x] if self.element_labels else str(x)
-
-    def conjugate(self, g: int, x: int) -> int:
-        """g * x * g^-1."""
-        return int(self.mul[self.mul[g, x], self.inv[g]])
 
     # -- subgroups -----------------------------------------------------------
 
@@ -148,9 +133,7 @@ class FiniteGroup:
         return Subgroup(self, seen)
 
     def center(self) -> "Subgroup":
-        els = [x for x in range(self.order)
-               if (self.mul[x] == self.mul[:, x]).all()]
-        return Subgroup(self, els)
+        return Subgroup(self, np.flatnonzero((self.mul == self.mul.T).all(1)))
 
     def cyclic_subgroups(self) -> list["Subgroup"]:
         found = {}
@@ -190,18 +173,16 @@ class Subgroup:
             raise GroupError(f"subgroup element outside 0..{parent.order - 1}")
         if parent.identity not in els:
             raise GroupError("subgroup must contain the identity")
-        sset = frozenset(els)
-        for x in els:
-            if int(parent.inv[x]) not in sset:
-                raise GroupError(f"subgroup not closed under inverse at {x}")
-            for y in els:
-                if int(parent.mul[x, y]) not in sset:
-                    raise GroupError(f"subgroup not closed at ({x},{y})")
+        # a finite subset closed under products is closed under inverses
+        outside = np.argwhere(~np.isin(parent.mul[np.ix_(els, els)], els))
+        if len(outside):
+            x, y = (els[i] for i in outside[0])
+            raise GroupError(f"subgroup not closed at ({x},{y})")
         if parent.order % len(els):
             raise GroupError("subgroup order does not divide group order")
         self.parent = parent
         self.elements = els
-        self.as_set = sset
+        self.as_set = frozenset(els)
 
     @property
     def order(self) -> int:
@@ -212,8 +193,9 @@ class Subgroup:
 
     def is_normal(self) -> bool:
         G = self.parent
-        return all(G.conjugate(g, x) in self.as_set
-                   for g in range(G.order) for x in self.elements)
+        els = list(self.elements)
+        conj = G.mul[G.mul[:, els], G.inv[:, None]]  # [g, x] = g x g^-1
+        return bool(np.isin(conj, els).all())
 
     def __repr__(self) -> str:
         return f"<Subgroup of order {self.order}>"
@@ -223,15 +205,9 @@ def cosets(G: FiniteGroup, H: Subgroup) -> list[tuple[int, ...]]:
     """Right cosets Hg, each sorted, ordered by minimal element."""
     if H.parent is not G:
         raise GroupError("subgroup belongs to a different group")
-    seen: set[int] = set()
-    blocks = []
-    for g in range(G.order):
-        if g in seen:
-            continue
-        block = tuple(sorted(int(G.mul[h, g]) for h in H.elements))
-        seen.update(block)
-        blocks.append(block)
-    return sorted(blocks, key=lambda b: b[0])
+    cols = np.sort(G.mul[list(H.elements)], axis=0)  # column g: Hg, sorted
+    _, first = np.unique(cols[0], return_index=True)
+    return [tuple(int(x) for x in cols[:, g]) for g in first]
 
 
 # -- integral group ring ----------------------------------------------------
@@ -436,7 +412,9 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
 
 # fixed irreducible polynomials (coefficients ascending, monic) for the small
 # prime powers the constructions touch; anything else falls back to the
-# lexicographically least monic irreducible, which is deterministic too
+# lexicographically least monic irreducible, which is deterministic too.
+# The element numbering of GF(p^i) and of every group over it depends on
+# these choices, so they stay as they are even where they are not the least.
 _IRREDUCIBLE: dict[tuple[int, int], tuple[int, ...]] = {
     (2, 2): (1, 1, 1),
     (2, 3): (1, 1, 0, 1),
@@ -480,112 +458,76 @@ def prime_power(q: int) -> tuple[int, int]:
     raise GroupError(f"{q} is not a prime power")
 
 
-class _GF:
-    """Arithmetic in GF(p^i), elements encoded as base-p digit strings."""
+def _base_digits(p: int, k: int) -> np.ndarray:
+    """Row x holds the k base-p digits of x, least significant first."""
+    return np.arange(p ** k)[:, None] // p ** np.arange(k) % p
 
-    def __init__(self, p: int, i: int) -> None:
-        self.p, self.i, self.q = p, i, p ** i
-        if i == 1:
-            self.poly = None
-        else:
-            poly = _IRREDUCIBLE.get((p, i))
-            if poly is None or not self._irreducible(poly):
-                poly = self._least_irreducible()
-            self.poly = poly
-        self._mul_table = None
 
-    def _digits(self, x: int) -> list[int]:
-        out = []
-        for _ in range(self.i):
-            out.append(x % self.p)
-            x //= self.p
-        return out
+def _digit_add(p: int, k: int) -> np.ndarray:
+    """Table of digit-wise x + y mod p on k-digit base-p numbers: the group
+    (Z/p)^k, which is also the additive group of GF(p^k)."""
+    digits = _base_digits(p, k).astype(np.int32)
+    out = np.zeros((p ** k, p ** k), dtype=np.int32)
+    for t in range(k):
+        d = digits[:, t]
+        out += (d[:, None] + d[None, :]) % p * p ** t
+    return out
 
-    def _encode(self, digits: Sequence[int]) -> int:
-        out = 0
-        for d in reversed(digits):
-            out = out * self.p + d % self.p
-        return out
 
-    def add(self, x: int, y: int) -> int:
-        return self._encode([a + b for a, b in zip(self._digits(x), self._digits(y))])
+def _poly_mul(p: int, i: int, poly: Sequence[int]) -> np.ndarray:
+    """Multiplication table of F_p[X]/(poly), digit t being the coefficient
+    of X^t: a*b = sum_t a_t C^t b, with C the companion matrix of poly."""
+    digits = _base_digits(p, i)
+    comp = np.eye(i, k=-1, dtype=np.int64)
+    comp[:, -1] = -np.asarray(poly[:i])
+    powers = [digits]  # powers[t][b] = digits of X^t * b
+    for _ in range(1, i):
+        powers.append(powers[-1] @ comp.T % p)
+    stacked = np.stack(powers)
+    out = np.zeros((p ** i, p ** i), dtype=np.int32)
+    for s in range(i):
+        out += (digits @ stacked[:, :, s] % p * p ** s).astype(np.int32)
+    return out
 
-    def neg(self, x: int) -> int:
-        return self._encode([-a for a in self._digits(x)])
 
-    def mul(self, x: int, y: int) -> int:
-        if self.i == 1:
-            return (x * y) % self.p
-        a, b = self._digits(x), self._digits(y)
-        prod = [0] * (2 * self.i - 1)
-        for ai, av in enumerate(a):
-            for bi, bv in enumerate(b):
-                prod[ai + bi] += av * bv
-        # reduce modulo the fixed irreducible polynomial
-        for d in range(len(prod) - 1, self.i - 1, -1):
-            c = prod[d] % self.p
-            if c:
-                for j in range(self.i):
-                    prod[d - self.i + j] -= c * self.poly[j]
-            prod[d] = 0
-        return self._encode(prod[:self.i])
-
-    def _poly_mod(self, num: list[int], den: Sequence[int]) -> list[int]:
-        num = [c % self.p for c in num]
-        dd = len(den) - 1
-        while len(num) > dd:
-            lead = num[-1]
-            if lead:
-                for j in range(len(den)):
-                    num[len(num) - len(den) + j] = (
-                        num[len(num) - len(den) + j] - lead * den[j]) % self.p
-            num.pop()
-        return num
-
-    def _irreducible(self, poly: Sequence[int]) -> bool:
-        if poly[-1] != 1 or len(poly) != self.i + 1:
-            return False
-        deg = self.i
-        for d in range(1, deg // 2 + 1):
-            for cand in range(self.p ** d):
-                den = self._digits_n(cand, d) + [1]
-                num = list(poly)
-                if not any(self._poly_mod(num, den)):
-                    return False
-        return True
-
-    def _digits_n(self, x: int, n: int) -> list[int]:
-        out = []
-        for _ in range(n):
-            out.append(x % self.p)
-            x //= self.p
-        return out
-
-    def _least_irreducible(self) -> tuple[int, ...]:
-        for tail in range(self.p ** self.i):
-            poly = tuple(self._digits_n(tail, self.i)) + (1,)
-            if self._irreducible(poly):
-                return poly
-        raise GroupError("no irreducible polynomial found")  # pragma: no cover
+def _gf_mul(p: int, i: int) -> np.ndarray:
+    """Multiplication table of GF(p^i) modulo the fixed polynomial, else the
+    least monic irreducible: the first candidate without zero divisors."""
+    fixed = [_IRREDUCIBLE[(p, i)]] if (p, i) in _IRREDUCIBLE else []
+    for poly in fixed + [tuple(d) + (1,) for d in _base_digits(p, i)]:
+        mul = _poly_mul(p, i, poly)
+        if mul[1:, 1:].all():
+            return mul
+    raise GroupError("no irreducible polynomial found")  # pragma: no cover
 
 
 # -- built-in families -------------------------------------------------------
 
+def _check_order(base: int, exp: int = 1) -> int:
+    """base**exp, or GroupError if that exceeds GROUP_ORDER_LIMIT.  Bit
+    lengths are compared first, so a huge power is never expanded."""
+    if (exp * (base.bit_length() - 1) >= GROUP_ORDER_LIMIT.bit_length()
+            or base ** exp > GROUP_ORDER_LIMIT):
+        order = f"{base}^{exp}" if exp > 1 else f"{base}"
+        raise GroupError(f"group order {order} exceeds the limit "
+                         f"{GROUP_ORDER_LIMIT}")
+    return base ** exp
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupError("cyclic group needs order >= 1")
-    idx = np.arange(n)
+    _check_order(n)
+    idx = np.arange(n, dtype=np.int32)
     mul = (idx[:, None] + idx[None, :]) % n
     return FiniteGroup(mul, labels=[str(i) for i in range(n)], name=f"C:{n}")
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup, name: str = "") -> FiniteGroup:
     na, nb = A.order, B.order
-    mul = np.empty((na * nb, na * nb), dtype=np.int32)
-    for a1 in range(na):
-        arow = A.mul[a1]
-        for b1 in range(nb):
-            mul[a1 * nb + b1] = (arow[:, None] * nb + B.mul[b1][None, :]).reshape(-1)
+    _check_order(na * nb)
+    mul = (A.mul[:, None, :, None] * nb + B.mul[None, :, None, :]).reshape(
+        na * nb, na * nb)
     labels = None
     if A.element_labels or B.element_labels:
         labels = [f"({A.label(a)},{B.label(b)})"
@@ -593,64 +535,34 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, name: str = "") -> FiniteGrou
     return FiniteGroup(mul, labels=labels, name=name or f"Prod:{A.name},{B.name}")
 
 
-def product_index(A: FiniteGroup, B: FiniteGroup, a: int, b: int) -> int:
-    """Index of (a, b) in direct_product(A, B)."""
-    return a * B.order + b
-
-
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
-    if not is_prime(p):
-        raise GroupError(f"{p} is not prime")
     if k < 1:
         raise GroupError("rank must be >= 1")
-    G = cyclic_group(p)
-    for _ in range(k - 1):
-        G = direct_product(G, cyclic_group(p))
-    return FiniteGroup(G.mul, name=f"EA:{p}:{k}")
+    _check_order(p, k)
+    if not is_prime(p):
+        raise GroupError(f"{p} is not prime")
+    return FiniteGroup(_digit_add(p, k), name=f"EA:{p}:{k}")
 
 
 def heisenberg_group(q: int, r: int) -> FiniteGroup:
     """Tuples (a, b, c) in F_q^r x F_q^r x F_q with
-    (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a.b')."""
+    (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a.b'), indexed by the base-q
+    digits a, b, c, most significant first.  Its base-p digits make
+    (a+a', b+b', c+c') digit-wise addition; a.b' is the index of (0, 0, a.b').
+    """
     if r < 1:
         raise GroupError("r must be >= 1")
+    n = _check_order(q, 2 * r + 1)
     p, i = prime_power(q)
-    F = _GF(p, i)
-    n = q ** (2 * r + 1)
-
-    def unpack(x: int) -> tuple[list[int], list[int], int]:
-        c = x % q
-        x //= q
-        b = [0] * r
-        for t in range(r - 1, -1, -1):
-            b[t] = x % q
-            x //= q
-        a = [0] * r
-        for t in range(r - 1, -1, -1):
-            a[t] = x % q
-            x //= q
-        return a, b, c
-
-    def pack(a: Sequence[int], b: Sequence[int], c: int) -> int:
-        x = 0
-        for t in range(r):
-            x = x * q + a[t]
-        for t in range(r):
-            x = x * q + b[t]
-        return x * q + c
-
-    mul = np.empty((n, n), dtype=np.int32)
-    parts = [unpack(x) for x in range(n)]
-    for x, (a1, b1, c1) in enumerate(parts):
-        for y, (a2, b2, c2) in enumerate(parts):
-            a = [F.add(a1[t], a2[t]) for t in range(r)]
-            b = [F.add(b1[t], b2[t]) for t in range(r)]
-            dot = 0
-            for t in range(r):
-                dot = F.add(dot, F.mul(a1[t], b2[t]))
-            c = F.add(F.add(c1, c2), dot)
-            mul[x, y] = pack(a, b, c)
-    return FiniteGroup(mul, name=f"Heis:{q}:{r}")
+    add = _digit_add(p, (2 * r + 1) * i)
+    fmul = _gf_mul(p, i)
+    x = np.arange(n, dtype=np.int32)
+    dot = np.zeros_like(add)
+    for t in range(r):
+        a_t = x // q ** (2 * r - t) % q
+        b_t = x // q ** (r - t) % q
+        dot = add[dot, fmul[a_t[:, None], b_t[None, :]]]
+    return FiniteGroup(add[add, dot], name=f"Heis:{q}:{r}")
 
 
 _Q8_LABELS = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
@@ -678,29 +590,23 @@ def quaternion_group() -> FiniteGroup:
 def quotient_group(G: FiniteGroup, N: Subgroup, name: str = "") -> FiniteGroup:
     if not N.is_normal():
         raise GroupError("quotient needs a normal subgroup")
-    blocks = cosets(G, N)
-    block_of = np.empty(G.order, dtype=np.int32)
-    for bi, block in enumerate(blocks):
-        for x in block:
-            block_of[x] = bi
-    k = len(blocks)
-    mul = np.empty((k, k), dtype=np.int32)
-    for bi, bx in enumerate(blocks):
-        for bj, by in enumerate(blocks):
-            mul[bi, bj] = block_of[G.mul[bx[0], by[0]]]
-    return FiniteGroup(mul, name=name)
+    # right coset Ng is named by its least element, as in cosets()
+    least = G.mul[list(N.elements)].min(axis=0)
+    reps, block_of = np.unique(least, return_inverse=True)
+    return FiniteGroup(block_of[G.mul[np.ix_(reps, reps)]], name=name)
 
 
 def central_product_q8(r: int) -> FiniteGroup:
     """Central product of r copies of Q8: identify the central involutions."""
     if r < 1:
         raise GroupError("r must be >= 1")
+    _check_order(2, 2 * r + 1)
     G = quaternion_group()
     for _ in range(r - 1):
         P = direct_product(G, quaternion_group())
-        # identify the two central involutions: kill (z, -1) with z = old -1
-        z_left = product_index(G, quaternion_group(), _central_involution(G), 1)
-        K = P.generated_subgroup([z_left])
+        # identify the two central involutions: kill (z, -1) with z = old -1,
+        # whose index in G x Q8 is z * 8 + 1
+        K = P.generated_subgroup([_central_involution(G) * 8 + 1])
         G = quotient_group(P, K)
     return FiniteGroup(G.mul, name=f"Q8cp:{r}")
 
@@ -722,6 +628,7 @@ def generalized_dihedral(G: FiniteGroup) -> FiniteGroup:
     if not G.is_abelian():
         raise GroupError("generalized dihedral needs an abelian group")
     n = G.order
+    _check_order(2 * n)
     mul = np.empty((2 * n, 2 * n), dtype=np.int32)
     # (g)(h) = gh ; (g)(hu) = (gh)u ; (gu)(h) = (g h^-1)u ; (gu)(hu) = g h^-1
     mul[:n, :n] = G.mul
@@ -758,10 +665,10 @@ def build_family(spec: str) -> FiniteGroup:
         for cut in range(1, len(parts)):
             left, right = ",".join(parts[:cut]), ",".join(parts[cut:])
             try:
-                return direct_product(build_family(left), build_family(right),
-                                      name=f"Prod:{left},{right}")
+                A, B = build_family(left), build_family(right)
             except GroupError:
                 continue
+            return direct_product(A, B, name=f"Prod:{left},{right}")
         raise GroupError(f"cannot parse product spec {spec!r}")
     raise GroupError(f"unknown family spec {spec!r}")
 
@@ -804,13 +711,19 @@ def read_group(path) -> FiniteGroup:
         n = int(lines[0].split()[1])
     except (IndexError, ValueError):
         raise GroupError("bad group header") from None
+    _check_order(n)
     if len(lines) != n + 1:
         raise GroupError(f"expected {n} table rows, found {len(lines) - 1}")
     rows = []
     for ln in lines[1:]:
-        row = [int(tok) for tok in ln.split()]
+        try:
+            row = [int(tok) for tok in ln.split()]
+        except ValueError:
+            raise GroupError("table row has a non-integer entry") from None
         if len(row) != n:
             raise GroupError("table row has wrong length")
+        if not 0 <= min(row) <= max(row) < n:
+            raise GroupError("table entries out of range")
         rows.append(row)
     G = FiniteGroup(np.array(rows, dtype=np.int32))
     if G.identity != 0:

@@ -54,7 +54,7 @@ class QuadraticNumber:
                 b = Fraction(0)
                 D = 0
         if b == 0 or D == 0:
-            a, b, D = a + (b if D == 1 else 0), Fraction(0), 0
+            b, D = Fraction(0), 0
         self.a: Fraction = a
         self.b: Fraction = b
         self.D: int = D
@@ -218,10 +218,6 @@ class QuadraticNumber:
 
     def __repr__(self) -> str:
         return f"QuadraticNumber({self.a!r}, {self.b!r}, {self.D})"
-
-
-ZERO = QuadraticNumber(0)
-ONE = QuadraticNumber(1)
 
 
 def quadratic_roots(b: Fraction, c: Fraction) -> tuple[QuadraticNumber, QuadraticNumber]:

@@ -282,6 +282,8 @@ def cayley_scheme(G: FiniteGroup, parts: Sequence[Iterable[int]]) -> SchemeTable
     part_sets = [frozenset(int(x) for x in p) for p in parts]
     total = sum(len(p) for p in part_sets)
     union = frozenset().union(*part_sets)
+    if union - frozenset(range(G.order)):
+        raise SchemeError(f"part element outside 0..{G.order - 1}")
     if total != G.order or len(union) != G.order:
         raise SchemeError("parts do not partition the group")
     if part_sets[0] != frozenset({G.identity}):

@@ -94,6 +94,14 @@ def test_search_rds_center(capsys):
     assert len(stdout.splitlines()) == 16
 
 
+@pytest.mark.parametrize("spec", ["C:200000", "Heis:81:1"])
+def test_search_rds_order_limit(capsys, spec):
+    code, stdout, err = run(capsys, "search-rds", spec, "0")
+    assert code == 3 and stdout == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: group order") and "exceeds the limit" in err
+
+
 def test_search_linked_cli(tmp_path, capsys):
     out = tmp_path / "sys.linked"
     code, stdout, _ = run(capsys, "search-linked-system", "Q8cp:1", "center",

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from higman.constructions import (ConstructionError, associate_group,
+from higman.constructions import (ConstructionError, FileFormatError,
+                                  associate_group,
                                   cayley_isomorphic, example1_construct,
                                   example2_construct, intersection_condition,
                                   read_linked_system, read_partition,
@@ -12,10 +13,10 @@ from higman.constructions import (ConstructionError, associate_group,
                                   table1_params, table2_params, verify_dds,
                                   verify_linked_system, write_linked_system,
                                   write_partition)
-from higman.groups import (GroupRingElement, automorphisms, build_family,
-                           gre_multiply, is_isomorphic)
+from higman.groups import (GroupError, GroupRingElement, automorphisms,
+                           build_family, gre_multiply, is_isomorphic)
 from higman.quadratic import QuadraticNumber as QN
-from higman.schemes import sring_structure_constants
+from higman.schemes import SchemeError, sring_structure_constants
 
 
 # -- difference sets ---------------------------------------------------------
@@ -369,6 +370,26 @@ def test_linked_file_errors(tmp_path):
     p.write_text("C:4\n0 2\n2\n0 1\n0 1\n")
     with pytest.raises(ConstructionError, match="distinct"):
         read_linked_system(p)
+
+
+@pytest.mark.parametrize("body, error, message", [
+    ("", FileFormatError, "partition file too short"),
+    ("C:4\n", FileFormatError, "partition file too short"),
+    ("C:4\n0\n1 x\n", FileFormatError, "part line 2: non-integer token"),
+    ("Nope:4\n0\n1 2 3\n", GroupError, "unknown family spec"),
+    ("C:200000\n0\n1\n", GroupError, "exceeds the limit"),
+    ("C:4\n0\n1 3\n4\n", SchemeError, "part element outside 0..3"),
+    ("C:4\n0\n1 3\n-2\n", SchemeError, "part element outside 0..3"),
+    ("C:4\n0\n1 3\n", SchemeError, "do not partition"),
+    ("C:4\n1\n0 2 3\n", SchemeError, "identity singleton"),
+    ("C:4\n0\n1\n2 3\n", SchemeError, "inverse-closed"),
+    ("C:5\n0\n1 4\n2\n3\n", SchemeError, "not an S-ring"),
+])
+def test_read_partition_malformed(tmp_path, body, error, message):
+    path = tmp_path / "m.sring"
+    path.write_text(body)
+    with pytest.raises(error, match=message):
+        read_partition(path).scheme()
 
 
 def test_abstract_associate_partition_not_serializable(tmp_path,

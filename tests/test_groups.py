@@ -224,3 +224,23 @@ def test_group_file_errors(tmp_path):
     p.write_text("nope\n")
     with pytest.raises(GroupError):
         read_group(p)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("", "must start with 'group <order>'"),
+    ("group 2 x\n", "expected 2 table rows"),
+    ("group x\n", "bad group header"),
+    ("group 20000\n", "exceeds the limit"),
+    ("group 2\n0 1\n1\n", "wrong length"),
+    ("group 2\n0 1\n1 x\n", "non-integer entry"),
+    ("group 2\n0 1\n1 99999999999\n", "out of range"),
+    ("group 2\n0 1\n1 -1\n", "out of range"),
+    ("group 2\n1 0\n0 1\n", "identity must be index 0"),
+    ("group 2\n0 1\n1 1\n", "inverse"),
+    ("group 0\n", "square"),
+])
+def test_read_group_malformed(tmp_path, body, message):
+    path = tmp_path / "m.group"
+    path.write_text(body)
+    with pytest.raises(GroupError, match=message):
+        read_group(path)

@@ -157,6 +157,9 @@ def test_cayley_scheme_basics():
         cayley_scheme(cyclic_group(5), [[0], [1, 2], [3, 4, 0]])
     with pytest.raises(SchemeError, match="inverse-closed"):
         cayley_scheme(cyclic_group(5), [[0], [1, 2], [3], [4]])
+    for outside in ([4], [-1]):
+        with pytest.raises(SchemeError, match="outside 0..3"):
+            cayley_scheme(cyclic_group(4), [[0], [1, 3], outside])
 
 
 def test_cayley_non_sring_rejected():
