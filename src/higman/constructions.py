@@ -29,8 +29,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .groups import (FiniteGroup, GroupError, GroupIsomorphism,
-                     GroupRingElement, Subgroup, build_family, cosets,
-                     direct_product, gre_multiply, isomorphisms, prime_power)
+                     GroupRingElement, Subgroup, build_family, check_order,
+                     cosets, direct_product, gre_multiply, isomorphisms,
+                     prime_power)
 from .higmanian import DetectionResult, HigmanianParams, detect_higmanian
 from .quadratic import QuadraticNumber
 from .schemes import SchemeError, SchemeTable, cayley_scheme
@@ -603,6 +604,7 @@ def _family_setup(family: str, q: int | None, r: int | None, j: int | None):
     if family == "heis":
         if q is None or r is None or r < 1:
             raise ConstructionError("heis needs q and r")
+        check_order(q, 2 * r + 1)
         p, _ = prime_power(q)
         if p == 2:
             raise ConstructionError("heis family needs odd q")
@@ -610,6 +612,7 @@ def _family_setup(family: str, q: int | None, r: int | None, j: int | None):
     if family == "ea":
         if q is None or r is None or j is None:
             raise ConstructionError("ea needs q, r and j")
+        check_order(q, 2 * r + 1)
         p, i = prime_power(q)
         if j < 1 or j > i:
             raise ConstructionError("ea needs 1 <= j <= i")

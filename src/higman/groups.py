@@ -12,6 +12,7 @@ direct products.  Spec strings: ``C:<n>``, ``EA:<p>:<k>``, ``Heis:<q>:<r>``,
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -27,6 +28,10 @@ _SPOT_CHECK_TRIPLES = 1000
 
 class GroupError(ValueError):
     """Raised when a table, subgroup or map fails the group axioms."""
+
+
+class GroupOrderError(GroupError):
+    """A group spec or file names an order over GROUP_ORDER_LIMIT."""
 
 
 class FiniteGroup:
@@ -443,19 +448,15 @@ def prime_power(q: int) -> tuple[int, int]:
     """Return (p, i) with q = p^i, or raise."""
     if q < 2:
         raise GroupError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            if not is_prime(p):
-                break
-            i = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                i += 1
-            if m != 1:
-                raise GroupError(f"{q} is not a prime power")
-            return p, i
-    raise GroupError(f"{q} is not a prime power")
+    # the least divisor is prime; none up to sqrt(q) means q is prime
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    i, m = 0, q
+    while m % p == 0:
+        m //= p
+        i += 1
+    if m != 1:
+        raise GroupError(f"{q} is not a prime power")
+    return p, i
 
 
 def _base_digits(p: int, k: int) -> np.ndarray:
@@ -503,21 +504,21 @@ def _gf_mul(p: int, i: int) -> np.ndarray:
 
 # -- built-in families -------------------------------------------------------
 
-def _check_order(base: int, exp: int = 1) -> int:
-    """base**exp, or GroupError if that exceeds GROUP_ORDER_LIMIT.  Bit
+def check_order(base: int, exp: int = 1) -> int:
+    """base**exp, or GroupOrderError if that exceeds GROUP_ORDER_LIMIT.  Bit
     lengths are compared first, so a huge power is never expanded."""
     if (exp * (base.bit_length() - 1) >= GROUP_ORDER_LIMIT.bit_length()
             or base ** exp > GROUP_ORDER_LIMIT):
         order = f"{base}^{exp}" if exp > 1 else f"{base}"
-        raise GroupError(f"group order {order} exceeds the limit "
-                         f"{GROUP_ORDER_LIMIT}")
+        raise GroupOrderError(f"group order {order} exceeds the limit "
+                              f"{GROUP_ORDER_LIMIT}")
     return base ** exp
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupError("cyclic group needs order >= 1")
-    _check_order(n)
+    check_order(n)
     idx = np.arange(n, dtype=np.int32)
     mul = (idx[:, None] + idx[None, :]) % n
     return FiniteGroup(mul, labels=[str(i) for i in range(n)], name=f"C:{n}")
@@ -525,7 +526,7 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 def direct_product(A: FiniteGroup, B: FiniteGroup, name: str = "") -> FiniteGroup:
     na, nb = A.order, B.order
-    _check_order(na * nb)
+    check_order(na * nb)
     mul = (A.mul[:, None, :, None] * nb + B.mul[None, :, None, :]).reshape(
         na * nb, na * nb)
     labels = None
@@ -538,7 +539,7 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, name: str = "") -> FiniteGrou
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
     if k < 1:
         raise GroupError("rank must be >= 1")
-    _check_order(p, k)
+    check_order(p, k)
     if not is_prime(p):
         raise GroupError(f"{p} is not prime")
     return FiniteGroup(_digit_add(p, k), name=f"EA:{p}:{k}")
@@ -552,7 +553,7 @@ def heisenberg_group(q: int, r: int) -> FiniteGroup:
     """
     if r < 1:
         raise GroupError("r must be >= 1")
-    n = _check_order(q, 2 * r + 1)
+    n = check_order(q, 2 * r + 1)
     p, i = prime_power(q)
     add = _digit_add(p, (2 * r + 1) * i)
     fmul = _gf_mul(p, i)
@@ -600,7 +601,7 @@ def central_product_q8(r: int) -> FiniteGroup:
     """Central product of r copies of Q8: identify the central involutions."""
     if r < 1:
         raise GroupError("r must be >= 1")
-    _check_order(2, 2 * r + 1)
+    check_order(2, 2 * r + 1)
     G = quaternion_group()
     for _ in range(r - 1):
         P = direct_product(G, quaternion_group())
@@ -628,7 +629,7 @@ def generalized_dihedral(G: FiniteGroup) -> FiniteGroup:
     if not G.is_abelian():
         raise GroupError("generalized dihedral needs an abelian group")
     n = G.order
-    _check_order(2 * n)
+    check_order(2 * n)
     mul = np.empty((2 * n, 2 * n), dtype=np.int32)
     # (g)(h) = gh ; (g)(hu) = (gh)u ; (gu)(h) = (g h^-1)u ; (gu)(hu) = g h^-1
     mul[:n, :n] = G.mul
@@ -662,14 +663,19 @@ def build_family(spec: str) -> FiniteGroup:
         return generalized_dihedral(build_family(rest))
     if head == "Prod":
         parts = rest.split(",")
+        # a cut whose sides parse but one is too large reports that limit
+        too_large = None
         for cut in range(1, len(parts)):
             left, right = ",".join(parts[:cut]), ",".join(parts[cut:])
             try:
                 A, B = build_family(left), build_family(right)
+            except GroupOrderError as exc:
+                too_large = too_large or exc
+                continue
             except GroupError:
                 continue
             return direct_product(A, B, name=f"Prod:{left},{right}")
-        raise GroupError(f"cannot parse product spec {spec!r}")
+        raise too_large or GroupError(f"cannot parse product spec {spec!r}")
     raise GroupError(f"unknown family spec {spec!r}")
 
 
@@ -711,7 +717,7 @@ def read_group(path) -> FiniteGroup:
         n = int(lines[0].split()[1])
     except (IndexError, ValueError):
         raise GroupError("bad group header") from None
-    _check_order(n)
+    check_order(n)
     if len(lines) != n + 1:
         raise GroupError(f"expected {n} table rows, found {len(lines) - 1}")
     rows = []

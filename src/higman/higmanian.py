@@ -236,49 +236,54 @@ class DefinitionCheck:
 def is_uniform_by_definition(scheme: SchemeTable,
                              parab: Parabolic) -> DefinitionCheck:
     """Literal check of the definition over one parabolic: cork 2, and every
-    block product A_i^{DG} A_j^{GL} constant on each color inside D x L."""
+    block product A_i^{DG} A_j^{GL} constant on each color inside D x L.
+
+    Products with A_0 are the rows or columns of A_j inside G, always
+    constant, so they are skipped.  (A_i^{DG} A_j^{GL})^T is
+    A_j*^{LG} A_i*^{GD}, constant exactly when A_i^{DG} A_j^{GL} is, with
+    the same coefficients, so only the first product of each such pair is
+    formed.  The block products of class G are the columns in G of B_i
+    times the rows in G of B_j, in float32 (exact: entries are at most
+    v < 2^24)."""
     cork = parab.corank
     if cork != 2:
         return DefinitionCheck(ok=False, cork=cork)
-    r = scheme.rank
-    v = scheme.v
-    c = parab.num_classes
-    class_of = parab.class_of
-    color = scheme.color.astype(np.int64)
-    basis = [scheme.adjacency(i) for i in range(r)]
-    member = np.zeros((v, c))
-    member[np.arange(v), class_of] = 1.0
-    occurs = [np.rint(member.T @ basis[i] @ member).astype(np.int64) > 0
-              for i in range(r)]
+    r, v, c = scheme.rank, scheme.v, parab.num_classes
+    class_of, color, inverse = parab.class_of, scheme.color, scheme.inverse
+    # each cell's (D, L, k) triple; its reference cell is the last one in
+    # row-major order, as when the block values are scattered into a table
+    key = ((class_of[:, None] * c + class_of[None, :]) * r + color).ravel()
+    triples, rev_first, group = np.unique(key[::-1], return_index=True,
+                                          return_inverse=True)
+    ref_cell = key.size - 1 - rev_first
+    group = group[::-1]
+    D, L, K = np.unravel_index(triples, (c, c, r))
+    occurs = np.zeros((r, c, c), dtype=bool)   # [k, D, L]: k meets D x L
+    occurs[K, D, L] = True
 
-    flat_key = (class_of[:, None] * c + class_of[None, :]) * r + color
-    gmin = np.full((r, r, r), np.iinfo(np.int64).max, dtype=np.int64)
-    gmax = np.full((r, r, r), -1, dtype=np.int64)
-
-    for gi in range(c):
-        gpts = list(parab.classes[gi])
-        for i in range(r):
-            left = basis[i][:, gpts]
-            for j in range(r):
-                M = np.rint(left @ basis[j][gpts, :]).astype(np.int64)
-                table = np.zeros(c * c * r, dtype=np.int64)
-                table[flat_key.ravel()] = M.ravel()
-                if (table[flat_key.ravel()] != M.ravel()).any():
-                    bad = np.nonzero(table[flat_key.ravel()] != M.ravel())[0][0]
-                    x, y = divmod(int(bad), v)
-                    return DefinitionCheck(
-                        ok=False, cork=2,
-                        witness=(int(class_of[x]), gi, int(class_of[y]),
-                                 i, j, int(color[x, y])))
-                # record coefficient values across admissible triples
-                adm = occurs[i][:, gi][:, None] & occurs[j][gi, :][None, :]
-                blocks = table.reshape(c, c, r)
-                for kk in range(r):
-                    sel = adm & occurs[kk]
-                    if sel.any():
-                        vals = blocks[:, :, kk][sel]
-                        gmin[i, j, kk] = min(gmin[i, j, kk], int(vals.min()))
-                        gmax[i, j, kk] = max(gmax[i, j, kk], int(vals.max()))
+    pairs = [(i, j) for i in range(1, r) for j in range(1, r)
+             if (inverse[j], inverse[i]) >= (i, j)]
+    gmin = np.full((r, r, r), np.inf)
+    gmax = np.full((r, r, r), -np.inf)
+    for gi, gpts in enumerate(parab.classes):
+        cols = color[:, gpts]
+        basis = [(cols == i).astype(np.float32) for i in range(r)]
+        # lexicographic order: the first failing pair is the least failing
+        # (i, j) of its transpose pair, as a loop over all (i, j) finds it
+        for i, j in pairs:
+            M = (basis[i] @ basis[inverse[j]].T).ravel()
+            vals = M[ref_cell]
+            bad = np.flatnonzero(M != vals[group])
+            if len(bad):
+                x, y = divmod(int(bad[0]), v)
+                return DefinitionCheck(
+                    ok=False, cork=2,
+                    witness=(int(class_of[x]), gi, int(class_of[y]),
+                             i, j, int(color[x, y])))
+            # record coefficient values across admissible triples
+            sel = occurs[i][D, gi] & occurs[j][gi, L]
+            np.minimum.at(gmin[i, j], K[sel], vals[sel])
+            np.maximum.at(gmax[i, j], K[sel], vals[sel])
     seen = gmax >= 0
     consistent = bool((gmin[seen] == gmax[seen]).all())
     return DefinitionCheck(ok=True, cork=2, coefficients_consistent=consistent)

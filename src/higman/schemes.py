@@ -105,15 +105,31 @@ def validate(matrix) -> SchemeTable:
         raise SchemeError("color inversion is not an involution")
 
     # intersection numbers: B_i B_j must be constant on every color class.
-    # B_0 = I, and (B_i B_j)^T = B_j* B_i*, so only the first product of each
-    # such pair is formed.  float32 is exact: every partial sum is an integer
-    # of at most v < 2^24.
+    # float32 is exact: every partial sum is an integer of at most v < 2^24.
+    # The row sums of B_i are the diagonal of B_i B_i*, so B_i must be
+    # row-regular; then sum_j B_j = J gives B_i B_last = n_i J -
+    # sum_{j != last} B_i B_j.  B_0 = I, and (B_i B_j)^T = B_j* B_i*, so only
+    # the first product of each such pair is formed, and none with
+    # j = last or i = last*.
     basis = [(color == i).astype(np.float32) for i in range(rank)]
+    n = np.ones(rank, dtype=np.int64)
+    for i in range(1, rank):
+        rows = basis[i].sum(axis=1)
+        n[i] = rows[0]
+        bad = np.nonzero(rows != n[i])[0]
+        if len(bad):
+            x = int(bad[0])
+            raise SchemeError(
+                f"p_{i},{int(istar[i])}^0 is not constant: cell ({x},{x}) "
+                f"has {int(rows[x])}, expected {n[i]}",
+                witness=(i, int(istar[i]), 0, x, x))
+    last = rank - 1
+    lstar = istar[last]
     p = np.zeros((rank, rank, rank), dtype=np.int64)
     p[0] = p[:, 0] = np.eye(rank, dtype=np.int64)
     for i in range(1, rank):
-        for j in range(1, rank):
-            if (istar[j], istar[i]) < (i, j):
+        for j in range(1, last):
+            if i == lstar or (istar[j], istar[i]) < (i, j):
                 continue
             prod = basis[i] @ basis[j]
             p[i, j] = prod[rep_x, rep_y]
@@ -126,6 +142,12 @@ def validate(matrix) -> SchemeTable:
                     f"{int(prod[x, y])}, expected {int(p[i, j, k])}",
                     witness=(i, j, k, x, y))
             p[istar[j], istar[i]] = p[i, j][istar]
+    # the last column, then row last* by transpose; its last entry needs
+    # that row, so the column rule runs again for it
+    p[:, last] = n[:, None] - p[:, :last].sum(axis=1)
+    for j in range(1, last):
+        p[lstar, j] = p[istar[j], last][istar]
+    p[lstar, last] = n[lstar] - p[lstar, :last].sum(axis=0)
 
     return SchemeTable(color, p, istar)
 

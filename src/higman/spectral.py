@@ -347,8 +347,10 @@ def float_eigen_oracle(scheme: SchemeTable, exact: EigenData,
         V = vecs[:, idxs]
         proj = V @ V.T
         dims.append(len(idxs))
+        # trace(proj A) without the product: proj is symmetric, so it is
+        # the sum of proj * A (numpy's pairwise sum keeps the error small)
         for i, A in enumerate(mats):
-            P_float[ci, i] = np.trace(proj @ A) / len(idxs)
+            P_float[ci, i] = (proj * A).sum() / len(idxs)
 
     # match rows to the exact eigenmatrix by valency-normalized profile
     n = np.array(exact.valencies, dtype=np.float64)

@@ -94,7 +94,8 @@ def test_search_rds_center(capsys):
     assert len(stdout.splitlines()) == 16
 
 
-@pytest.mark.parametrize("spec", ["C:200000", "Heis:81:1"])
+@pytest.mark.parametrize("spec", ["C:200000", "Heis:81:1",
+                                  "Prod:C:200000,C:2", "Prod:C:2,C:200000"])
 def test_search_rds_order_limit(capsys, spec):
     code, stdout, err = run(capsys, "search-rds", spec, "0")
     assert code == 3 and stdout == ""
@@ -127,6 +128,13 @@ def test_verify_linked_invalid(tmp_path, capsys):
 def test_construct_errors(capsys):
     code, _, err = run(capsys, "construct", "heis", "2", "1")
     assert code == 3 and "odd" in err
+    # q^(2r+1) is checked before q is factored: a huge prime or semiprime
+    # fails at once, with the order message
+    for q in ("1000000007", str(1000003 * 1000033)):
+        for params in (["heis", q, "1"], ["ea", q, "1", "1"]):
+            code, _, err = run(capsys, "construct", *params)
+            assert code == 3
+            assert err == f"error: group order {q}^3 exceeds the limit 16384\n"
     code, _, err = run(capsys, "construct", "nosuch", "1")
     assert code == 3
     code, _, err = run(capsys, "construct", "q8cp")

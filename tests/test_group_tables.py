@@ -135,7 +135,8 @@ def test_family_tables_pinned(spec):
 
 @pytest.mark.parametrize("spec", [
     "C:200000", "Heis:81:1", "Heis:3:1000000000", "EA:2:15",
-    "EA:1000000007:2", "Q8cp:7", "Prod:Heis:3:3,C:8"])
+    "EA:1000000007:2", "Q8cp:7", "Prod:Heis:3:3,C:8", "Prod:C:200000,C:2",
+    "Prod:C:2,Heis:81:1"])
 def test_order_limit_refused_before_allocation(spec):
     with pytest.raises(GroupError, match="exceeds the limit"):
         build_family(spec)

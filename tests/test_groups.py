@@ -79,13 +79,18 @@ def test_build_family_errors():
         build_family("GenDih:Q8cp:1")  # non-abelian inner group
     with pytest.raises(GroupError):
         build_family("Nope:3")
+    with pytest.raises(GroupError, match="cannot parse product spec"):
+        build_family("Prod:C:2,Nope:3")
 
 
 def test_prime_power():
     assert prime_power(8) == (2, 3)
     assert prime_power(27) == (3, 3)
     assert prime_power(7) == (7, 1)
-    for bad in (1, 6, 12, 100):
+    # trial division stops at sqrt(q)
+    assert prime_power(1000000007) == (1000000007, 1)
+    assert prime_power(3 ** 20) == (3, 20)
+    for bad in (1, 6, 12, 100, 1000003 * 1000033):
         with pytest.raises(GroupError):
             prime_power(bad)
 

@@ -196,6 +196,18 @@ def test_float_oracle(q8_construction):
     assert res.multiplicities == (1, 4, 9, 8, 2)
 
 
+def test_float_oracle_desk_points(constructions_by_family):
+    assert len(constructions_by_family) == 4
+    for con in constructions_by_family.values():
+        det = con.result.detection
+        data = spectral_data(det.params)
+        res = float_eigen_oracle(con.result.scheme, data,
+                                 relation_order=det.relation_order)
+        assert res.max_abs_error < 1e-8
+        assert res.multiplicities == tuple(
+            m.as_integer() for m in data.multiplicities)
+
+
 def test_oracle_rejects_wrong_exact_data(q8_construction):
     with pytest.raises(SpectralError):
         float_eigen_oracle(q8_construction.result.scheme, spectral_data(P108))

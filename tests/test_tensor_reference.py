@@ -4,18 +4,25 @@ matrix reference.
 The reference below works on the v x v color matrix only: parabolics by a
 union-matmul transitivity scan, quotients by scanning every block between
 two classes, the wreath test by counting each outside relation per block,
-and restrictions by a row-major relabeling loop.  `higman.schemes` takes
-parabolics, coranks and the wreath test from the intersection tensor
-instead; both must agree everywhere.
+restrictions by a row-major relabeling loop, intersection numbers from all
+r^2 products, and the definitional uniformity check from all r^2 block
+products of every class.  `higman.schemes` takes parabolics, coranks and
+the wreath test from the intersection tensor instead, and `validate` and
+`is_uniform_by_definition` skip the products the algebra determines; both
+must agree everywhere.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from higman.groups import build_family, quaternion_group
+from higman.higmanian import DefinitionCheck, is_uniform_by_definition
 from higman.schemes import (SchemeError, cayley_scheme, is_wreath_over,
-                            parabolics, quotient, restriction, trivial_scheme,
-                            validate, wreath_product)
+                            nontrivial_parabolics, parabolics, quotient,
+                            restriction, trivial_scheme, validate,
+                            wreath_product)
 
 
 # -- the matrix reference ----------------------------------------------------------
@@ -95,6 +102,53 @@ def ref_restriction_colors(scheme, points):
     return ref_relabel(scheme.color[np.ix_(pts, pts)])
 
 
+def ref_is_uniform_by_definition(scheme, parab):
+    """Every block product A_i^{DG} A_j^{GL}, each class G and all (i, j) in
+    order, scattered into a (D, L, k) table; the last write is the
+    reference, the first row-major cell that differs is the witness."""
+    cork = parab.corank
+    if cork != 2:
+        return DefinitionCheck(ok=False, cork=cork)
+    r, v, c = scheme.rank, scheme.v, parab.num_classes
+    class_of = parab.class_of
+    color = scheme.color.astype(np.int64)
+    basis = [scheme.adjacency(i) for i in range(r)]
+    member = np.zeros((v, c))
+    member[np.arange(v), class_of] = 1.0
+    occurs = [np.rint(member.T @ basis[i] @ member).astype(np.int64) > 0
+              for i in range(r)]
+    flat_key = ((class_of[:, None] * c + class_of[None, :]) * r
+                + color).ravel()
+    gmin = np.full((r, r, r), np.iinfo(np.int64).max, dtype=np.int64)
+    gmax = np.full((r, r, r), -1, dtype=np.int64)
+    for gi in range(c):
+        gpts = list(parab.classes[gi])
+        for i in range(r):
+            for j in range(r):
+                M = np.rint(basis[i][:, gpts] @ basis[j][gpts, :]).astype(
+                    np.int64).ravel()
+                table = np.zeros(c * c * r, dtype=np.int64)
+                table[flat_key] = M
+                bad = np.nonzero(table[flat_key] != M)[0]
+                if len(bad):
+                    x, y = divmod(int(bad[0]), v)
+                    return DefinitionCheck(
+                        ok=False, cork=2,
+                        witness=(int(class_of[x]), gi, int(class_of[y]),
+                                 i, j, int(color[x, y])))
+                adm = occurs[i][:, gi][:, None] & occurs[j][gi, :][None, :]
+                blocks = table.reshape(c, c, r)
+                for k in range(r):
+                    sel = adm & occurs[k]
+                    if sel.any():
+                        vals = blocks[:, :, k][sel]
+                        gmin[i, j, k] = min(gmin[i, j, k], int(vals.min()))
+                        gmax[i, j, k] = max(gmax[i, j, k], int(vals.max()))
+    seen = gmax >= 0
+    consistent = bool((gmin[seen] == gmax[seen]).all())
+    return DefinitionCheck(ok=True, cork=2, coefficients_consistent=consistent)
+
+
 # -- the schemes -------------------------------------------------------------------------
 
 def two_level_wreath():
@@ -127,12 +181,38 @@ SCHEME_NAMES = ("q8cp {'r': 1}", "q8cp {'r': 2}", "heis {'q': 3, 'r': 1}",
                 "wreath T3 by T4", "two-level wreath", "octagon", "thin S3")
 
 
+def orbit_scheme(n, units):
+    """Scheme of C:n whose parts are the orbits of a group of units."""
+    parts, seen = [[0]], {0}
+    for x in range(1, n):
+        if x not in seen:
+            orbit = sorted({x * u % n for u in units})
+            seen.update(orbit)
+            parts.append(orbit)
+    return cayley_scheme(build_family(f"C:{n}"), parts)
+
+
+def unit_groups(n):
+    """Every cyclic group of units mod n, as a sorted tuple."""
+    groups = set()
+    for g in range(1, n):
+        if math.gcd(g, n) == 1:
+            powers, x = {1}, g
+            while x != 1:
+                powers.add(x)
+                x = x * g % n
+            groups.add(tuple(sorted(powers)))
+    return sorted(groups)
+
+
 def thin_schemes():
-    """Nonsymmetric schemes, one of them noncommutative."""
+    """Nonsymmetric schemes, one of them noncommutative.  In the last one
+    the inverse of the last color is color 1."""
     q8 = quaternion_group()
     return [cayley_scheme(build_family("C:5"), [[i] for i in range(5)]),
             cayley_scheme(q8, [[i] for i in range(q8.order)]),
-            cayley_scheme(build_family("C:7"), [[0], [1, 2, 4], [3, 5, 6]])]
+            cayley_scheme(build_family("C:7"), [[0], [1, 2, 4], [3, 5, 6]]),
+            orbit_scheme(15, (1, 2, 4, 8))]
 
 
 def test_reference_covers_every_scheme(reference_schemes):
@@ -194,7 +274,9 @@ def test_wreath_verdicts_on_wreath_products():
 
 
 def test_validate_matches_all_products(reference_schemes):
-    # validate forms one product of each transpose pair and none with B_0
+    # validate forms one product of each transpose pair, none with B_0 and
+    # none with the last color on the right or its inverse on the left;
+    # those come from sum_j B_j = J and the transpose rule
     schemes = list(reference_schemes.values()) + thin_schemes()
     assert any(not (s.p == s.p.transpose(1, 0, 2)).all() for s in schemes)
     for scheme in schemes:
@@ -202,3 +284,59 @@ def test_validate_matches_all_products(reference_schemes):
         assert (scheme.p == p).all()
         assert (scheme.valencies == p[np.arange(scheme.rank),
                                       scheme.inverse, 0]).all()
+
+
+def test_irregular_relation_rejected():
+    # a path on 3 points: the inverse check passes, B_1 is not row-regular
+    with pytest.raises(SchemeError) as err:
+        validate(np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]]))
+    assert str(err.value) == \
+        "p_1,1^0 is not constant: cell (1,1) has 2, expected 1"
+    assert err.value.witness == (1, 1, 0, 1, 1)
+    # nonsymmetric: color 1 = x -> x+1 on C:3 plus one extra arc
+    with pytest.raises(SchemeError, match="not constant") as err:
+        validate(np.array([[0, 1, 1], [2, 0, 1], [2, 2, 0]]))
+    assert err.value.witness[:3] == (1, 2, 0)
+
+
+def definition_cases(schemes):
+    return [(scheme, parab) for scheme in schemes
+            for parab in nontrivial_parabolics(scheme)]
+
+
+def test_definition_matches_reference(reference_schemes):
+    cases = definition_cases(list(reference_schemes.values()) + thin_schemes())
+    assert any(ref_is_uniform_by_definition(*case).ok for case in cases)
+    for scheme, parab in cases:
+        assert is_uniform_by_definition(scheme, parab) == \
+            ref_is_uniform_by_definition(scheme, parab)
+
+
+def test_definition_matches_reference_on_orbit_schemes():
+    schemes = [orbit_scheme(n, units) for n in range(4, 31)
+               for units in unit_groups(n)]
+    schemes = [s for s in schemes if s.rank <= 12]
+    results = []
+    for scheme, parab in definition_cases(schemes):
+        ref = ref_is_uniform_by_definition(scheme, parab)
+        assert is_uniform_by_definition(scheme, parab) == ref
+        results.append(ref)
+    # both outcomes of the block check, and symmetric and nonsymmetric input
+    assert any(res.ok for res in results)
+    assert any(res.witness is not None for res in results)
+    assert any(not s.is_symmetric() for s in schemes)
+
+
+@pytest.mark.parametrize("n, units, shape, witness", [
+    (9, (1, 8), (3, 3), (1, 0, 1, 1, 2, 3)),
+    (15, (1, 2, 4, 8), (5, 3), (1, 0, 1, 1, 1, 3)),
+    (15, (1, 2, 4, 8), (3, 5), (1, 0, 1, 1, 3, 2)),
+    # the first cell of the failing triple would name color 7 here
+    (27, (1, 8, 10, 17, 19, 26), (3, 9), (1, 0, 1, 1, 2, 3)),
+])
+def test_definition_witnesses_pinned(n, units, shape, witness):
+    scheme = orbit_scheme(n, units)
+    (parab,) = [e for e in nontrivial_parabolics(scheme)
+                if (e.num_classes, e.n_class) == shape]
+    res = is_uniform_by_definition(scheme, parab)
+    assert (res.ok, res.cork, res.witness) == (False, 2, witness)
