@@ -108,22 +108,16 @@ def analyze_scheme(scheme: schemes.SchemeTable, descriptor: str,
         bundle = higmanian.verdict_bundle(scheme, strict=strict, seed=seed,
                                           oracle=oracle)
     except VerdictInconsistencyError as exc:
-        b = exc.bundle
-        report.verdicts = {
-            "criterion": b.criterion, "definition": b.definition,
-            "q_higmanian": b.q_higmanian, "dismantlable": b.dismantlable}
-        report.verdict_details = _verdict_details(b)
-        report.consistent = False
-        report.spectral = _spectral_dict(b)
-        report.timings["verdicts_s"] = time.perf_counter() - t0
-        return report, EXIT_INCONSISTENT
+        bundle = exc.bundle
     report.timings["verdicts_s"] = time.perf_counter() - t0
     report.verdicts = {
         "criterion": bundle.criterion, "definition": bundle.definition,
         "q_higmanian": bundle.q_higmanian, "dismantlable": bundle.dismantlable}
     report.verdict_details = _verdict_details(bundle)
-    report.consistent = True
+    report.consistent = bundle.consistent
     report.spectral = _spectral_dict(bundle)
+    if not bundle.consistent:
+        return report, EXIT_INCONSISTENT
     if bundle.oracle is not None:
         report.spectral["oracle_max_abs_error"] = bundle.oracle.max_abs_error
     return report, EXIT_UNIFORM if bundle.uniform else EXIT_NON_UNIFORM
@@ -182,25 +176,20 @@ def cmd_analyze(args) -> int:
 
 def cmd_construct(args) -> int:
     family = args.family.lower()
+    # the parameters each family takes, in command-line order
+    names = {"q8cp": ("r",), "heis": ("q", "r"),
+             "ea": ("q", "r", "j")}.get(family)
+    if names is None:
+        print(f"error: unknown family {args.family!r} "
+              f"(expected q8cp | heis | ea)", file=sys.stderr)
+        return EXIT_BAD_FILE
     try:
-        if family == "q8cp":
-            _expect_params(args.params, 1, "construct q8cp <r>")
-            con = constructions.construct_family(
-                "q8cp", r=args.params[0], max_space=args.max_search)
-        elif family == "heis":
-            _expect_params(args.params, 2, "construct heis <q> <r>")
-            con = constructions.construct_family(
-                "heis", q=args.params[0], r=args.params[1],
-                max_space=args.max_search)
-        elif family == "ea":
-            _expect_params(args.params, 3, "construct ea <q> <r> <j>")
-            con = constructions.construct_family(
-                "ea", q=args.params[0], r=args.params[1], j=args.params[2],
-                max_space=args.max_search)
-        else:
-            print(f"error: unknown family {args.family!r} "
-                  f"(expected q8cp | heis | ea)", file=sys.stderr)
-            return EXIT_BAD_FILE
+        if len(args.params) != len(names):
+            usage = " ".join(f"<{name}>" for name in names)
+            raise ConstructionError(f"usage: construct {family} {usage}")
+        con = constructions.construct_family(
+            family, **dict(zip(names, args.params)),
+            max_space=args.max_search)
     except (ConstructionError, GroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
@@ -226,11 +215,6 @@ def cmd_construct(args) -> int:
 
 def _default_scheme_name(family: str, params: list[int]) -> str:
     return family + "_" + "_".join(str(p) for p in params) + ".scheme"
-
-
-def _expect_params(params: list[int], n: int, usage: str) -> None:
-    if len(params) != n:
-        raise ConstructionError(f"usage: {usage}")
 
 
 def _parse_subgroup(G, spec: str):

@@ -292,37 +292,24 @@ def verify_linked_system(G: FiniteGroup, N: Subgroup,
                 f"member")
         options[(a, b)] = opts
 
-    # choose one option per pair with a single global (mu, nu)
+    # pairs constrain each other only through the global (mu, nu): for each
+    # (mu, nu) the least pair offers, every pair takes its first option
+    # with that (mu, nu)
     pairs = sorted(options)
-    chosen: dict[tuple[int, int], int] | None = None
-
-    def assign(pos: int, mu_nu: tuple[int, int] | None,
-               acc: dict) -> dict | None:
-        if pos == len(pairs):
-            return dict(acc)
-        for c, mu, nu in options[pairs[pos]]:
-            if mu_nu is not None and (mu, nu) != mu_nu:
-                continue
-            acc[pairs[pos]] = c
-            got = assign(pos + 1, mu_nu or (mu, nu), acc)
-            if got is not None:
-                return got
-            del acc[pairs[pos]]
-        return None
-
-    mu = nu = None
-    psi: dict[tuple[int, int], int] = {}
-    if pairs:
-        for c0, mu0, nu0 in options[pairs[0]]:
-            got = assign(1, (mu0, nu0), {pairs[0]: c0})
-            if got is not None:
-                psi, mu, nu = got, mu0, nu0
-                break
-        if mu is None:
-            raise ConstructionError("no globally consistent (mu, nu)")
-    else:
+    if not pairs:
         # w = 2 with chi swapping both members: no psi pairs exist
         raise ConstructionError("every pair is a chi-pair; system is degenerate")
+    mu = nu = None
+    psi: dict[tuple[int, int], int] = {}
+    for _, mu0, nu0 in options[pairs[0]]:
+        picks = {pair: next((c for c, mu1, nu1 in options[pair]
+                             if (mu1, nu1) == (mu0, nu0)), None)
+                 for pair in pairs}
+        if None not in picks.values():
+            psi, mu, nu = picks, mu0, nu0
+            break
+    if mu is None:
+        raise ConstructionError("no globally consistent (mu, nu)")
 
     branch = ""
     plus, minus = semiregular_mu_nu(n, lam)

@@ -13,17 +13,14 @@ direct products.  Spec strings: ``C:<n>``, ``EA:<p>:<k>``, ``Heis:<q>:<r>``,
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-FULL_ASSOCIATIVITY_LIMIT = 512
 # largest order a built-in family may have: an int32 table of 2^28 entries
 # (1 GiB) is checked before it is allocated
 GROUP_ORDER_LIMIT = 1 << 14
-_SPOT_CHECK_TRIPLES = 1000
 
 
 class GroupError(ValueError):
@@ -39,7 +36,8 @@ class FiniteGroup:
 
     Immutable after construction.  ``mul[x, y]`` is the index of the product
     x*y; identity and inverses are derived and checked.  Associativity is
-    verified on all triples for order <= 512 and spot-checked above that.
+    decided exactly at every order by Light's test on a generating set:
+    ``generators`` is the greedy sequence of least elements not yet reached.
     """
 
     def __init__(self, mul, labels: Sequence[str] | None = None,
@@ -60,44 +58,47 @@ class FiniteGroup:
             raise GroupError("label count does not match order")
         self.element_labels = list(labels) if labels is not None else None
 
+        # a left and a right identity coincide, so at most one element
+        # has both its row and its column equal to the identity map
         rng = np.arange(n)
-        ids = [i for i in range(n)
-               if (mul[i] == rng).all() and (mul[:, i] == rng).all()]
+        ids = np.flatnonzero((mul == rng).all(1) & (mul == rng[:, None]).all(0))
         if len(ids) != 1:
             raise GroupError("table has no two-sided identity")
-        self.identity: int = ids[0]
+        self.identity: int = int(ids[0])
 
         xs, ys = np.nonzero(mul == self.identity)
-        inv = np.full(n, -1, dtype=np.int32)
-        for x, y in zip(xs, ys):
-            if mul[y, x] != self.identity:
-                continue
-            if inv[x] not in (-1, y):
-                raise GroupError(f"element {x} has two inverses")
-            inv[x] = y
-        if (inv < 0).any():
+        two_sided = mul[ys, xs] == self.identity
+        xs, ys = xs[two_sided], ys[two_sided]
+        counts = np.bincount(xs, minlength=n)
+        if (counts > 1).any():
+            raise GroupError(f"element {np.argmax(counts > 1)} has two inverses")
+        if (counts == 0).any():
             raise GroupError("some element has no two-sided inverse")
+        inv = np.empty(n, dtype=np.int32)
+        inv[xs] = ys
         self.inv: np.ndarray = inv
         self.inv.setflags(write=False)
 
-        self._check_associativity()
-
-    def _check_associativity(self) -> None:
-        mul = self.mul
-        n = self.order
-        if n <= FULL_ASSOCIATIVITY_LIMIT:
-            for i in range(n):
-                # (i*j)*k vs i*(j*k), vectorized over (j, k)
-                if not (mul[mul[i], :] == mul[i][mul]).all():
-                    j, k = np.argwhere(mul[mul[i], :] != mul[i][mul])[0]
+        # Light's test: the a with (x*a)*y = x*(a*y) for all x, y are closed
+        # under products, so the table is associative once they generate it.
+        # Each new generator g lies outside the reached subgroup R, so R*g is
+        # disjoint from R and at most log2(n) generators are needed.
+        step = max(1, (1 << 20) // n)  # rows compared at once
+        gens: list[int] = []
+        reached = np.array([self.identity])
+        while len(reached) < n:
+            g = int(np.setdiff1d(rng, reached)[0])
+            for start in range(0, n, step):
+                rows = mul[start:start + step]
+                # (x*g)*y against x*(g*y)
+                bad = mul[rows[:, g]] != np.take(rows, mul[g], axis=1)
+                if bad.any():
+                    x, y = np.argwhere(bad)[0]
                     raise GroupError(
-                        f"associativity fails at ({i},{j},{k})")
-        else:
-            rng = random.Random(0x5eed)
-            for _ in range(_SPOT_CHECK_TRIPLES):
-                i, j, k = (rng.randrange(n) for _ in range(3))
-                if mul[mul[i, j], k] != mul[i, mul[j, k]]:
-                    raise GroupError(f"associativity fails at ({i},{j},{k})")
+                        f"associativity fails at ({start + x},{g},{y})")
+            gens.append(g)
+            reached = _closure(mul, [*reached, g])
+        self.generators: tuple[int, ...] = tuple(gens)
 
     # -- basic queries -------------------------------------------------------
 
@@ -123,19 +124,7 @@ class FiniteGroup:
         return Subgroup(self, elements)
 
     def generated_subgroup(self, gens: Iterable[int]) -> "Subgroup":
-        seen = {self.identity}
-        frontier = [self.identity]
-        gens = list(gens)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    for y in (int(self.mul[x, g]), int(self.mul[g, x])):
-                        if y not in seen:
-                            seen.add(y)
-                            nxt.append(y)
-            frontier = nxt
-        return Subgroup(self, seen)
+        return Subgroup(self, _closure(self.mul, [self.identity, *gens]))
 
     def center(self) -> "Subgroup":
         return Subgroup(self, np.flatnonzero((self.mul == self.mul.T).all(1)))
@@ -167,6 +156,20 @@ class FiniteGroup:
     def __repr__(self) -> str:
         tag = self.name or "FiniteGroup"
         return f"<{tag} of order {self.order}>"
+
+
+def _closure(mul: np.ndarray, elements: Sequence[int]) -> np.ndarray:
+    """Sorted elements of the subgroup generated by ``elements``, which must
+    include the identity and multiply associatively: the set is replaced by
+    all its products until it stops growing."""
+    reached = np.unique(elements)
+    while len(reached) < len(mul):
+        products = np.zeros(len(mul), dtype=bool)
+        products[mul[np.ix_(reached, reached)]] = True
+        if products.sum() == len(reached):
+            break
+        reached = np.flatnonzero(products)
+    return reached
 
 
 class Subgroup:
@@ -338,25 +341,13 @@ class GroupIsomorphism:
                                 tuple(self.map[y] for y in other.map))
 
 
-def _generating_sequence(G: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    closure = {G.identity}
-    for x in range(G.order):
-        if x not in closure:
-            gens.append(x)
-            closure = set(G.generated_subgroup(gens).elements)
-            if len(closure) == G.order:
-                break
-    return gens
-
-
 def isomorphisms(G: FiniteGroup, H: FiniteGroup) -> Iterator[GroupIsomorphism]:
     """Yield all isomorphisms G -> H (backtracking; meant for small orders)."""
     if G.order != H.order:
         return
     if sorted(G.element_orders()) != sorted(H.element_orders()):
         return
-    gens = _generating_sequence(G)
+    gens = G.generators
     g_orders = [G.element_order(g) for g in gens]
     h_orders = H.element_orders()
 
@@ -703,7 +694,7 @@ def write_group(G: FiniteGroup, path) -> None:
         pos = np.argsort(perm)
         mul = pos[mul[np.ix_(perm, perm)]]
     lines = [f"group {G.order}"]
-    lines += [" ".join(str(int(x)) for x in row) for row in mul]
+    lines += [" ".join(map(str, row.tolist())) for row in mul]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

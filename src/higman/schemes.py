@@ -332,7 +332,7 @@ def cayley_scheme(G: FiniteGroup, parts: Sequence[Iterable[int]]) -> SchemeTable
 def write_scheme(scheme: SchemeTable, path) -> None:
     """Text format: ``scheme <v> <rank>`` then v rows of colors."""
     lines = [f"scheme {scheme.v} {scheme.rank}"]
-    lines += [" ".join(str(int(x)) for x in row) for row in scheme.color]
+    lines += [" ".join(map(str, row.tolist())) for row in scheme.color]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -354,20 +354,25 @@ def parse_scheme_file(path) -> tuple[np.ndarray, int]:
         raise SchemeParseError("bad scheme header") from None
     if len(lines) != v + 1:
         raise SchemeParseError(f"expected {v} rows, found {len(lines) - 1}")
-    rows = []
+    # rows are split once to check lengths and again to convert: keeping
+    # all v token lists alive at once raised peak memory by a few MB at
+    # v = 972.  The matrix is allocated only once every row is known to
+    # hold v tokens, so it is never larger than the file.
+    for li, ln in enumerate(lines[1:]):
+        count = len(ln.split())
+        if count != v:
+            raise SchemeParseError(
+                f"row {li + 1} has {count} entries, expected {v}")
+    matrix = np.empty((v, v), dtype=np.int64)
     for li, ln in enumerate(lines[1:]):
         try:
-            row = [int(tok) for tok in ln.split()]
+            matrix[li] = ln.split()
         except ValueError:
             raise SchemeParseError(f"row {li + 1}: non-integer entry") from None
-        if len(row) != v:
+        except OverflowError:
             raise SchemeParseError(
-                f"row {li + 1} has {len(row)} entries, expected {v}")
-        rows.append(row)
-    try:
-        return np.array(rows, dtype=np.int64), rank
-    except OverflowError:
-        raise SchemeParseError("entry out of the 64-bit integer range") from None
+                "entry out of the 64-bit integer range") from None
+    return matrix, rank
 
 
 def read_scheme(path) -> SchemeTable:

@@ -179,6 +179,11 @@ def test_construct_analyze_identical_verdicts(tmp_path, capsys):
     ("scheme 2 2\n0 99999999999999999999\n1 0\n", 3,
      "error: entry out of the 64-bit integer range"),
     ("scheme 2 2\n0 x\n1 0\n", 3, "error: row 1: non-integer entry"),
+    # the first bad row is named
+    ("scheme 3 2\n0 1 1\n1 0 y\n1 x 0\n", 3,
+     "error: row 2: non-integer entry"),
+    # row lengths are checked before any entry is converted
+    ("scheme 2 2\n0 x\n1\n", 3, "error: row 2 has 1 entries, expected 2"),
     ("scheme 2 3\n0 1\n1 0\n", 4, "not a scheme: header says rank 3"),
 ])
 def test_analyze_malformed_schemes(tmp_path, capsys, body, code, message):
@@ -223,3 +228,22 @@ def test_analyze_reports_sampled_dismantlability(tmp_path, capsys,
     assert code == 0
     assert ("dismantlability over classes of 8: sampled, 7 unions checked, "
             "not exhaustive") in stdout.splitlines()
+
+
+def test_analyze_inconsistent_verdicts(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "q8.scheme"
+    run(capsys, "construct", "q8cp", "1", "-o", str(out))
+    criterion = higmanian.is_uniform_by_criterion
+    monkeypatch.setattr(higmanian, "is_uniform_by_criterion",
+                        lambda params: not criterion(params))
+    code, stdout, _ = run(capsys, "analyze", str(out))
+    assert code == 5
+    assert "FATAL: verdicts disagree" in stdout.splitlines()
+    code, stdout, _ = run(capsys, "analyze", str(out), "--json", "--oracle")
+    assert code == 5
+    report = json.loads(stdout)
+    assert report["consistent"] is False
+    assert report["verdicts"] == {
+        "criterion": False, "definition": True, "q_higmanian": True,
+        "dismantlable": True}
+    assert "oracle_max_abs_error" not in report["spectral"]

@@ -96,8 +96,8 @@ def test_prime_power():
 
 
 def test_large_group_spot_checked():
-    # above the full-associativity limit construction falls back to seeded
-    # spot checks; the table itself is still a valid group
+    # associativity is decided exactly at every order, here by Light's test
+    # on the single generator 1; the table is a valid group
     g = cyclic_group(600)
     assert g.order == 600 and g.identity == 0
     assert g.element_order(1) == 600
@@ -249,3 +249,163 @@ def test_read_group_malformed(tmp_path, body, message):
     path.write_text(body)
     with pytest.raises(GroupError, match=message):
         read_group(path)
+
+
+# -- the exact group check, against the per-element loops it replaced ----------
+
+def _loop_group_check(mul):
+    """Identity and inverses of a table by scanning each element, and
+    associativity over all triples; raises GroupError with the messages of
+    FiniteGroup."""
+    mul = np.asarray(mul)
+    n = len(mul)
+    rng = np.arange(n)
+    ids = [i for i in range(n)
+           if (mul[i] == rng).all() and (mul[:, i] == rng).all()]
+    if len(ids) != 1:
+        raise GroupError("table has no two-sided identity")
+    e = ids[0]
+    xs, ys = np.nonzero(mul == e)
+    inv = np.full(n, -1)
+    for x, y in zip(xs, ys):
+        if mul[y, x] != e:
+            continue
+        if inv[x] not in (-1, y):
+            raise GroupError(f"element {x} has two inverses")
+        inv[x] = y
+    if (inv < 0).any():
+        raise GroupError("some element has no two-sided inverse")
+    for i in range(n):
+        if not (mul[mul[i], :] == mul[i][mul]).all():
+            j, k = np.argwhere(mul[mul[i], :] != mul[i][mul])[0]
+            raise GroupError(f"associativity fails at ({i},{j},{k})")
+    return e, inv
+
+
+def _bfs_closure(G, gens):
+    """The subgroup generated by gens, by breadth-first search."""
+    seen = {G.identity}
+    frontier = [G.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                for y in (int(G.mul[x, g]), int(G.mul[g, x])):
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+def _loop_generating_sequence(G):
+    gens = []
+    closure = {G.identity}
+    for x in range(G.order):
+        if x not in closure:
+            gens.append(x)
+            closure = set(_bfs_closure(G, gens))
+            if len(closure) == G.order:
+                break
+    return gens
+
+
+def _intercalate(n, a, c):
+    """C:n with the 2x2 subsquare at rows a, a+n/2 and columns c, c+n/2
+    swapped: still a Latin square with identity 0."""
+    mul = np.add.outer(np.arange(n), np.arange(n)) % n
+    rows, cols = [a, a + n // 2], [c, c + n // 2]
+    mul[np.ix_(rows, cols)] = mul[np.ix_(rows, cols)][::-1]
+    return mul
+
+
+_LOOP5 = [[0, 1, 2, 3, 4],
+          [1, 0, 3, 4, 2],
+          [2, 4, 0, 1, 3],
+          [3, 2, 4, 0, 1],
+          [4, 3, 1, 2, 0]]
+
+
+def _check_tables():
+    tables = {spec: build_family(spec).mul for spec in BUILTIN_SPECS}
+    tables["loop5"] = np.array(_LOOP5)
+    # the loop times C:3: the first generator (0,1) passes Light's test and
+    # the second, (1,0), fails
+    tables["loop5xC3"] = (np.array(_LOOP5)[:, None, :, None] * 3
+                          + cyclic_group(3).mul[None, :, None, :]
+                          ).reshape(15, 15)
+    tables["no-identity"] = np.array([[0, 1], [0, 1]])
+    tables["left-identity-only"] = np.array([[0, 1], [0, 0]])
+    tables["right-identity-only"] = np.array([[0, 0], [1, 0]])
+    tables["no-inverse"] = np.array([[0, 1], [1, 1]])
+    tables["two-inverses"] = np.array([[0, 1, 2], [1, 0, 0], [2, 0, 0]])
+    for n in range(4, 65, 2):
+        for a, c in ((1, 1), (1, n // 2 - 1), (n // 4, 1)):
+            tables[f"C:{n} swap {a},{c}"] = _intercalate(n, a, c)
+    return tables
+
+
+def _assert_genuine_witness(mul, message):
+    x, g, y = map(int, message.split("(")[1].rstrip(")").split(","))
+    assert mul[mul[x, g], y] != mul[x, mul[g, y]]
+
+
+@pytest.mark.parametrize("name, mul", sorted(_check_tables().items()))
+def test_exact_check_matches_full_loop(name, mul):
+    try:
+        want = _loop_group_check(mul)
+    except GroupError as exc:
+        with pytest.raises(GroupError) as got:
+            FiniteGroup(mul)
+        if "associativity" in str(exc):
+            assert str(got.value).startswith("associativity fails at (")
+            _assert_genuine_witness(mul, str(got.value))
+        else:
+            assert str(got.value) == str(exc)
+        return
+    G = FiniteGroup(mul)
+    assert G.identity == want[0]
+    assert (G.inv == want[1]).all()
+
+
+def test_intercalate_600_rejected(tmp_path):
+    # a Latin square with identity 0 and unique inverses; 9,536 of its 600^3
+    # triples are not associative, so a 1000-triple sample misses them
+    mul = _intercalate(600, 1, 1)
+    with pytest.raises(GroupError, match="associativity fails") as exc:
+        FiniteGroup(mul)
+    _assert_genuine_witness(mul, str(exc.value))
+    path = tmp_path / "c600.group"
+    path.write_text("group 600\n"
+                    + "".join(" ".join(map(str, row)) + "\n" for row in mul))
+    with pytest.raises(GroupError, match="associativity fails"):
+        read_group(path)
+
+
+def test_blocked_check_names_a_later_row():
+    # at order 2048 the rows are compared in blocks of 512; the first
+    # failure sits in the second block
+    mul = _intercalate(2048, 1000, 3)
+    with pytest.raises(GroupError, match="associativity fails") as exc:
+        FiniteGroup(mul)
+    assert int(str(exc.value).split("(")[1].split(",")[0]) >= 512
+    _assert_genuine_witness(mul, str(exc.value))
+
+
+FAMILY_SPECS = ["C:1", "C:12", "EA:2:4", "EA:3:3", "Heis:2:1", "Heis:2:2",
+                "Heis:3:1", "Heis:4:1", "Q8cp:1", "Q8cp:2", "GenDih:C:6",
+                "GenDih:EA:3:2", "Prod:C:2,C:4", "Prod:Heis:3:1,C:4",
+                "Prod:Q8cp:1,C:3"]
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS)
+def test_generators_and_closure_match_search(spec):
+    G = build_family(spec)
+    assert list(G.generators) == _loop_generating_sequence(G)
+    assert len(G.generators) <= (G.order - 1).bit_length()
+    for x in range(G.order):
+        assert G.generated_subgroup([x]).elements == _bfs_closure(G, [x])
+    rng = random.Random(3)
+    for _ in range(20):
+        gens = rng.sample(range(G.order), min(G.order, 2))
+        assert G.generated_subgroup(gens).elements == _bfs_closure(G, gens)
