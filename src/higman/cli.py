@@ -58,7 +58,6 @@ def _verdict_details(bundle: higmanian.VerdictBundle) -> dict:
     for size, res in bundle.dismantle_details.items():
         dismantle[f"classes_of_{size}"] = {
             "ok": res.ok, "witness": res.witness,
-            "exhaustive": res.exhaustive,
             "unions_checked": res.unions_checked}
     return {"definition": definition, "dismantlable": dismantle}
 
@@ -81,8 +80,8 @@ def _spectral_dict(bundle: higmanian.VerdictBundle) -> dict:
 
 
 def analyze_scheme(scheme: schemes.SchemeTable, descriptor: str,
-                   strict: bool = True, oracle: bool = False,
-                   seed: int = 0) -> tuple[AnalysisReport, int]:
+                   strict: bool = True,
+                   oracle: bool = False) -> tuple[AnalysisReport, int]:
     """Shared analysis driver for the CLI and the library."""
     report = AnalysisReport(input=descriptor, v=scheme.v, rank=scheme.rank)
     t0 = time.perf_counter()
@@ -105,7 +104,7 @@ def analyze_scheme(scheme: schemes.SchemeTable, descriptor: str,
 
     t0 = time.perf_counter()
     try:
-        bundle = higmanian.verdict_bundle(scheme, strict=strict, seed=seed,
+        bundle = higmanian.verdict_bundle(scheme, strict=strict,
                                           oracle=oracle)
     except VerdictInconsistencyError as exc:
         bundle = exc.bundle
@@ -145,11 +144,6 @@ def _print_report(report: AnalysisReport, as_json: bool) -> None:
     print(f"criterion right-hand sides: {sp.get('rhs_candidates')}")
     v = report.verdicts or {}
     print("verdicts: " + "  ".join(f"{k}={v[k]}" for k in sorted(v)))
-    dismantle = (report.verdict_details or {}).get("dismantlable", {})
-    for key, res in dismantle.items():
-        if not res["exhaustive"]:
-            print(f"dismantlability over {key.replace('_', ' ')}: sampled, "
-                  f"{res['unions_checked']} unions checked, not exhaustive")
     if report.consistent is False:
         print("FATAL: verdicts disagree")
     elif v.get("criterion"):
@@ -169,7 +163,7 @@ def cmd_analyze(args) -> int:
         return EXIT_BAD_SCHEME
     report, code = analyze_scheme(scheme, args.file,
                                   strict=not args.no_strict_higmanian,
-                                  oracle=args.oracle, seed=args.seed)
+                                  oracle=args.oracle)
     _print_report(report, args.json)
     return code
 
@@ -340,7 +334,7 @@ def cmd_tables(args) -> int:
         except ConstructionError as exc:
             print(f"{label}: SKIP ({exc})")
             continue
-        bundle = higmanian.verdict_bundle(con.result.scheme, seed=args.seed)
+        bundle = higmanian.verdict_bundle(con.result.scheme)
         ok = (con.table1_match and con.table2_match and con.associate_match
               and bundle.consistent and bundle.uniform)
         status = "match" if ok else "MISMATCH"
@@ -368,7 +362,7 @@ def main(argv=None) -> int:
                     help="cross-check exact spectra numerically")
     pa.add_argument("--no-strict-higmanian", action="store_true",
                     help="analyze schemes with extra nontrivial parabolics")
-    pa.add_argument("--seed", type=int, default=0)
+    pa.add_argument("--seed", type=int, default=0, help="accepted, no effect")
     pa.set_defaults(func=cmd_analyze)
 
     pc = sub.add_parser("construct", help="build a family instance")
@@ -399,7 +393,7 @@ def main(argv=None) -> int:
 
     pt = sub.add_parser("tables", help="reproduce the parameter tables")
     pt.add_argument("--max-search", type=int, default=1 << 24)
-    pt.add_argument("--seed", type=int, default=0)
+    pt.add_argument("--seed", type=int, default=0, help="accepted, no effect")
     pt.set_defaults(func=cmd_tables)
 
     args = parser.parse_args(argv)

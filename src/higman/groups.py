@@ -43,11 +43,9 @@ class FiniteGroup:
     def __init__(self, mul, labels: Sequence[str] | None = None,
                  name: str = "") -> None:
         mul = np.asarray(mul, dtype=np.int32)
-        if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
-            raise GroupError("multiplication table must be square")
+        if mul.ndim != 2 or not 0 < mul.shape[0] == mul.shape[1]:
+            raise GroupError("multiplication table must be square, not empty")
         n = mul.shape[0]
-        if n == 0:
-            raise GroupError("empty group")
         if mul.min() < 0 or mul.max() >= n:
             raise GroupError("table entries out of range")
         self.order: int = n
@@ -511,7 +509,8 @@ def cyclic_group(n: int) -> FiniteGroup:
         raise GroupError("cyclic group needs order >= 1")
     check_order(n)
     idx = np.arange(n, dtype=np.int32)
-    mul = (idx[:, None] + idx[None, :]) % n
+    mul = idx[:, None] + idx[None, :]
+    mul %= n
     return FiniteGroup(mul, labels=[str(i) for i in range(n)], name=f"C:{n}")
 
 
@@ -711,18 +710,20 @@ def read_group(path) -> FiniteGroup:
     check_order(n)
     if len(lines) != n + 1:
         raise GroupError(f"expected {n} table rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
+    # lengths, then one matrix row by row, then the range before int32
+    if any(len(ln.split()) != n for ln in lines[1:]):
+        raise GroupError("table row has wrong length")
+    mul = np.empty((n, n), dtype=np.int64)
+    for i, ln in enumerate(lines[1:]):
         try:
-            row = [int(tok) for tok in ln.split()]
+            mul[i] = ln.split()
         except ValueError:
             raise GroupError("table row has a non-integer entry") from None
-        if len(row) != n:
-            raise GroupError("table row has wrong length")
-        if not 0 <= min(row) <= max(row) < n:
-            raise GroupError("table entries out of range")
-        rows.append(row)
-    G = FiniteGroup(np.array(rows, dtype=np.int32))
+        except OverflowError:
+            raise GroupError("table entries out of range") from None
+    if ((mul < 0) | (mul >= n)).any():
+        raise GroupError("table entries out of range")
+    G = FiniteGroup(mul)
     if G.identity != 0:
         raise GroupError("group file identity must be index 0")
     return G

@@ -216,18 +216,25 @@ def test_verify_linked_malformed(tmp_path, capsys, body, code, message):
     assert err.splitlines() == [err.strip()] and err.startswith(message)
 
 
-def test_analyze_reports_sampled_dismantlability(tmp_path, capsys,
-                                                 monkeypatch):
+def test_analyze_reports_no_sampled_dismantlability(tmp_path, capsys):
+    # every union is decided exactly, so no report speaks of sampling
     out = tmp_path / "q8.scheme"
     run(capsys, "construct", "q8cp", "1", "-o", str(out))
     code, stdout, _ = run(capsys, "analyze", str(out))
-    assert code == 0 and "not exhaustive" not in stdout
-    # the 3 classes of F have 7 unions, over a cap of 4
-    monkeypatch.setattr(higmanian, "DISMANTLE_UNION_CAP", 4)
-    code, stdout, _ = run(capsys, "analyze", str(out))
-    assert code == 0
-    assert ("dismantlability over classes of 8: sampled, 7 unions checked, "
-            "not exhaustive") in stdout.splitlines()
+    assert code == 0 and "sampled" not in stdout
+    code, stdout, _ = run(capsys, "analyze", str(out), "--json")
+    assert code == 0 and "sampled" not in stdout
+    report = json.loads(stdout)
+    assert report["verdict_details"]["dismantlable"] == {
+        "classes_of_8": {"ok": True, "witness": None, "unions_checked": 0}}
+
+
+def test_analyze_seed_has_no_effect(tmp_path, capsys):
+    out = tmp_path / "q8.scheme"
+    run(capsys, "construct", "q8cp", "1", "-o", str(out))
+    plain = run(capsys, "analyze", str(out))
+    assert plain[0] == 0
+    assert run(capsys, "analyze", str(out), "--seed", "7") == plain
 
 
 def test_analyze_inconsistent_verdicts(tmp_path, capsys, monkeypatch):

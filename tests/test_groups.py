@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from higman import groups
 from higman.groups import (FiniteGroup, GroupError, GroupIsomorphism,
                            GroupRingElement, Subgroup, automorphisms,
                            build_family, cosets, cyclic_group, direct_product,
@@ -19,6 +21,21 @@ def test_cyclic_group():
     c4 = build_family("C:4")
     assert c4.order == 4 and c4.is_abelian()
     assert c4.element_orders() == [1, 4, 2, 4]
+
+
+def test_cyclic_table_reduced_in_place(monkeypatch):
+    # the sum table is reduced in place, so forming C:2048's table holds one
+    # n x n int32 array, not two; the group check is stubbed out, so only
+    # the table arithmetic is measured
+    monkeypatch.setattr(groups, "FiniteGroup", lambda mul, **kw: mul)
+    tracemalloc.start()
+    try:
+        mul = cyclic_group(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mul[2047, 3] == 2 and mul.dtype == np.int32
+    assert peak <= 1.25 * mul.nbytes
 
 
 def test_q8():

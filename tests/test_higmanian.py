@@ -8,8 +8,8 @@ from higman.higmanian import (HigmanianParams, NotHigmanianError,
                               is_uniform_by_definition_any, uniformity_rhs,
                               verdict_bundle)
 from higman.quadratic import QuadraticNumber as QN
-from higman.schemes import (cayley_scheme, nontrivial_parabolics,
-                            trivial_scheme, wreath_product)
+from higman.schemes import (SchemeError, cayley_scheme, nontrivial_parabolics,
+                            restriction, trivial_scheme, wreath_product)
 
 
 def rank5_wreath():
@@ -117,7 +117,8 @@ def test_dismantlable(q8_construction):
     scheme = q8_construction.result.scheme
     e, f = nontrivial_parabolics(scheme)
     res = is_dismantlable(scheme, f)
-    assert res.ok and res.exhaustive and res.unions_checked == 7
+    # a pass passes no union to `restriction`
+    assert res.ok and res.witness is None and res.unions_checked == 0
     verdict, details = is_dismantlable_any(scheme)
     assert verdict
 
@@ -131,12 +132,17 @@ def test_dismantlable_fails_over_small_parabolic(q8_construction):
     assert not res.ok and res.witness is not None
 
 
-def test_dismantlable_sampling_path(q8_construction):
-    scheme = q8_construction.result.scheme
-    e = nontrivial_parabolics(scheme)[0]  # 12 classes: 4095 unions > cap
-    res = is_dismantlable(scheme, e, max_unions=100, samples=50, seed=0)
-    assert not res.exhaustive
-    assert res.unions_checked <= 50 + 1 + 12 + 2 * 66 + 12 + 1
+def test_dismantlable_decides_fine_parabolic_exactly(heis_construction):
+    # E of heis 3 1 has 36 classes, 2^36 - 1 unions: one pass decides it,
+    # and `restriction` confirms a witness of at most 5 classes
+    scheme = heis_construction.result.scheme
+    e = nontrivial_parabolics(scheme)[0]
+    assert e.num_classes == 36
+    res = is_dismantlable(scheme, e)
+    assert not res.ok and 1 <= len(res.witness) <= 5
+    assert 1 <= res.unions_checked <= 2
+    with pytest.raises(SchemeError):
+        restriction(scheme, [x for ci in res.witness for x in e.classes[ci]])
 
 
 def test_verdict_bundle_uniform(q8_construction, heis_construction):

@@ -5,11 +5,13 @@ The reference below works on the v x v color matrix only: parabolics by a
 union-matmul transitivity scan, quotients by scanning every block between
 two classes, the wreath test by counting each outside relation per block,
 restrictions by a row-major relabeling loop, intersection numbers from all
-r^2 products, and the definitional uniformity check from all r^2 block
-products of every class.  `higman.schemes` takes parabolics, coranks and
-the wreath test from the intersection tensor instead, and `validate` and
-`is_uniform_by_definition` skip the products the algebra determines; both
-must agree everywhere.
+r^2 products, the definitional uniformity check from all r^2 block
+products of every class, and dismantlability by restricting to every union
+of classes.  `higman.schemes` takes parabolics, coranks and the wreath test
+from the intersection tensor instead, `validate` and
+`is_uniform_by_definition` skip the products the algebra determines, and
+`is_dismantlable` decides every union from one pass over the class
+products; both must agree everywhere.
 """
 
 import math
@@ -18,7 +20,8 @@ import numpy as np
 import pytest
 
 from higman.groups import build_family, quaternion_group
-from higman.higmanian import DefinitionCheck, is_uniform_by_definition
+from higman.higmanian import (DefinitionCheck, is_dismantlable,
+                              is_uniform_by_definition)
 from higman.schemes import (SchemeError, cayley_scheme, is_wreath_over,
                             nontrivial_parabolics, parabolics, quotient,
                             restriction, trivial_scheme, validate,
@@ -147,6 +150,20 @@ def ref_is_uniform_by_definition(scheme, parab):
     seen = gmax >= 0
     consistent = bool((gmin[seen] == gmax[seen]).all())
     return DefinitionCheck(ok=True, cork=2, coefficients_consistent=consistent)
+
+
+def ref_is_dismantlable(scheme, parab):
+    """Whether every nonempty union of classes induces a subscheme, by
+    restricting to each union in turn."""
+    c = parab.num_classes
+    for mask in range(1, 1 << c):
+        pts = [x for ci in range(c) if mask >> ci & 1
+               for x in parab.classes[ci]]
+        try:
+            restriction(scheme, pts)
+        except SchemeError:
+            return False
+    return True
 
 
 # -- the schemes -------------------------------------------------------------------------
@@ -340,3 +357,24 @@ def test_definition_witnesses_pinned(n, units, shape, witness):
                 if (e.num_classes, e.n_class) == shape]
     res = is_uniform_by_definition(scheme, parab)
     assert (res.ok, res.cork, res.witness) == (False, 2, witness)
+
+
+def test_dismantlable_matches_reference(reference_schemes):
+    schemes = [orbit_scheme(n, units) for n in range(4, 41)
+               for units in unit_groups(n)]
+    schemes = ([s for s in schemes if s.rank <= 16] + thin_schemes()
+               + list(reference_schemes.values()))
+    outcomes = set()
+    for scheme, parab in definition_cases(schemes):
+        if parab.num_classes > 12:
+            continue
+        res = is_dismantlable(scheme, parab)
+        assert res.ok == ref_is_dismantlable(scheme, parab)
+        outcomes.add(res.ok)
+        if not res.ok:
+            # the witness is a union that `restriction` rejects
+            assert 1 <= len(res.witness) <= 5
+            with pytest.raises(SchemeError):
+                restriction(scheme, [x for ci in res.witness
+                                     for x in parab.classes[ci]])
+    assert outcomes == {True, False}
