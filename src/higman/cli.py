@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 from . import constructions, higmanian, schemes
 from .constructions import ConstructionError
 from .groups import GroupError, build_family
-from .higmanian import VerdictInconsistencyError
+from .higmanian import NotHigmanianError, VerdictInconsistencyError
 
 EXIT_UNIFORM = 0
 EXIT_NON_UNIFORM = 1
@@ -94,21 +94,17 @@ def analyze_scheme(scheme: schemes.SchemeTable, descriptor: str,
     report.timings["parabolics_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    det = higmanian.detect_higmanian(scheme, strict=strict)
-    report.timings["detection_s"] = time.perf_counter() - t0
-    if not det:
-        report.rejection = det.reason
-        return report, EXIT_NOT_HIGMANIAN
-    report.higmanian = True
-    report.params = det.params.astuple()
-
-    t0 = time.perf_counter()
     try:
         bundle = higmanian.verdict_bundle(scheme, strict=strict,
                                           oracle=oracle)
+    except NotHigmanianError as exc:
+        report.rejection = str(exc)
+        return report, EXIT_NOT_HIGMANIAN
     except VerdictInconsistencyError as exc:
         bundle = exc.bundle
     report.timings["verdicts_s"] = time.perf_counter() - t0
+    report.higmanian = True
+    report.params = bundle.params.astuple()
     report.verdicts = {
         "criterion": bundle.criterion, "definition": bundle.definition,
         "q_higmanian": bundle.q_higmanian, "dismantlable": bundle.dismantlable}
@@ -334,7 +330,10 @@ def cmd_tables(args) -> int:
         except ConstructionError as exc:
             print(f"{label}: SKIP ({exc})")
             continue
-        bundle = higmanian.verdict_bundle(con.result.scheme)
+        try:
+            bundle = higmanian.verdict_bundle(con.result.scheme)
+        except VerdictInconsistencyError as exc:
+            bundle = exc.bundle
         ok = (con.table1_match and con.table2_match and con.associate_match
               and bundle.consistent and bundle.uniform)
         status = "match" if ok else "MISMATCH"

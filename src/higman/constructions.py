@@ -699,13 +699,9 @@ def construct_family(family: str, q: int | None = None, r: int | None = None,
             candidates = []
         w = p ** j - 1
         assoc_spec = f"EA:{p}:{j}"
-        n, m = q, q ** (2 * r)
-        if n ** m > max_space:
-            raise ConstructionError(
-                f"search space {n}^{m} exceeds cap {max_space}")
         if not candidates:
             raise ConstructionError(
-                "no forbidden-subgroup candidates of order q")
+                f"no forbidden-subgroup candidates of order {q}")
 
     t1 = table1_params(family, q, r, j)
     system = None
@@ -758,10 +754,9 @@ def example1_desk_constructions() -> list[Example1Result]:
 
 # -- negative-control search --------------------------------------------------------
 
-def search_higmanian_cayley(G: FiniteGroup,
-                            max_atoms: int = 14) -> list[tuple[SRingPartition,
-                                                               SchemeTable,
-                                                               DetectionResult]]:
+def search_higmanian_cayley(G: FiniteGroup) -> list[tuple[SRingPartition,
+                                                          SchemeTable,
+                                                          DetectionResult]]:
     """Exhaustively try rank-5 partitions {e}, L^#, U\\L, T3, T4 over subgroup
     chains L < U < G; returns every partition that validates as a Higmanian
     scheme.  Meant for small groups when hunting non-uniform instances."""
@@ -789,7 +784,7 @@ def search_higmanian_cayley(G: FiniteGroup,
                 orbit = {x, int(G.inv[x])}
                 seen |= orbit
                 atoms.append(tuple(sorted(orbit)))
-            if len(atoms) > max_atoms:
+            if len(atoms) > 14:  # at most 2^14 splits per chain
                 continue
             for bits in range(1, (1 << len(atoms)) - 1):
                 t3 = []

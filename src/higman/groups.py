@@ -134,10 +134,10 @@ class FiniteGroup:
             found.setdefault(h.elements, h)
         return sorted(found.values(), key=lambda h: (h.order, h.elements))
 
-    def all_subgroups(self, limit: int = 128) -> list["Subgroup"]:
-        """Every subgroup, by join-closure of the cyclic ones (small orders)."""
-        if self.order > limit:
-            raise GroupError(f"subgroup enumeration capped at order {limit}")
+    def all_subgroups(self) -> list["Subgroup"]:
+        """Every subgroup, by join-closure of the cyclic ones (order <= 128)."""
+        if self.order > 128:
+            raise GroupError("subgroup enumeration capped at order 128")
         pool = {h.elements: h for h in self.cyclic_subgroups()}
         grew = True
         while grew:

@@ -161,8 +161,6 @@ def detect_higmanian(scheme: SchemeTable, strict: bool = True) -> DetectionResul
                        "not constant", count)
     t = int(scheme.p[t_color, s_color, t_color])
     params = HigmanianParams(f=f, m=m, n=n, k=k, t=t)
-    if params.n_S != int(scheme.valencies[s_color]):
-        return _reject("valency identity n_S = k(f-1) fails", count)
 
     alt = None
     if scheme.valencies[a] == scheme.valencies[b]:
@@ -183,20 +181,17 @@ def detect_higmanian(scheme: SchemeTable, strict: bool = True) -> DetectionResul
 
 
 def _per_class_count(scheme: SchemeTable, F: Parabolic, color: int) -> int | None:
-    """|alpha S ∩ Delta| over all points alpha and classes Delta != Delta_alpha,
-    or None when not constant."""
-    member = np.zeros((scheme.v, F.num_classes), dtype=np.float64)
-    member[np.arange(scheme.v), F.class_of] = 1.0
-    counts = np.rint(scheme.adjacency(color) @ member).astype(np.int64)
-    own = counts[np.arange(scheme.v), F.class_of]
-    if (own != 0).any():
-        return None
-    mask = np.ones_like(counts, dtype=bool)
-    mask[np.arange(scheme.v), F.class_of] = False
-    vals = counts[mask]
-    if vals.min() != vals.max():
-        return None
-    return int(vals[0])
+    """|alpha S ∩ Delta| for S the relation ``color``, over all points alpha
+    and classes Delta != Delta_alpha of F, or None when not constant.
+
+    Read from the tensor: the points of alpha S in the class of one of them,
+    beta, are the gamma with (alpha, gamma) in S and (gamma, beta) in F, so
+    a class that meets alpha S meets it in k = sum_{c in F} p_Sc^S points
+    (k >= 1, from c = 0), and every other class misses it.  The count over
+    the f - 1 other classes is therefore constant iff every one is met, that
+    is iff k(f - 1) = n_S."""
+    k = int(scheme.p[color, sorted(F.colors), color].sum())
+    return k if k * (F.num_classes - 1) == scheme.valencies[color] else None
 
 
 # -- uniformity route 1: the closed-form criterion ------------------------------
@@ -416,14 +411,14 @@ def _spectral_verdict(params: HigmanianParams):
 
 
 def verdict_bundle(scheme: SchemeTable, strict: bool = True, seed: int = 0,
-                   oracle: bool = False,
-                   raise_on_disagreement: bool = True) -> VerdictBundle:
+                   oracle: bool = False) -> VerdictBundle:
     """Run all four uniformity routes on a Higmanian scheme.
 
     The verdicts must coincide (they are provably equivalent for genuine
-    Higmanian schemes); disagreement raises VerdictInconsistencyError
-    unless told otherwise.  ``seed`` is accepted and has no effect: every
-    route is exact and none samples.
+    Higmanian schemes); disagreement raises VerdictInconsistencyError, which
+    carries the bundle.  A scheme that is not Higmanian raises
+    NotHigmanianError with the detection's reason.  ``seed`` is accepted and
+    has no effect: every route is exact and none samples.
     """
     det = detect_higmanian(scheme, strict=strict)
     if not det:
@@ -454,7 +449,7 @@ def verdict_bundle(scheme: SchemeTable, strict: bool = True, seed: int = 0,
         rhs_candidates=uniformity_rhs(params.f, params.m, params.n, params.k),
         definition_details=def_details, dismantle_details=dis_details,
         oracle=oracle_result, alt_agrees=alt_agrees)
-    if raise_on_disagreement and not bundle.consistent:
+    if not bundle.consistent:
         raise VerdictInconsistencyError(
             f"uniformity verdicts disagree on params {params}: "
             f"criterion={criterion} definition={definition} "

@@ -137,9 +137,6 @@ class QuadraticNumber:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> QuadraticNumber:
-        return QuadraticNumber(self.a, -self.b, self.D)
-
     def inverse(self) -> QuadraticNumber:
         norm = self.a * self.a - self.b * self.b * self.D
         if norm == 0:

@@ -204,28 +204,35 @@ def parabolics(scheme: SchemeTable) -> list[Parabolic]:
     """All parabolics, ordered by class size; scanned once per scheme.
 
     An inverse-closed color set C containing 0 is a parabolic iff
-    p_ij^k = 0 for all i, j in C and k outside C.
+    p_ij^k = 0 for all i, j in C and k outside C.  Every such set is tested
+    at once: row s of ``member`` is the set of bits s plus color 0, and
+    m_s^T P_k m_s counts the pairs (i, j) inside set s with p_ij^k > 0,
+    where P_k is the support of p_..^k (float32 is exact: at most r^2).
     """
     if scheme._parabolics is None:
-        d = scheme.rank - 1
-        if scheme.rank > PARABOLIC_RANK_LIMIT:
+        r = scheme.rank
+        if r > PARABOLIC_RANK_LIMIT:
             raise SchemeError(
-                f"parabolic scan is exponential in rank; rank {scheme.rank} "
+                f"parabolic scan is exponential in rank; rank {r} "
                 f"over limit {PARABOLIC_RANK_LIMIT}")
+        bits = np.arange(1 << (r - 1))[:, None] >> np.arange(r - 1) & 1
+        member = np.hstack([np.ones((len(bits), 1), dtype=bool),
+                            bits.astype(bool)])
+        ok = (member == member[:, scheme.inverse]).all(axis=1)
+        m = member.astype(np.float32)
+        support = (scheme.p > 0).astype(np.float32)
+        for k in range(r):
+            ok &= member[:, k] | ~((m @ support[:, :, k]) * m).any(axis=1)
         found = []
-        for bits in range(1 << d):
-            colors = [0] + [i + 1 for i in range(d) if bits >> i & 1]
-            outside = [k for k in range(scheme.rank) if k not in colors]
-            if (any(int(scheme.inverse[c]) not in colors for c in colors)
-                    or scheme.p[np.ix_(colors, colors, outside)].any()):
-                continue
+        for row in member[ok]:
+            colors = np.flatnonzero(row)
             # each point's least class-mate names its class; all classes
             # have the same size, the sum of the valencies in C
             lead = np.isin(scheme.color, colors).argmax(axis=1)
             leads, class_of = np.unique(lead, return_inverse=True)
             order = np.argsort(class_of, kind="stable")
             classes = tuple(map(tuple, order.reshape(len(leads), -1).tolist()))
-            found.append((frozenset(colors), classes, class_of))
+            found.append((frozenset(colors.tolist()), classes, class_of))
         # the cache holds no Parabolic, which points back at the scheme: a
         # reference cycle would keep every dropped scheme alive until the
         # cyclic collector runs

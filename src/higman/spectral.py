@@ -318,13 +318,13 @@ class OracleResult:
 
 
 def float_eigen_oracle(scheme: SchemeTable, exact: EigenData,
-                       relation_order: Sequence[int] | None = None,
-                       tol: float = 1e-8) -> OracleResult:
+                       relation_order: Sequence[int] | None = None
+                       ) -> OracleResult:
     """Numerically eigendecompose the adjacency matrices and match the rows
     of the exact eigenmatrix, as an independent verification channel.
 
     relation_order maps eigenmatrix columns to scheme colors (identity when
-    omitted).  Raises when the match exceeds tol.
+    omitted).  Raises when the match is off by more than 1e-8.
     """
     order = list(relation_order) if relation_order is not None \
         else list(range(scheme.rank))
@@ -364,7 +364,7 @@ def float_eigen_oracle(scheme: SchemeTable, exact: EigenData,
     P_matched = P_float[list(perm)]
     mults = tuple(dims[j] for j in perm)
     max_err = float(np.abs(P_matched - exact_rows).max())
-    if max_err > tol:
+    if max_err > 1e-8:
         raise SpectralError(
             f"floating-point oracle disagrees with exact eigenmatrix "
             f"(max deviation {max_err:.3e})")

@@ -1,7 +1,9 @@
 import pytest
 
 from higman.constructions import (construct_family,
-                                  example1_desk_constructions)
+                                  example1_desk_constructions,
+                                  search_higmanian_cayley)
+from higman.groups import build_family
 
 DESK_POINTS = (
     ("q8cp", dict(r=1)),
@@ -36,3 +38,12 @@ def ea_construction(constructions_by_family):
 @pytest.fixture(scope="session")
 def example1_results():
     return example1_desk_constructions()
+
+
+@pytest.fixture(scope="session")
+def negative_controls():
+    """(partition, scheme, detection) of every Higmanian Cayley scheme the
+    exhaustive search finds in four small groups."""
+    return [found
+            for spec in ("C:12", "Prod:C:2,C:6", "GenDih:C:6", "Prod:C:4,C:4")
+            for found in search_higmanian_cayley(build_family(spec))]

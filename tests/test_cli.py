@@ -40,7 +40,8 @@ def test_analyze_json(tmp_path, capsys):
     assert report["consistent"] is True
     assert report["spectral"]["multiplicities"] == ["1", "18", "24", "36", "2"]
     assert float(report["spectral"]["oracle_max_abs_error"]) < 1e-8
-    assert "timings" in report
+    # detection runs inside the verdict bundle and is timed with it
+    assert set(report["timings"]) == {"parabolics_s", "verdicts_s"}
 
 
 def test_analyze_not_higmanian(tmp_path, capsys):
@@ -155,7 +156,24 @@ def test_tables_cli(capsys):
     # oversize and over-cap points are skipped with notes
     assert "SKIP" in by_label["q8cp r=3"]
     assert "SKIP" in by_label["heis q=5 r=1"]
+    # only cyclic forbidden subgroups of prime order are tried
+    assert by_label["ea q=4 r=1 j=2"] == \
+        "ea q=4 r=1 j=2: SKIP (no forbidden-subgroup candidates of order 4)"
     assert "MISMATCH" not in stdout
+
+
+def test_tables_inconsistent_verdicts(capsys, monkeypatch):
+    criterion = higmanian.is_uniform_by_criterion
+    monkeypatch.setattr(higmanian, "is_uniform_by_criterion",
+                        lambda params: not criterion(params))
+    code, stdout, err = run(capsys, "tables")
+    assert code == 1 and err == ""
+    by_label = {ln.split(":")[0]: ln for ln in stdout.splitlines()}
+    assert len(by_label) == 10
+    for label in ("q8cp r=1", "q8cp r=2", "heis q=3 r=1", "ea q=3 r=1 j=1"):
+        assert by_label[label].startswith(f"{label}: MISMATCH")
+        assert by_label[label].endswith("uniform=False")
+    assert "SKIP" in by_label["q8cp r=3"]
 
 
 def test_construct_analyze_identical_verdicts(tmp_path, capsys):
@@ -235,6 +253,20 @@ def test_analyze_seed_has_no_effect(tmp_path, capsys):
     plain = run(capsys, "analyze", str(out))
     assert plain[0] == 0
     assert run(capsys, "analyze", str(out), "--seed", "7") == plain
+
+
+def test_analyze_detects_once(tmp_path, capsys, monkeypatch):
+    q8, trivial = tmp_path / "q8.scheme", tmp_path / "t.scheme"
+    run(capsys, "construct", "q8cp", "1", "-o", str(q8))
+    write_scheme(trivial_scheme(4), trivial)
+    calls = []
+    detect = higmanian.detect_higmanian
+    monkeypatch.setattr(higmanian, "detect_higmanian",
+                        lambda *a, **kw: calls.append(a) or detect(*a, **kw))
+    for path, code in ((q8, 0), (trivial, 2)):
+        calls.clear()
+        assert run(capsys, "analyze", str(path), "--json")[0] == code
+        assert len(calls) == 1
 
 
 def test_analyze_inconsistent_verdicts(tmp_path, capsys, monkeypatch):

@@ -6,12 +6,14 @@ union-matmul transitivity scan, quotients by scanning every block between
 two classes, the wreath test by counting each outside relation per block,
 restrictions by a row-major relabeling loop, intersection numbers from all
 r^2 products, the definitional uniformity check from all r^2 block
-products of every class, and dismantlability by restricting to every union
-of classes.  `higman.schemes` takes parabolics, coranks and the wreath test
-from the intersection tensor instead, `validate` and
-`is_uniform_by_definition` skip the products the algebra determines, and
+products of every class, dismantlability by restricting to every union
+of classes, and detection's per-class count k by counting each point's
+neighbors in every class.  `higman.schemes` takes parabolics, coranks and
+the wreath test from the intersection tensor instead, `validate` and
+`is_uniform_by_definition` skip the products the algebra determines,
 `is_dismantlable` decides every union from one pass over the class
-products; both must agree everywhere.
+products, and detection reads k from the tensor; both must agree
+everywhere.
 """
 
 import math
@@ -19,13 +21,14 @@ import math
 import numpy as np
 import pytest
 
+from higman import higmanian
 from higman.groups import build_family, quaternion_group
-from higman.higmanian import (DefinitionCheck, is_dismantlable,
-                              is_uniform_by_definition)
-from higman.schemes import (SchemeError, cayley_scheme, is_wreath_over,
-                            nontrivial_parabolics, parabolics, quotient,
-                            restriction, trivial_scheme, validate,
-                            wreath_product)
+from higman.higmanian import (DefinitionCheck, detect_higmanian,
+                              is_dismantlable, is_uniform_by_definition)
+from higman.schemes import (SchemeError, SchemeTable, cayley_scheme,
+                            is_wreath_over, nontrivial_parabolics,
+                            parabolics, quotient, restriction,
+                            trivial_scheme, validate, wreath_product)
 
 
 # -- the matrix reference ----------------------------------------------------------
@@ -166,6 +169,24 @@ def ref_is_dismantlable(scheme, parab):
     return True
 
 
+def ref_per_class_count(scheme, F, color):
+    """|alpha R ∩ Delta| for R the relation ``color``, over all points alpha
+    and classes Delta != Delta_alpha of F, from the v x v adjacency matrix
+    times the v x c class membership matrix; None when not constant."""
+    member = np.zeros((scheme.v, F.num_classes), dtype=np.float64)
+    member[np.arange(scheme.v), F.class_of] = 1.0
+    counts = np.rint(scheme.adjacency(color) @ member).astype(np.int64)
+    own = counts[np.arange(scheme.v), F.class_of]
+    if (own != 0).any():
+        return None
+    mask = np.ones_like(counts, dtype=bool)
+    mask[np.arange(scheme.v), F.class_of] = False
+    vals = counts[mask]
+    if vals.min() != vals.max():
+        return None
+    return int(vals[0])
+
+
 # -- the schemes -------------------------------------------------------------------------
 
 def two_level_wreath():
@@ -198,15 +219,20 @@ SCHEME_NAMES = ("q8cp {'r': 1}", "q8cp {'r': 2}", "heis {'q': 3, 'r': 1}",
                 "wreath T3 by T4", "two-level wreath", "octagon", "thin S3")
 
 
-def orbit_scheme(n, units):
-    """Scheme of C:n whose parts are the orbits of a group of units."""
+def orbit_parts(n, units):
+    """The orbits of a group of units on C:n, {0} first."""
     parts, seen = [[0]], {0}
     for x in range(1, n):
         if x not in seen:
             orbit = sorted({x * u % n for u in units})
             seen.update(orbit)
             parts.append(orbit)
-    return cayley_scheme(build_family(f"C:{n}"), parts)
+    return parts
+
+
+def orbit_scheme(n, units):
+    """Scheme of C:n whose parts are the orbits of a group of units."""
+    return cayley_scheme(build_family(f"C:{n}"), orbit_parts(n, units))
 
 
 def unit_groups(n):
@@ -378,3 +404,34 @@ def test_dismantlable_matches_reference(reference_schemes):
                 restriction(scheme, [x for ci in res.witness
                                      for x in parab.classes[ci]])
     assert outcomes == {True, False}
+
+
+def _no_adjacency(scheme, i):
+    raise AssertionError("detection built a v x v adjacency matrix")
+
+
+def test_detection_matches_reference_count(reference_schemes,
+                                           negative_controls, monkeypatch):
+    # k is read from the tensor; the reference detection counts it on the
+    # v x v matrix.  Params, the second labeling and the rejection reason
+    # must agree on every rank-5 scheme at hand.
+    orbits = [(n, orbit_parts(n, units))
+              for n in range(4, 61) for units in unit_groups(n)]
+    schemes = ([s for s in reference_schemes.values() if s.rank == 5]
+               + [scheme for _, scheme, _ in negative_controls]
+               + [cayley_scheme(build_family(f"C:{n}"), parts)
+                  for n, parts in orbits if len(parts) == 5])
+    reasons, alts = set(), 0
+    for scheme in schemes:
+        with monkeypatch.context() as m:
+            m.setattr(SchemeTable, "adjacency", _no_adjacency)
+            got = detect_higmanian(scheme, strict=False)
+        with monkeypatch.context() as m:
+            m.setattr(higmanian, "_per_class_count", ref_per_class_count)
+            ref = detect_higmanian(scheme, strict=False)
+        assert (got.reason, got.params, got.alt_params) == \
+            (ref.reason, ref.params, ref.alt_params)
+        reasons.add(got.reason)
+        alts += got.alt_params is not None
+    # both outcomes, and the n_S = n_T case with two labelings
+    assert None in reasons and len(reasons) > 1 and alts
