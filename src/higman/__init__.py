@@ -9,8 +9,8 @@ from .schemes import (Parabolic, SchemeTable, cayley_scheme, parabolics,
                       quotient, read_scheme, restriction, validate,
                       wreath_product, write_scheme)
 from .spectral import (EigenData, KreinTensor, higmanian_eigenmatrix,
-                       higmanian_multiplicities, is_q_higmanian, krein,
-                       multiplicity_check, sim_classes, spectral_data)
+                       is_q_higmanian, krein, multiplicity_check,
+                       sim_classes, spectral_data)
 from .higmanian import (HigmanianParams, detect_higmanian, is_dismantlable,
                         is_uniform_by_criterion, is_uniform_by_definition,
                         uniformity_rhs, verdict_bundle)

@@ -40,8 +40,7 @@ class FiniteGroup:
     ``generators`` is the greedy sequence of least elements not yet reached.
     """
 
-    def __init__(self, mul, labels: Sequence[str] | None = None,
-                 name: str = "") -> None:
+    def __init__(self, mul, name: str = "") -> None:
         mul = np.asarray(mul, dtype=np.int32)
         if mul.ndim != 2 or not 0 < mul.shape[0] == mul.shape[1]:
             raise GroupError("multiplication table must be square, not empty")
@@ -52,9 +51,6 @@ class FiniteGroup:
         self.mul: np.ndarray = mul
         self.mul.setflags(write=False)
         self.name = name
-        if labels is not None and len(labels) != n:
-            raise GroupError("label count does not match order")
-        self.element_labels = list(labels) if labels is not None else None
 
         # a left and a right identity coincide, so at most one element
         # has both its row and its column equal to the identity map
@@ -112,9 +108,6 @@ class FiniteGroup:
 
     def is_abelian(self) -> bool:
         return bool((self.mul == self.mul.T).all())
-
-    def label(self, x: int) -> str:
-        return self.element_labels[x] if self.element_labels else str(x)
 
     # -- subgroups -----------------------------------------------------------
 
@@ -283,7 +276,7 @@ class GroupRingElement:
             raise GroupError("mismatched parent groups")
 
     def __repr__(self) -> str:
-        terms = [f"{int(c)}*{self.parent.label(i)}"
+        terms = [f"{int(c)}*{i}"
                  for i, c in enumerate(self.coeffs) if c]
         return " + ".join(terms) if terms else "0"
 
@@ -511,7 +504,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     idx = np.arange(n, dtype=np.int32)
     mul = idx[:, None] + idx[None, :]
     mul %= n
-    return FiniteGroup(mul, labels=[str(i) for i in range(n)], name=f"C:{n}")
+    return FiniteGroup(mul, name=f"C:{n}")
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup, name: str = "") -> FiniteGroup:
@@ -519,11 +512,7 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, name: str = "") -> FiniteGrou
     check_order(na * nb)
     mul = (A.mul[:, None, :, None] * nb + B.mul[None, :, None, :]).reshape(
         na * nb, na * nb)
-    labels = None
-    if A.element_labels or B.element_labels:
-        labels = [f"({A.label(a)},{B.label(b)})"
-                  for a in range(na) for b in range(nb)]
-    return FiniteGroup(mul, labels=labels, name=name or f"Prod:{A.name},{B.name}")
+    return FiniteGroup(mul, name=name or f"Prod:{A.name},{B.name}")
 
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
@@ -556,9 +545,6 @@ def heisenberg_group(q: int, r: int) -> FiniteGroup:
     return FiniteGroup(add[add, dot], name=f"Heis:{q}:{r}")
 
 
-_Q8_LABELS = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-
-
 def quaternion_group() -> FiniteGroup:
     # elements encoded as (axis, sign): index = 2*axis + (sign < 0)
     axis_mul = {  # (axis, axis) -> (axis, sign)
@@ -575,7 +561,7 @@ def quaternion_group() -> FiniteGroup:
             az, sz = axis_mul[(ax, ay)]
             s = sx * sy * sz
             mul[x, y] = 2 * az + (0 if s > 0 else 1)
-    return FiniteGroup(mul, labels=_Q8_LABELS, name="Q8cp:1")
+    return FiniteGroup(mul, name="Q8cp:1")
 
 
 def quotient_group(G: FiniteGroup, N: Subgroup, name: str = "") -> FiniteGroup:
@@ -627,10 +613,7 @@ def generalized_dihedral(G: FiniteGroup) -> FiniteGroup:
     ginv = G.mul[:, G.inv]
     mul[n:, :n] = ginv + n
     mul[n:, n:] = ginv
-    labels = None
-    if G.element_labels:
-        labels = [G.label(g) for g in range(n)] + [f"{G.label(g)}u" for g in range(n)]
-    return FiniteGroup(mul, labels=labels, name=f"GenDih:{G.name}" if G.name else "")
+    return FiniteGroup(mul, name=f"GenDih:{G.name}" if G.name else "")
 
 
 def build_family(spec: str) -> FiniteGroup:

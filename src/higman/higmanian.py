@@ -56,10 +56,11 @@ class HigmanianParams:
         if min(self.f, self.m, self.n) < 2:
             raise ValueError("f, m, n must all be >= 2")
         mn = self.m * self.n
-        if not (mn - self.k <= self.k <= mn):
-            raise ValueError(f"k={self.k} outside [mn-k, mn] range for mn={mn}")
-        if self.k <= 0 or self.t < 0:
-            raise ValueError("k must be positive and t nonnegative")
+        if not (mn - self.k <= self.k < mn):
+            raise ValueError(
+                f"k={self.k} violates mn - k <= k < mn for mn={mn}")
+        if self.t < 0:  # k >= mn/2 > 0 already
+            raise ValueError("t must be nonnegative")
 
     @property
     def v(self) -> int:
@@ -155,24 +156,19 @@ def detect_higmanian(scheme: SchemeTable, strict: bool = True) -> DetectionResul
     f, m = v // n_F, n_F // n
     (e_color,) = [c for c in E.colors if c != 0]
 
-    k = _per_class_count(scheme, F, s_color)
-    if k is None:
-        return _reject("per-class count of the larger outside relation is "
-                       "not constant", count)
     t = int(scheme.p[t_color, s_color, t_color])
-    params = HigmanianParams(f=f, m=m, n=n, k=k, t=t)
+    params = HigmanianParams(f=f, m=m, n=n,
+                             k=_per_class_count(scheme, F, s_color), t=t)
 
     alt = None
     if scheme.valencies[a] == scheme.valencies[b]:
         # n_S = n_T: both labelings are legitimate; keep the larger t first
-        k2 = _per_class_count(scheme, F, t_color)
-        if k2 is not None:
-            alt = HigmanianParams(
-                f=f, m=m, n=n, k=k2,
-                t=int(scheme.p[s_color, t_color, s_color]))
-            if alt.t > params.t:
-                params, alt = alt, params
-                s_color, t_color = t_color, s_color
+        alt = HigmanianParams(
+            f=f, m=m, n=n, k=_per_class_count(scheme, F, t_color),
+            t=int(scheme.p[s_color, t_color, s_color]))
+        if alt.t > params.t:
+            params, alt = alt, params
+            s_color, t_color = t_color, s_color
     return DetectionResult(
         higmanian=True, params=params, alt_params=alt, E=E, F=F,
         relation_order=(0, e_color, s_color, t_color,
@@ -180,18 +176,22 @@ def detect_higmanian(scheme: SchemeTable, strict: bool = True) -> DetectionResul
         nontrivial_parabolic_count=count)
 
 
-def _per_class_count(scheme: SchemeTable, F: Parabolic, color: int) -> int | None:
-    """|alpha S ∩ Delta| for S the relation ``color``, over all points alpha
-    and classes Delta != Delta_alpha of F, or None when not constant.
+def _per_class_count(scheme: SchemeTable, F: Parabolic, color: int) -> int:
+    """|alpha S ∩ Delta| for S the outside relation ``color``, which is the
+    same for every point alpha and every class Delta != Delta_alpha of F.
 
     Read from the tensor: the points of alpha S in the class of one of them,
     beta, are the gamma with (alpha, gamma) in S and (gamma, beta) in F, so
-    a class that meets alpha S meets it in k = sum_{c in F} p_Sc^S points
-    (k >= 1, from c = 0), and every other class misses it.  The count over
-    the f - 1 other classes is therefore constant iff every one is met, that
-    is iff k(f - 1) = n_S."""
-    k = int(scheme.p[color, sorted(F.colors), color].sum())
-    return k if k * (F.num_classes - 1) == scheme.valencies[color] else None
+    that class meets alpha S in k = sum_{c in F} p_Sc^S points (k >= 1, from
+    c = 0).  No class is missed.  Detection requires a symmetric scheme with
+    cork(F) = 2, that is F S F = F T F = {S, T} for the two relations S, T
+    outside F.  The S-neighbours of alpha in the class of a T-neighbour beta
+    number sum_{c in F} p_Sc^T, the same for every T-pair.  If alpha S
+    missed some class, that number would be 0, so every row block
+    (alpha, Delta) would have one color; by symmetry so would every column,
+    hence every block, and F S F = {S} would give cork(F) = 3.  So when
+    n_S = n_T, the count for T is mn - k on every other class."""
+    return int(scheme.p[color, sorted(F.colors), color].sum())
 
 
 # -- uniformity route 1: the closed-form criterion ------------------------------

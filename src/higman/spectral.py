@@ -13,10 +13,11 @@ where x1, x3 are the roots of
 
     x^2 + ((f-2)(mn-k) - t*mn/k) x - (f-1)k(mn-k)/(m(n-1)) = 0
 
-with |x1| >= |x3|, and the multiplicities follow from the displayed
-fractions.  All of it is computed over QuadraticNumber, so uniformity
-decisions are exact.  A floating-point eigendecomposition oracle exists
-solely as an independent cross-check of constructed schemes.
+with |x1| >= |x3|; row 0 is the valency vector, and the multiplicities
+follow from P by row orthogonality.  All of it is computed over
+QuadraticNumber, so uniformity decisions are exact.  A floating-point
+eigendecomposition oracle exists solely as an independent cross-check of
+constructed schemes.
 """
 
 from __future__ import annotations
@@ -72,8 +73,7 @@ class EigenData:
                 for j in range(r):
                     s = s + self.multiplicities[j] * self.P[j][i] * self.P[j][k]
                 s = s / (self.valencies[i] * self.valencies[k])
-                want = QN(Fraction(v, self.valencies[i])) if i == k else QN(0)
-                if s != want:
+                if (s != Fraction(v, self.valencies[i])) if i == k else s:
                     raise SpectralError(
                         f"column orthogonality fails at ({i},{k})")
 
@@ -101,8 +101,8 @@ class KreinTensor:
     def circ_closed(self, I: frozenset[int]) -> bool:
         """True when span{E_i : i in I} is closed under the Hadamard product."""
         outside = [k for k in range(self.rank) if k not in I]
-        return all(self.q[i][j][k] == QN(0)
-                   for i in I for j in I for k in outside)
+        return not any(self.q[i][j][k]
+                       for i in I for j in I for k in outside)
 
 
 def eigenvalue_pair(params) -> tuple[QN, QN]:
@@ -138,29 +138,17 @@ def higmanian_eigenmatrix(params) -> tuple[tuple[QN, ...], ...]:
     return rows
 
 
-def higmanian_multiplicities(params, x1: QN, x3: QN) -> tuple[QN, ...]:
-    """Closed-form multiplicities (m_0, ..., m_4) given the eigenvalue pair."""
-    f, m, n, k = params.f, params.m, params.n, params.k
-    mn = m * n
-    top = QN(f * (f - 1) * m * (n - 1) * k * (mn - k))
-    base = QN((f - 1) * k * (mn - k))
-    m1 = top / (base + x1 * x1 * (m * (n - 1)))
-    m3 = top / (base + x3 * x3 * (m * (n - 1)))
-    return (QN(1), m1, QN(f * (m - 1)), m3, QN(f - 1))
-
-
-def higmanian_valencies(params) -> tuple[int, ...]:
-    f, m, n, k = params.f, params.m, params.n, params.k
-    return (1, n - 1, k * (f - 1), (m * n - k) * (f - 1), m * n - n)
-
-
 def spectral_data(params) -> EigenData:
     """Full exact spectral data of a Higmanian parameter tuple."""
     P = higmanian_eigenmatrix(params)
-    x1, x3 = P[1][2], P[3][2]
-    mults = higmanian_multiplicities(params, x1, x3)
-    data = EigenData(P=P, multiplicities=mults,
-                     valencies=higmanian_valencies(params))
+    valencies = tuple(x.as_integer() for x in P[0])
+    # On this P the general formula is the closed form: row 1 gives
+    # sum_i P_1i^2/n_i = n/(n-1) + x1^2 mn/((f-1)k(mn-k)), so
+    # m_1 = f(f-1)m(n-1)k(mn-k) / ((f-1)k(mn-k) + x1^2 m(n-1)), likewise
+    # m_3 with x3, and rows 0, 2, 4 give 1, f(m-1), f-1.  Every n_i is
+    # positive as k < mn, so no denominator vanishes.
+    data = EigenData(P=P, multiplicities=multiplicity_check(P, valencies),
+                     valencies=valencies)
     data.check()
     return data
 
@@ -182,46 +170,37 @@ def multiplicity_check(P: Sequence[Sequence[QN]],
 
 def krein(P: Sequence[Sequence[QN]], multiplicities: Sequence[QN],
           valencies: Sequence[int]) -> KreinTensor:
-    """q_ij^k = (m_i m_j / v) sum_l P_il P_jl P_kl / n_l^2, exactly."""
+    """q_ij^k = (m_i m_j / v) s_ijk with s_ijk = sum_l P_il P_jl P_kl / n_l^2,
+    exactly.  s is symmetric in i, j, k, so it is formed once per sorted
+    triple, and m_i m_j / v once per sorted pair."""
     r = len(valencies)
     v = sum(valencies)
-    nl2 = [valencies[l] * valencies[l] for l in range(r)]
-    tensor = []
-    for i in range(r):
-        plane = []
-        for j in range(r):
-            row = []
-            scale = multiplicities[i] * multiplicities[j] / v
-            for k in range(r):
-                s = QN(0)
-                for l in range(r):
-                    s = s + P[i][l] * P[j][l] * P[k][l] / nl2[l]
-                row.append(scale * s)
-            plane.append(tuple(row))
-        tensor.append(tuple(plane))
-    return KreinTensor(q=tuple(tensor))
+    nl2 = [n_l * n_l for n_l in valencies]
+    s = {}
+    for i, j, k in itertools.combinations_with_replacement(range(r), 3):
+        acc = QN(0)
+        for l in range(r):
+            acc = acc + P[i][l] * P[j][l] * P[k][l] / nl2[l]
+        s[i, j, k] = acc
+    scale = {(i, j): multiplicities[i] * multiplicities[j] / v
+             for i, j in itertools.combinations_with_replacement(range(r), 2)}
+    return KreinTensor(q=tuple(
+        tuple(tuple(scale[min(i, j), max(i, j)] * s[tuple(sorted((i, j, k)))]
+                    for k in range(r))
+              for j in range(r))
+        for i in range(r)))
 
 
 def sim_classes(I: frozenset[int], kr: KreinTensor) -> tuple[frozenset[int], ...]:
     """Classes of the relation i ~ j iff q_ij^k != 0 for some k in I,
     closed transitively."""
     r = kr.rank
-    parent = list(range(r))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(r):
-        for j in range(i + 1, r):
-            if any(kr.q[i][j][k] != QN(0) for k in I):
-                parent[find(i)] = find(j)
-    groups: dict[int, set[int]] = {}
-    for x in range(r):
-        groups.setdefault(find(x), set()).add(x)
-    return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
+    reach = np.array([[i == j or any(kr.q[i][j][k] for k in I)
+                       for j in range(r)] for i in range(r)])
+    for x in range(r):  # Warshall: paths through x
+        reach |= reach[:, x:x + 1] & reach[x]
+    classes = {frozenset(np.flatnonzero(row).tolist()) for row in reach}
+    return tuple(sorted(classes, key=min))
 
 
 @dataclass(frozen=True)
@@ -328,7 +307,9 @@ def float_eigen_oracle(scheme: SchemeTable, exact: EigenData,
     """
     order = list(relation_order) if relation_order is not None \
         else list(range(scheme.rank))
-    mats = [scheme.adjacency(c) for c in order]
+    # bool masks: w * True = w and proj * 1.0 = proj, so M and every cell
+    # sum are those of the 0/1 float matrices, without a float copy each
+    mats = [scheme.color == c for c in order]
     r = scheme.rank
     for attempt in range(10):
         rng = np.random.default_rng(12345 + attempt)

@@ -26,6 +26,8 @@ def test_params_validation():
         HigmanianParams(3, 4, 2, 2, 3)  # k < mn - k
     with pytest.raises(ValueError):
         HigmanianParams(3, 4, 2, 9, 3)  # k > mn
+    with pytest.raises(ValueError, match="k < mn"):
+        HigmanianParams(3, 2, 2, 4, 0)  # k = mn leaves n_T = 0
     p = HigmanianParams(3, 4, 2, 4, 3)
     assert (p.v, p.n_S, p.n_T) == (24, 8, 8)
 

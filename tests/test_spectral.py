@@ -4,12 +4,12 @@ import pytest
 
 from higman.higmanian import HigmanianParams
 from higman.quadratic import QuadraticNumber as QN
-from higman.schemes import trivial_scheme, wreath_product
+from higman.schemes import SchemeTable, trivial_scheme, wreath_product
 from higman.spectral import (EigenData, SpectralError, eigenvalue_pair,
                              exact_spectral_data, float_eigen_oracle,
-                             higmanian_eigenmatrix, higmanian_multiplicities,
-                             is_q_higmanian, krein, multiplicity_check,
-                             sim_classes, spectral_data)
+                             higmanian_eigenmatrix, is_q_higmanian, krein,
+                             multiplicity_check, sim_classes, spectral_data)
+from test_tensor_reference import _no_adjacency, ref_higmanian_multiplicities
 
 P24 = HigmanianParams(3, 4, 2, 4, 3)
 P108 = HigmanianParams(4, 9, 3, 18, 16)
@@ -60,7 +60,7 @@ def test_eigenmatrix_rows():
 
 
 def test_multiplicities_24():
-    mults = higmanian_multiplicities(P24, QN(4), QN(-2))
+    mults = spectral_data(P24).multiplicities
     assert [m.as_integer() for m in mults] == [1, 4, 9, 8, 2]
     assert sum(m.as_integer() for m in mults) == 24
     # m_3 = (f-1) m_1 and m_4 = (f-1) m_0 on this uniform instance
@@ -69,21 +69,24 @@ def test_multiplicities_24():
 
 
 def test_multiplicities_108():
-    mults = higmanian_multiplicities(P108, QN(9), QN(-3))
+    mults = spectral_data(P108).multiplicities
     assert [m.as_integer() for m in mults] == [1, 18, 32, 54, 3]
     assert sum(m.as_integer() for m in mults) == 108
 
 
 def test_m0_always_one():
     for params in (P24, P108, P24_BAD):
-        x1, x3 = eigenvalue_pair(params)
-        assert higmanian_multiplicities(params, x1, x3)[0] == QN(1)
+        assert spectral_data(params).multiplicities[0] == QN(1)
 
 
 def test_multiplicity_check_agrees():
-    for params in (P24, P108):
-        data = spectral_data(params)
-        assert multiplicity_check(data.P, data.valencies) == data.multiplicities
+    # the general formula against the closed form it replaced
+    for params in (P24, P108, P24_BAD):
+        x1, x3 = eigenvalue_pair(params)
+        P = higmanian_eigenmatrix(params)
+        valencies = [x.as_integer() for x in P[0]]
+        assert multiplicity_check(P, valencies) == \
+            ref_higmanian_multiplicities(params, x1, x3)
 
 
 def test_multiplicity_check_rank2():
@@ -196,7 +199,9 @@ def test_float_oracle(q8_construction):
     assert res.multiplicities == (1, 4, 9, 8, 2)
 
 
-def test_float_oracle_desk_points(constructions_by_family):
+def test_float_oracle_desk_points(constructions_by_family, monkeypatch):
+    # the oracle reads the scheme through bool masks, no float64 copies
+    monkeypatch.setattr(SchemeTable, "adjacency", _no_adjacency)
     assert len(constructions_by_family) == 4
     for con in constructions_by_family.values():
         det = con.result.detection

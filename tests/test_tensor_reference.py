@@ -13,22 +13,30 @@ the wreath test from the intersection tensor instead, `validate` and
 `is_uniform_by_definition` skip the products the algebra determines,
 `is_dismantlable` decides every union from one pass over the class
 products, and detection reads k from the tensor; both must agree
-everywhere.
+everywhere.  Route 3 is checked the same way: the Krein parameters against
+the loop over every ordered triple, and the multiplicities against the
+closed form in (f, m, n, k) and the eigenvalue pair.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from higman import higmanian
+from higman.cli import TABLE_GRID
+from higman.constructions import ConstructionError, table2_params
 from higman.groups import build_family, quaternion_group
-from higman.higmanian import (DefinitionCheck, detect_higmanian,
-                              is_dismantlable, is_uniform_by_definition)
+from higman.higmanian import (DefinitionCheck, HigmanianParams,
+                              detect_higmanian, is_dismantlable,
+                              is_uniform_by_definition)
+from higman.quadratic import QuadraticNumber as QN
 from higman.schemes import (SchemeError, SchemeTable, cayley_scheme,
                             is_wreath_over, nontrivial_parabolics,
                             parabolics, quotient, restriction,
                             trivial_scheme, validate, wreath_product)
+from higman.spectral import eigenvalue_pair, krein, spectral_data
 
 
 # -- the matrix reference ----------------------------------------------------------
@@ -185,6 +193,38 @@ def ref_per_class_count(scheme, F, color):
     if vals.min() != vals.max():
         return None
     return int(vals[0])
+
+
+def ref_krein(P, multiplicities, valencies):
+    """q_ij^k, each of the r^3 ordered triples summed on its own."""
+    r = len(valencies)
+    v = sum(valencies)
+    nl2 = [valencies[l] * valencies[l] for l in range(r)]
+    tensor = []
+    for i in range(r):
+        plane = []
+        for j in range(r):
+            row = []
+            scale = multiplicities[i] * multiplicities[j] / v
+            for k in range(r):
+                s = QN(0)
+                for l in range(r):
+                    s = s + P[i][l] * P[j][l] * P[k][l] / nl2[l]
+                row.append(scale * s)
+            plane.append(tuple(row))
+        tensor.append(tuple(plane))
+    return tuple(tensor)
+
+
+def ref_higmanian_multiplicities(params, x1, x3):
+    """Closed-form multiplicities (m_0, ..., m_4) given the eigenvalue pair."""
+    f, m, n, k = params.f, params.m, params.n, params.k
+    mn = m * n
+    top = QN(f * (f - 1) * m * (n - 1) * k * (mn - k))
+    base = QN((f - 1) * k * (mn - k))
+    m1 = top / (base + x1 * x1 * (m * (n - 1)))
+    m3 = top / (base + x3 * x3 * (m * (n - 1)))
+    return (QN(1), m1, QN(f * (m - 1)), m3, QN(f - 1))
 
 
 # -- the schemes -------------------------------------------------------------------------
@@ -407,7 +447,7 @@ def test_dismantlable_matches_reference(reference_schemes):
 
 
 def _no_adjacency(scheme, i):
-    raise AssertionError("detection built a v x v adjacency matrix")
+    raise AssertionError("built a float64 v x v adjacency matrix")
 
 
 def test_detection_matches_reference_count(reference_schemes,
@@ -421,13 +461,19 @@ def test_detection_matches_reference_count(reference_schemes,
                + [scheme for _, scheme, _ in negative_controls]
                + [cayley_scheme(build_family(f"C:{n}"), parts)
                   for n, parts in orbits if len(parts) == 5])
+    def checked_ref_count(scheme, F, color):
+        # the count is constant wherever detection asks for it
+        k = ref_per_class_count(scheme, F, color)
+        assert k is not None
+        return k
+
     reasons, alts = set(), 0
     for scheme in schemes:
         with monkeypatch.context() as m:
             m.setattr(SchemeTable, "adjacency", _no_adjacency)
             got = detect_higmanian(scheme, strict=False)
         with monkeypatch.context() as m:
-            m.setattr(higmanian, "_per_class_count", ref_per_class_count)
+            m.setattr(higmanian, "_per_class_count", checked_ref_count)
             ref = detect_higmanian(scheme, strict=False)
         assert (got.reason, got.params, got.alt_params) == \
             (ref.reason, ref.params, ref.alt_params)
@@ -435,3 +481,35 @@ def test_detection_matches_reference_count(reference_schemes,
         alts += got.alt_params is not None
     # both outcomes, and the n_S = n_T case with two labelings
     assert None in reasons and len(reasons) > 1 and alts
+
+
+def route3_params():
+    """Table 2 at every grid point that has it, the nonuniform P24_BAD, and
+    a sweep of small valid tuples, irrational eigenvalues among them."""
+    out = []
+    for family, q, r, j in TABLE_GRID:
+        try:
+            out.append(table2_params(family, q, r, j))
+        except ConstructionError:
+            pass
+    out.append(HigmanianParams(3, 4, 2, 4, 2))
+    for f, m, n in itertools.product((2, 3), (2, 3), (2, 3)):
+        for k in range((m * n + 1) // 2, m * n):
+            out.append(HigmanianParams(f, m, n, k, (f + k) % 3))
+    return out
+
+
+def test_route3_matches_reference():
+    # one Krein sum per sorted triple and one multiplicity formula must give
+    # exactly the numbers of the ordered-triple loop and the closed form
+    irrational = 0
+    for params in route3_params():
+        data = spectral_data(params)
+        x1, x3 = eigenvalue_pair(params)
+        assert data.multiplicities == \
+            ref_higmanian_multiplicities(params, x1, x3)
+        assert krein(data.P, data.multiplicities, data.valencies).q == \
+            ref_krein(data.P, data.multiplicities, data.valencies)
+        irrational += not x1.is_rational
+    assert irrational
+
