@@ -3,8 +3,8 @@ uniformity checks, and uniform Cayley-scheme constructions from linked
 systems of relative difference sets."""
 
 from .quadratic import QuadraticNumber
-from .groups import (FiniteGroup, GroupIsomorphism, GroupRingElement,
-                     Subgroup, build_family, cosets, gre_multiply)
+from .groups import (FiniteGroup, GroupIsomorphism, Subgroup, build_family,
+                     cosets, gre_multiply)
 from .schemes import (Parabolic, SchemeTable, cayley_scheme, parabolics,
                       quotient, read_scheme, restriction, validate,
                       wreath_product, write_scheme)

@@ -137,6 +137,8 @@ def _print_report(report: AnalysisReport, as_json: bool) -> None:
     print(f"eigenvalues: x1 = {sp.get('x1')}, x3 = {sp.get('x3')} "
           f"(D = {sp.get('D')})")
     print(f"multiplicities: {sp.get('multiplicities')}")
+    if "oracle_max_abs_error" in sp:
+        print(f"oracle: max |P_float - P| = {sp['oracle_max_abs_error']:.3g}")
     print(f"criterion right-hand sides: {sp.get('rhs_candidates')}")
     v = report.verdicts or {}
     print("verdicts: " + "  ".join(f"{k}={v[k]}" for k in sorted(v)))

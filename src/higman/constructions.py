@@ -28,13 +28,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import (FiniteGroup, GroupError, GroupIsomorphism,
-                     GroupRingElement, Subgroup, build_family, check_order,
-                     cosets, direct_product, gre_multiply, isomorphisms,
-                     prime_power)
+from .groups import (FiniteGroup, GroupError, GroupIsomorphism, Subgroup,
+                     build_family, check_order, cosets, direct_product,
+                     gre_multiply, isomorphisms, prime_power)
 from .higmanian import DetectionResult, HigmanianParams, detect_higmanian
 from .quadratic import QuadraticNumber
-from .schemes import SchemeError, SchemeTable, cayley_scheme
+from .schemes import SchemeTable, cayley_scheme
 
 QN = QuadraticNumber
 
@@ -77,8 +76,7 @@ def verify_dds(G: FiniteGroup, N: Subgroup, X: Iterable[int]) -> DivisibleDiffer
     xs = tuple(sorted(set(int(x) for x in X)))
     if xs and not 0 <= xs[0] <= xs[-1] < G.order:
         raise ConstructionError(f"element outside 0..{G.order - 1}")
-    gre = GroupRingElement.from_set(G, xs)
-    diffs = gre_multiply(gre, gre.star()).coeffs.copy()
+    diffs = gre_multiply(G, xs, G.inv[list(xs)])
     diffs[G.identity] -= len(xs)
     n_sharp = [x for x in N.elements if x != G.identity]
     outside = [x for x in range(G.order) if x not in N.as_set]
@@ -207,8 +205,7 @@ def semiregular_mu_nu(n: int, lam: int) -> tuple[tuple[QN, QN], tuple[QN, QN]]:
 def _product_vector(G: FiniteGroup, cache: dict, a: tuple, b: tuple) -> np.ndarray:
     key = (a, b)
     if key not in cache:
-        cache[key] = gre_multiply(GroupRingElement.from_set(G, a),
-                                  GroupRingElement.from_set(G, b)).coeffs
+        cache[key] = gre_multiply(G, a, b)
     return cache[key]
 
 
@@ -750,65 +747,6 @@ def example1_desk_constructions() -> list[Example1Result]:
     rds = search_semiregular_rds(e9, n)
     out.append(example1_construct(e9, n, rds[0]))
     return out
-
-
-# -- negative-control search --------------------------------------------------------
-
-def search_higmanian_cayley(G: FiniteGroup) -> list[tuple[SRingPartition,
-                                                          SchemeTable,
-                                                          DetectionResult]]:
-    """Exhaustively try rank-5 partitions {e}, L^#, U\\L, T3, T4 over subgroup
-    chains L < U < G; returns every partition that validates as a Higmanian
-    scheme.  Meant for small groups when hunting non-uniform instances."""
-    results = []
-    subs = G.all_subgroups()
-    e = G.identity
-    for L in subs:
-        if L.order < 2:
-            continue
-        for U in subs:
-            if U.order <= L.order or U.order == G.order:
-                continue
-            if not set(L.elements) < set(U.elements):
-                continue
-            if G.order % U.order or U.order % L.order:
-                continue
-            if G.order // U.order < 2 or U.order // L.order < 2:
-                continue
-            outside = [x for x in range(G.order) if x not in U.as_set]
-            atoms = []
-            seen: set[int] = set()
-            for x in outside:
-                if x in seen:
-                    continue
-                orbit = {x, int(G.inv[x])}
-                seen |= orbit
-                atoms.append(tuple(sorted(orbit)))
-            if len(atoms) > 14:  # at most 2^14 splits per chain
-                continue
-            for bits in range(1, (1 << len(atoms)) - 1):
-                t3 = []
-                for ai, atom in enumerate(atoms):
-                    if bits >> ai & 1:
-                        t3.extend(atom)
-                t4 = [x for x in outside if x not in set(t3)]
-                if not t4:
-                    continue
-                parts = (
-                    (e,),
-                    tuple(x for x in L.elements if x != e),
-                    tuple(x for x in U.elements if x not in L.as_set),
-                    tuple(sorted(t3)),
-                    tuple(sorted(t4)),
-                )
-                try:
-                    scheme = cayley_scheme(G, parts)
-                except SchemeError:
-                    continue
-                det = detect_higmanian(scheme)
-                if det:
-                    results.append((SRingPartition(G, parts), scheme, det))
-    return results
 
 
 # -- file formats ---------------------------------------------------------------------

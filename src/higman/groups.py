@@ -1,7 +1,7 @@
 """Explicit finite groups stored as dense multiplication tables.
 
 Everything downstream (difference sets, S-rings, Cayley schemes) reduces to
-table lookups and integer convolutions, so a group here is nothing more than
+table lookups and subset products, so a group here is nothing more than
 an order x order table of element indices, validated on construction.
 Built-in families cover the groups the constructions need: cyclic groups,
 elementary abelian groups, Heisenberg groups over small finite fields,
@@ -127,23 +127,6 @@ class FiniteGroup:
             found.setdefault(h.elements, h)
         return sorted(found.values(), key=lambda h: (h.order, h.elements))
 
-    def all_subgroups(self) -> list["Subgroup"]:
-        """Every subgroup, by join-closure of the cyclic ones (order <= 128)."""
-        if self.order > 128:
-            raise GroupError("subgroup enumeration capped at order 128")
-        pool = {h.elements: h for h in self.cyclic_subgroups()}
-        grew = True
-        while grew:
-            grew = False
-            items = list(pool.values())
-            for a in items:
-                for b in items:
-                    j = self.generated_subgroup(set(a.elements) | set(b.elements))
-                    if j.elements not in pool:
-                        pool[j.elements] = j
-                        grew = True
-        return sorted(pool.values(), key=lambda h: (h.order, h.elements))
-
     def __repr__(self) -> str:
         tag = self.name or "FiniteGroup"
         return f"<{tag} of order {self.order}>"
@@ -209,92 +192,14 @@ def cosets(G: FiniteGroup, H: Subgroup) -> list[tuple[int, ...]]:
     return [tuple(int(x) for x in cols[:, g]) for g in first]
 
 
-# -- integral group ring ----------------------------------------------------
+# -- subset products ---------------------------------------------------------
 
-class GroupRingElement:
-    """An element of the integral group ring, as a coefficient vector."""
-
-    __slots__ = ("parent", "coeffs")
-
-    def __init__(self, parent: FiniteGroup, coeffs) -> None:
-        coeffs = np.asarray(coeffs, dtype=np.int64)
-        if coeffs.shape != (parent.order,):
-            raise GroupError("coefficient vector has wrong length")
-        self.parent = parent
-        self.coeffs = coeffs
-
-    @classmethod
-    def from_set(cls, parent: FiniteGroup, subset: Iterable[int]) -> "GroupRingElement":
-        c = np.zeros(parent.order, dtype=np.int64)
-        for x in subset:
-            c[x] += 1
-        return cls(parent, c)
-
-    @classmethod
-    def unit(cls, parent: FiniteGroup) -> "GroupRingElement":
-        c = np.zeros(parent.order, dtype=np.int64)
-        c[parent.identity] = 1
-        return cls(parent, c)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.nonzero(self.coeffs)[0])
-
-    def star(self) -> "GroupRingElement":
-        """Pull coefficients back along inversion: (sum a_x x) -> sum a_x x^-1."""
-        c = np.zeros_like(self.coeffs)
-        c[self.parent.inv] = self.coeffs
-        return GroupRingElement(self.parent, c)
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        self._check(other)
-        return GroupRingElement(self.parent, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        self._check(other)
-        return GroupRingElement(self.parent, self.coeffs - other.coeffs)
-
-    def __rmul__(self, k: int) -> "GroupRingElement":
-        if not isinstance(k, (int, np.integer)):
-            return NotImplemented
-        return GroupRingElement(self.parent, int(k) * self.coeffs)
-
-    def __mul__(self, other) -> "GroupRingElement":
-        if isinstance(other, (int, np.integer)):
-            return self.__rmul__(other)
-        return gre_multiply(self, other)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, GroupRingElement)
-                and self.parent is other.parent
-                and (self.coeffs == other.coeffs).all())
-
-    def __hash__(self):
-        return hash((id(self.parent), self.coeffs.tobytes()))
-
-    def _check(self, other: "GroupRingElement") -> None:
-        if not isinstance(other, GroupRingElement) or other.parent is not self.parent:
-            raise GroupError("mismatched parent groups")
-
-    def __repr__(self) -> str:
-        terms = [f"{int(c)}*{i}"
-                 for i, c in enumerate(self.coeffs) if c]
-        return " + ".join(terms) if terms else "0"
-
-
-def gre_multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    """Convolution: the coefficient of g is sum over xy = g of a(x)b(y)."""
-    a._check(b)
-    G = a.parent
-    out = np.zeros(G.order, dtype=np.int64)
-    xs = np.nonzero(a.coeffs)[0]
-    ys = np.nonzero(b.coeffs)[0]
-    if len(xs) > len(ys):
-        for y in ys:
-            np.add.at(out, G.mul[xs, y], a.coeffs[xs] * b.coeffs[y])
-    else:
-        for x in xs:
-            np.add.at(out, G.mul[x, ys], a.coeffs[x] * b.coeffs[ys])
-    return GroupRingElement(G, out)
+def gre_multiply(G: FiniteGroup, xs: Sequence[int],
+                 ys: Sequence[int]) -> np.ndarray:
+    """The group-ring product of two subsets, as int64 counts: entry g is the
+    number of pairs (x, y) in xs x ys with xy = g.  Repeated elements count
+    once per occurrence."""
+    return np.bincount(G.mul[np.ix_(xs, ys)].ravel(), minlength=G.order)
 
 
 # -- isomorphisms ------------------------------------------------------------

@@ -244,10 +244,10 @@ def is_uniform_by_definition(scheme: SchemeTable,
     # each cell's (D, L, k) triple; its reference cell is the last one in
     # row-major order, as when the block values are scattered into a table
     key = ((class_of[:, None] * c + class_of[None, :]) * r + color).ravel()
-    triples, rev_first, group = np.unique(key[::-1], return_index=True,
-                                          return_inverse=True)
-    ref_cell = key.size - 1 - rev_first
-    group = group[::-1]
+    last = np.full(c * c * r, -1)
+    np.maximum.at(last, key, np.arange(key.size))
+    triples = np.flatnonzero(last >= 0)
+    ref_cell, triple_ref = last[key], last[triples]
     D, L, K = np.unravel_index(triples, (c, c, r))
     occurs = np.zeros((r, c, c), dtype=bool)   # [k, D, L]: k meets D x L
     occurs[K, D, L] = True
@@ -263,8 +263,7 @@ def is_uniform_by_definition(scheme: SchemeTable,
         # (i, j) of its transpose pair, as a loop over all (i, j) finds it
         for i, j in pairs:
             M = (basis[i] @ basis[inverse[j]].T).ravel()
-            vals = M[ref_cell]
-            bad = np.flatnonzero(M != vals[group])
+            bad = np.flatnonzero(M != M[ref_cell])
             if len(bad):
                 x, y = divmod(int(bad[0]), v)
                 return DefinitionCheck(
@@ -273,8 +272,9 @@ def is_uniform_by_definition(scheme: SchemeTable,
                              i, j, int(color[x, y])))
             # record coefficient values across admissible triples
             sel = occurs[i][D, gi] & occurs[j][gi, L]
-            np.minimum.at(gmin[i, j], K[sel], vals[sel])
-            np.maximum.at(gmax[i, j], K[sel], vals[sel])
+            vals = M[triple_ref[sel]]
+            np.minimum.at(gmin[i, j], K[sel], vals)
+            np.maximum.at(gmax[i, j], K[sel], vals)
     seen = gmax >= 0
     consistent = bool((gmin[seen] == gmax[seen]).all())
     return DefinitionCheck(ok=True, cork=2, coefficients_consistent=consistent)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, gre_multiply
 
 PARABOLIC_RANK_LIMIT = 16
 FLOAT32_EXACT_LIMIT = 1 << 24  # integers below this are exact in float32
@@ -44,10 +44,6 @@ class SchemeTable:
         self.inverse = inverse    # color involution i -> i*
         self.valencies = p[np.arange(self.rank), inverse, 0]  # n_i = p_ii*^0
         self._parabolics: list[tuple] | None = None  # see parabolics()
-
-    def adjacency(self, i: int) -> np.ndarray:
-        """0/1 float64 matrix of relation i, built on each call."""
-        return (self.color == i).astype(np.float64)
 
     def is_symmetric(self) -> bool:
         return bool((self.inverse == np.arange(self.rank)).all())
@@ -393,20 +389,17 @@ def read_scheme(path) -> SchemeTable:
 
 def sring_structure_constants(G: FiniteGroup,
                               parts: Sequence[Iterable[int]]) -> np.ndarray:
-    """Structure constants p_XY^Z of a partition, from group-ring products.
+    """Structure constants p_XY^Z of a partition, from the products of parts.
 
     Raises when a product is not constant on some part, i.e. when the
     partition does not span an S-ring.
     """
-    from .groups import GroupRingElement, gre_multiply
-
-    gres = [GroupRingElement.from_set(G, p) for p in parts]
     idx = [sorted(p) for p in parts]
     r = len(parts)
     p = np.zeros((r, r, r), dtype=np.int64)
     for i in range(r):
         for j in range(r):
-            prod = gre_multiply(gres[i], gres[j]).coeffs
+            prod = gre_multiply(G, idx[i], idx[j])
             for k in range(r):
                 vals = prod[idx[k]]
                 if vals.min() != vals.max():

@@ -172,7 +172,7 @@ def krein(P: Sequence[Sequence[QN]], multiplicities: Sequence[QN],
           valencies: Sequence[int]) -> KreinTensor:
     """q_ij^k = (m_i m_j / v) s_ijk with s_ijk = sum_l P_il P_jl P_kl / n_l^2,
     exactly.  s is symmetric in i, j, k, so it is formed once per sorted
-    triple, and m_i m_j / v once per sorted pair."""
+    triple, and q_ij^k = q_ji^k once per sorted pair (i, j)."""
     r = len(valencies)
     v = sum(valencies)
     nl2 = [n_l * n_l for n_l in valencies]
@@ -182,13 +182,12 @@ def krein(P: Sequence[Sequence[QN]], multiplicities: Sequence[QN],
         for l in range(r):
             acc = acc + P[i][l] * P[j][l] * P[k][l] / nl2[l]
         s[i, j, k] = acc
-    scale = {(i, j): multiplicities[i] * multiplicities[j] / v
-             for i, j in itertools.combinations_with_replacement(range(r), 2)}
-    return KreinTensor(q=tuple(
-        tuple(tuple(scale[min(i, j), max(i, j)] * s[tuple(sorted((i, j, k)))]
-                    for k in range(r))
-              for j in range(r))
-        for i in range(r)))
+    q = [[()] * r for _ in range(r)]
+    for i, j in itertools.combinations_with_replacement(range(r), 2):
+        scale = multiplicities[i] * multiplicities[j] / v
+        q[i][j] = q[j][i] = tuple(scale * s[tuple(sorted((i, j, k)))]
+                                  for k in range(r))
+    return KreinTensor(q=tuple(tuple(row) for row in q))
 
 
 def sim_classes(I: frozenset[int], kr: KreinTensor) -> tuple[frozenset[int], ...]:

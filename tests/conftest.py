@@ -1,9 +1,10 @@
 import pytest
 
-from higman.constructions import (construct_family,
-                                  example1_desk_constructions,
-                                  search_higmanian_cayley)
-from higman.groups import build_family
+from higman.constructions import (SRingPartition, construct_family,
+                                  example1_desk_constructions)
+from higman.groups import FiniteGroup, GroupError, Subgroup, build_family
+from higman.higmanian import detect_higmanian
+from higman.schemes import SchemeError, cayley_scheme
 
 DESK_POINTS = (
     ("q8cp", dict(r=1)),
@@ -47,3 +48,77 @@ def negative_controls():
     return [found
             for spec in ("C:12", "Prod:C:2,C:6", "GenDih:C:6", "Prod:C:4,C:4")
             for found in search_higmanian_cayley(build_family(spec))]
+
+
+def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
+    """Every subgroup, by join-closure of the cyclic ones (order <= 128)."""
+    if G.order > 128:
+        raise GroupError("subgroup enumeration capped at order 128")
+    pool = {h.elements: h for h in G.cyclic_subgroups()}
+    grew = True
+    while grew:
+        grew = False
+        items = list(pool.values())
+        for a in items:
+            for b in items:
+                j = G.generated_subgroup(set(a.elements) | set(b.elements))
+                if j.elements not in pool:
+                    pool[j.elements] = j
+                    grew = True
+    return sorted(pool.values(), key=lambda h: (h.order, h.elements))
+
+
+def search_higmanian_cayley(G: FiniteGroup) -> list[tuple]:
+    """Exhaustively try rank-5 partitions {e}, L^#, U\\L, T3, T4 over subgroup
+    chains L < U < G; returns (partition, scheme, detection) for every
+    partition that validates as a Higmanian scheme.  Meant for small groups
+    when hunting non-uniform instances."""
+    results = []
+    subs = all_subgroups(G)
+    e = G.identity
+    for L in subs:
+        if L.order < 2:
+            continue
+        for U in subs:
+            if U.order <= L.order or U.order == G.order:
+                continue
+            if not set(L.elements) < set(U.elements):
+                continue
+            if G.order % U.order or U.order % L.order:
+                continue
+            if G.order // U.order < 2 or U.order // L.order < 2:
+                continue
+            outside = [x for x in range(G.order) if x not in U.as_set]
+            atoms = []
+            seen: set[int] = set()
+            for x in outside:
+                if x in seen:
+                    continue
+                orbit = {x, int(G.inv[x])}
+                seen |= orbit
+                atoms.append(tuple(sorted(orbit)))
+            if len(atoms) > 14:  # at most 2^14 splits per chain
+                continue
+            for bits in range(1, (1 << len(atoms)) - 1):
+                t3 = []
+                for ai, atom in enumerate(atoms):
+                    if bits >> ai & 1:
+                        t3.extend(atom)
+                t4 = [x for x in outside if x not in set(t3)]
+                if not t4:
+                    continue
+                parts = (
+                    (e,),
+                    tuple(x for x in L.elements if x != e),
+                    tuple(x for x in U.elements if x not in L.as_set),
+                    tuple(sorted(t3)),
+                    tuple(sorted(t4)),
+                )
+                try:
+                    scheme = cayley_scheme(G, parts)
+                except SchemeError:
+                    continue
+                det = detect_higmanian(scheme)
+                if det:
+                    results.append((SRingPartition(G, parts), scheme, det))
+    return results

