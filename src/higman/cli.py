@@ -370,13 +370,15 @@ def main(argv=None) -> int:
     pc.add_argument("family", help="q8cp | heis | ea")
     pc.add_argument("params", type=int, nargs="*")
     pc.add_argument("-o", "--output")
-    pc.add_argument("--max-search", type=int, default=1 << 24)
+    pc.add_argument("--max-search", type=int,
+                    default=constructions.SEARCH_SPACE_CAP)
     pc.set_defaults(func=cmd_construct)
 
     pr = sub.add_parser("search-rds", help="enumerate semiregular RDSs")
     pr.add_argument("groupspec")
     pr.add_argument("forbidden", help="'center' or comma-separated indices")
-    pr.add_argument("--max-search", type=int, default=1 << 24)
+    pr.add_argument("--max-search", type=int,
+                    default=constructions.SEARCH_SPACE_CAP)
     pr.set_defaults(func=cmd_search_rds)
 
     pl = sub.add_parser("search-linked-system",
@@ -385,7 +387,8 @@ def main(argv=None) -> int:
     pl.add_argument("forbidden")
     pl.add_argument("w", type=int)
     pl.add_argument("-o", "--output")
-    pl.add_argument("--max-search", type=int, default=1 << 24)
+    pl.add_argument("--max-search", type=int,
+                    default=constructions.SEARCH_SPACE_CAP)
     pl.set_defaults(func=cmd_search_linked)
 
     pv = sub.add_parser("verify-linked", help="verify a linked-system file")
@@ -393,7 +396,8 @@ def main(argv=None) -> int:
     pv.set_defaults(func=cmd_verify_linked)
 
     pt = sub.add_parser("tables", help="reproduce the parameter tables")
-    pt.add_argument("--max-search", type=int, default=1 << 24)
+    pt.add_argument("--max-search", type=int,
+                    default=constructions.SEARCH_SPACE_CAP)
     pt.add_argument("--seed", type=int, default=0, help="accepted, no effect")
     pt.set_defaults(func=cmd_tables)
 

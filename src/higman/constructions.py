@@ -15,9 +15,10 @@ U is the associate group on W + {infinity}:
 
 Both partitions span Higmanian S-rings; the second has parameters
 (w+1, n*lam, n, n*lam*(n-1), (n-1)(w-1)*nu).  Brute-force searchers
-instantiate the known families at desk scale: transversal RDS search by
-backtracking on difference counts, linked-system search by closing a family
-under inverses and product images.
+instantiate the known families at desk scale: transversal RDS search one
+coset at a time over blocks of partial transversals and their difference
+counts, linked-system search by closing a family under inverses and product
+images.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .schemes import SchemeTable, cayley_scheme
 QN = QuadraticNumber
 
 SEARCH_SPACE_CAP = 1 << 24
+_BLOCK_CELLS = 1 << 12  # difference counts per block of the RDS search
 
 
 class ConstructionError(ValueError):
@@ -466,7 +468,16 @@ def cayley_isomorphic(phi1: GroupIsomorphism, phi2: GroupIsomorphism,
 def search_semiregular_rds(G: FiniteGroup, N: Subgroup,
                            max_space: int = SEARCH_SPACE_CAP) -> list[tuple[int, ...]]:
     """All transversals of N whose differences avoid N^# and cover G \\ N
-    with constant multiplicity; exhaustive backtracking, lex order."""
+    with constant multiplicity, sorted.
+
+    Exhaustive, one coset of N per level: a block of partial transversals
+    (their chosen elements and difference counts) is extended by every
+    element of the next coset at once, and the rows whose counts stay 0 on
+    N and at most lam elsewhere are kept.  Blocks are searched depth first
+    and hold at most ``_BLOCK_CELLS`` counts once extended, so memory is
+    bounded by the number of levels times the block size, not by the width
+    of a level.  ``max_space`` still caps n^m.
+    """
     n = N.order
     m = G.order // n
     if n ** m > max_space:
@@ -474,39 +485,38 @@ def search_semiregular_rds(G: FiniteGroup, N: Subgroup,
             f"search space {n}^{m} exceeds cap {max_space}")
     if m % n:
         return []
-    lam = m // n
-    blocks = cosets(G, N)
-    in_n = np.zeros(G.order, dtype=bool)
-    in_n[list(N.elements)] = True
-    counts = np.zeros(G.order, dtype=np.int64)
+    order = G.order
     mul, inv = G.mul, G.inv
+    cap = np.full(order, m // n, dtype=np.int32)
+    cap[list(N.elements)] = 0
+    blocks = np.array(cosets(G, N))  # row i: the i-th coset of N
+    rows = max(1, _BLOCK_CELLS // (n * order))
+    offsets = np.arange(0, rows * n * order, order)[:, None]
+    # before the cap test a count is at most lam + 2m <= 3 * GROUP_ORDER_LIMIT
+    # (lam = m when N is trivial): beyond int16, well inside int32
+    stack = [(np.zeros((1, 0), dtype=np.intp),
+              np.zeros((1, order), dtype=np.int32))]
     found: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def extend(level: int) -> None:
-        if level == m:
-            found.append(tuple(sorted(chosen)))
-            return
-        for x in blocks[level]:
-            diffs = []
-            ok = True
-            for y in chosen:
-                for d in (int(mul[x, inv[y]]), int(mul[y, inv[x]])):
-                    if in_n[d] or counts[d] >= lam:
-                        ok = False
-                        break
-                    counts[d] += 1
-                    diffs.append(d)
-                if not ok:
-                    break
-            if ok:
-                chosen.append(x)
-                extend(level + 1)
-                chosen.pop()
-            for d in diffs:
-                counts[d] -= 1
-
-    extend(0)
+    while stack:
+        chosen, counts = stack.pop()
+        level = chosen.shape[1]
+        xs = blocks[level]
+        width = len(chosen) * n  # row b * n + j extends row b by xs[j]
+        d = mul[xs[None, :, None], inv[chosen][:, None, :]]  # x y^-1
+        d = (np.concatenate((d, inv[d]), axis=2).reshape(width, 2 * level)
+             + offsets[:width])
+        new = np.repeat(counts, n, axis=0)
+        new += np.bincount(d.ravel(), minlength=width * order).reshape(
+            width, order)
+        keep = np.flatnonzero((new <= cap).all(axis=1))
+        chosen = np.concatenate((chosen[keep // n], xs[keep % n, None]),
+                                axis=1)
+        if level + 1 == m:
+            found.extend(map(tuple, np.sort(chosen, axis=1).tolist()))
+            continue
+        new = new[keep]
+        for lo in range(0, len(chosen), rows):
+            stack.append((chosen[lo:lo + rows], new[lo:lo + rows]))
     return sorted(found)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,19 @@ def test_search_rds_cap():
         search_semiregular_rds(g, n, max_space=100)
 
 
+def test_search_rds_memory_bounded():
+    # 2^20 transversals: a frontier as wide as a level would peak near 121 MB
+    g = build_family("C:40")
+    tracemalloc.start()
+    try:
+        found = search_semiregular_rds(g, g.subgroup([0, 20]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == []
+    assert peak < 32 * 2 ** 20
+
+
 def test_search_linked_system_none_for_impossible():
     g = build_family("C:4")
     n = g.subgroup([0, 2])
@@ -238,31 +252,6 @@ def test_table_constraints():
 
 
 # -- recipe 2 verification ---------------------------------------------------------------
-
-def test_construction_product_identities(q8_construction, heis_construction,
-                              ea_construction):
-    """The six displayed group-ring product identities of the construction."""
-    for con in (q8_construction, heis_construction, ea_construction):
-        res = con.result
-        L = con.system
-        P = res.product_group
-        n, lam, w, mu, nu = L.n, L.lam, L.w, L.mu, L.nu
-        parts = res.partition.parts
-        t = [np.bincount(part, minlength=P.order) for part in parts]
-
-        def prod(a, b):
-            return gre_multiply(P, parts[a], parts[b])
-
-        assert (prod(1, 1) == (n - 1) * t[0] + (n - 2) * t[1]).all()
-        assert (prod(1, 2) == (n - 1) * t[2]).all()
-        assert (prod(2, 2) == ((n * n * lam - n) * (t[0] + t[1])
-                               + (n * n * lam - 2 * n) * t[2])).all()
-        assert (prod(3, 1) == t[4]).all()
-        assert (prod(3, 2) == (n * lam - 1) * (t[3] + t[4])).all()
-        assert (prod(3, 3) == (w * n * lam * t[0] + w * lam * t[2]
-                               + (w - 1) * mu * t[3]
-                               + (w - 1) * nu * t[4])).all()
-
 
 def test_parts_are_self_inverse(q8_construction, heis_construction,
                                 ea_construction):

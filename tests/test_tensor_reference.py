@@ -17,7 +17,8 @@ everywhere.  Route 3 is checked the same way: the Krein parameters against
 the loop over every ordered triple, and the multiplicities against the
 closed form in (f, m, n, k) and the eigenvalue pair.  Subset products
 `gre_multiply` are checked against a weighted scatter of one table row per
-element of the smaller side.
+element of the smaller side, and the block-wise RDS search against a
+backtracking search that adds one element and one difference at a time.
 """
 
 import itertools
@@ -28,8 +29,9 @@ import pytest
 
 from higman import higmanian
 from higman.cli import TABLE_GRID
-from higman.constructions import ConstructionError, table2_params
-from higman.groups import build_family, gre_multiply, quaternion_group
+from higman.constructions import (ConstructionError, search_semiregular_rds,
+                                  table2_params)
+from higman.groups import build_family, cosets, gre_multiply, quaternion_group
 from higman.higmanian import (DefinitionCheck, HigmanianParams,
                               detect_higmanian, is_dismantlable,
                               is_uniform_by_definition)
@@ -248,6 +250,52 @@ def ref_gre_multiply(G, xs, ys):
         for x in sa:
             np.add.at(out, G.mul[x, sb], a[x] * b[sb])
     return out
+
+
+def ref_search_semiregular_rds(G, N, max_space=1 << 24):
+    """All transversals of N whose differences avoid N^# and cover G \\ N
+    with constant multiplicity; exhaustive backtracking, lex order."""
+    n = N.order
+    m = G.order // n
+    if n ** m > max_space:
+        raise ConstructionError(
+            f"search space {n}^{m} exceeds cap {max_space}")
+    if m % n:
+        return []
+    lam = m // n
+    blocks = cosets(G, N)
+    in_n = np.zeros(G.order, dtype=bool)
+    in_n[list(N.elements)] = True
+    counts = np.zeros(G.order, dtype=np.int64)
+    mul, inv = G.mul, G.inv
+    found = []
+    chosen = []
+
+    def extend(level):
+        if level == m:
+            found.append(tuple(sorted(chosen)))
+            return
+        for x in blocks[level]:
+            diffs = []
+            ok = True
+            for y in chosen:
+                for d in (int(mul[x, inv[y]]), int(mul[y, inv[x]])):
+                    if in_n[d] or counts[d] >= lam:
+                        ok = False
+                        break
+                    counts[d] += 1
+                    diffs.append(d)
+                if not ok:
+                    break
+            if ok:
+                chosen.append(x)
+                extend(level + 1)
+                chosen.pop()
+            for d in diffs:
+                counts[d] -= 1
+
+    extend(0)
+    return sorted(found)
 
 
 # -- the schemes -------------------------------------------------------------------------
@@ -550,3 +598,25 @@ def test_gre_multiply_matches_reference(constructions_by_family):
         got, want = gre_multiply(G, xs, ys), ref_gre_multiply(G, xs, ys)
         assert got.dtype == want.dtype == np.int64
         assert got.shape == (G.order,) and (got == want).all()
+
+
+def test_rds_search_matches_reference(constructions_by_family):
+    # the four desk points; central order-2 subgroups of small groups;
+    # C:32/{0,16}, whose wide frontier dies at the last level; a trivial N,
+    # N = G, and m % n != 0
+    cases = [(con.group, con.forbidden)
+             for con in constructions_by_family.values()]
+    for spec, elements in (("C:4", [0, 2]), ("GenDih:C:4", [0, 2]),
+                           ("Prod:C:2,C:4", [0, 2]), ("C:32", [0, 16]),
+                           ("Q8cp:1", [0]), ("C:6", [0, 3])):
+        G = build_family(spec)
+        cases.append((G, G.subgroup(elements)))
+    G = build_family("Heis:3:1")
+    cases.append((G, G.subgroup(range(G.order))))
+    sizes = []
+    for G, N in cases:
+        got = search_semiregular_rds(G, N)
+        assert got == ref_search_semiregular_rds(G, N)
+        assert all(type(x) is int for rds in got for x in rds)
+        sizes.append(len(got))
+    assert sizes == [16, 512, 405, 486, 4, 0, 8, 0, 1, 0, 0]
