@@ -520,6 +520,38 @@ def search_semiregular_rds(G: FiniteGroup, N: Subgroup,
     return sorted(found)
 
 
+def _close(G: FiniteGroup, w: int, k: int, rds_set: set, cache: dict,
+           fam: frozenset) -> frozenset | None:
+    """Close a family of RDSs (frozensets) under inverses and product
+    images, depth first over the viable images; None when it exceeds w
+    members or some product has no viable image."""
+    if len(fam) > w:
+        return None
+    for s in fam:
+        inv = frozenset(int(G.inv[x]) for x in s)
+        if inv not in fam:
+            return _close(G, w, k, rds_set, cache, fam | {inv})
+    for a, b in itertools.product(sorted(fam, key=sorted), repeat=2):
+        a_inv = frozenset(int(G.inv[x]) for x in a)
+        if b == a_inv:
+            continue  # the chi-pair: holds automatically for RDSs
+        vec = _product_vector(G, cache, tuple(sorted(a)), tuple(sorted(b)))
+        opts = [y for y, _, _ in _two_level_options(vec, k)]
+        if not opts:
+            return None
+        if any(y in fam for y in opts):
+            continue
+        viable = [y for y in opts if y in rds_set]
+        if not viable:
+            return None
+        for y in viable:
+            got = _close(G, w, k, rds_set, cache, fam | {y})
+            if got is not None:
+                return got
+        return None
+    return fam if len(fam) == w else None
+
+
 def search_linked_system(G: FiniteGroup, N: Subgroup, w: int,
                          rds_list: Sequence[tuple[int, ...]] | None = None,
                          max_space: int = SEARCH_SPACE_CAP,
@@ -539,44 +571,13 @@ def search_linked_system(G: FiniteGroup, N: Subgroup, w: int,
     rds_set = {frozenset(s) for s in rds_list}
     k = len(rds_list[0])
     cache: dict = {}
-
-    def as_tuple(fs: frozenset) -> tuple[int, ...]:
-        return tuple(sorted(fs))
-
-    def close(fam: frozenset) -> frozenset | None:
-        if len(fam) > w:
-            return None
-        for s in fam:
-            inv = frozenset(int(G.inv[x]) for x in s)
-            if inv not in fam:
-                return close(fam | {inv})
-        for a, b in itertools.product(sorted(fam, key=as_tuple), repeat=2):
-            a_inv = frozenset(int(G.inv[x]) for x in a)
-            if b == a_inv:
-                continue  # the chi-pair: holds automatically for RDSs
-            vec = _product_vector(G, cache, as_tuple(a), as_tuple(b))
-            opts = [y for y, _, _ in _two_level_options(vec, k)]
-            if not opts:
-                return None
-            if any(y in fam for y in opts):
-                continue
-            viable = [y for y in opts if y in rds_set]
-            if not viable:
-                return None
-            for y in viable:
-                got = close(fam | {y})
-                if got is not None:
-                    return got
-            return None
-        return fam if len(fam) == w else None
-
     for start in rds_list:
-        fam = close(frozenset({frozenset(start)}))
+        fam = _close(G, w, k, rds_set, cache, frozenset({frozenset(start)}))
         if fam is None:
             continue
         try:
             system = verify_linked_system(
-                G, N, sorted(as_tuple(s) for s in fam))
+                G, N, sorted(tuple(sorted(s)) for s in fam))
         except ConstructionError:
             continue
         if mu_nu is not None and (system.mu, system.nu) != mu_nu:

@@ -12,6 +12,7 @@ direct products.  Spec strings: ``C:<n>``, ``EA:<p>:<k>``, ``Heis:<q>:<r>``,
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -238,58 +239,40 @@ class GroupIsomorphism:
 
 
 def isomorphisms(G: FiniteGroup, H: FiniteGroup) -> Iterator[GroupIsomorphism]:
-    """Yield all isomorphisms G -> H (backtracking; meant for small orders)."""
+    """Yield all isomorphisms G -> H, trying every image of the generators
+    whose element orders match, in lex order (meant for small orders)."""
     if G.order != H.order:
         return
     if sorted(G.element_orders()) != sorted(H.element_orders()):
         return
     gens = G.generators
-    g_orders = [G.element_order(g) for g in gens]
     h_orders = H.element_orders()
-
-    def words() -> list[tuple[int, ...]]:
-        # express every element of G as a product of generators
-        word = {G.identity: ()}
-        frontier = [G.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for gi, g in enumerate(gens):
-                    y = int(G.mul[x, g])
-                    if y not in word:
-                        word[y] = word[x] + (gi,)
-                        nxt.append(y)
-            frontier = nxt
-        return [word[x] for x in range(G.order)]
-
-    wordlist = words()
-
-    def build(images: list[int]) -> tuple[int, ...] | None:
+    # express every element of G as a product of generators, breadth first
+    word = {G.identity: ()}
+    frontier = [G.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gi, g in enumerate(gens):
+                y = int(G.mul[x, g])
+                if y not in word:
+                    word[y] = word[x] + (gi,)
+                    nxt.append(y)
+        frontier = nxt
+    candidates = [[h for h in range(H.order)
+                   if h_orders[h] == G.element_order(g)] for g in gens]
+    for images in itertools.product(*candidates):
         out = []
-        for w in wordlist:
+        for x in range(G.order):
             y = H.identity
-            for gi in w:
+            for gi in word[x]:
                 y = int(H.mul[y, images[gi]])
             out.append(y)
-        if len(set(out)) != len(out):
-            return None
-        return tuple(out)
-
-    def extend(images: list[int]) -> Iterator[GroupIsomorphism]:
-        if len(images) == len(gens):
-            m = build(images)
-            if m is not None:
-                try:
-                    yield GroupIsomorphism(G, H, m)
-                except GroupError:
-                    pass
-            return
-        want = g_orders[len(images)]
-        for h in range(H.order):
-            if h_orders[h] == want:
-                yield from extend(images + [h])
-
-    yield from extend([])
+        if len(set(out)) == len(out):
+            try:
+                yield GroupIsomorphism(G, H, tuple(out))
+            except GroupError:
+                pass
 
 
 def automorphisms(G: FiniteGroup) -> list[GroupIsomorphism]:

@@ -6,12 +6,14 @@ and the count of two-colored paths between two points depends only on the
 color joining them (the intersection numbers p_ij^k).  Validation derives
 the full intersection tensor and rejects non-schemes with the first violated
 axiom.  Parabolics, their coranks and the wreath test are read off that
-tensor; quotients, restrictions and Cayley schemes from group partitions
-work on the color matrix.
+tensor; quotients and restrictions work on the color matrix and are
+validated again.  Cayley schemes of group partitions skip validation:
+their tensor comes from the products of the parts.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -276,11 +278,6 @@ def is_wreath_over(scheme: SchemeTable, parab: Parabolic) -> bool:
     return all(len(dc) == 1 for dc in parab.double_cosets())
 
 
-def is_decomposable(scheme: SchemeTable) -> bool:
-    """True when the scheme is a wreath product over some nontrivial parabolic."""
-    return any(is_wreath_over(scheme, e) for e in nontrivial_parabolics(scheme))
-
-
 def wreath_product(inner: SchemeTable, outer: SchemeTable) -> SchemeTable:
     """Wreath product: inner scheme inside each fiber, outer between fibers."""
     ni, no = inner.v, outer.v
@@ -301,8 +298,12 @@ def wreath_product(inner: SchemeTable, outer: SchemeTable) -> SchemeTable:
 def cayley_scheme(G: FiniteGroup, parts: Sequence[Iterable[int]]) -> SchemeTable:
     """Scheme of a group partition: color(x, y) = part containing y*x^-1.
 
-    The partition must have {e} as part 0 and be inverse-closed as a set
-    system; validation then decides whether it spans an S-ring.
+    The partition must have {e} as part 0 and be inverse-closed.  It spans
+    an S-ring, and so a scheme, iff every product of two parts is constant
+    on every part (Schur); that constant is the intersection number.  The
+    pairs (z, y) with color(e, z) = i and color(z, y) = j are those with
+    y = tz, t in T_j and z in T_i, so p_ij^k is the coefficient of
+    T_j T_i at any y in T_k.  No v x v product is formed.
     """
     part_sets = [frozenset(int(x) for x in p) for p in parts]
     total = sum(len(p) for p in part_sets)
@@ -313,21 +314,38 @@ def cayley_scheme(G: FiniteGroup, parts: Sequence[Iterable[int]]) -> SchemeTable
         raise SchemeError("parts do not partition the group")
     if part_sets[0] != frozenset({G.identity}):
         raise SchemeError("part 0 must be the identity singleton")
-    inv_sets = {frozenset(int(G.inv[x]) for x in p) for p in part_sets}
-    if inv_sets != set(part_sets):
-        raise SchemeError("partition is not inverse-closed")
-
+    rank = len(part_sets)
     part_of = np.empty(G.order, dtype=np.int16)
     for pi, p in enumerate(part_sets):
-        for x in p:
-            part_of[x] = pi
+        part_of[list(p)] = pi
+    # istar[i] = the part of some x^-1 with x in T_i; inverse-closed iff
+    # that part is the same for every x (empty parts are caught below)
+    istar = np.zeros(rank, dtype=np.int64)
+    istar[part_of] = part_of[G.inv]
+    if (part_of[G.inv] != istar[part_of]).any():
+        raise SchemeError("partition is not inverse-closed")
+    idx = [sorted(p) for p in part_sets]
+    for i, ti in enumerate(idx):
+        if not ti:
+            raise SchemeError(f"partition is not an S-ring: color {i} unused")
+    rep = [ti[0] for ti in idx]
+
+    p = np.zeros((rank, rank, rank), dtype=np.int64)
+    for i, j in itertools.product(range(rank), repeat=2):
+        prod = gre_multiply(G, idx[j], idx[i])
+        p[i, j] = prod[rep]
+        bad = np.nonzero(prod != p[i, j][part_of])[0]
+        if len(bad):
+            y = int(bad[0])
+            k = int(part_of[y])
+            raise SchemeError(
+                f"partition is not an S-ring: p_{i},{j}^{k} is not constant: "
+                f"cell ({G.identity},{y}) has {int(prod[y])}, expected "
+                f"{int(p[i, j, k])}",
+                witness=(i, j, k, G.identity, y))
     # color[x, y] = part(y x^-1):  mul[:, inv][y, x] = y * inv(x)
-    color = part_of[G.mul[:, G.inv]].T
-    try:
-        return validate(np.ascontiguousarray(color))
-    except SchemeError as exc:
-        raise SchemeError(
-            f"partition is not an S-ring: {exc}", witness=exc.witness) from exc
+    color = np.ascontiguousarray(part_of[G.mul[:, G.inv]].T)
+    return SchemeTable(color, p, istar)
 
 
 # -- file format ----------------------------------------------------------------
@@ -385,25 +403,3 @@ def read_scheme(path) -> SchemeTable:
         raise SchemeError(
             f"header says rank {rank}, matrix has rank {scheme.rank}")
     return scheme
-
-
-def sring_structure_constants(G: FiniteGroup,
-                              parts: Sequence[Iterable[int]]) -> np.ndarray:
-    """Structure constants p_XY^Z of a partition, from the products of parts.
-
-    Raises when a product is not constant on some part, i.e. when the
-    partition does not span an S-ring.
-    """
-    idx = [sorted(p) for p in parts]
-    r = len(parts)
-    p = np.zeros((r, r, r), dtype=np.int64)
-    for i in range(r):
-        for j in range(r):
-            prod = gre_multiply(G, idx[i], idx[j])
-            for k in range(r):
-                vals = prod[idx[k]]
-                if vals.min() != vals.max():
-                    raise SchemeError(
-                        f"product of parts {i},{j} not constant on part {k}")
-                p[i, j, k] = vals[0]
-    return p

@@ -41,13 +41,31 @@ def example1_results():
     return example1_desk_constructions()
 
 
+NEGATIVE_CONTROL_GROUPS = ("C:12", "Prod:C:2,C:6", "GenDih:C:6", "Prod:C:4,C:4")
+
+
 @pytest.fixture(scope="session")
-def negative_controls():
-    """(partition, scheme, detection) of every Higmanian Cayley scheme the
-    exhaustive search finds in four small groups."""
-    return [found
-            for spec in ("C:12", "Prod:C:2,C:6", "GenDih:C:6", "Prod:C:4,C:4")
-            for found in search_higmanian_cayley(build_family(spec))]
+def negative_control_candidates():
+    """(group, parts) of every candidate partition of the exhaustive
+    negative-control search, whether it spans an S-ring or not."""
+    return [(G, parts) for spec in NEGATIVE_CONTROL_GROUPS
+            for G in [build_family(spec)] for parts in candidate_partitions(G)]
+
+
+@pytest.fixture(scope="session")
+def negative_controls(negative_control_candidates):
+    """(partition, scheme, detection) of every candidate partition that
+    spans a Higmanian scheme."""
+    found = []
+    for G, parts in negative_control_candidates:
+        try:
+            scheme = cayley_scheme(G, parts)
+        except SchemeError:
+            continue
+        det = detect_higmanian(scheme)
+        if det:
+            found.append((SRingPartition(G, parts), scheme, det))
+    return found
 
 
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
@@ -68,12 +86,10 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     return sorted(pool.values(), key=lambda h: (h.order, h.elements))
 
 
-def search_higmanian_cayley(G: FiniteGroup) -> list[tuple]:
-    """Exhaustively try rank-5 partitions {e}, L^#, U\\L, T3, T4 over subgroup
-    chains L < U < G; returns (partition, scheme, detection) for every
-    partition that validates as a Higmanian scheme.  Meant for small groups
-    when hunting non-uniform instances."""
-    results = []
+def candidate_partitions(G: FiniteGroup):
+    """Every rank-5 partition {e}, L^#, U\\L, T3, T4 over a subgroup chain
+    L < U < G with an inverse-closed split T3, T4 of G \\ U; at most 2^14
+    splits per chain."""
     subs = all_subgroups(G)
     e = G.identity
     for L in subs:
@@ -97,7 +113,7 @@ def search_higmanian_cayley(G: FiniteGroup) -> list[tuple]:
                 orbit = {x, int(G.inv[x])}
                 seen |= orbit
                 atoms.append(tuple(sorted(orbit)))
-            if len(atoms) > 14:  # at most 2^14 splits per chain
+            if len(atoms) > 14:
                 continue
             for bits in range(1, (1 << len(atoms)) - 1):
                 t3 = []
@@ -107,18 +123,10 @@ def search_higmanian_cayley(G: FiniteGroup) -> list[tuple]:
                 t4 = [x for x in outside if x not in set(t3)]
                 if not t4:
                     continue
-                parts = (
+                yield (
                     (e,),
                     tuple(x for x in L.elements if x != e),
                     tuple(x for x in U.elements if x not in L.as_set),
                     tuple(sorted(t3)),
                     tuple(sorted(t4)),
                 )
-                try:
-                    scheme = cayley_scheme(G, parts)
-                except SchemeError:
-                    continue
-                det = detect_higmanian(scheme)
-                if det:
-                    results.append((SRingPartition(G, parts), scheme, det))
-    return results

@@ -18,8 +18,8 @@ from higman.groups import (automorphisms, build_family, gre_multiply,
 from higman.higmanian import (HigmanianParams, detect_higmanian,
                               is_uniform_by_criterion, verdict_bundle)
 from higman.quadratic import QuadraticNumber as QN
-from higman.schemes import (read_scheme, sring_structure_constants,
-                            trivial_scheme, wreath_product, write_scheme)
+from higman.schemes import (read_scheme, trivial_scheme, wreath_product,
+                            write_scheme)
 from higman.spectral import (float_eigen_oracle, krein, sim_classes,
                              spectral_data)
 
@@ -177,7 +177,7 @@ def test_criterion_7_property_suites(tmp_path, constructions_by_family,
         G = partition.group
         parts = partition.parts
         sizes = [len(p) for p in parts]
-        p = sring_structure_constants(G, parts)
+        p = partition.scheme().p
         inv = [[frozenset(q) for q in parts].index(
             frozenset(int(G.inv[x]) for x in part)) for part in parts]
         for x, y, z in itertools.product(range(len(parts)), repeat=3):

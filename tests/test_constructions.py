@@ -1,3 +1,4 @@
+import gc
 import itertools
 import tracemalloc
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 from higman.constructions import (ConstructionError, FileFormatError,
-                                  associate_group,
-                                  cayley_isomorphic, example1_construct,
+                                  associate_group, cayley_isomorphic,
+                                  construct_family, example1_construct,
                                   example2_construct, intersection_condition,
                                   read_linked_system, read_partition,
                                   search_linked_system,
@@ -17,7 +18,7 @@ from higman.constructions import (ConstructionError, FileFormatError,
 from higman.groups import (GroupError, automorphisms, build_family,
                            gre_multiply, is_isomorphic)
 from higman.quadratic import QuadraticNumber as QN
-from higman.schemes import SchemeError, sring_structure_constants
+from higman.schemes import SchemeError
 
 
 # -- difference sets ---------------------------------------------------------
@@ -226,6 +227,20 @@ def test_search_linked_system_none_for_impossible():
     assert search_linked_system(g, n, 3) is None
 
 
+def test_construction_leaves_no_reference_cycles():
+    # the searches and the isomorphism test hold no self-referencing
+    # closures, so a construction is freed by reference counting alone.
+    # The first call runs once for the lazy imports of the libraries.
+    construct_family("q8cp", r=2)
+    gc.collect()
+    gc.disable()
+    try:
+        construct_family("q8cp", r=2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # -- parameter tables -----------------------------------------------------------------
 
 def test_table1_values():
@@ -285,7 +300,7 @@ def test_triangle_identity_all_triples(q8_construction, heis_construction,
         G = partition.group
         parts = partition.parts
         sizes = [len(p) for p in parts]
-        p = sring_structure_constants(G, parts)
+        p = partition.scheme().p
         inv_part = []
         for part in parts:
             inv_set = frozenset(int(G.inv[x]) for x in part)

@@ -5,12 +5,10 @@ import pytest
 
 from higman.groups import cyclic_group, quaternion_group
 from higman.schemes import (SchemeError, SchemeParseError, cayley_scheme,
-                            is_decomposable, is_wreath_over,
-                            nontrivial_parabolics, parabolics,
-                            parse_scheme_file, quotient, read_scheme,
-                            restriction, sring_structure_constants,
-                            trivial_scheme, validate, wreath_product,
-                            write_scheme)
+                            is_wreath_over, nontrivial_parabolics,
+                            parabolics, parse_scheme_file, quotient,
+                            read_scheme, restriction, trivial_scheme,
+                            validate, wreath_product, write_scheme)
 
 
 def test_one_point_scheme():
@@ -131,18 +129,14 @@ def test_wreath_detection():
     w = wreath_product(trivial_scheme(2), trivial_scheme(3))
     mid = nontrivial_parabolics(w)[0]
     assert is_wreath_over(w, mid)
-    assert is_decomposable(w)
     with pytest.raises(SchemeError):
         is_wreath_over(w, parabolics(w)[0])  # trivial parabolic rejected
-    # no nontrivial parabolic at all: vacuously indecomposable
-    assert not is_decomposable(trivial_scheme(4))
 
 
 def test_not_wreath(q8_construction):
     scheme = q8_construction.result.scheme
     for parab in nontrivial_parabolics(scheme):
         assert not is_wreath_over(scheme, parab)
-    assert not is_decomposable(scheme)
 
 
 def test_cayley_scheme_basics():
@@ -167,14 +161,10 @@ def test_cayley_non_sring_rejected():
     # on the big part
     with pytest.raises(SchemeError, match="S-ring"):
         cayley_scheme(cyclic_group(5), [[0], [1, 4], [2], [3]])
-
-
-def test_sring_structure_constants_match_scheme(q8_construction):
-    parts = q8_construction.result.partition.parts
-    group = q8_construction.result.partition.group
-    p_ring = sring_structure_constants(group, parts)
-    p_scheme = q8_construction.result.scheme.p
-    assert (p_ring == p_scheme).all()
+    # an empty part is an unused color, not a missing representative
+    with pytest.raises(SchemeError,
+                       match="not an S-ring: color 1 unused"):
+        cayley_scheme(cyclic_group(5), [[0], [], [1, 2, 3, 4]])
 
 
 def test_scheme_file_roundtrip(tmp_path, q8_construction):

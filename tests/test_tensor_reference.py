@@ -17,8 +17,10 @@ everywhere.  Route 3 is checked the same way: the Krein parameters against
 the loop over every ordered triple, and the multiplicities against the
 closed form in (f, m, n, k) and the eigenvalue pair.  Subset products
 `gre_multiply` are checked against a weighted scatter of one table row per
-element of the smaller side, and the block-wise RDS search against a
-backtracking search that adds one element and one difference at a time.
+element of the smaller side, the block-wise RDS search against a
+backtracking search that adds one element and one difference at a time,
+and Cayley schemes, whose tensor comes from the products of the parts,
+against `validate` on their color matrices.
 """
 
 import itertools
@@ -305,9 +307,13 @@ def two_level_wreath():
                           trivial_scheme(2))
 
 
-def octagon():
-    return cayley_scheme(build_family("C:8"),
-                         [[0], [1, 7], [2, 6], [3, 5], [4]])
+def small_partitions():
+    """The group partitions of the small Cayley schemes at hand.  S3 has a
+    non-normal subgroup, where P i P is larger than P i."""
+    s3 = build_family("GenDih:C:3")
+    return {"octagon": (build_family("C:8"),
+                        [[0], [1, 7], [2, 6], [3, 5], [4]]),
+            "thin S3": (s3, [[x] for x in range(s3.order)])}
 
 
 @pytest.fixture(scope="module")
@@ -318,10 +324,8 @@ def reference_schemes(constructions_by_family, example1_results):
         out[f"example1 #{i}"] = res.scheme
     out["wreath T3 by T4"] = wreath_product(trivial_scheme(3), trivial_scheme(4))
     out["two-level wreath"] = two_level_wreath()
-    out["octagon"] = octagon()
-    # S3 has a non-normal subgroup, where P i P is larger than P i
-    s3 = build_family("GenDih:C:3")
-    out["thin S3"] = cayley_scheme(s3, [[x] for x in range(s3.order)])
+    for name, (G, parts) in small_partitions().items():
+        out[name] = cayley_scheme(G, parts)
     return out
 
 
@@ -359,14 +363,18 @@ def unit_groups(n):
     return sorted(groups)
 
 
+def thin_partitions():
+    q8 = quaternion_group()
+    return [(build_family("C:5"), [[i] for i in range(5)]),
+            (q8, [[i] for i in range(q8.order)]),
+            (build_family("C:7"), [[0], [1, 2, 4], [3, 5, 6]]),
+            (build_family("C:15"), orbit_parts(15, (1, 2, 4, 8)))]
+
+
 def thin_schemes():
     """Nonsymmetric schemes, one of them noncommutative.  In the last one
     the inverse of the last color is color 1."""
-    q8 = quaternion_group()
-    return [cayley_scheme(build_family("C:5"), [[i] for i in range(5)]),
-            cayley_scheme(q8, [[i] for i in range(q8.order)]),
-            cayley_scheme(build_family("C:7"), [[0], [1, 2, 4], [3, 5, 6]]),
-            orbit_scheme(15, (1, 2, 4, 8))]
+    return [cayley_scheme(G, parts) for G, parts in thin_partitions()]
 
 
 def test_reference_covers_every_scheme(reference_schemes):
@@ -433,11 +441,54 @@ def test_validate_matches_all_products(reference_schemes):
     # those come from sum_j B_j = J and the transpose rule
     schemes = list(reference_schemes.values()) + thin_schemes()
     assert any(not (s.p == s.p.transpose(1, 0, 2)).all() for s in schemes)
+    # Cayley schemes do not pass through validate, so it runs here again
     for scheme in schemes:
         p = ref_intersection_numbers(scheme.color)
-        assert (scheme.p == p).all()
-        assert (scheme.valencies == p[np.arange(scheme.rank),
-                                      scheme.inverse, 0]).all()
+        again = validate(scheme.color)
+        assert (again.inverse == scheme.inverse).all()
+        for s in (scheme, again):
+            assert (s.p == p).all()
+            assert (s.valencies == p[np.arange(s.rank), s.inverse, 0]).all()
+
+
+def ref_cayley_color(G, parts):
+    """color(x, y) = the part containing y x^-1, by table lookup."""
+    part_of = np.empty(G.order, dtype=np.int64)
+    for i, part in enumerate(parts):
+        part_of[list(part)] = i
+    return part_of[G.mul[:, G.inv]].T
+
+
+def test_cayley_scheme_matches_validate(constructions_by_family,
+                                        example1_results,
+                                        negative_control_candidates):
+    # cayley_scheme decides the S-ring from the products of the parts;
+    # validate must accept the same color matrices and derive the same
+    # tensor.  Every Cayley scheme the suite builds, and every candidate
+    # partition of the negative-control search, accepted or not.
+    partitions = [con.result.partition
+                  for con in constructions_by_family.values()]
+    partitions += [res.partition for res in example1_results]
+    cases = [(pt.group, pt.parts) for pt in partitions]
+    cases += list(small_partitions().values()) + thin_partitions()
+    cases += [(build_family(f"C:{n}"), orbit_parts(n, units))
+              for n in range(4, 41) for units in unit_groups(n)]
+    cases += negative_control_candidates
+    accepted = 0
+    for G, parts in cases:
+        try:
+            ref = validate(ref_cayley_color(G, parts))
+        except SchemeError:
+            with pytest.raises(SchemeError, match="not an S-ring"):
+                cayley_scheme(G, parts)
+            continue
+        got = cayley_scheme(G, parts)
+        assert got.color.tobytes() == ref.color.tobytes()
+        assert (got.p == ref.p).all()
+        assert (got.inverse == ref.inverse).all()
+        assert (got.valencies == ref.valencies).all()
+        accepted += 1
+    assert 0 < accepted < len(cases)
 
 
 def test_irregular_relation_rejected():
