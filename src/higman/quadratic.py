@@ -1,13 +1,25 @@
 """Exact arithmetic in real quadratic extensions of the rationals.
 
-A value is stored as a + b*sqrt(D) with a, b rational and D a square-free
-nonnegative integer.  D is normalized on construction (square factors are
-pulled into b; D = 1 collapses to a rational with D = 0), so equality is
-structural on the triple (a, b, D).  Nothing here ever rounds.
+A value is four Python integers: (a + b*sqrt(D)) / den, with
+
+* den > 0 and gcd(a, b, den) = 1,
+* D a square-free nonnegative integer,
+* b = 0 exactly when D = 0 (a rational carries no radical).
+
+These invariants make the form canonical, so equality and hashing are
+structural on the integers.  The public constructor takes rational a, b and
+any D >= 0 and normalizes once: square factors of D go into b, and D = 1
+collapses to a rational.  Every arithmetic result is built from integers
+over the operands' already square-free D, with one sign flip and one gcd;
+no Fraction and no factorization run there.  Nothing here ever rounds,
+and Python integers do not overflow.  The rational coefficients are read
+as the Fraction properties `a` and `b`, from which `str`, `repr` and
+`float` are computed.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import total_ordering
 
@@ -34,11 +46,31 @@ def square_free_decomposition(n: int) -> tuple[int, int]:
     return s, d * n
 
 
+def _new(a: int, b: int, den: int, D: int) -> QuadraticNumber:
+    """(a + b*sqrt(D)) / den for integers with den != 0 and D square-free,
+    brought to the canonical form."""
+    if den < 0:
+        a, b, den = -a, -b, -den
+    if not b:
+        D = 0
+    g = math.gcd(a, b, den)
+    if g != 1:
+        a //= g
+        b //= g
+        den //= g
+    x = object.__new__(QuadraticNumber)
+    x._a = a
+    x._b = b
+    x._den = den
+    x.D = D
+    return x
+
+
 @total_ordering
 class QuadraticNumber:
-    """An exact element a + b*sqrt(D) of Q(sqrt(D)), D square-free."""
+    """An exact element (a + b*sqrt(D))/den of Q(sqrt(D)), D square-free."""
 
-    __slots__ = ("a", "b", "D")
+    __slots__ = ("_a", "_b", "_den", "D")
 
     def __init__(self, a: _FracLike = 0, b: _FracLike = 0, D: int = 0) -> None:
         a = Fraction(a)
@@ -46,17 +78,18 @@ class QuadraticNumber:
         if D < 0:
             raise ValueError("D must be nonnegative")
         if b != 0 and D > 0:
-            s, d = square_free_decomposition(D)
+            s, D = square_free_decomposition(D)
             b *= s
-            D = d
             if D == 1:
-                a += b
-                b = Fraction(0)
-                D = 0
-        if b == 0 or D == 0:
+                a, b, D = a + b, Fraction(0), 0
+        else:
             b, D = Fraction(0), 0
-        self.a: Fraction = a
-        self.b: Fraction = b
+        # over the lcm of two reduced denominators the gcd is already 1
+        den = a.denominator * b.denominator // math.gcd(a.denominator,
+                                                         b.denominator)
+        self._a: int = a.numerator * (den // a.denominator)
+        self._b: int = b.numerator * (den // b.denominator)
+        self._den: int = den
         self.D: int = D
 
     @classmethod
@@ -67,17 +100,29 @@ class QuadraticNumber:
             raise ValueError("negative radicand")
         # sqrt(p/q) = sqrt(p*q)/q
         s, d = square_free_decomposition(x.numerator * x.denominator)
-        return cls(0, Fraction(s, x.denominator), d)
+        if d == 1:
+            return _new(s, 0, x.denominator, 0)
+        return _new(0, s, x.denominator, d)
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self._a, self._den)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient of sqrt(D)."""
+        return Fraction(self._b, self._den)
 
     # -- predicates ---------------------------------------------------------
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._b == 0
 
     @property
     def is_integer(self) -> bool:
-        return self.b == 0 and self.a.denominator == 1
+        return self._b == 0 and self._den == 1
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
@@ -87,7 +132,7 @@ class QuadraticNumber:
     def as_integer(self) -> int:
         if not self.is_integer:
             raise ValueError(f"{self} is not an integer")
-        return int(self.a)
+        return self._a
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -95,7 +140,7 @@ class QuadraticNumber:
         if isinstance(other, QuadraticNumber):
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadraticNumber(other)
+            return _new(other.numerator, 0, other.denominator, 0)
         return None
 
     def _join(self, other: QuadraticNumber) -> int:
@@ -111,12 +156,13 @@ class QuadraticNumber:
         if o is None:
             return NotImplemented
         D = self._join(o)
-        return QuadraticNumber(self.a + o.a, self.b + o.b, D)
+        return _new(self._a * o._den + o._a * self._den,
+                    self._b * o._den + o._b * self._den, self._den * o._den, D)
 
     __radd__ = __add__
 
     def __neg__(self) -> QuadraticNumber:
-        return QuadraticNumber(-self.a, -self.b, self.D)
+        return _new(-self._a, -self._b, self._den, self.D)
 
     def __sub__(self, other) -> QuadraticNumber:
         o = self._coerce(other)
@@ -132,16 +178,17 @@ class QuadraticNumber:
         if o is None:
             return NotImplemented
         D = self._join(o)
-        return QuadraticNumber(self.a * o.a + self.b * o.b * D,
-                               self.a * o.b + self.b * o.a, D)
+        return _new(self._a * o._a + self._b * o._b * D,
+                    self._a * o._b + self._b * o._a, self._den * o._den, D)
 
     __rmul__ = __mul__
 
     def inverse(self) -> QuadraticNumber:
-        norm = self.a * self.a - self.b * self.b * self.D
+        # den / (a + b sqrt D) = den (a - b sqrt D) / (a^2 - b^2 D)
+        norm = self._a * self._a - self._b * self._b * self.D
         if norm == 0:
             raise ZeroDivisionError("division by zero quadratic number")
-        return QuadraticNumber(self.a / norm, -self.b / norm, self.D)
+        return _new(self._den * self._a, -self._den * self._b, norm, self.D)
 
     def __truediv__(self, other) -> QuadraticNumber:
         o = self._coerce(other)
@@ -158,28 +205,23 @@ class QuadraticNumber:
     # -- exact order --------------------------------------------------------
 
     def sign(self) -> int:
-        """Sign of the real value, computed exactly."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return (self.b > 0) - (self.b < 0)
-        # a and b both nonzero: compare a with -b*sqrt(D)
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # opposite signs: sign agrees with sign(a) iff a^2 > b^2 D
-        lhs, rhs = self.a * self.a, self.b * self.b * self.D
-        if lhs == rhs:
-            return 0
-        big_a = lhs > rhs
-        return (1 if self.a > 0 else -1) if big_a else (1 if self.b > 0 else -1)
+        """Sign of the real value, computed exactly (den > 0)."""
+        a, b = self._a, self._b
+        if b == 0:
+            return (a > 0) - (a < 0)
+        sign_b = 1 if b > 0 else -1
+        if a == 0 or (a > 0) == (b > 0):
+            return sign_b
+        # opposite signs; a^2 != b^2 D as D > 1 is square-free, so the
+        # larger square decides
+        return -sign_b if a * a > b * b * self.D else sign_b
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b and self.D == o.D
+        return (self._a == o._a and self._b == o._b and self._den == o._den
+                and self.D == o.D)
 
     def __lt__(self, other) -> bool:
         o = self._coerce(other)
@@ -191,10 +233,10 @@ class QuadraticNumber:
         return -self if self.sign() < 0 else self
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.D))
+        return hash((self._a, self._b, self._den, self.D))
 
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+        return self._a != 0 or self._b != 0
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * self.D ** 0.5
@@ -202,16 +244,17 @@ class QuadraticNumber:
     # -- display ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
         root = f"√{self.D}"
-        bs = "" if self.b == 1 else ("-" if self.b == -1 else str(self.b))
-        if self.a == 0:
+        bs = "" if b == 1 else ("-" if b == -1 else str(b))
+        if a == 0:
             return f"{bs}{root}"
-        sign = "+" if self.b > 0 else "-"
-        mag = abs(self.b)
+        sign = "+" if b > 0 else "-"
+        mag = abs(b)
         ms = "" if mag == 1 else str(mag)
-        return f"{self.a}{sign}{ms}{root}"
+        return f"{a}{sign}{ms}{root}"
 
     def __repr__(self) -> str:
         return f"QuadraticNumber({self.a!r}, {self.b!r}, {self.D})"

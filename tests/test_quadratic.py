@@ -108,3 +108,33 @@ def test_quadratic_roots():
     hi, lo = quadratic_roots(b, c)
     assert hi + lo == QN(-b)
     assert hi * lo == QN(c)
+
+
+def test_exact_far_past_machine_integers():
+    # (1+√2)^n = H_n + P_n √2 with the Pell numbers P_n = 2P_{n-1} + P_{n-2}
+    # and H_n = P_n + P_{n-1}
+    pell = [0, 1]
+    while len(pell) <= 200:
+        pell.append(2 * pell[-1] + pell[-2])
+    unit = QN(1, 1, 2)
+    x = QN(1)
+    for _ in range(200):
+        x = x * unit
+    assert pell[200] > 2 ** 100
+    assert x == QN(pell[200] + pell[199], pell[200], 2)
+    assert x.b == pell[200] and x.sign() == 1 and x > pell[200]
+    for _ in range(200):
+        x = x / unit
+    assert x == 1 and x.is_integer and x.as_integer() == 1
+    # the norm H_n^2 - 2 P_n^2 = (-1)^n = 1
+    y = QN(pell[200] + pell[199], pell[200], 2)
+    assert y * QN(pell[200] + pell[199], -pell[200], 2) == 1
+    assert y.inverse() == QN(pell[200] + pell[199], -pell[200], 2)
+
+
+def test_traced_operators_stay_on_the_class():
+    # the benchmark's tracer wraps these eight names in the class __dict__
+    # and counts only the outermost call, so __sub__ must go through __add__
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__"):
+        assert name in QN.__dict__, name

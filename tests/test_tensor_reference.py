@@ -20,24 +20,33 @@ closed form in (f, m, n, k) and the eigenvalue pair.  Subset products
 element of the smaller side, the block-wise RDS search against a
 backtracking search that adds one element and one difference at a time,
 and Cayley schemes, whose tensor comes from the products of the parts,
-against `validate` on their color matrices.
+against `validate` on their color matrices.  The integer kernel of
+`QuadraticNumber` is checked against the Fraction kernel it replaced: the
+same printed values, order, errors and route-1/route-3 outputs.
 """
+
+from __future__ import annotations
 
 import itertools
 import math
+import operator
+import random
+from fractions import Fraction
+from functools import total_ordering
 
 import numpy as np
 import pytest
 
-from higman import higmanian
+from higman import constructions, higmanian, spectral
 from higman.cli import TABLE_GRID
 from higman.constructions import (ConstructionError, search_semiregular_rds,
-                                  table2_params)
+                                  table1_params, table2_params)
 from higman.groups import build_family, cosets, gre_multiply, quaternion_group
 from higman.higmanian import (DefinitionCheck, HigmanianParams,
                               detect_higmanian, is_dismantlable,
                               is_uniform_by_definition)
 from higman.quadratic import QuadraticNumber as QN
+from higman.quadratic import quadratic_roots, square_free_decomposition
 from higman.schemes import (SchemeError, cayley_scheme, is_wreath_over,
                             nontrivial_parabolics, parabolics, quotient,
                             restriction, trivial_scheme, validate,
@@ -233,6 +242,204 @@ def ref_higmanian_multiplicities(params, x1, x3):
     m1 = top / (base + x1 * x1 * (m * (n - 1)))
     m3 = top / (base + x3 * x3 * (m * (n - 1)))
     return (QN(1), m1, QN(f * (m - 1)), m3, QN(f - 1))
+
+
+# The Fraction-based kernel that the integer kernel replaced, kept verbatim
+# (renamed) as the reference for the parity tests.
+
+_FracLike = int | Fraction
+
+
+@total_ordering
+class RefQuadraticNumber:
+    """An exact element a + b*sqrt(D) of Q(sqrt(D)), D square-free."""
+
+    __slots__ = ("a", "b", "D")
+
+    def __init__(self, a: _FracLike = 0, b: _FracLike = 0, D: int = 0) -> None:
+        a = Fraction(a)
+        b = Fraction(b)
+        if D < 0:
+            raise ValueError("D must be nonnegative")
+        if b != 0 and D > 0:
+            s, d = square_free_decomposition(D)
+            b *= s
+            D = d
+            if D == 1:
+                a += b
+                b = Fraction(0)
+                D = 0
+        if b == 0 or D == 0:
+            b, D = Fraction(0), 0
+        self.a: Fraction = a
+        self.b: Fraction = b
+        self.D: int = D
+
+    @classmethod
+    def sqrt(cls, x: _FracLike) -> RefQuadraticNumber:
+        """Exact square root of a nonnegative rational."""
+        x = Fraction(x)
+        if x < 0:
+            raise ValueError("negative radicand")
+        # sqrt(p/q) = sqrt(p*q)/q
+        s, d = square_free_decomposition(x.numerator * x.denominator)
+        return cls(0, Fraction(s, x.denominator), d)
+
+    # -- predicates ---------------------------------------------------------
+
+    @property
+    def is_rational(self) -> bool:
+        return self.b == 0
+
+    @property
+    def is_integer(self) -> bool:
+        return self.b == 0 and self.a.denominator == 1
+
+    def as_fraction(self) -> Fraction:
+        if not self.is_rational:
+            raise ValueError(f"{self} is irrational")
+        return self.a
+
+    def as_integer(self) -> int:
+        if not self.is_integer:
+            raise ValueError(f"{self} is not an integer")
+        return int(self.a)
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def _coerce(self, other) -> RefQuadraticNumber | None:
+        if isinstance(other, RefQuadraticNumber):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return RefQuadraticNumber(other)
+        return None
+
+    def _join(self, other: RefQuadraticNumber) -> int:
+        """Common D for a binary operation; mixing two radicals is an error."""
+        if self.D == 0 or other.D == 0:
+            return self.D or other.D
+        if self.D != other.D:
+            raise ValueError(f"incompatible radicals sqrt({self.D}), sqrt({other.D})")
+        return self.D
+
+    def __add__(self, other) -> RefQuadraticNumber:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        D = self._join(o)
+        return RefQuadraticNumber(self.a + o.a, self.b + o.b, D)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> RefQuadraticNumber:
+        return RefQuadraticNumber(-self.a, -self.b, self.D)
+
+    def __sub__(self, other) -> RefQuadraticNumber:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other) -> RefQuadraticNumber:
+        return (-self) + other
+
+    def __mul__(self, other) -> RefQuadraticNumber:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        D = self._join(o)
+        return RefQuadraticNumber(self.a * o.a + self.b * o.b * D,
+                               self.a * o.b + self.b * o.a, D)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> RefQuadraticNumber:
+        norm = self.a * self.a - self.b * self.b * self.D
+        if norm == 0:
+            raise ZeroDivisionError("division by zero quadratic number")
+        return RefQuadraticNumber(self.a / norm, -self.b / norm, self.D)
+
+    def __truediv__(self, other) -> RefQuadraticNumber:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other) -> RefQuadraticNumber:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    # -- exact order --------------------------------------------------------
+
+    def sign(self) -> int:
+        """Sign of the real value, computed exactly."""
+        if self.b == 0:
+            return (self.a > 0) - (self.a < 0)
+        if self.a == 0:
+            return (self.b > 0) - (self.b < 0)
+        # a and b both nonzero: compare a with -b*sqrt(D)
+        if self.a > 0 and self.b > 0:
+            return 1
+        if self.a < 0 and self.b < 0:
+            return -1
+        # opposite signs: sign agrees with sign(a) iff a^2 > b^2 D
+        lhs, rhs = self.a * self.a, self.b * self.b * self.D
+        if lhs == rhs:
+            return 0
+        big_a = lhs > rhs
+        return (1 if self.a > 0 else -1) if big_a else (1 if self.b > 0 else -1)
+
+    def __eq__(self, other) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.a == o.a and self.b == o.b and self.D == o.D
+
+    def __lt__(self, other) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self - o).sign() < 0
+
+    def __abs__(self) -> RefQuadraticNumber:
+        return -self if self.sign() < 0 else self
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.D))
+
+    def __bool__(self) -> bool:
+        return self.a != 0 or self.b != 0
+
+    def __float__(self) -> float:
+        return float(self.a) + float(self.b) * self.D ** 0.5
+
+    # -- display ------------------------------------------------------------
+
+    def __str__(self) -> str:
+        if self.b == 0:
+            return str(self.a)
+        root = f"√{self.D}"
+        bs = "" if self.b == 1 else ("-" if self.b == -1 else str(self.b))
+        if self.a == 0:
+            return f"{bs}{root}"
+        sign = "+" if self.b > 0 else "-"
+        mag = abs(self.b)
+        ms = "" if mag == 1 else str(mag)
+        return f"{self.a}{sign}{ms}{root}"
+
+    def __repr__(self) -> str:
+        return f"QuadraticNumber({self.a!r}, {self.b!r}, {self.D})"
+
+
+def ref_quadratic_roots(b: Fraction, c: Fraction) -> tuple[RefQuadraticNumber, RefQuadraticNumber]:
+    """Exact roots of x^2 + b*x + c = 0 (requires a nonnegative discriminant)."""
+    disc = b * b - 4 * c
+    if disc < 0:
+        raise ValueError(f"negative discriminant {disc}")
+    s = RefQuadraticNumber.sqrt(disc)
+    return (RefQuadraticNumber(-b) + s) / 2, (RefQuadraticNumber(-b) - s) / 2
 
 
 def ref_gre_multiply(G, xs, ys):
@@ -628,6 +835,147 @@ def test_route3_matches_reference():
             ref_krein(data.P, data.multiplicities, data.valencies)
         irrational += not x1.is_rational
     assert irrational
+
+
+# -- the integer kernel against the Fraction kernel ---------------------------------
+
+PARITY_RADICANDS = (2, 3, 5, 6, 10, 15, 8, 12, 18, 0, 1, 4)
+KERNELS = (QN, RefQuadraticNumber)
+
+
+def assert_canonical(x):
+    """den > 0, gcd(a, b, den) = 1, D square-free, and b = 0 iff D = 0."""
+    a, b, den, D = x._a, x._b, x._den, x.D
+    assert den > 0 and math.gcd(a, b, den) == 1, (a, b, den)
+    assert D == 0 or (D > 1 and square_free_decomposition(D) == (1, D)), D
+    assert (b == 0) == (D == 0), (b, D)
+
+
+def outcome(fn, *args):
+    """fn(*args) seen through `observe`, or the type and text of its error."""
+    try:
+        return observe(fn(*args))
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def observe(x):
+    """Everything a value shows through the public interface."""
+    if not isinstance(x, KERNELS):
+        return x
+    if isinstance(x, QN):
+        assert_canonical(x)
+    return (str(x), repr(x), float(x), x.sign(), bool(x), x.is_rational,
+            x.is_integer, x.a, x.b, x.D, outcome(x.as_integer),
+            outcome(x.as_fraction))
+
+
+def parity_coefficient(rng):
+    roll = rng.random()
+    if roll < 0.2:
+        return rng.choice((0, 1, -1))
+    if roll < 0.4:
+        return rng.randint(-60, 60)
+    return Fraction(rng.randint(-60, 60), rng.randint(1, 50))
+
+
+def parity_operands(rng, count):
+    """(a, b, D) triples: zero, +-1, square-free and square-laden radicands."""
+    out = [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 2), (0, -1, 8),
+           (1, 1, 1), (0, 1, 4), (Fraction(1, 2), Fraction(-1, 2), 12)]
+    for _ in range(count):
+        out.append((parity_coefficient(rng), parity_coefficient(rng),
+                    rng.choice(PARITY_RADICANDS)))
+    return out
+
+
+BINARY_OPS = (operator.add, operator.sub, operator.mul, operator.truediv,
+              operator.eq, operator.ne, operator.lt, operator.le, operator.gt,
+              operator.ge, lambda x, y: (x + y) - y == x)
+
+
+def test_kernel_matches_fraction_reference():
+    rng = random.Random(12)
+    triples = parity_operands(rng, 150)
+    for abD in triples + [(1, 1, -2)]:
+        assert outcome(QN, *abD) == outcome(RefQuadraticNumber, *abD), abD
+    pairs = [(rng.choice(triples), rng.choice(triples)) for _ in range(1500)]
+    # one side an int or a Fraction, for the reflected operators
+    pairs += [(abD, parity_coefficient(rng)) for abD in triples]
+    mixed = 0
+    for x, y in pairs:
+        sides = [(K(*x), K(*y) if isinstance(y, tuple) else y)
+                 for K in KERNELS]
+        for unary in (operator.neg, abs, lambda z: z.inverse()):
+            assert outcome(unary, sides[0][0]) == \
+                outcome(unary, sides[1][0]), (x, unary)
+        for op in BINARY_OPS:
+            for swap in (False, True):
+                got, want = (outcome(op, *(s[::-1] if swap else s))
+                             for s in sides)
+                assert got == want, (x, y, op, swap)
+                mixed += isinstance(got, tuple) and got[0] is ValueError
+    assert mixed  # incompatible radicals raise alike
+
+
+def test_sqrt_and_roots_match_fraction_reference():
+    rng = random.Random(13)
+    radicands = [0, 1, 4, 8, 12, 18, -1, Fraction(18, 5), Fraction(1, 2)]
+    radicands += [parity_coefficient(rng) for _ in range(300)]
+    for x in radicands:
+        assert outcome(QN.sqrt, x) == \
+            outcome(RefQuadraticNumber.sqrt, x), x
+    for _ in range(300):
+        b, c = parity_coefficient(rng), parity_coefficient(rng)
+        got, want = (outcome(lambda: tuple(map(observe, f(b, c))))
+                     for f in (quadratic_roots, ref_quadratic_roots))
+        assert got == want, (b, c)
+
+
+def kernel_outputs(params_list, n_lams):
+    """str of every exact quantity routes 1 and 3 and the linked-system
+    branches produce, through the module-level names a kernel swap patches."""
+    out = []
+    for p in params_list:
+        data = spectral.spectral_data(p)
+        kr = spectral.krein(data.P, data.multiplicities, data.valencies)
+        qh = spectral.is_q_higmanian(data.multiplicities, kr)
+        values = [x for row in data.P for x in row] + list(data.multiplicities)
+        values += [x for plane in kr.q for row in plane for x in row]
+        values += higmanian.uniformity_rhs(p.f, p.m, p.n, p.k)
+        out.append((p.astuple(), data.valencies, qh.verdict, qh.certificates,
+                    values))
+    for n, lam in n_lams:
+        out.append(((n, lam), [x for pair in constructions.semiregular_mu_nu(
+            n, lam) for x in pair]))
+    return out
+
+
+def test_routes_match_under_fraction_reference(monkeypatch):
+    params_list = route3_params()
+    n_lams = [(n, lam) for n in range(1, 9) for lam in range(1, 9)]
+    for family, q, r, j in TABLE_GRID:
+        try:
+            m, n, k, lam, *_ = table1_params(family, q, r, j)
+        except ConstructionError:
+            continue
+        n_lams.append((n, lam))
+    fast = kernel_outputs(params_list, n_lams)
+    for mod in (spectral, higmanian, constructions):
+        monkeypatch.setattr(mod, "QN", RefQuadraticNumber)
+    monkeypatch.setattr(spectral, "quadratic_roots", ref_quadratic_roots)
+    slow = kernel_outputs(params_list, n_lams)
+    assert len(fast) == len(slow)
+    for got, want in zip(fast, slow):
+        *got_head, got_values = got
+        *want_head, want_values = want
+        assert got_head == want_head
+        assert all(isinstance(x, QN) for x in got_values)
+        assert all(isinstance(x, RefQuadraticNumber) for x in want_values)
+        for x in got_values:
+            assert_canonical(x)
+        assert list(map(str, got_values)) == list(map(str, want_values)), \
+            got_head
 
 
 def test_gre_multiply_matches_reference(constructions_by_family):
