@@ -141,7 +141,7 @@ def detect_higmanian(scheme: SchemeTable, strict: bool = True) -> DetectionResul
                 f"decomposable: wreath product over the parabolic with "
                 f"classes of size {parab.n_class}", count)
 
-    outside = [c for c in range(scheme.rank) if c not in F.colors]
+    outside = F.outside
     if len(outside) != 2:
         return _reject(f"{len(outside)} relations outside F, expected 2", count)
     a, b = outside
@@ -229,13 +229,19 @@ def is_uniform_by_definition(scheme: SchemeTable,
     """Literal check of the definition over one parabolic: cork 2, and every
     block product A_i^{DG} A_j^{GL} constant on each color inside D x L.
 
-    Products with A_0 are the rows or columns of A_j inside G, always
-    constant, so they are skipped.  (A_i^{DG} A_j^{GL})^T is
-    A_j*^{LG} A_i*^{GD}, constant exactly when A_i^{DG} A_j^{GL} is, with
-    the same coefficients, so only the first product of each such pair is
-    formed.  The block products of class G are the columns in G of B_i
-    times the rows in G of B_j, in float32 (exact: entries are at most
-    v < 2^24)."""
+    Products with a color inside the parabolic are always constant, so
+    they are skipped.  If i is inside, A_i[x, z] != 0 puts z in the class
+    of x, so for x in G the product through G is the full (A_i A_j)[x, y],
+    p_ij^k on every k-cell, and for x outside G it is 0; the class D of x
+    decides which, so the product is constant on every (D, L, k) cell set
+    and records p_ij^k on every triple it meets.  The case j inside is the
+    same by columns.  Only pairs of colors outside the parabolic can fail,
+    so the first failing pair and its witness are those of the loop over
+    all pairs.  (A_i^{DG} A_j^{GL})^T is A_j*^{LG} A_i*^{GD}, constant
+    exactly when A_i^{DG} A_j^{GL} is, with the same coefficients, so only
+    the first product of each such pair is formed.  The block products of
+    class G are the columns in G of B_i times the rows in G of B_j, in
+    float32 (exact: entries are at most v < 2^24)."""
     cork = parab.corank
     if cork != 2:
         return DefinitionCheck(ok=False, cork=cork)
@@ -252,13 +258,14 @@ def is_uniform_by_definition(scheme: SchemeTable,
     occurs = np.zeros((r, c, c), dtype=bool)   # [k, D, L]: k meets D x L
     occurs[K, D, L] = True
 
-    pairs = [(i, j) for i in range(1, r) for j in range(1, r)
+    outside = parab.outside
+    pairs = [(i, j) for i in outside for j in outside
              if (inverse[j], inverse[i]) >= (i, j)]
     gmin = np.full((r, r, r), np.inf)
     gmax = np.full((r, r, r), -np.inf)
     for gi, gpts in enumerate(parab.classes):
         cols = color[:, gpts]
-        basis = [(cols == i).astype(np.float32) for i in range(r)]
+        basis = {i: (cols == i).astype(np.float32) for i in outside}
         # lexicographic order: the first failing pair is the least failing
         # (i, j) of its transpose pair, as a loop over all (i, j) finds it
         for i, j in pairs:
@@ -318,14 +325,20 @@ def is_dismantlable(scheme: SchemeTable, parab: Parabolic) -> DismantleCheck:
     is valid, so h = sum_{G in S} (M_G - a_G) = p_ij^k - sum_G a_G is
     constant, and the sum over any U containing S is h + sum_{G in U} a_G.
 
-    Products with A_0 vanish off G, and M_G of (j*, i*) is the transpose of
-    M_G of (i, j), so one pair of each transpose pair is formed, in float32
-    (exact: entries are at most n_class < 2^24).  A k-cell with classes S1
-    failing against the reference k-cell with classes S2 names S1 + S2 or
-    S1 + S2 + {G}, so `restriction` rejects one of these; it is the witness.
+    Products with a color inside the parabolic vanish off G: if i is
+    inside, A_i[x, z] != 0 puts z in the class of x, which is not G for x
+    off G, and the case j inside is the same by columns.  They pass on
+    every scheme, so only pairs of colors outside the parabolic are formed,
+    and the first failing pair is that of the loop over all pairs.  M_G of
+    (j*, i*) is the transpose of M_G of (i, j), so one pair of each
+    transpose pair is formed, in float32 (exact: entries are at most
+    n_class < 2^24).  A k-cell with classes S1 failing against the
+    reference k-cell with classes S2 names S1 + S2 or S1 + S2 + {G}, so
+    `restriction` rejects one of these; it is the witness.
     """
     r, color, class_of = scheme.rank, scheme.color, parab.class_of
-    pairs = [(i, j) for i in range(1, r) for j in range(1, r)
+    outside = parab.outside
+    pairs = [(i, j) for i in outside for j in outside
              if (scheme.inverse[j], scheme.inverse[i]) >= (i, j)]
     for gi, gpts in enumerate(parab.classes):
         off = np.flatnonzero(class_of != gi)
@@ -334,8 +347,8 @@ def is_dismantlable(scheme: SchemeTable, parab: Parabolic) -> DismantleCheck:
         first = np.array([np.argmax(sub == k) for k in range(r)])
         ref_cell = first[sub].ravel()
         cols, rows = color[np.ix_(off, gpts)], color[np.ix_(gpts, off)]
-        left = [(cols == i).astype(np.float32) for i in range(r)]
-        right = [(rows == j).astype(np.float32) for j in range(r)]
+        left = {i: (cols == i).astype(np.float32) for i in outside}
+        right = {j: (rows == j).astype(np.float32) for j in outside}
         for i, j in pairs:
             M = (left[i] @ right[j]).ravel()
             bad = np.flatnonzero(M != M[ref_cell])

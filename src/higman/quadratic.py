@@ -73,23 +73,26 @@ class QuadraticNumber:
     __slots__ = ("_a", "_b", "_den", "D")
 
     def __init__(self, a: _FracLike = 0, b: _FracLike = 0, D: int = 0) -> None:
-        a = Fraction(a)
-        b = Fraction(b)
+        if type(a) is int and type(b) is int:  # the common case: no Fraction
+            den = 1
+        else:
+            a, b = Fraction(a), Fraction(b)
+            den = math.lcm(a.denominator, b.denominator)
+            a = a.numerator * (den // a.denominator)
+            b = b.numerator * (den // b.denominator)
         if D < 0:
             raise ValueError("D must be nonnegative")
-        if b != 0 and D > 0:
+        if b and D > 0:
             s, D = square_free_decomposition(D)
             b *= s
             if D == 1:
-                a, b, D = a + b, Fraction(0), 0
+                a, b, D = a + b, 0, 0
         else:
-            b, D = Fraction(0), 0
-        # over the lcm of two reduced denominators the gcd is already 1
-        den = a.denominator * b.denominator // math.gcd(a.denominator,
-                                                         b.denominator)
-        self._a: int = a.numerator * (den // a.denominator)
-        self._b: int = b.numerator * (den // b.denominator)
-        self._den: int = den
+            b, D = 0, 0
+        g = math.gcd(a, b, den)
+        self._a: int = a // g
+        self._b: int = b // g
+        self._den: int = den // g
         self.D: int = D
 
     @classmethod

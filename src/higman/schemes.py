@@ -14,6 +14,7 @@ their tensor comes from the products of the parts.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -69,15 +70,24 @@ def validate(matrix) -> SchemeTable:
                           f"{FLOAT32_EXACT_LIMIT} (exact float32 products)")
     if color.min() < 0:
         raise SchemeError("negative color")
-    # row-major first cell of each color; checked before narrowing the dtype
-    used, first = np.unique(color, return_index=True)
-    gaps = np.nonzero(used != np.arange(len(used)))[0]
+    # every color below the rank is used; checked before narrowing the
+    # dtype.  v^2 cells hold at most v^2 colors, so a color of v^2 or more
+    # leaves a smaller one unused and all of them can share one bin; v^2
+    # then fits the dtype, and bincount needs indices that fit intp.
+    cells = v * v
+    flat = color.ravel()
+    if int(color.max()) >= cells:
+        flat = np.minimum(flat, cells)
+    counts = np.bincount(flat.astype(np.intp, copy=False))
+    gaps = np.flatnonzero(counts == 0)
     if len(gaps):
         raise SchemeError(f"color {int(gaps[0])} unused")
-    rank = len(used)
+    rank = len(counts)
     if rank > np.iinfo(np.int16).max + 1:
         raise SchemeError(f"rank {rank} over the int16 color limit")
     color = color.astype(np.int16)
+    first = np.full(rank, cells)  # the row-major first cell of each color
+    np.minimum.at(first, color.ravel(), np.arange(cells))
 
     diag = np.diagonal(color)
     if (diag != 0).any():
@@ -92,13 +102,13 @@ def validate(matrix) -> SchemeTable:
 
     # inverse colors: the transpose of each relation must be a single color
     rep_x, rep_y = np.divmod(first, v)
-    istar = color[rep_y, rep_x].astype(np.int64)
-    bad = np.argwhere(color.T != istar[color])
-    if len(bad):
-        x, y = map(int, bad[0])
+    istar = color[rep_y, rep_x]
+    if not np.array_equal(color.T, istar[color]):
+        x, y = map(int, np.argwhere(color.T != istar[color])[0])
         raise SchemeError(
             f"relation {int(color[x, y])} has no single inverse color "
             f"(witness ({x},{y}))", witness=(x, y))
+    istar = istar.astype(np.int64)
     if (istar[istar] != np.arange(rank)).any():
         raise SchemeError("color inversion is not an involution")
 
@@ -131,9 +141,8 @@ def validate(matrix) -> SchemeTable:
                 continue
             prod = basis[i] @ basis[j]
             p[i, j] = prod[rep_x, rep_y]
-            bad = np.argwhere(prod != p[i, j][color])
-            if len(bad):
-                x, y = map(int, bad[0])
+            if not np.array_equal(prod, p[i, j].astype(np.float32)[color]):
+                x, y = map(int, np.argwhere(prod != p[i, j][color])[0])
                 k = int(color[x, y])
                 raise SchemeError(
                     f"p_{i},{j}^{k} is not constant: cell ({x},{y}) has "
@@ -175,6 +184,11 @@ class Parabolic:
     def num_classes(self) -> int:
         return len(self.classes)
 
+    @property
+    def outside(self) -> list[int]:
+        """The colors not in the parabolic, in increasing order."""
+        return [i for i in range(self.scheme.rank) if i not in self.colors]
+
     def is_trivial(self) -> bool:
         return self.n_class in (1, self.scheme.v)
 
@@ -188,9 +202,8 @@ class Parabolic:
         left = p[inside].any(axis=0)          # [i, s]: s in P i
         right = p[:, inside].any(axis=1)      # [s, k]: k in s P
         reach = (left.astype(np.int64) @ right) > 0
-        outside = [i for i in range(self.scheme.rank) if i not in self.colors]
         return list(dict.fromkeys(
-            frozenset(np.nonzero(reach[i])[0].tolist()) for i in outside))
+            frozenset(np.nonzero(reach[i])[0].tolist()) for i in self.outside))
 
     @property
     def corank(self) -> int:
@@ -384,6 +397,19 @@ def parse_scheme_file(path) -> tuple[np.ndarray, int]:
         if count != v:
             raise SchemeParseError(
                 f"row {li + 1} has {count} entries, expected {v}")
+    # loadtxt converts the rows in C.  When it refuses them or splits them
+    # differently, the row loop below names the bad row, or accepts what
+    # int() accepts (such as 1_0).  Older NumPy parses "4.0" as an integer
+    # with a DeprecationWarning; that is a refusal here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            matrix = np.loadtxt(lines[1:], dtype=np.int64, comments=None,
+                                ndmin=2)
+        except (ValueError, OverflowError, DeprecationWarning):
+            matrix = None
+    if matrix is not None and matrix.shape == (v, v):
+        return matrix, rank
     matrix = np.empty((v, v), dtype=np.int64)
     for li, ln in enumerate(lines[1:]):
         try:

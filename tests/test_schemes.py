@@ -195,6 +195,69 @@ def test_scheme_file_errors(tmp_path):
         read_scheme(p)
 
 
+READER_CASES = {
+    "spaces": ("0 1\n1 0", [[0, 1], [1, 0]]),
+    "tabs": ("0\t1\n1\t0", [[0, 1], [1, 0]]),
+    "vertical tab and form feed": ("0\x0b1\n1\x0c0", [[0, 1], [1, 0]]),
+    "underscore": ("0 1_0\n1_0 0", [[0, 10], [10, 0]]),
+    "plus sign": ("+0 +4\n4 0", [[0, 4], [4, 0]]),
+    "unicode digits": ("\u0660 \u0661\n\u0661 \u0660", [[0, 1], [1, 0]]),
+    "hash entry": ("0 #\n1 0", "row 1: non-integer entry"),
+    "hash suffix": ("0 1\n1 0#", "row 2: non-integer entry"),
+    "float": ("0 4.0\n4 0", "row 1: non-integer entry"),
+    "2^63": (f"0 {2**63}\n1 0", "entry out of the 64-bit integer range"),
+    "-2^63 - 1": (f"0 1\n{-2**63 - 1} 0",
+                  "entry out of the 64-bit integer range"),
+    "ragged": ("0 1 1\n1 0", "row 1 has 3 entries, expected 2"),
+}
+
+
+def read_outcome(path):
+    try:
+        matrix, rank = parse_scheme_file(path)
+    except SchemeParseError as err:
+        return str(err)
+    assert matrix.dtype == np.int64 and rank == 2
+    return matrix.tolist()
+
+
+@pytest.mark.parametrize("name", sorted(READER_CASES))
+def test_reader_matches_row_loop(tmp_path, monkeypatch, name):
+    # the same matrix or the same error with loadtxt and with the row
+    # loop alone
+    body, expected = READER_CASES[name]
+    p = tmp_path / "case.scheme"
+    p.write_text(f"scheme 2 2\n{body}\n", encoding="utf-8")
+    assert read_outcome(p) == expected
+
+    def refuse(*args, **kwargs):
+        raise ValueError("loadtxt refused")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    assert read_outcome(p) == expected
+
+
+INTEGER_DTYPES = (np.int8, np.int16, np.int32, np.int64,
+                  np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+def dtype_cases(dtype):
+    """Out-of-range colors in one integer dtype: v^2 itself, the largest
+    value of the dtype on 2 points and on 12 points (v^2 = 144 is past the
+    int8 range, not past uint8's), and -1 where the dtype has it."""
+    top = np.iinfo(dtype).max
+    twelve = np.ones((12, 12), dtype=dtype)
+    np.fill_diagonal(twelve, 0)
+    twelve[0, 1] = twelve[1, 0] = top
+    cases = [(np.array([[0, 4], [4, 0]], dtype=dtype), "color 1 unused"),
+             (np.array([[0, top], [top, 0]], dtype=dtype), "color 1 unused"),
+             (twelve, "color 2 unused")]
+    if np.iinfo(dtype).min < 0:
+        cases.append((np.array([[0, -1], [-1, 0]], dtype=dtype),
+                      "negative color"))
+    return cases
+
+
 @pytest.mark.parametrize("matrix, message", [
     ([[0, 65537], [65537, 0]], "color 1 unused"),  # 65537 wraps to 1 in int16
     ([[0, 40000], [40000, 0]], "color 1 unused"),
@@ -202,10 +265,19 @@ def test_scheme_file_errors(tmp_path):
     ([[0, -1], [-1, 0]], "negative color"),
     ([[0, 1], [1, 0], [1, 1]], "square"),
     ([[0.0, 1.0], [1.0, 0.0]], "integral"),
-])
+] + [case for dtype in INTEGER_DTYPES for case in dtype_cases(dtype)])
 def test_validate_checks_range_before_narrowing(matrix, message):
     with pytest.raises(SchemeError, match=message):
         validate(np.array(matrix))
+
+
+@pytest.mark.parametrize("dtype", INTEGER_DTYPES)
+def test_validate_accepts_every_integer_dtype(dtype):
+    color = np.ones((12, 12), dtype=dtype)
+    np.fill_diagonal(color, 0)
+    scheme = validate(color)
+    assert scheme.color.dtype == np.int16
+    assert scheme.p.tolist() == trivial_scheme(12).p.tolist()
 
 
 def test_validate_point_limit():

@@ -9,11 +9,13 @@ r^2 products, the definitional uniformity check from all r^2 block
 products of every class, dismantlability by restricting to every union
 of classes, and detection's per-class count k by counting each point's
 neighbors in every class.  `higman.schemes` takes parabolics, coranks and
-the wreath test from the intersection tensor instead, `validate` and
-`is_uniform_by_definition` skip the products the algebra determines,
-`is_dismantlable` decides every union from one pass over the class
-products, and detection reads k from the tensor; both must agree
-everywhere.  Route 3 is checked the same way: the Krein parameters against
+the wreath test from the intersection tensor instead, `validate` skips the
+products the algebra determines, `is_uniform_by_definition` and
+`is_dismantlable` skip transpose pairs and every pair with a color inside
+the parabolic (whose product through a class is p_ij^k on the rows or
+columns in the class and 0 elsewhere, tested directly), `is_dismantlable`
+decides every union from one pass over the class products, and detection
+reads k from the tensor; both must agree everywhere.  Route 3 is checked the same way: the Krein parameters against
 the loop over every ordered triple, and the multiplicities against the
 closed form in (f, m, n, k) and the eigenvalue pair.  Subset products
 `gre_multiply` are checked against a weighted scatter of one table row per
@@ -752,6 +754,32 @@ def test_definition_witnesses_pinned(n, units, shape, witness):
                 if (e.num_classes, e.n_class) == shape]
     res = is_uniform_by_definition(scheme, parab)
     assert (res.ok, res.cork, res.witness) == (False, 2, witness)
+
+
+def test_skipped_block_products_are_determined(reference_schemes):
+    # routes 2 and 4 skip each pair (i, j) with a color inside the
+    # parabolic: through any class G its product is p_ij^k on the k-cells
+    # of the rows in G (of the columns, when only j is inside) and 0
+    # elsewhere, constant on every cell set either route compares
+    schemes = [orbit_scheme(n, units) for n in range(4, 31)
+               for units in unit_groups(n)]
+    schemes = ([s for s in schemes if s.rank <= 12] + thin_schemes()
+               + list(reference_schemes.values()))
+    skipped = 0
+    for scheme, parab in definition_cases(schemes):
+        r, inside = scheme.rank, parab.colors
+        basis = [(scheme.color == i).astype(np.int64) for i in range(r)]
+        for i, j in itertools.product(range(r), repeat=2):
+            if i not in inside and j not in inside:
+                continue
+            full = scheme.p[i, j][scheme.color]
+            for gi, gpts in enumerate(parab.classes):
+                in_g = parab.class_of == gi
+                rows_or_cols = in_g[:, None] if i in inside else in_g[None, :]
+                product = basis[i][:, gpts] @ basis[j][gpts, :]
+                assert (product == np.where(rows_or_cols, full, 0)).all()
+                skipped += 1
+    assert skipped > 1000
 
 
 def test_dismantlable_matches_reference(reference_schemes):
