@@ -49,17 +49,10 @@ class AnalysisReport:
 
 
 def _verdict_details(bundle: higmanian.VerdictBundle) -> dict:
-    definition = {}
-    for size, res in bundle.definition_details.items():
-        definition[f"classes_of_{size}"] = {
-            "ok": res.ok, "cork": res.cork, "witness": res.witness,
-            "coefficients_consistent": res.coefficients_consistent}
-    dismantle = {}
-    for size, res in bundle.dismantle_details.items():
-        dismantle[f"classes_of_{size}"] = {
-            "ok": res.ok, "witness": res.witness,
-            "unions_checked": res.unions_checked}
-    return {"definition": definition, "dismantlable": dismantle}
+    return {name: {f"classes_of_{size}": asdict(res)
+                   for size, res in details.items()}
+            for name, details in (("definition", bundle.definition_details),
+                                  ("dismantlable", bundle.dismantle_details))}
 
 
 def _spectral_dict(bundle: higmanian.VerdictBundle) -> dict:

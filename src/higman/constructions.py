@@ -560,7 +560,8 @@ def search_linked_system(G: FiniteGroup, N: Subgroup, w: int,
     inverses and product images; starts are tried in lex order.
 
     When both sign branches of (mu, nu) are realizable, ``mu_nu`` picks one;
-    otherwise the lex-first system wins.
+    otherwise the lex-first system wins: one pass returns the first system
+    on the ``mu_nu`` branch, else the first system it met.
     """
     if w < 2:
         raise ConstructionError("need w >= 2")
@@ -571,6 +572,7 @@ def search_linked_system(G: FiniteGroup, N: Subgroup, w: int,
     rds_set = {frozenset(s) for s in rds_list}
     k = len(rds_list[0])
     cache: dict = {}
+    first = None
     for start in rds_list:
         fam = _close(G, w, k, rds_set, cache, frozenset({frozenset(start)}))
         if fam is None:
@@ -580,16 +582,14 @@ def search_linked_system(G: FiniteGroup, N: Subgroup, w: int,
                 G, N, sorted(tuple(sorted(s)) for s in fam))
         except ConstructionError:
             continue
-        if mu_nu is not None and (system.mu, system.nu) != mu_nu:
-            continue
-        return system
-    return None
+        if mu_nu is None or (system.mu, system.nu) == mu_nu:
+            return system
+        if first is None:
+            first = system
+    return first
 
 
 # -- the known families, at desk scale ----------------------------------------------
-
-FAMILIES = ("q8cp", "heis", "ea")
-
 
 def _family_setup(family: str, q: int | None, r: int | None, j: int | None):
     if family == "q8cp":
@@ -720,8 +720,6 @@ def construct_family(family: str, q: int | None = None, r: int | None = None,
             continue
         found = search_linked_system(G, N, w, rds_list=rds,
                                      mu_nu=(t1[5], t1[6]))
-        if found is None:
-            found = search_linked_system(G, N, w, rds_list=rds)
         if found is not None:
             system, forbidden = found, N
             break

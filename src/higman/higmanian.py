@@ -213,6 +213,52 @@ def is_uniform_by_criterion(params: HigmanianParams) -> bool:
     return QN(params.t) == plus or QN(params.t) == minus
 
 
+# -- block products through one class: routes 2 and 4 ---------------------------
+
+def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
+    """What routes 2 and 4 build their block products from: ``(pairs,
+    bases)``, with the product of (i, j) through class G being
+    A_i[:, G] A_j[G, :] = basis[i] @ basis[j*].T for G's ``basis``.
+
+    ``pairs`` holds the (i, j) with both colors outside the parabolic, one
+    of each transpose pair {(i, j), (j*, i*)}, in lexicographic order.
+    ``bases`` yields, class by class, the 0/1 columns A_i[:, G] of each
+    outside color, in float32 (exact: a product entry is at most
+    |G| <= v < 2^24).
+
+    Neither route can fail on a pair with a color inside the parabolic.  If
+    i is inside, A_i[x, z] != 0 puts z in the class of x, so for x in G the
+    product through G is the full (A_i A_j)[x, y], p_ij^k on every k-cell,
+    and for x off G it is 0; the case j inside is the same by columns.  The
+    class of x decides which, so the product is constant on every (D, L, k)
+    cell set, recording p_ij^k on every triple it meets, and 0 on every
+    cell off G.  The product of (j*, i*) is the transpose of that of
+    (i, j), and transposition maps the k-cells of D x L onto the k*-cells
+    of L x D, and the cells off G onto themselves, so one product decides
+    both, with the same coefficients.
+    Since the least (i, j) of each transpose pair is kept, the first
+    failing pair is that of a loop over all pairs, and so is its witness.
+    """
+    outside, inverse, color = parab.outside, scheme.inverse, scheme.color
+    pairs = [(i, j) for i in outside for j in outside
+             if (inverse[j], inverse[i]) >= (i, j)]
+    bases = ({i: (cols == i).astype(np.float32) for i in outside}
+             for cols in (color[:, gpts] for gpts in parab.classes))
+    return pairs, bases
+
+
+def _first_passing(route, scheme: SchemeTable,
+                   parabolics) -> tuple[bool, dict]:
+    """Run ``route`` on each parabolic in turn up to the first that passes;
+    the scheme-level verdict and each result by class size."""
+    details = {}
+    for parab in parabolics:
+        details[parab.n_class] = res = route(scheme, parab)
+        if res.ok:
+            return True, details
+    return False, details
+
+
 # -- uniformity route 2: the definitional block-product check -------------------
 
 @dataclass
@@ -229,19 +275,9 @@ def is_uniform_by_definition(scheme: SchemeTable,
     """Literal check of the definition over one parabolic: cork 2, and every
     block product A_i^{DG} A_j^{GL} constant on each color inside D x L.
 
-    Products with a color inside the parabolic are always constant, so
-    they are skipped.  If i is inside, A_i[x, z] != 0 puts z in the class
-    of x, so for x in G the product through G is the full (A_i A_j)[x, y],
-    p_ij^k on every k-cell, and for x outside G it is 0; the class D of x
-    decides which, so the product is constant on every (D, L, k) cell set
-    and records p_ij^k on every triple it meets.  The case j inside is the
-    same by columns.  Only pairs of colors outside the parabolic can fail,
-    so the first failing pair and its witness are those of the loop over
-    all pairs.  (A_i^{DG} A_j^{GL})^T is A_j*^{LG} A_i*^{GD}, constant
-    exactly when A_i^{DG} A_j^{GL} is, with the same coefficients, so only
-    the first product of each such pair is formed.  The block products of
-    class G are the columns in G of B_i times the rows in G of B_j, in
-    float32 (exact: entries are at most v < 2^24)."""
+    The products through G of the pairs of `_outside_blocks` are formed as
+    v x v matrices, and each (D, L, k) cell set is compared with its last
+    cell; the other pairs pass."""
     cork = parab.corank
     if cork != 2:
         return DefinitionCheck(ok=False, cork=cork)
@@ -258,16 +294,10 @@ def is_uniform_by_definition(scheme: SchemeTable,
     occurs = np.zeros((r, c, c), dtype=bool)   # [k, D, L]: k meets D x L
     occurs[K, D, L] = True
 
-    outside = parab.outside
-    pairs = [(i, j) for i in outside for j in outside
-             if (inverse[j], inverse[i]) >= (i, j)]
+    pairs, bases = _outside_blocks(scheme, parab)
     gmin = np.full((r, r, r), np.inf)
     gmax = np.full((r, r, r), -np.inf)
-    for gi, gpts in enumerate(parab.classes):
-        cols = color[:, gpts]
-        basis = {i: (cols == i).astype(np.float32) for i in outside}
-        # lexicographic order: the first failing pair is the least failing
-        # (i, j) of its transpose pair, as a loop over all (i, j) finds it
+    for gi, basis in enumerate(bases):
         for i, j in pairs:
             M = (basis[i] @ basis[inverse[j]].T).ravel()
             bad = np.flatnonzero(M != M[ref_cell])
@@ -289,15 +319,8 @@ def is_uniform_by_definition(scheme: SchemeTable,
 
 def is_uniform_by_definition_any(scheme: SchemeTable) -> tuple[bool, dict]:
     """The scheme-level verdict: some nontrivial parabolic passes."""
-    details = {}
-    verdict = False
-    for parab in nontrivial_parabolics(scheme):
-        res = is_uniform_by_definition(scheme, parab)
-        details[parab.n_class] = res
-        if res.ok:
-            verdict = True
-            break
-    return verdict, details
+    return _first_passing(is_uniform_by_definition, scheme,
+                          nontrivial_parabolics(scheme))
 
 
 # -- uniformity route 4: dismantlability ----------------------------------------
@@ -325,32 +348,22 @@ def is_dismantlable(scheme: SchemeTable, parab: Parabolic) -> DismantleCheck:
     is valid, so h = sum_{G in S} (M_G - a_G) = p_ij^k - sum_G a_G is
     constant, and the sum over any U containing S is h + sum_{G in U} a_G.
 
-    Products with a color inside the parabolic vanish off G: if i is
-    inside, A_i[x, z] != 0 puts z in the class of x, which is not G for x
-    off G, and the case j inside is the same by columns.  They pass on
-    every scheme, so only pairs of colors outside the parabolic are formed,
-    and the first failing pair is that of the loop over all pairs.  M_G of
-    (j*, i*) is the transpose of M_G of (i, j), so one pair of each
-    transpose pair is formed, in float32 (exact: entries are at most
-    n_class < 2^24).  A k-cell with classes S1 failing against the
-    reference k-cell with classes S2 names S1 + S2 or S1 + S2 + {G}, so
-    `restriction` rejects one of these; it is the witness.
+    Only the pairs of `_outside_blocks` are formed (the others vanish off
+    G), each on the rows and columns off G.  A k-cell with classes S1
+    failing against the reference k-cell with classes S2 names S1 + S2 or
+    S1 + S2 + {G}, so `restriction` rejects one of these; it is the witness.
     """
-    r, color, class_of = scheme.rank, scheme.color, parab.class_of
-    outside = parab.outside
-    pairs = [(i, j) for i in outside for j in outside
-             if (scheme.inverse[j], scheme.inverse[i]) >= (i, j)]
-    for gi, gpts in enumerate(parab.classes):
+    color, class_of, inverse = scheme.color, parab.class_of, scheme.inverse
+    pairs, bases = _outside_blocks(scheme, parab)
+    for gi, basis in enumerate(bases):
         off = np.flatnonzero(class_of != gi)
         # each cell off G is compared with the first cell of its color
         sub = color[np.ix_(off, off)]
-        first = np.array([np.argmax(sub == k) for k in range(r)])
+        first = np.array([np.argmax(sub == k) for k in range(scheme.rank)])
         ref_cell = first[sub].ravel()
-        cols, rows = color[np.ix_(off, gpts)], color[np.ix_(gpts, off)]
-        left = {i: (cols == i).astype(np.float32) for i in outside}
-        right = {j: (rows == j).astype(np.float32) for j in outside}
+        left = {i: b[off] for i, b in basis.items()}
         for i, j in pairs:
-            M = (left[i] @ right[j]).ravel()
+            M = (left[i] @ left[inverse[j]].T).ravel()
             bad = np.flatnonzero(M != M[ref_cell])
             if not len(bad):
                 continue
@@ -369,18 +382,11 @@ def is_dismantlable(scheme: SchemeTable, parab: Parabolic) -> DismantleCheck:
 
 
 def is_dismantlable_any(scheme: SchemeTable) -> tuple[bool, dict]:
-    details = {}
-    verdict = False
     # coarser parabolics first: fewer classes, cheaper and decisive for
     # the corank-2 parabolic of a uniform scheme
-    for parab in sorted(nontrivial_parabolics(scheme),
-                        key=lambda e: e.num_classes):
-        res = is_dismantlable(scheme, parab)
-        details[parab.n_class] = res
-        if res.ok:
-            verdict = True
-            break
-    return verdict, details
+    return _first_passing(is_dismantlable, scheme,
+                          sorted(nontrivial_parabolics(scheme),
+                                 key=lambda e: e.num_classes))
 
 
 # -- the bundle ------------------------------------------------------------------

@@ -365,8 +365,11 @@ def cayley_scheme(G: FiniteGroup, parts: Sequence[Iterable[int]]) -> SchemeTable
 
 def write_scheme(scheme: SchemeTable, path) -> None:
     """Text format: ``scheme <v> <rank>`` then v rows of colors."""
+    # one row of names at a time: the whole v x v object array of names
+    # would peak at about three times the memory
+    names = np.array([str(c) for c in range(scheme.rank)], dtype=object)
     lines = [f"scheme {scheme.v} {scheme.rank}"]
-    lines += [" ".join(map(str, row.tolist())) for row in scheme.color]
+    lines += [" ".join(names[row].tolist()) for row in scheme.color]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -15,9 +15,9 @@ where x1, x3 are the roots of
 
 with |x1| >= |x3|; row 0 is the valency vector, and the multiplicities
 follow from P by row orthogonality.  All of it is computed over
-QuadraticNumber, so uniformity decisions are exact.  A floating-point
-eigendecomposition oracle exists solely as an independent cross-check of
-constructed schemes.
+QuadraticNumber, so uniformity decisions are exact; there is no exact
+eigensolver for other schemes.  A floating-point eigendecomposition oracle
+exists solely as an independent cross-check of constructed schemes.
 """
 
 from __future__ import annotations
@@ -246,44 +246,6 @@ def is_q_higmanian(multiplicities: Sequence[QN], kr: KreinTensor) -> QHigmanianV
                        for i in range(l)):
                     certs.append((ordering, l, f_int))
     return QHigmanianVerdict(verdict=bool(certs), certificates=tuple(certs))
-
-
-# -- exact spectra for low rank (smoke cases outside the Higmanian path) ------
-
-def exact_spectral_data(scheme: SchemeTable) -> EigenData:
-    """Exact spectral data for symmetric schemes of rank <= 3.
-
-    Higmanian rank-5 schemes use the closed forms instead; there is
-    deliberately no general eigensolver in the exact path.
-    """
-    if not scheme.is_symmetric():
-        raise SpectralError("exact spectra implemented for symmetric schemes")
-    v = scheme.v
-    if scheme.rank == 1:
-        return EigenData(P=((QN(1),),), multiplicities=(QN(1),), valencies=(1,))
-    if scheme.rank == 2:
-        P = ((QN(1), QN(v - 1)), (QN(1), QN(-1)))
-        return EigenData(P=P, multiplicities=(QN(1), QN(v - 1)),
-                         valencies=(1, v - 1))
-    if scheme.rank != 3:
-        raise SpectralError(
-            "exact spectra outside the Higmanian closed forms are limited "
-            "to rank <= 3")
-    p = scheme.p
-    n1 = int(scheme.valencies[1])
-    n2 = int(scheme.valencies[2])
-    b = -Fraction(int(p[1, 1, 1]) - int(p[1, 1, 2]))
-    c = -Fraction(n1 - int(p[1, 1, 2]))
-    th1, th2 = quadratic_roots(b, c)
-    if th1 == th2:
-        raise SpectralError("repeated eigenvalue; rank-3 data degenerate")
-    P = ((QN(1), QN(n1), QN(n2)),
-         (QN(1), th1, QN(-1) - th1),
-         (QN(1), th2, QN(-1) - th2))
-    mults = multiplicity_check(P, (1, n1, n2))
-    data = EigenData(P=P, multiplicities=mults, valencies=(1, n1, n2))
-    data.check()
-    return data
 
 
 # -- floating-point oracle -----------------------------------------------------

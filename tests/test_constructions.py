@@ -227,6 +227,16 @@ def test_search_linked_system_none_for_impossible():
     assert search_linked_system(g, n, 3) is None
 
 
+def test_search_linked_system_falls_back_to_first_system():
+    # no system of Heis(3,1) lies on the (5, 2) branch: one pass returns
+    # the lex-first system it met instead
+    g = build_family("Heis:3:1")
+    found = search_linked_system(g, g.center(), 3, mu_nu=(5, 2))
+    assert found is not None
+    assert found.params == (9, 3, 9, 3, 3, 1, 4)
+    assert found.sets == search_linked_system(g, g.center(), 3).sets
+
+
 def test_construction_leaves_no_reference_cycles():
     # the searches and the isomorphism test hold no self-referencing
     # closures, so a construction is freed by reference counting alone.

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -176,6 +177,23 @@ def test_scheme_file_roundtrip(tmp_path, q8_construction):
     write_scheme(again, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert (again.color == scheme.color).all()
+
+
+@pytest.mark.parametrize("key, digest", [
+    (("q8cp", (("r", 1),)),
+     "55126e3abc043b4280dce6d7f62b92417886c81448dc6c0ad48c6f9b80d960e3"),
+    (("q8cp", (("r", 2),)),
+     "1271b048661441ef582bf998a347b55769d283ed771c222b7457b8746968fab6"),
+    (("heis", (("q", 3), ("r", 1))),
+     "b408ac5e79084e21a0dc3c78e9febc6aaabd08801046b34ae268d893089fd774"),
+    (("ea", (("j", 1), ("q", 3), ("r", 1))),
+     "36618fd6f4e2754f475e6bfbbcbc6f3ed93c8ef0935b935e3b30cc1ea20527cc"),
+])
+def test_desk_scheme_files_pinned(tmp_path, constructions_by_family, key,
+                                  digest):
+    path = tmp_path / "desk.scheme"
+    write_scheme(constructions_by_family[key].result.scheme, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_scheme_file_errors(tmp_path):

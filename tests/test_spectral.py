@@ -4,11 +4,10 @@ import pytest
 
 from higman.higmanian import HigmanianParams
 from higman.quadratic import QuadraticNumber as QN
-from higman.schemes import trivial_scheme, wreath_product
 from higman.spectral import (EigenData, SpectralError, eigenvalue_pair,
-                             exact_spectral_data, float_eigen_oracle,
-                             higmanian_eigenmatrix, is_q_higmanian, krein,
-                             multiplicity_check, sim_classes, spectral_data)
+                             float_eigen_oracle, higmanian_eigenmatrix,
+                             is_q_higmanian, krein, multiplicity_check,
+                             sim_classes, spectral_data)
 from test_tensor_reference import ref_higmanian_multiplicities
 
 P24 = HigmanianParams(3, 4, 2, 4, 3)
@@ -170,22 +169,15 @@ def test_uniform_eigenvalue_identities():
         assert (x1, x3) in ((roots[0], roots[1]), (-roots[0], -roots[1]))
 
 
-def test_exact_spectra_low_rank():
-    d = exact_spectral_data(trivial_scheme(10))
-    assert d.multiplicities == (QN(1), QN(9))
-    w = wreath_product(trivial_scheme(2), trivial_scheme(3))
-    dw = exact_spectral_data(w)
-    dw.check()
-    assert sorted(m.as_integer() for m in dw.multiplicities) == [1, 2, 3]
-
-
 def test_q_higmanian_smoke_on_wreath():
     # verdict recorded, not asserted from theory: the rank-3 wreath of
-    # trivial schemes is uniform, hence Q-Higmanian
-    w = wreath_product(trivial_scheme(2), trivial_scheme(3))
-    d = exact_spectral_data(w)
-    kr = krein(d.P, d.multiplicities, d.valencies)
-    res = is_q_higmanian(d.multiplicities, kr)
+    # trivial schemes (3 classes of 2 points) is uniform, hence Q-Higmanian
+    P = tuple(tuple(QN(x) for x in row)
+              for row in ((1, 1, 4), (1, 1, -2), (1, -1, 0)))
+    valencies = (1, 1, 4)
+    mults = multiplicity_check(P, valencies)
+    kr = krein(P, mults, valencies)
+    res = is_q_higmanian(mults, kr)
     assert isinstance(res.verdict, bool)
     assert res.verdict
 

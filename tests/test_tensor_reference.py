@@ -13,7 +13,9 @@ the wreath test from the intersection tensor instead, `validate` skips the
 products the algebra determines, `is_uniform_by_definition` and
 `is_dismantlable` skip transpose pairs and every pair with a color inside
 the parabolic (whose product through a class is p_ij^k on the rows or
-columns in the class and 0 elsewhere, tested directly), `is_dismantlable`
+columns in the class and 0 elsewhere, tested directly; the pair list they
+share is checked to cover every ordered pair of outside colors, and the
+witnesses of both are pinned on orbit schemes), `is_dismantlable`
 decides every union from one pass over the class products, and detection
 reads k from the tensor; both must agree everywhere.  Route 3 is checked the same way: the Krein parameters against
 the loop over every ordered triple, and the multiplicities against the
@@ -45,8 +47,8 @@ from higman.constructions import (ConstructionError, search_semiregular_rds,
                                   table1_params, table2_params)
 from higman.groups import build_family, cosets, gre_multiply, quaternion_group
 from higman.higmanian import (DefinitionCheck, HigmanianParams,
-                              detect_higmanian, is_dismantlable,
-                              is_uniform_by_definition)
+                              _outside_blocks, detect_higmanian,
+                              is_dismantlable, is_uniform_by_definition)
 from higman.quadratic import QuadraticNumber as QN
 from higman.quadratic import quadratic_roots, square_free_decomposition
 from higman.schemes import (SchemeError, cayley_scheme, is_wreath_over,
@@ -780,6 +782,38 @@ def test_skipped_block_products_are_determined(reference_schemes):
                 assert (product == np.where(rows_or_cols, full, 0)).all()
                 skipped += 1
     assert skipped > 1000
+
+
+@pytest.mark.parametrize("n, units, shape, witness, unions_checked", [
+    (9, (1, 8), (3, 3), (0, 1), 2),
+    (9, (1,), (3, 3), (1, 2), 1),
+    (15, (1, 2, 4, 8), (3, 5), (0, 1), 2),
+])
+def test_dismantle_witnesses_pinned(n, units, shape, witness,
+                                    unions_checked):
+    scheme = orbit_scheme(n, units)
+    (parab,) = [e for e in nontrivial_parabolics(scheme)
+                if (e.num_classes, e.n_class) == shape]
+    res = is_dismantlable(scheme, parab)
+    assert (res.ok, res.witness, res.unions_checked) == \
+        (False, witness, unions_checked)
+
+
+def test_outside_pairs_cover_each_transpose_pair_once(reference_schemes):
+    schemes = [orbit_scheme(n, units) for n in range(4, 31)
+               for units in unit_groups(n)]
+    schemes = ([s for s in schemes if s.rank <= 12] + thin_schemes()
+               + list(reference_schemes.values()))
+    for scheme, parab in definition_cases(schemes):
+        inverse, outside = scheme.inverse, parab.outside
+        pairs, _ = _outside_blocks(scheme, parab)
+        assert pairs == sorted(pairs)
+        transposes = [(int(inverse[j]), int(inverse[i])) for i, j in pairs]
+        # each ordered pair is a kept pair or the transpose of one, and no
+        # two kept pairs are transposes of each other
+        assert set(pairs) | set(transposes) == \
+            set(itertools.product(outside, repeat=2))
+        assert len(set(map(frozenset, zip(pairs, transposes)))) == len(pairs)
 
 
 def test_dismantlable_matches_reference(reference_schemes):
