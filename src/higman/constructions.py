@@ -82,18 +82,16 @@ def verify_dds(G: FiniteGroup, N: Subgroup, X: Iterable[int]) -> DivisibleDiffer
     diffs[G.identity] -= len(xs)
     n_sharp = [x for x in N.elements if x != G.identity]
     outside = [x for x in range(G.order) if x not in N.as_set]
-    lam1 = int(diffs[n_sharp[0]]) if n_sharp else 0
-    for x in n_sharp:
-        if diffs[x] != lam1:
-            raise ConstructionError(
-                f"difference count not constant on N^#: element {x} has "
-                f"{int(diffs[x])}, element {n_sharp[0]} has {lam1}")
-    lam2 = int(diffs[outside[0]]) if outside else 0
-    for x in outside:
-        if diffs[x] != lam2:
-            raise ConstructionError(
-                f"difference count not constant outside N: element {x} has "
-                f"{int(diffs[x])}, element {outside[0]} has {lam2}")
+    lams = []
+    for where, part in (("on N^#", n_sharp), ("outside N", outside)):
+        lam = int(diffs[part[0]]) if part else 0
+        for x in part:
+            if diffs[x] != lam:
+                raise ConstructionError(
+                    f"difference count not constant {where}: element {x} "
+                    f"has {int(diffs[x])}, element {part[0]} has {lam}")
+        lams.append(lam)
+    lam1, lam2 = lams
     return DivisibleDifferenceSet(
         group=G, forbidden=N, elements=xs, m=G.order // N.order,
         n=N.order, k=len(xs), lambda1=lam1, lambda2=lam2)
@@ -224,23 +222,18 @@ def _two_level_options(vec: np.ndarray, size: int) -> list[tuple[frozenset, int,
     return out
 
 
-def _rds_difference_vector(G: FiniteGroup, N: Subgroup, k: int, lam: int) -> np.ndarray:
-    want = np.full(G.order, lam, dtype=np.int64)
-    for x in N.elements:
-        want[x] = 0
-    want[G.identity] = k
-    return want
-
-
 def verify_linked_system(G: FiniteGroup, N: Subgroup,
                          sets: Sequence[Iterable[int]],
                          chi: Sequence[int] | None = None) -> LinkedSystem:
     """Check the closed-linked-system product law and recover (chi, psi, mu, nu).
 
-    Every member must be an (m, n, k, lam)-RDS relative to N; the product of
-    a member with its inverse partner must equal k*e + lam*(G \\ N) and every
-    other product must be two-level on a member of the family, with the same
-    (mu, nu) throughout.
+    Every member must be an (m, n, k, lam)-RDS relative to N, and every
+    product X_a X_b with b != chi(a) must be two-level on a family member,
+    with one (mu, nu) throughout.  X_a X_chi(a) = X_a X_a^-1 is the
+    difference multiset of X_a, which ``verify_dds`` has pinned to
+    k*e + lam*(G \\ N) once lambda1 = 0 and (k, lam) is common, so only
+    the w(w-1) other products are formed.  The law taken is the first law
+    of the least pair that every pair shares.
     """
     family = [tuple(sorted(set(int(x) for x in s))) for s in sets]
     w = len(family)
@@ -269,46 +262,25 @@ def verify_linked_system(G: FiniteGroup, N: Subgroup,
     if chi is not None and tuple(chi) != tuple(rec_chi):
         raise ConstructionError("supplied chi disagrees with the inverses")
 
-    cache: dict = {}
-    chi_form = _rds_difference_vector(G, N, k, lam)
-    options: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    # chi is a permutation, so w >= 2 leaves w(w-1) >= 2 pairs here; each
+    # pair maps its readings (mu, nu) to the member c it is two-level on
+    laws: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     for a, b in itertools.product(range(w), repeat=2):
-        vec = _product_vector(G, cache, family[a], family[b])
         if b == rec_chi[a]:
-            if not (vec == chi_form).all():
-                raise ConstructionError(
-                    f"product of member {a} with its inverse partner is not "
-                    f"k*e + lam*(G \\ N)")
             continue
-        opts = []
-        for y, mu, nu in _two_level_options(vec, k):
-            c = index.get(y)
-            if c is not None:
-                opts.append((c, mu, nu))
-        if not opts:
+        vec = gre_multiply(G, family[a], family[b])
+        laws[a, b] = {(mu, nu): index[y] for y, mu, nu
+                      in _two_level_options(vec, k) if y in index}
+        if not laws[a, b]:
             raise ConstructionError(
                 f"product of members {a},{b} is not two-level on a family "
                 f"member")
-        options[(a, b)] = opts
-
-    # pairs constrain each other only through the global (mu, nu): for each
-    # (mu, nu) the least pair offers, every pair takes its first option
-    # with that (mu, nu)
-    pairs = sorted(options)
-    if not pairs:
-        # w = 2 with chi swapping both members: no psi pairs exist
-        raise ConstructionError("every pair is a chi-pair; system is degenerate")
-    mu = nu = None
-    psi: dict[tuple[int, int], int] = {}
-    for _, mu0, nu0 in options[pairs[0]]:
-        picks = {pair: next((c for c, mu1, nu1 in options[pair]
-                             if (mu1, nu1) == (mu0, nu0)), None)
-                 for pair in pairs}
-        if None not in picks.values():
-            psi, mu, nu = picks, mu0, nu0
-            break
-    if mu is None:
+    shared = set.intersection(*map(set, laws.values()))
+    law = next((x for x in laws[min(laws)] if x in shared), None)
+    if law is None:
         raise ConstructionError("no globally consistent (mu, nu)")
+    mu, nu = law
+    psi = {pair: readings[law] for pair, readings in laws.items()}
 
     branch = ""
     plus, minus = semiregular_mu_nu(n, lam)
@@ -573,10 +545,12 @@ def search_linked_system(G: FiniteGroup, N: Subgroup, w: int,
     k = len(rds_list[0])
     cache: dict = {}
     first = None
+    seen: set[frozenset] = set()  # verification depends only on the family
     for start in rds_list:
         fam = _close(G, w, k, rds_set, cache, frozenset({frozenset(start)}))
-        if fam is None:
+        if fam is None or fam in seen:
             continue
+        seen.add(fam)
         try:
             system = verify_linked_system(
                 G, N, sorted(tuple(sorted(s)) for s in fam))

@@ -402,14 +402,15 @@ def parse_scheme_file(path) -> tuple[np.ndarray, int]:
                 f"row {li + 1} has {count} entries, expected {v}")
     # loadtxt converts the rows in C.  When it refuses them or splits them
     # differently, the row loop below names the bad row, or accepts what
-    # int() accepts (such as 1_0).  Older NumPy parses "4.0" as an integer
-    # with a DeprecationWarning; that is a refusal here.
+    # int() accepts (such as 1_0).  Any warning is a refusal here: older
+    # NumPy parses "4.0" as an integer with a DeprecationWarning, and zero
+    # rows (v = 0) give a UserWarning.
     with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
+        warnings.simplefilter("error")
         try:
             matrix = np.loadtxt(lines[1:], dtype=np.int64, comments=None,
                                 ndmin=2)
-        except (ValueError, OverflowError, DeprecationWarning):
+        except (ValueError, OverflowError, Warning):
             matrix = None
     if matrix is not None and matrix.shape == (v, v):
         return matrix, rank

@@ -218,7 +218,10 @@ def test_construct_analyze_identical_verdicts(tmp_path, capsys):
     # row lengths are checked before any entry is converted
     ("scheme 2 2\n0 x\n1\n", 3, "error: row 2 has 1 entries, expected 2"),
     ("scheme 2 3\n0 1\n1 0\n", 4, "not a scheme: header says rank 3"),
+    # no rows: no reader warning, and the validator names the empty set
+    ("scheme 0 1\n", 4, "not a scheme: empty point set"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_analyze_malformed_schemes(tmp_path, capsys, body, code, message):
     path = tmp_path / "m.scheme"
     path.write_text(body)

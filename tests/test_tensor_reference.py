@@ -26,7 +26,12 @@ backtracking search that adds one element and one difference at a time,
 and Cayley schemes, whose tensor comes from the products of the parts,
 against `validate` on their color matrices.  The integer kernel of
 `QuadraticNumber` is checked against the Fraction kernel it replaced: the
-same printed values, order, errors and route-1/route-3 outputs.
+same printed values, order, errors and route-1/route-3 outputs.  Each of
+routes 2 and 4, when it passes, is counted to form one product per class
+and pair.  `verify_linked_system` is checked against the verifier that
+formed every product, the inverse-partner ones and repeats included: the
+same system or the same error on every closed family of the desk points,
+mutated ones and unions, and the same search result on each branch.
 """
 
 from __future__ import annotations
@@ -720,6 +725,15 @@ def definition_cases(schemes):
             for parab in nontrivial_parabolics(scheme)]
 
 
+def block_product_cases(reference_schemes):
+    """The parabolics of the orbit schemes of C:4 to C:30 up to rank 12, the
+    thin schemes and the reference schemes."""
+    schemes = [orbit_scheme(n, units) for n in range(4, 31)
+               for units in unit_groups(n)]
+    return definition_cases([s for s in schemes if s.rank <= 12]
+                            + thin_schemes() + list(reference_schemes.values()))
+
+
 def test_definition_matches_reference(reference_schemes):
     cases = definition_cases(list(reference_schemes.values()) + thin_schemes())
     assert any(ref_is_uniform_by_definition(*case).ok for case in cases)
@@ -763,12 +777,8 @@ def test_skipped_block_products_are_determined(reference_schemes):
     # parabolic: through any class G its product is p_ij^k on the k-cells
     # of the rows in G (of the columns, when only j is inside) and 0
     # elsewhere, constant on every cell set either route compares
-    schemes = [orbit_scheme(n, units) for n in range(4, 31)
-               for units in unit_groups(n)]
-    schemes = ([s for s in schemes if s.rank <= 12] + thin_schemes()
-               + list(reference_schemes.values()))
     skipped = 0
-    for scheme, parab in definition_cases(schemes):
+    for scheme, parab in block_product_cases(reference_schemes):
         r, inside = scheme.rank, parab.colors
         basis = [(scheme.color == i).astype(np.int64) for i in range(r)]
         for i, j in itertools.product(range(r), repeat=2):
@@ -800,11 +810,7 @@ def test_dismantle_witnesses_pinned(n, units, shape, witness,
 
 
 def test_outside_pairs_cover_each_transpose_pair_once(reference_schemes):
-    schemes = [orbit_scheme(n, units) for n in range(4, 31)
-               for units in unit_groups(n)]
-    schemes = ([s for s in schemes if s.rank <= 12] + thin_schemes()
-               + list(reference_schemes.values()))
-    for scheme, parab in definition_cases(schemes):
+    for scheme, parab in block_product_cases(reference_schemes):
         inverse, outside = scheme.inverse, parab.outside
         pairs, _ = _outside_blocks(scheme, parab)
         assert pairs == sorted(pairs)
@@ -814,6 +820,41 @@ def test_outside_pairs_cover_each_transpose_pair_once(reference_schemes):
         assert set(pairs) | set(transposes) == \
             set(itertools.product(outside, repeat=2))
         assert len(set(map(frozenset, zip(pairs, transposes)))) == len(pairs)
+
+
+class CountedMatmul(np.ndarray):
+    """A float array that counts the products it forms as left operand."""
+    products = 0
+
+    def __matmul__(self, other):
+        CountedMatmul.products += 1
+        return super().__matmul__(other)
+
+
+def test_each_route_forms_one_product_per_class_and_pair(reference_schemes,
+                                                         monkeypatch):
+    # a route that passes forms basis products for every class and every
+    # pair of `_outside_blocks`, no more and no fewer
+    def counted_blocks(scheme, parab):
+        pairs, bases = outside_blocks(scheme, parab)
+        return pairs, ({i: b.view(CountedMatmul) for i, b in basis.items()}
+                       for basis in bases)
+
+    outside_blocks = higmanian._outside_blocks
+    monkeypatch.setattr(higmanian, "_outside_blocks", counted_blocks)
+    passed = {is_uniform_by_definition: 0, is_dismantlable: 0}
+    for scheme, parab in block_product_cases(reference_schemes):
+        want = parab.num_classes * len(outside_blocks(scheme, parab)[0])
+        for route in passed:
+            CountedMatmul.products = 0
+            if route(scheme, parab).ok:
+                assert CountedMatmul.products == want, (route, scheme, parab)
+                passed[route] += want > 0
+    heis = reference_schemes["heis {'q': 3, 'r': 1}"]
+    F = next(e for e in nontrivial_parabolics(heis) if e.corank == 2)
+    CountedMatmul.products = 0
+    assert is_dismantlable(heis, F).ok and CountedMatmul.products == 12
+    assert min(passed.values()) > 10
 
 
 def test_dismantlable_matches_reference(reference_schemes):
@@ -1081,3 +1122,252 @@ def test_rds_search_matches_reference(constructions_by_family):
         assert all(type(x) is int for rds in got for x in rds)
         sizes.append(len(got))
     assert sizes == [16, 512, 405, 486, 4, 0, 8, 0, 1, 0, 0]
+
+
+# -- linked systems against the verifier that formed every product ------------------
+
+def ref_verify_dds(G, N, X):
+    """`verify_dds` with one constancy loop per part."""
+    xs = tuple(sorted(set(int(x) for x in X)))
+    if xs and not 0 <= xs[0] <= xs[-1] < G.order:
+        raise ConstructionError(f"element outside 0..{G.order - 1}")
+    diffs = gre_multiply(G, xs, G.inv[list(xs)])
+    diffs[G.identity] -= len(xs)
+    n_sharp = [x for x in N.elements if x != G.identity]
+    outside = [x for x in range(G.order) if x not in N.as_set]
+    lam1 = int(diffs[n_sharp[0]]) if n_sharp else 0
+    for x in n_sharp:
+        if diffs[x] != lam1:
+            raise ConstructionError(
+                f"difference count not constant on N^#: element {x} has "
+                f"{int(diffs[x])}, element {n_sharp[0]} has {lam1}")
+    lam2 = int(diffs[outside[0]]) if outside else 0
+    for x in outside:
+        if diffs[x] != lam2:
+            raise ConstructionError(
+                f"difference count not constant outside N: element {x} has "
+                f"{int(diffs[x])}, element {outside[0]} has {lam2}")
+    return constructions.DivisibleDifferenceSet(
+        group=G, forbidden=N, elements=xs, m=G.order // N.order,
+        n=N.order, k=len(xs), lambda1=lam1, lambda2=lam2)
+
+
+def ref_product_vector(G, cache, a, b):
+    key = (a, b)
+    if key not in cache:
+        cache[key] = gre_multiply(G, a, b)
+    return cache[key]
+
+
+def ref_rds_difference_vector(G, N, k, lam):
+    want = np.full(G.order, lam, dtype=np.int64)
+    for x in N.elements:
+        want[x] = 0
+    want[G.identity] = k
+    return want
+
+
+def ref_verify_linked_system(G, N, sets, chi=None):
+    """Check the closed-linked-system product law and recover (chi, psi, mu, nu).
+
+    Every member must be an (m, n, k, lam)-RDS relative to N; the product of
+    a member with its inverse partner must equal k*e + lam*(G \\ N) and every
+    other product must be two-level on a member of the family, with the same
+    (mu, nu) throughout.
+    """
+    family = [tuple(sorted(set(int(x) for x in s))) for s in sets]
+    w = len(family)
+    if w < 2:
+        raise ConstructionError("a linked system needs w >= 2")
+    if len(set(family)) != w:
+        raise ConstructionError("family members must be distinct")
+    rds = [ref_verify_dds(G, N, s) for s in family]
+    if any(d.lambda1 != 0 for d in rds):
+        raise ConstructionError("a member hits the forbidden subgroup")
+    ks = {d.k for d in rds}
+    lams = {d.lambda2 for d in rds}
+    if len(ks) != 1 or len(lams) != 1:
+        raise ConstructionError("members have different (k, lambda)")
+    k, lam = ks.pop(), lams.pop()
+    m, n = rds[0].m, rds[0].n
+
+    index = {frozenset(s): i for i, s in enumerate(family)}
+    rec_chi = []
+    for i, s in enumerate(family):
+        inv = frozenset(int(G.inv[x]) for x in s)
+        if inv not in index:
+            raise ConstructionError(
+                f"inverse of member {i} is not in the family")
+        rec_chi.append(index[inv])
+    if chi is not None and tuple(chi) != tuple(rec_chi):
+        raise ConstructionError("supplied chi disagrees with the inverses")
+
+    cache: dict = {}
+    chi_form = ref_rds_difference_vector(G, N, k, lam)
+    options: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for a, b in itertools.product(range(w), repeat=2):
+        vec = ref_product_vector(G, cache, family[a], family[b])
+        if b == rec_chi[a]:
+            if not (vec == chi_form).all():
+                raise ConstructionError(
+                    f"product of member {a} with its inverse partner is not "
+                    f"k*e + lam*(G \\ N)")
+            continue
+        opts = []
+        for y, mu, nu in constructions._two_level_options(vec, k):
+            c = index.get(y)
+            if c is not None:
+                opts.append((c, mu, nu))
+        if not opts:
+            raise ConstructionError(
+                f"product of members {a},{b} is not two-level on a family "
+                f"member")
+        options[(a, b)] = opts
+
+    # pairs constrain each other only through the global (mu, nu): for each
+    # (mu, nu) the least pair offers, every pair takes its first option
+    # with that (mu, nu)
+    pairs = sorted(options)
+    if not pairs:
+        # w = 2 with chi swapping both members: no psi pairs exist
+        raise ConstructionError("every pair is a chi-pair; system is degenerate")
+    mu = nu = None
+    psi: dict[tuple[int, int], int] = {}
+    for _, mu0, nu0 in options[pairs[0]]:
+        picks = {pair: next((c for c, mu1, nu1 in options[pair]
+                             if (mu1, nu1) == (mu0, nu0)), None)
+                 for pair in pairs}
+        if None not in picks.values():
+            psi, mu, nu = picks, mu0, nu0
+            break
+    if mu is None:
+        raise ConstructionError("no globally consistent (mu, nu)")
+
+    branch = ""
+    plus, minus = constructions.semiregular_mu_nu(n, lam)
+    if (QN(mu), QN(nu)) == plus:
+        branch = "+"
+    elif (QN(mu), QN(nu)) == minus:
+        branch = "-"
+    elif k == m:
+        raise ConstructionError(
+            f"recovered (mu, nu) = ({mu}, {nu}) matches neither sign branch")
+    return constructions.LinkedSystem(
+        group=G, forbidden=N, sets=tuple(family), chi=tuple(rec_chi), psi=psi,
+        m=m, n=n, k=k, lam=lam, mu=mu, nu=nu, branch=branch)
+
+
+def ref_search_linked_system(G, N, w, rds_list, mu_nu=None):
+    """`search_linked_system` verifying every closed start, repeats too."""
+    rds_set = {frozenset(s) for s in rds_list}
+    k = len(rds_list[0])
+    cache: dict = {}
+    first = None
+    for start in rds_list:
+        fam = constructions._close(G, w, k, rds_set, cache,
+                                   frozenset({frozenset(start)}))
+        if fam is None:
+            continue
+        try:
+            system = ref_verify_linked_system(
+                G, N, sorted(tuple(sorted(s)) for s in fam))
+        except ConstructionError:
+            continue
+        if mu_nu is None or (system.mu, system.nu) == mu_nu:
+            return system
+        if first is None:
+            first = system
+    return first
+
+
+def linked_outcome(verify, G, N, sets, chi=None):
+    """What a verifier returns, by field, or the text of its error."""
+    try:
+        s = verify(G, N, sets, chi)
+    except ConstructionError as exc:
+        return str(exc)
+    return (s.sets, s.chi, tuple(s.psi.items()), s.params, s.branch)
+
+
+def closed_families(con):
+    """Every closed family `_close` reaches from some start RDS at a desk
+    point, as sorted member lists, in order of first reach."""
+    G, N, w = con.group, con.forbidden, con.system.w
+    rds = search_semiregular_rds(G, N)
+    rds_set, cache, out = {frozenset(s) for s in rds}, {}, []
+    for start in rds:
+        fam = constructions._close(G, w, len(rds[0]), rds_set, cache,
+                                   frozenset({frozenset(start)}))
+        if fam is not None:
+            fam = sorted(tuple(sorted(s)) for s in fam)
+            if fam not in out:
+                out.append(fam)
+    return out
+
+
+def mutated_families(G, fam):
+    """fam with one element replaced (the first element of a member by the
+    least element it lacks), one member dropped, or one duplicated."""
+    for i, s in enumerate(fam):
+        lacks = min(set(range(G.order)) - set(s))
+        yield fam[:i] + [(lacks,) + s[1:]] + fam[i + 1:]
+        yield fam[:i] + fam[i + 1:]
+        yield fam + [s]
+
+
+def test_verify_linked_system_matches_reference(constructions_by_family):
+    cases = []
+    for con in constructions_by_family.values():
+        G, N = con.group, con.forbidden
+        fams = closed_families(con)
+        assert con.system.sets in map(tuple, fams)
+        for fam in fams:
+            chi = ref_verify_linked_system(G, N, fam).chi
+            cases += [(G, N, fam, None), (G, N, fam, chi),
+                      (G, N, fam, chi[::-1])]
+            cases += [(G, N, bad, None) for bad in mutated_families(G, fam)]
+        if (con.family, con.r) == ("q8cp", 2):
+            # unions of the first closed family with each other one: four
+            # members, past the RDS and inverse checks into the products
+            cases += [(G, N, fams[0] + fam, None) for fam in fams[1:]]
+    # singletons with a trivial N: every product is two-level on a member
+    # (with two readings on C:2), so the law is taken, and lam = 0 then
+    # has no sign branch
+    for spec in ("C:2", "C:3", "C:4"):
+        G = build_family(spec)
+        cases.append((G, G.subgroup([0]), [(x,) for x in range(G.order)],
+                      None))
+    # a member uneven on N^#, a member hitting N, and unequal k
+    c8, q8 = build_family("C:8"), build_family("Q8cp:1")
+    cases += [(c8, c8.subgroup([0, 2, 4, 6]), [(0, 2), (1, 3)], None),
+              (c8, c8.subgroup([0, 4]), [(0, 4), (1, 5)], None),
+              (q8, q8.center(), [(0, 2, 4, 6), (0, 3, 5, 7), (1,)], None)]
+    seen = set()
+    for G, N, sets, chi in cases:
+        got = linked_outcome(constructions.verify_linked_system,
+                             G, N, sets, chi)
+        assert got == linked_outcome(ref_verify_linked_system, G, N, sets, chi)
+        seen.add(got if isinstance(got, str) else got[3])
+    assert len(seen) > 12
+
+
+@pytest.mark.parametrize("family, kw", [
+    ("q8cp", (("r", 1),)), ("q8cp", (("r", 2),)),
+    ("heis", (("q", 3), ("r", 1))), ("ea", (("j", 1), ("q", 3), ("r", 1))),
+])
+def test_search_linked_system_matches_reference(constructions_by_family,
+                                                family, kw):
+    con = constructions_by_family[(family, kw)]
+    G, N, w = con.group, con.forbidden, con.system.w
+    rds = search_semiregular_rds(G, N)
+    table1 = con.table1_expected[5:]
+    laws = [tuple(x.as_integer() for x in law) for law in
+            constructions.semiregular_mu_nu(N.order, con.system.lam)]
+    (other,) = [law for law in laws if law != table1]
+    for mu_nu in (None, table1, other):
+        got = constructions.search_linked_system(G, N, w, rds_list=rds,
+                                                 mu_nu=mu_nu)
+        want = ref_search_linked_system(G, N, w, rds, mu_nu)
+        assert (got.sets, got.chi, tuple(got.psi.items()), got.params,
+                got.branch) == (want.sets, want.chi, tuple(want.psi.items()),
+                                want.params, want.branch)
