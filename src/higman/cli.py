@@ -3,7 +3,8 @@
 Commands: analyze, construct, search-rds, search-linked-system,
 verify-linked, tables.  `analyze` exit codes: 0 uniform Higmanian,
 1 Higmanian but not uniform, 2 not Higmanian, 3 unreadable/malformed file,
-4 scheme-axiom failure, 5 internal verdict inconsistency.
+4 scheme-axiom failure, 5 internal verdict inconsistency or, with
+--oracle, a float oracle that disagrees with the exact spectrum.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import asdict, dataclass, field
 from . import constructions, higmanian, schemes
 from .constructions import ConstructionError
 from .groups import GroupError, build_family
-from .higmanian import NotHigmanianError, VerdictInconsistencyError
+from .higmanian import (NotHigmanianError, OracleError,
+                        VerdictInconsistencyError)
 
 EXIT_UNIFORM = 0
 EXIT_NON_UNIFORM = 1
@@ -152,9 +154,13 @@ def cmd_analyze(args) -> int:
     except schemes.SchemeError as exc:
         print(f"not a scheme: {exc}", file=sys.stderr)
         return EXIT_BAD_SCHEME
-    report, code = analyze_scheme(scheme, args.file,
-                                  strict=not args.no_strict_higmanian,
-                                  oracle=args.oracle)
+    try:
+        report, code = analyze_scheme(scheme, args.file,
+                                      strict=not args.no_strict_higmanian,
+                                      oracle=args.oracle)
+    except OracleError as exc:
+        print(f"error: oracle: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
     _print_report(report, args.json)
     return code
 

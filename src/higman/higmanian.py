@@ -44,6 +44,10 @@ class VerdictInconsistencyError(RuntimeError):
         self.bundle = bundle
 
 
+class OracleError(spectral.SpectralError):
+    """The float oracle failed on a bundle whose verdicts agree."""
+
+
 @dataclass(frozen=True)
 class HigmanianParams:
     f: int
@@ -436,8 +440,10 @@ def verdict_bundle(scheme: SchemeTable, strict: bool = True, seed: int = 0,
     The verdicts must coincide (they are provably equivalent for genuine
     Higmanian schemes); disagreement raises VerdictInconsistencyError, which
     carries the bundle.  A scheme that is not Higmanian raises
-    NotHigmanianError with the detection's reason.  ``seed`` is accepted and
-    has no effect: every route is exact and none samples.
+    NotHigmanianError with the detection's reason.  With ``oracle``, the
+    float oracle runs only on a consistent bundle, and its failure raises
+    OracleError.  ``seed`` is accepted and has no effect: every route is
+    exact and none samples.
     """
     det = detect_higmanian(scheme, strict=strict)
     if not det:
@@ -455,11 +461,6 @@ def verdict_bundle(scheme: SchemeTable, strict: bool = True, seed: int = 0,
         alt_agrees = (alt_crit == criterion
                       and alt_qh.verdict == qh.verdict)
 
-    oracle_result = None
-    if oracle:
-        oracle_result = spectral.float_eigen_oracle(
-            scheme, eigen, relation_order=det.relation_order)
-
     bundle = VerdictBundle(
         detection=det, params=params, criterion=criterion,
         definition=definition, q_higmanian=qh.verdict,
@@ -467,11 +468,17 @@ def verdict_bundle(scheme: SchemeTable, strict: bool = True, seed: int = 0,
         q_certificates=qh.certificates,
         rhs_candidates=uniformity_rhs(params.f, params.m, params.n, params.k),
         definition_details=def_details, dismantle_details=dis_details,
-        oracle=oracle_result, alt_agrees=alt_agrees)
+        alt_agrees=alt_agrees)
     if not bundle.consistent:
         raise VerdictInconsistencyError(
             f"uniformity verdicts disagree on params {params}: "
             f"criterion={criterion} definition={definition} "
             f"q_higmanian={qh.verdict} dismantlable={dismantlable} "
             f"(labelings agree: {alt_agrees})", bundle)
+    if oracle:
+        try:
+            bundle.oracle = spectral.float_eigen_oracle(
+                scheme, eigen, relation_order=det.relation_order)
+        except spectral.SpectralError as exc:
+            raise OracleError(str(exc)) from exc
     return bundle

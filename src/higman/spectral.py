@@ -16,8 +16,12 @@ where x1, x3 are the roots of
 with |x1| >= |x3|; row 0 is the valency vector, and the multiplicities
 follow from P by row orthogonality.  All of it is computed over
 QuadraticNumber, so uniformity decisions are exact; there is no exact
-eigensolver for other schemes.  A floating-point eigendecomposition oracle
-exists solely as an independent cross-check of constructed schemes.
+eigensolver for other schemes.  A floating-point oracle exists solely as an
+independent cross-check of constructed schemes: it reads the spectrum of a
+random element of the Bose-Mesner algebra from r Lanczos steps (whose
+Krylov space closes there, as the element has r distinct eigenvalues), and
+the multiplicities from its trace moments as Gauss quadrature weights,
+with no v x v eigensolver and no v x v product.
 """
 
 from __future__ import annotations
@@ -260,39 +264,51 @@ class OracleResult:
 def float_eigen_oracle(scheme: SchemeTable, exact: EigenData,
                        relation_order: Sequence[int] | None = None
                        ) -> OracleResult:
-    """Numerically eigendecompose the adjacency matrices and match the rows
-    of the exact eigenmatrix, as an independent verification channel.
+    """Read the spectrum of the scheme numerically, from its color matrix
+    and seeded random draws only, and match it to the exact eigenmatrix.
 
-    relation_order maps eigenmatrix columns to scheme colors (identity when
-    omitted).  Raises when the match is off by more than 1e-8.
+    M = sum_i w_i A_i lies in the rank-r Bose-Mesner algebra, so it has r
+    distinct eigenvalues theta_j (for generic w) and the Krylov space of a
+    start vector closes after r Lanczos steps.  The start is the unit
+    vector e_x of a random point x.  The r Ritz vectors y_j of the r x r
+    Lanczos matrix T are unit vectors of the r eigenspaces, so
+    P_float[j, i] = y_j^T A_i y_j.  Every element of the algebra has a
+    constant diagonal, so the trace moments are tr(M^p) = v (M^p)_xx =
+    v sum_j s_j^2 theta_j^p, where s_j is the first component of T's j-th
+    eigenvector: the multiplicities are m_j = v s_j^2 (Gauss quadrature
+    weights), with no v x v product.  relation_order maps eigenmatrix
+    columns to scheme colors (identity when omitted).  Raises when the
+    Krylov space does not close at exactly r steps with r separated Ritz
+    values in 10 draws, when a multiplicity is not an integer, or when the
+    match is off by more than 1e-8.
     """
     order = list(relation_order) if relation_order is not None \
         else list(range(scheme.rank))
-    # bool masks: w * True = w and proj * 1.0 = proj, so M and every cell
-    # sum are those of the 0/1 float matrices, without a float copy each
-    mats = [scheme.color == c for c in order]
-    r = scheme.rank
+    r, v = scheme.rank, scheme.v
     for attempt in range(10):
         rng = np.random.default_rng(12345 + attempt)
         w = rng.uniform(1.0, 2.0, size=r)
-        M = sum(wi * A for wi, A in zip(w, mats))
-        vals, vecs = np.linalg.eigh(M)
-        clusters = _cluster(vals, 1e-6 * max(1.0, float(np.abs(vals).max())))
-        if len(clusters) == r:
+        W = np.empty(r)
+        W[order] = w
+        M = W[scheme.color]
+        start = np.zeros(v)
+        start[rng.integers(v)] = 1.0
+        ritz = _lanczos_ritz(M, start, r)
+        if ritz is not None:
             break
     else:
         raise SpectralError("could not separate eigenspaces numerically")
+    weights, Y = ritz
 
+    # P_float[j, i] = y_j^T A_i y_j, one thin product A_i Y per color
     P_float = np.empty((r, r))
-    dims = []
-    for ci, idxs in enumerate(clusters):
-        V = vecs[:, idxs]
-        proj = V @ V.T
-        dims.append(len(idxs))
-        # trace(proj A) without the product: proj is symmetric, so it is
-        # the sum of proj * A (numpy's pairwise sum keeps the error small)
-        for i, A in enumerate(mats):
-            P_float[ci, i] = (proj * A).sum() / len(idxs)
+    for i, c in enumerate(order):
+        P_float[:, i] = np.einsum("xj,xj->j", Y, (scheme.color == c) @ Y)
+
+    dims = v * weights
+    if np.abs(dims - np.rint(dims)).max() > 1e-6:
+        raise SpectralError(
+            f"trace moments give non-integer multiplicities {dims.tolist()}")
 
     # match rows to the exact eigenmatrix by valency-normalized profile
     n = np.array(exact.valencies, dtype=np.float64)
@@ -304,7 +320,7 @@ def float_eigen_oracle(scheme: SchemeTable, exact: EigenData,
             best = (err, perm)
     err_norm, perm = best
     P_matched = P_float[list(perm)]
-    mults = tuple(dims[j] for j in perm)
+    mults = tuple(int(np.rint(dims[j])) for j in perm)
     max_err = float(np.abs(P_matched - exact_rows).max())
     if max_err > 1e-8:
         raise SpectralError(
@@ -318,11 +334,34 @@ def float_eigen_oracle(scheme: SchemeTable, exact: EigenData,
     return OracleResult(P=P_matched, multiplicities=mults, max_abs_error=max_err)
 
 
-def _cluster(vals: np.ndarray, gap: float) -> list[list[int]]:
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[clusters[-1][-1]] <= gap:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters
+def _lanczos_ritz(M: np.ndarray, start: np.ndarray, r: int
+                  ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Gauss weights s_j^2 and unit Ritz vectors of r Lanczos steps on the
+    positive symmetric M from the unit vector start, each step
+    reorthogonalized twice against the whole basis.  None unless the
+    Krylov space closes at exactly r steps (residual at most
+    1e-9 ||M||_inf) with r Ritz values more than 1e-6 max(1, |theta|)
+    apart."""
+    tol = 1e-9 * float(M.sum(axis=1).max())  # ||M||_inf, as M > 0
+    Q = np.empty((len(start), r))
+    alpha, beta = np.empty(r), np.empty(r)
+    q = start
+    for k in range(r):
+        Q[:, k] = q
+        z = M @ q
+        alpha[k] = q @ z
+        B = Q[:, :k + 1]
+        for _ in range(2):  # twice is enough
+            z -= B @ (B.T @ z)
+        beta[k] = np.linalg.norm(z)
+        if beta[k] <= tol:
+            break
+        q = z / beta[k]
+    if k < r - 1 or beta[k] > tol:  # closes early, or not at r steps
+        return None
+    T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+    theta, S = np.linalg.eigh(T)
+    if np.diff(theta).min(initial=np.inf) \
+            <= 1e-6 * max(1.0, float(np.abs(theta).max())):
+        return None
+    return S[0] ** 2, Q @ S

@@ -1,8 +1,9 @@
 import json
+import warnings
 
 import pytest
 
-from higman import higmanian
+from higman import higmanian, spectral
 from higman.cli import main
 from higman.schemes import trivial_scheme, wreath_product, write_scheme
 
@@ -305,3 +306,45 @@ def test_analyze_inconsistent_verdicts(tmp_path, capsys, monkeypatch):
         "criterion": False, "definition": True, "q_higmanian": True,
         "dismantlable": True}
     assert "oracle_max_abs_error" not in report["spectral"]
+
+
+def test_analyze_oracle_failure(tmp_path, capsys, monkeypatch):
+    # an oracle failure is exit 5 with one stderr line, not a traceback
+    # with exit 1 ("Higmanian but not uniform")
+    out = tmp_path / "q8.scheme"
+    run(capsys, "construct", "q8cp", "1", "-o", str(out))
+
+    def fail(*args, **kwargs):
+        raise spectral.SpectralError("no closure at 5 steps")
+
+    monkeypatch.setattr(spectral, "float_eigen_oracle", fail)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for flags in (("--oracle",), ("--json", "--oracle")):
+            code, stdout, err = run(capsys, "analyze", str(out), *flags)
+            assert code == 5
+            assert err.splitlines() == ["error: oracle: no closure at 5 steps"]
+            assert stdout == ""
+        code, stdout, err = run(capsys, "analyze", str(out))
+    assert code == 0 and "uniform: yes" in stdout and err == ""
+
+
+def test_oracle_runs_only_on_consistent_verdicts(tmp_path, capsys,
+                                                 monkeypatch):
+    # an inconsistency is reported as such, however the oracle would fare
+    out = tmp_path / "q8.scheme"
+    run(capsys, "construct", "q8cp", "1", "-o", str(out))
+    criterion = higmanian.is_uniform_by_criterion
+    monkeypatch.setattr(higmanian, "is_uniform_by_criterion",
+                        lambda params: not criterion(params))
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(args)
+        raise spectral.SpectralError("oracle failed")
+
+    monkeypatch.setattr(spectral, "float_eigen_oracle", fail)
+    code, stdout, err = run(capsys, "analyze", str(out), "--oracle")
+    assert code == 5 and err == ""
+    assert "FATAL: verdicts disagree" in stdout.splitlines()
+    assert calls == []

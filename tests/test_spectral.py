@@ -1,13 +1,16 @@
+import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from higman import spectral
 from higman.higmanian import HigmanianParams
 from higman.quadratic import QuadraticNumber as QN
-from higman.spectral import (EigenData, SpectralError, eigenvalue_pair,
-                             float_eigen_oracle, higmanian_eigenmatrix,
-                             is_q_higmanian, krein, multiplicity_check,
-                             sim_classes, spectral_data)
+from higman.spectral import (EigenData, SpectralError, _lanczos_ritz,
+                             eigenvalue_pair, float_eigen_oracle,
+                             higmanian_eigenmatrix, is_q_higmanian, krein,
+                             multiplicity_check, sim_classes, spectral_data)
 from test_tensor_reference import ref_higmanian_multiplicities
 
 P24 = HigmanianParams(3, 4, 2, 4, 3)
@@ -206,3 +209,48 @@ def test_float_oracle_desk_points(constructions_by_family):
 def test_oracle_rejects_wrong_exact_data(q8_construction):
     with pytest.raises(SpectralError):
         float_eigen_oracle(q8_construction.result.scheme, spectral_data(P108))
+
+
+def test_oracle_runs_no_dense_eigensolver(heis_construction, monkeypatch):
+    # a v x v eigh (or eigvalsh) is the O(v^3) path; the Lanczos matrix is
+    # the largest matrix the oracle may hand to an eigensolver
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(spectral.np.linalg, name)
+        monkeypatch.setattr(
+            spectral.np.linalg, name,
+            lambda a, *args, _solver=solver, **kw:
+                shapes.append(np.shape(a)) or _solver(a, *args, **kw))
+    scheme = heis_construction.result.scheme
+    det = heis_construction.result.detection
+    res = float_eigen_oracle(scheme, spectral_data(det.params),
+                             relation_order=det.relation_order)
+    assert res.max_abs_error < 1e-8
+    assert scheme.v == 108 and shapes
+    assert max(max(shape) for shape in shapes) <= scheme.rank
+
+
+def test_lanczos_needs_closure_at_r_and_separated_ritz_values():
+    start = np.full(5, 5 ** -0.5)
+    weights, Y = _lanczos_ritz(np.diag([1.0, 2, 3, 4, 5]), start, 5)
+    assert np.allclose(weights, 0.2) and np.allclose(np.abs(Y), np.eye(5))
+    # closes after 3 steps; does not close after 5; Ritz values 2e-6 apart
+    assert _lanczos_ritz(np.diag([1.0, 1, 2, 2, 3]), start, 5) is None
+    assert _lanczos_ritz(np.diag(np.arange(1.0, 9)), np.full(8, 8 ** -0.5),
+                         5) is None
+    assert _lanczos_ritz(np.diag([1, 1 + 2e-6, 2, 3, 4]), start, 5) is None
+
+
+@pytest.mark.parametrize("color, message", [
+    # path on 4 points, distances capped at 2: M has 4 distinct eigenvalues
+    ([[0, 1, 2, 2], [1, 0, 1, 2], [2, 1, 0, 1], [2, 2, 1, 0]],
+     "could not separate eigenspaces numerically"),
+    # path on 3 points: 3 eigenvalues, but the idempotents have no constant
+    # diagonal, so the Gauss weights at an end point are not m_j / v
+    ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], "non-integer multiplicities"),
+])
+def test_oracle_rejects_color_matrices_of_non_schemes(color, message):
+    color = np.array(color)
+    not_a_scheme = types.SimpleNamespace(rank=3, v=len(color), color=color)
+    with pytest.raises(SpectralError, match=message):
+        float_eigen_oracle(not_a_scheme, spectral_data(P24))

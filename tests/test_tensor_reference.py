@@ -32,16 +32,21 @@ and pair.  `verify_linked_system` is checked against the verifier that
 formed every product, the inverse-partner ones and repeats included: the
 same system or the same error on every closed family of the desk points,
 mutated ones and unions, and the same search result on each branch.
+The Lanczos float oracle is checked against the dense oracle it replaced
+(`eigh` of M, one projection per eigenspace): the same multiplicities, P
+within 1e-9, and the same error on wrong exact data.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import operator
 import random
 from fractions import Fraction
 from functools import total_ordering
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -56,11 +61,13 @@ from higman.higmanian import (DefinitionCheck, HigmanianParams,
                               is_dismantlable, is_uniform_by_definition)
 from higman.quadratic import QuadraticNumber as QN
 from higman.quadratic import quadratic_roots, square_free_decomposition
-from higman.schemes import (SchemeError, cayley_scheme, is_wreath_over,
-                            nontrivial_parabolics, parabolics, quotient,
-                            restriction, trivial_scheme, validate,
+from higman.schemes import (SchemeError, SchemeTable, cayley_scheme,
+                            is_wreath_over, nontrivial_parabolics, parabolics,
+                            quotient, restriction, trivial_scheme, validate,
                             wreath_product)
-from higman.spectral import eigenvalue_pair, krein, spectral_data
+from higman.spectral import (EigenData, OracleResult, SpectralError,
+                             eigenvalue_pair, float_eigen_oracle, krein,
+                             spectral_data)
 from test_groups import BUILTIN_SPECS
 
 
@@ -251,6 +258,77 @@ def ref_higmanian_multiplicities(params, x1, x3):
     m1 = top / (base + x1 * x1 * (m * (n - 1)))
     m3 = top / (base + x3 * x3 * (m * (n - 1)))
     return (QN(1), m1, QN(f * (m - 1)), m3, QN(f - 1))
+
+
+def ref_float_eigen_oracle(scheme: SchemeTable, exact: EigenData,
+                           relation_order: Sequence[int] | None = None
+                           ) -> OracleResult:
+    """Numerically eigendecompose the adjacency matrices and match the rows
+    of the exact eigenmatrix, as an independent verification channel.
+
+    relation_order maps eigenmatrix columns to scheme colors (identity when
+    omitted).  Raises when the match is off by more than 1e-8.
+    """
+    order = list(relation_order) if relation_order is not None \
+        else list(range(scheme.rank))
+    # bool masks: w * True = w and proj * 1.0 = proj, so M and every cell
+    # sum are those of the 0/1 float matrices, without a float copy each
+    mats = [scheme.color == c for c in order]
+    r = scheme.rank
+    for attempt in range(10):
+        rng = np.random.default_rng(12345 + attempt)
+        w = rng.uniform(1.0, 2.0, size=r)
+        M = sum(wi * A for wi, A in zip(w, mats))
+        vals, vecs = np.linalg.eigh(M)
+        clusters = ref_cluster(vals, 1e-6 * max(1.0, float(np.abs(vals).max())))
+        if len(clusters) == r:
+            break
+    else:
+        raise SpectralError("could not separate eigenspaces numerically")
+
+    P_float = np.empty((r, r))
+    dims = []
+    for ci, idxs in enumerate(clusters):
+        V = vecs[:, idxs]
+        proj = V @ V.T
+        dims.append(len(idxs))
+        # trace(proj A) without the product: proj is symmetric, so it is
+        # the sum of proj * A (numpy's pairwise sum keeps the error small)
+        for i, A in enumerate(mats):
+            P_float[ci, i] = (proj * A).sum() / len(idxs)
+
+    # match rows to the exact eigenmatrix by valency-normalized profile
+    n = np.array(exact.valencies, dtype=np.float64)
+    exact_rows = np.array([[float(x) for x in row] for row in exact.P])
+    best = None
+    for perm in itertools.permutations(range(r)):
+        err = np.abs(P_float[list(perm)] / n - exact_rows / n).max()
+        if best is None or err < best[0]:
+            best = (err, perm)
+    err_norm, perm = best
+    P_matched = P_float[list(perm)]
+    mults = tuple(dims[j] for j in perm)
+    max_err = float(np.abs(P_matched - exact_rows).max())
+    if max_err > 1e-8:
+        raise SpectralError(
+            f"floating-point oracle disagrees with exact eigenmatrix "
+            f"(max deviation {max_err:.3e})")
+    for j in range(r):
+        m = exact.multiplicities[j]
+        if not m.is_integer or m.as_integer() != mults[j]:
+            raise SpectralError(
+                f"oracle multiplicity {mults[j]} != exact {m} at row {j}")
+    return OracleResult(P=P_matched, multiplicities=mults, max_abs_error=max_err)
+
+
+def ref_cluster(vals: np.ndarray, gap: float) -> list[list[int]]:
+    clusters: list[list[int]] = [[0]]
+    for i in range(1, len(vals)):
+        if vals[i] - vals[clusters[-1][-1]] <= gap:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    return clusters
 
 
 # The Fraction-based kernel that the integer kernel replaced, kept verbatim
@@ -938,6 +1016,54 @@ def test_route3_matches_reference():
             ref_krein(data.P, data.multiplicities, data.valencies)
         irrational += not x1.is_rational
     assert irrational
+
+
+def oracle_cases(constructions_by_family):
+    """(scheme, exact data, relation order) of the four desk points and the
+    octagon, the only rank-5 Higmanian orbit scheme of C:4-C:60."""
+    found = {f"{fam} {dict(kw)}": con.result.scheme
+             for (fam, kw), con in constructions_by_family.items()}
+    G, parts = small_partitions()["octagon"]
+    found["octagon"] = cayley_scheme(G, parts)
+    cases = {}
+    for name, scheme in found.items():
+        det = detect_higmanian(scheme)
+        cases[name] = (scheme, spectral_data(det.params), det.relation_order)
+    return cases
+
+
+def test_oracle_matches_dense_reference(constructions_by_family):
+    # the same multiplicities and eigenmatrix as eigh on M; the rows of P
+    # are far apart, so P within 1e-9 pins the row matching too
+    cases = oracle_cases(constructions_by_family)
+    assert len(cases) == 5
+    for name, (scheme, exact, order) in cases.items():
+        res = float_eigen_oracle(scheme, exact, relation_order=order)
+        ref = ref_float_eigen_oracle(scheme, exact, relation_order=order)
+        assert res.multiplicities == ref.multiplicities, name
+        assert np.abs(res.P - ref.P).max() <= 1e-9, name
+        assert res.max_abs_error < 1e-8, name
+
+
+def test_oracle_rejects_what_dense_reference_rejects(q8_construction):
+    scheme = q8_construction.result.scheme
+    det = q8_construction.result.detection
+    exact = spectral_data(det.params)
+    order = list(det.relation_order)
+    wrong = [
+        (spectral_data(HigmanianParams(4, 9, 3, 18, 16)), None),
+        (spectral_data(HigmanianParams(4, 9, 3, 18, 16)), order),
+        (exact, [order[i] for i in (0, 1, 3, 2, 4)]),  # S and T swapped
+        (dataclasses.replace(
+            exact, multiplicities=exact.multiplicities[::-1]), order),
+    ]
+    for data, relation_order in wrong:
+        messages = []
+        for oracle in (float_eigen_oracle, ref_float_eigen_oracle):
+            with pytest.raises(SpectralError) as info:
+                oracle(scheme, data, relation_order=relation_order)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 # -- the integer kernel against the Fraction kernel ---------------------------------
