@@ -25,8 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from .quadratic import QuadraticNumber
-from .schemes import (Parabolic, SchemeError, SchemeTable, is_wreath_over,
-                      nontrivial_parabolics, restriction)
+from .schemes import (Parabolic, SchemeError, SchemeTable, digit_runs,
+                      is_wreath_over, nontrivial_parabolics, restriction)
 from . import spectral
 
 QN = QuadraticNumber
@@ -220,15 +220,24 @@ def is_uniform_by_criterion(params: HigmanianParams) -> bool:
 # -- block products through one class: routes 2 and 4 ---------------------------
 
 def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
-    """What routes 2 and 4 build their block products from: ``(pairs,
-    bases)``, with the product of (i, j) through class G being
+    """What routes 2 and 4 build their block products from: ``(runs,
+    blocks)``, with the product of (i, j) through class G being
     A_i[:, G] A_j[G, :] = basis[i] @ basis[j*].T for G's ``basis``.
 
-    ``pairs`` holds the (i, j) with both colors outside the parabolic, one
+    The pairs (i, j) with both colors outside the parabolic are kept, one
     of each transpose pair {(i, j), (j*, i*)}, in lexicographic order.
-    ``bases`` yields, class by class, the 0/1 columns A_i[:, G] of each
-    outside color, in float32 (exact: a product entry is at most
-    |G| <= v < 2^24).
+    ``runs`` holds them as ``(i, run)``: the kept j of each i, split by
+    `digit_runs` with bound |G|, which bounds every product entry, so that
+    the packed right factors stay exact float32 integers below 2^24.  One
+    packed product per run and class decides the run's pairs: it is
+    constant on a cell set exactly when each of its digits is.
+    ``blocks`` yields, class by class, ``(off, basis)``: the points off G
+    and the 0/1 columns A_i[off, G] of each outside color, in float32.  A
+    product is formed only on the rows and columns off G: for x in G,
+    A_i[x, z] != 0 would put z in the class of x, so an outside color has
+    no cell in G x G, and the product is 0 on G's rows and columns.  Every
+    (D, L, k) cell set of route 2 with D or L = G lies there, and so does
+    no cell route 4 compares.
 
     Neither route can fail on a pair with a color inside the parabolic.  If
     i is inside, A_i[x, z] != 0 puts z in the class of x, so for x in G the
@@ -240,15 +249,42 @@ def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
     (i, j), and transposition maps the k-cells of D x L onto the k*-cells
     of L x D, and the cells off G onto themselves, so one product decides
     both, with the same coefficients.
-    Since the least (i, j) of each transpose pair is kept, the first
-    failing pair is that of a loop over all pairs, and so is its witness.
+    Since the least (i, j) of each transpose pair is kept, and a packed
+    product that fails is followed by the run's single products in order
+    (`_packed_check`), the first failing pair is that of a loop over all
+    pairs, and so is its witness.
     """
     outside, inverse, color = parab.outside, scheme.inverse, scheme.color
     pairs = [(i, j) for i in outside for j in outside
              if (inverse[j], inverse[i]) >= (i, j)]
-    bases = ({i: (cols == i).astype(np.float32) for i in outside}
-             for cols in (color[:, gpts] for gpts in parab.classes))
-    return pairs, bases
+    runs = [(i, run) for i, group in itertools.groupby(pairs, lambda ij: ij[0])
+            for run in digit_runs([j for _, j in group], parab.n_class)]
+
+    def blocks():
+        for gi, gpts in enumerate(parab.classes):
+            off = np.flatnonzero(parab.class_of != gi)
+            cols = color[:, gpts][off]
+            yield off, {i: (cols == i).astype(np.float32) for i in outside}
+    return runs, blocks()
+
+
+def _packed_check(basis, inverse, i, run, cells, reference):
+    """The packed product of left color i and ``run`` through one class,
+    raveled, compared with itself at ``reference[cells]``: cell x is in
+    the cell set ``cells[x]``, whose reference cell is ``reference[cells[x]]``.
+    ``(product, None)`` when every cell agrees.  Otherwise some digit
+    disagrees, and the run's products are formed one at a time in order:
+    ``(None, (j, cell))`` names the first failing pair and its first
+    failing cell."""
+    M = (basis[i] @ run.pack([basis[inverse[j]] for j in run.colors]).T).ravel()
+    if np.array_equal(M, M[reference][cells]):
+        return M, None
+    for j in run.colors:
+        M = (basis[i] @ basis[inverse[j]].T).ravel()
+        bad = np.flatnonzero(M != M[reference][cells])
+        if len(bad):
+            return None, (j, int(bad[0]))
+    raise RuntimeError(f"packed run {run} fails, but none of its products")
 
 
 def _first_passing(route, scheme: SchemeTable,
@@ -279,9 +315,9 @@ def is_uniform_by_definition(scheme: SchemeTable,
     """Literal check of the definition over one parabolic: cork 2, and every
     block product A_i^{DG} A_j^{GL} constant on each color inside D x L.
 
-    The products through G of the pairs of `_outside_blocks` are formed as
-    v x v matrices, and each (D, L, k) cell set is compared with its last
-    cell; the other pairs pass."""
+    The packed products of `_outside_blocks` are formed off G, and each
+    (D, L, k) cell set is compared with its last cell; the other pairs
+    pass."""
     cork = parab.corank
     if cork != 2:
         return DefinitionCheck(ok=False, cork=cork)
@@ -289,33 +325,44 @@ def is_uniform_by_definition(scheme: SchemeTable,
     class_of, color, inverse = parab.class_of, scheme.color, scheme.inverse
     # each cell's (D, L, k) triple; its reference cell is the last one in
     # row-major order, as when the block values are scattered into a table
-    key = ((class_of[:, None] * c + class_of[None, :]) * r + color).ravel()
+    key = (class_of[:, None] * (c * r) + class_of[None, :] * r + color)
     last = np.full(c * c * r, -1)
-    np.maximum.at(last, key, np.arange(key.size))
+    np.maximum.at(last, key.ravel(), np.arange(key.size))
     triples = np.flatnonzero(last >= 0)
-    ref_cell, triple_ref = last[key], last[triples]
     D, L, K = np.unravel_index(triples, (c, c, r))
     occurs = np.zeros((r, c, c), dtype=bool)   # [k, D, L]: k meets D x L
     occurs[K, D, L] = True
 
-    pairs, bases = _outside_blocks(scheme, parab)
+    runs, blocks = _outside_blocks(scheme, parab)
     gmin = np.full((r, r, r), np.inf)
     gmax = np.full((r, r, r), -np.inf)
-    for gi, basis in enumerate(bases):
-        for i, j in pairs:
-            M = (basis[i] @ basis[inverse[j]].T).ravel()
-            bad = np.flatnonzero(M != M[ref_cell])
-            if len(bad):
-                x, y = divmod(int(bad[0]), v)
+    for gi, (off, basis) in enumerate(blocks):
+        # off G, row-major order is that of the full matrix, so the last
+        # cell of each triple off G is its last cell in sub coordinates.
+        # Triples in G's rows or columns map to no cell off G, and no
+        # outside color meets G x G, so none of them is recorded.
+        pos = np.zeros(v, dtype=np.intp)
+        pos[off] = np.arange(len(off))
+        ref_x, ref_y = np.divmod(last[triples], v)
+        reference = np.zeros(c * c * r, dtype=np.intp)
+        reference[triples] = pos[ref_x] * len(off) + pos[ref_y]
+        cells = key[off][:, off].ravel()
+        for i, run in runs:
+            M, failure = _packed_check(basis, inverse, i, run, cells,
+                                       reference)
+            if failure:
+                j, cell = failure
+                x, y = off[list(divmod(cell, len(off)))]
                 return DefinitionCheck(
                     ok=False, cork=2,
                     witness=(int(class_of[x]), gi, int(class_of[y]),
                              i, j, int(color[x, y])))
             # record coefficient values across admissible triples
-            sel = occurs[i][D, gi] & occurs[j][gi, L]
-            vals = M[triple_ref[sel]]
-            np.minimum.at(gmin[i, j], K[sel], vals)
-            np.maximum.at(gmax[i, j], K[sel], vals)
+            values = run.unpack(M[reference[triples]])
+            for j, vals in zip(run.colors, values):
+                sel = occurs[i][D, gi] & occurs[j][gi, L]
+                np.minimum.at(gmin[i, j], K[sel], vals[sel])
+                np.maximum.at(gmax[i, j], K[sel], vals[sel])
     seen = gmax >= 0
     consistent = bool((gmin[seen] == gmax[seen]).all())
     return DefinitionCheck(ok=True, cork=2, coefficients_consistent=consistent)
@@ -352,26 +399,24 @@ def is_dismantlable(scheme: SchemeTable, parab: Parabolic) -> DismantleCheck:
     is valid, so h = sum_{G in S} (M_G - a_G) = p_ij^k - sum_G a_G is
     constant, and the sum over any U containing S is h + sum_{G in U} a_G.
 
-    Only the pairs of `_outside_blocks` are formed (the others vanish off
-    G), each on the rows and columns off G.  A k-cell with classes S1
-    failing against the reference k-cell with classes S2 names S1 + S2 or
-    S1 + S2 + {G}, so `restriction` rejects one of these; it is the witness.
+    Only the packed products of `_outside_blocks` are formed (the other
+    pairs vanish off G), each on the rows and columns off G.  A k-cell with
+    classes S1 failing against the reference k-cell with classes S2 names
+    S1 + S2 or S1 + S2 + {G}, so `restriction` rejects one of these; it is
+    the witness.
     """
     color, class_of, inverse = scheme.color, parab.class_of, scheme.inverse
-    pairs, bases = _outside_blocks(scheme, parab)
-    for gi, basis in enumerate(bases):
-        off = np.flatnonzero(class_of != gi)
+    runs, blocks = _outside_blocks(scheme, parab)
+    for gi, (off, basis) in enumerate(blocks):
         # each cell off G is compared with the first cell of its color
-        sub = color[np.ix_(off, off)]
+        sub = color[off][:, off].ravel()
         first = np.array([np.argmax(sub == k) for k in range(scheme.rank)])
-        ref_cell = first[sub].ravel()
-        left = {i: b[off] for i, b in basis.items()}
-        for i, j in pairs:
-            M = (left[i] @ left[inverse[j]].T).ravel()
-            bad = np.flatnonzero(M != M[ref_cell])
-            if not len(bad):
+        for i, run in runs:
+            _, failure = _packed_check(basis, inverse, i, run, sub, first)
+            if not failure:
                 continue
-            cells = np.divmod([bad[0], ref_cell[bad[0]]], len(off))
+            cell = failure[1]
+            cells = np.divmod([cell, first[sub[cell]]], len(off))
             S = set(class_of[off[np.ravel(cells)]].tolist())
             for checked, union in enumerate((S, S | {gi}), start=1):
                 union = tuple(sorted(union))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,8 +55,62 @@ class SchemeTable:
         return f"<SchemeTable v={self.v} rank={self.rank}>"
 
 
+class DigitRun(NamedTuple):
+    """Products that share a left factor, packed as the base-``base``
+    digits of one product, lowest digit first."""
+
+    colors: tuple[int, ...]
+    base: int
+
+    def pack(self, factors):
+        """sum_pos base^pos factors[pos] by Horner's rule, in one new array;
+        a single factor is returned as it is."""
+        packed = factors[-1]
+        if len(factors) > 1:
+            packed = packed * self.base
+            for factor in factors[-2:0:-1]:
+                packed += factor
+                packed *= self.base
+            packed += factors[0]
+        return packed
+
+    def unpack(self, packed) -> np.ndarray:
+        """The digits of the 1-d ``packed``, one row per color."""
+        powers = self.base ** np.arange(len(self.colors), dtype=np.int64)
+        return np.asarray(packed, dtype=np.int64) // powers[:, None] % self.base
+
+
+def digit_runs(colors: Sequence[int], bound: int) -> list[DigitRun]:
+    """Split ``colors`` into runs packed as base-(bound + 1) digits.
+
+    When every entry of each product is at most ``bound``, the products
+    A B_j of one left factor A pack into A (sum_pos (bound + 1)^pos B_j),
+    and a packed product is constant on a cell set exactly when every
+    digit is (Kronecker substitution).  A run closes before (bound + 1)^len
+    reaches FLOAT32_EXACT_LIMIT, so every weight and partial sum is an exact
+    float32 integer; a run of one color is the plain product.
+    """
+    base, width = int(bound) + 1, 1
+    while width < len(colors) and base ** (width + 1) < FLOAT32_EXACT_LIMIT:
+        width += 1
+    return [DigitRun(tuple(colors[s:s + width]), base)
+            for s in range(0, len(colors), width)]
+
+
 def validate(matrix) -> SchemeTable:
-    """Check the scheme axioms and derive the intersection tensor."""
+    """Check the scheme axioms and derive the intersection tensor.
+
+    The products B_i B_j of the 0/1 adjacency matrices are formed in
+    float32, one per left color i and run of `digit_runs`: every entry of
+    B_i B_j is at most the valency n_i, so the right factors of one B_i
+    are packed as base-(n_i + 1) digits, and a run closes before
+    (n_i + 1)^len reaches 2^24, below which float32 is exact.  The
+    intersection numbers are read digit by digit at one reference cell per
+    color.  A packed product that is not constant on a color class has a
+    digit that is not; that run's products are then formed one at a time
+    in order, so the first failing pair, its cell, the message and the
+    witness are those of a loop over single products.
+    """
     color = np.asarray(matrix)
     if color.ndim != 2 or color.shape[0] != color.shape[1]:
         raise SchemeError("color matrix must be square")
@@ -113,13 +167,12 @@ def validate(matrix) -> SchemeTable:
         raise SchemeError("color inversion is not an involution")
 
     # intersection numbers: B_i B_j must be constant on every color class.
-    # float32 is exact: every partial sum is an integer of at most v < 2^24.
     # The row sums of B_i are the diagonal of B_i B_i*, so B_i must be
     # row-regular; then sum_j B_j = J gives B_i B_last = n_i J -
-    # sum_{j != last} B_i B_j.  B_0 = I, and (B_i B_j)^T = B_j* B_i*, so only
-    # the first product of each such pair is formed, and none with
-    # j = last or i = last*.
-    basis = [(color == i).astype(np.float32) for i in range(rank)]
+    # sum_{j != last} B_i B_j.  B_0 = I is never a factor, and (B_i B_j)^T =
+    # B_j* B_i*, so only the first product of each such pair is formed, and
+    # none with j = last or i = last*.
+    basis = [None] + [(color == i).astype(np.float32) for i in range(1, rank)]
     n = np.ones(rank, dtype=np.int64)
     for i in range(1, rank):
         rows = basis[i].sum(axis=1)
@@ -136,19 +189,27 @@ def validate(matrix) -> SchemeTable:
     p = np.zeros((rank, rank, rank), dtype=np.int64)
     p[0] = p[:, 0] = np.eye(rank, dtype=np.int64)
     for i in range(1, rank):
-        for j in range(1, last):
-            if i == lstar or (istar[j], istar[i]) < (i, j):
-                continue
-            prod = basis[i] @ basis[j]
-            p[i, j] = prod[rep_x, rep_y]
-            if not np.array_equal(prod, p[i, j].astype(np.float32)[color]):
-                x, y = map(int, np.argwhere(prod != p[i, j][color])[0])
-                k = int(color[x, y])
-                raise SchemeError(
-                    f"p_{i},{j}^{k} is not constant: cell ({x},{y}) has "
-                    f"{int(prod[x, y])}, expected {int(p[i, j, k])}",
-                    witness=(i, j, k, x, y))
-            p[istar[j], istar[i]] = p[i, j][istar]
+        if i == lstar:
+            continue
+        right = [j for j in range(1, last) if (istar[j], istar[i]) >= (i, j)]
+        for run in digit_runs(right, n[i]):
+            prod = basis[i] @ run.pack([basis[j] for j in run.colors])
+            ref = prod[rep_x, rep_y]
+            if not np.array_equal(prod, ref[color]):
+                for j in run.colors:
+                    prod = basis[i] @ basis[j]
+                    ref = prod[rep_x, rep_y]
+                    bad = np.argwhere(prod != ref[color])
+                    if len(bad):
+                        x, y = map(int, bad[0])
+                        k = int(color[x, y])
+                        raise SchemeError(
+                            f"p_{i},{j}^{k} is not constant: cell ({x},{y}) "
+                            f"has {int(prod[x, y])}, expected {int(ref[k])}",
+                            witness=(i, j, k, x, y))
+            p[i, list(run.colors)] = run.unpack(ref)
+            for j in run.colors:
+                p[istar[j], istar[i]] = p[i, j][istar]
     # the last column, then row last* by transpose; its last entry needs
     # that row, so the column rule runs again for it
     p[:, last] = n[:, None] - p[:, :last].sum(axis=1)
@@ -239,7 +300,7 @@ def parabolics(scheme: SchemeTable) -> list[Parabolic]:
             colors = np.flatnonzero(row)
             # each point's least class-mate names its class; all classes
             # have the same size, the sum of the valencies in C
-            lead = np.isin(scheme.color, colors).argmax(axis=1)
+            lead = row[scheme.color].argmax(axis=1)
             leads, class_of = np.unique(lead, return_inverse=True)
             order = np.argsort(class_of, kind="stable")
             classes = tuple(map(tuple, order.reshape(len(leads), -1).tolist()))
@@ -391,20 +452,12 @@ def parse_scheme_file(path) -> tuple[np.ndarray, int]:
         raise SchemeParseError("bad scheme header") from None
     if len(lines) != v + 1:
         raise SchemeParseError(f"expected {v} rows, found {len(lines) - 1}")
-    # rows are split once to check lengths and again to convert: keeping
-    # all v token lists alive at once raised peak memory by a few MB at
-    # v = 972.  The matrix is allocated only once every row is known to
-    # hold v tokens, so it is never larger than the file.
-    for li, ln in enumerate(lines[1:]):
-        count = len(ln.split())
-        if count != v:
-            raise SchemeParseError(
-                f"row {li + 1} has {count} entries, expected {v}")
-    # loadtxt converts the rows in C.  When it refuses them or splits them
-    # differently, the row loop below names the bad row, or accepts what
-    # int() accepts (such as 1_0).  Any warning is a refusal here: older
-    # NumPy parses "4.0" as an integer with a DeprecationWarning, and zero
-    # rows (v = 0) give a UserWarning.
+    # loadtxt converts the rows in C, and a (v, v) result proves that every
+    # row holds v tokens.  When it refuses the rows or splits them
+    # differently, the loops below name the bad row, or accept what int()
+    # accepts (such as 1_0).  Any warning is a refusal here: older NumPy
+    # parses "4.0" as an integer with a DeprecationWarning, and zero rows
+    # (v = 0) give a UserWarning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -414,6 +467,15 @@ def parse_scheme_file(path) -> tuple[np.ndarray, int]:
             matrix = None
     if matrix is not None and matrix.shape == (v, v):
         return matrix, rank
+    # the row lengths first, so that the matrix is allocated only once every
+    # row is known to hold v tokens: it is never larger than the file.
+    # Keeping all v token lists alive at once raised peak memory by a few
+    # MB at v = 972, so rows are split again to convert.
+    for li, ln in enumerate(lines[1:]):
+        count = len(ln.split())
+        if count != v:
+            raise SchemeParseError(
+                f"row {li + 1} has {count} entries, expected {v}")
     matrix = np.empty((v, v), dtype=np.int64)
     for li, ln in enumerate(lines[1:]):
         try:

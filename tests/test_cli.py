@@ -218,7 +218,15 @@ def test_construct_analyze_identical_verdicts(tmp_path, capsys):
      "error: row 2: non-integer entry"),
     # row lengths are checked before any entry is converted
     ("scheme 2 2\n0 x\n1\n", 3, "error: row 2 has 1 entries, expected 2"),
+    # rows that loadtxt reads into another shape are measured one by one
+    ("scheme 2 2\n0 1 1\n1 0 1\n", 3,
+     "error: row 1 has 3 entries, expected 2"),
     ("scheme 2 3\n0 1\n1 0\n", 4, "not a scheme: header says rank 3"),
+    # C8 colored by min(distance, 3): the second of two packed products
+    ("scheme 8 4\n" + "".join(
+        " ".join(str(min(abs(x - y), 8 - abs(x - y), 3)) for y in range(8))
+        + "\n" for x in range(8)), 4,
+     "not a scheme: p_1,2^3 is not constant: cell (0,4) has 0, expected 1"),
     # no rows: no reader warning, and the validator names the empty set
     ("scheme 0 1\n", 4, "not a scheme: empty point set"),
 ])

@@ -27,8 +27,14 @@ and Cayley schemes, whose tensor comes from the products of the parts,
 against `validate` on their color matrices.  The integer kernel of
 `QuadraticNumber` is checked against the Fraction kernel it replaced: the
 same printed values, order, errors and route-1/route-3 outputs.  Each of
-routes 2 and 4, when it passes, is counted to form one product per class
-and pair.  `verify_linked_system` is checked against the verifier that
+routes 2 and 4, when it passes, is counted to form one packed product per
+class and run of `digit_runs`, and their witnesses are required to match
+the references and runs cut to one color, also where a later digit of a
+run fails.  `validate`, which packs the products of one left color, is
+checked against the validate that formed one product per pair
+(`ref_validate`, kept verbatim): the same tensor on every scheme, and the
+same message and witness on malformed matrices, with runs packed and cut
+to one color.  `verify_linked_system` is checked against the verifier that
 formed every product, the inverse-partner ones and repeats included: the
 same system or the same error on every closed family of the desk points,
 mutated ones and unions, and the same search result on each branch.
@@ -51,7 +57,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from higman import constructions, higmanian, spectral
+from higman import constructions, higmanian, schemes, spectral
 from higman.cli import TABLE_GRID
 from higman.constructions import (ConstructionError, search_semiregular_rds,
                                   table1_params, table2_params)
@@ -61,9 +67,10 @@ from higman.higmanian import (DefinitionCheck, HigmanianParams,
                               is_dismantlable, is_uniform_by_definition)
 from higman.quadratic import QuadraticNumber as QN
 from higman.quadratic import quadratic_roots, square_free_decomposition
-from higman.schemes import (SchemeError, SchemeTable, cayley_scheme,
-                            is_wreath_over, nontrivial_parabolics, parabolics,
-                            quotient, restriction, trivial_scheme, validate,
+from higman.schemes import (FLOAT32_EXACT_LIMIT, SchemeError, SchemeTable,
+                            cayley_scheme, digit_runs, is_wreath_over,
+                            nontrivial_parabolics, parabolics, quotient,
+                            restriction, trivial_scheme, validate,
                             wreath_product)
 from higman.spectral import (EigenData, OracleResult, SpectralError,
                              eigenvalue_pair, float_eigen_oracle, krein,
@@ -106,6 +113,111 @@ def ref_intersection_numbers(color):
                 assert (prod[color == k] == prod[cell]).all()
                 p[i, j, k] = prod[cell]
     return p
+
+
+def ref_validate(matrix) -> SchemeTable:
+    """Check the scheme axioms and derive the intersection tensor, one
+    product B_i B_j at a time (the unpacked `validate`, kept verbatim)."""
+    color = np.asarray(matrix)
+    if color.ndim != 2 or color.shape[0] != color.shape[1]:
+        raise SchemeError("color matrix must be square")
+    if not np.issubdtype(color.dtype, np.integer):
+        raise SchemeError("color matrix must be integral")
+    v = color.shape[0]
+    if v == 0:
+        raise SchemeError("empty point set")
+    if v >= FLOAT32_EXACT_LIMIT:
+        raise SchemeError(f"{v} points: validation needs fewer than "
+                          f"{FLOAT32_EXACT_LIMIT} (exact float32 products)")
+    if color.min() < 0:
+        raise SchemeError("negative color")
+    # every color below the rank is used; checked before narrowing the
+    # dtype.  v^2 cells hold at most v^2 colors, so a color of v^2 or more
+    # leaves a smaller one unused and all of them can share one bin; v^2
+    # then fits the dtype, and bincount needs indices that fit intp.
+    cells = v * v
+    flat = color.ravel()
+    if int(color.max()) >= cells:
+        flat = np.minimum(flat, cells)
+    counts = np.bincount(flat.astype(np.intp, copy=False))
+    gaps = np.flatnonzero(counts == 0)
+    if len(gaps):
+        raise SchemeError(f"color {int(gaps[0])} unused")
+    rank = len(counts)
+    if rank > np.iinfo(np.int16).max + 1:
+        raise SchemeError(f"rank {rank} over the int16 color limit")
+    color = color.astype(np.int16)
+    first = np.full(rank, cells)  # the row-major first cell of each color
+    np.minimum.at(first, color.ravel(), np.arange(cells))
+
+    diag = np.diagonal(color)
+    if (diag != 0).any():
+        x = int(np.nonzero(diag)[0][0])
+        raise SchemeError(f"diagonal cell ({x},{x}) has color {int(color[x, x])}",
+                          witness=(x, x))
+    offdiag_zero = np.argwhere((color == 0) & ~np.eye(v, dtype=bool))
+    if len(offdiag_zero):
+        x, y = map(int, offdiag_zero[0])
+        raise SchemeError(f"color 0 occurs off the diagonal at ({x},{y})",
+                          witness=(x, y))
+
+    # inverse colors: the transpose of each relation must be a single color
+    rep_x, rep_y = np.divmod(first, v)
+    istar = color[rep_y, rep_x]
+    if not np.array_equal(color.T, istar[color]):
+        x, y = map(int, np.argwhere(color.T != istar[color])[0])
+        raise SchemeError(
+            f"relation {int(color[x, y])} has no single inverse color "
+            f"(witness ({x},{y}))", witness=(x, y))
+    istar = istar.astype(np.int64)
+    if (istar[istar] != np.arange(rank)).any():
+        raise SchemeError("color inversion is not an involution")
+
+    # intersection numbers: B_i B_j must be constant on every color class.
+    # float32 is exact: every partial sum is an integer of at most v < 2^24.
+    # The row sums of B_i are the diagonal of B_i B_i*, so B_i must be
+    # row-regular; then sum_j B_j = J gives B_i B_last = n_i J -
+    # sum_{j != last} B_i B_j.  B_0 = I, and (B_i B_j)^T = B_j* B_i*, so only
+    # the first product of each such pair is formed, and none with
+    # j = last or i = last*.
+    basis = [(color == i).astype(np.float32) for i in range(rank)]
+    n = np.ones(rank, dtype=np.int64)
+    for i in range(1, rank):
+        rows = basis[i].sum(axis=1)
+        n[i] = rows[0]
+        bad = np.nonzero(rows != n[i])[0]
+        if len(bad):
+            x = int(bad[0])
+            raise SchemeError(
+                f"p_{i},{int(istar[i])}^0 is not constant: cell ({x},{x}) "
+                f"has {int(rows[x])}, expected {n[i]}",
+                witness=(i, int(istar[i]), 0, x, x))
+    last = rank - 1
+    lstar = istar[last]
+    p = np.zeros((rank, rank, rank), dtype=np.int64)
+    p[0] = p[:, 0] = np.eye(rank, dtype=np.int64)
+    for i in range(1, rank):
+        for j in range(1, last):
+            if i == lstar or (istar[j], istar[i]) < (i, j):
+                continue
+            prod = basis[i] @ basis[j]
+            p[i, j] = prod[rep_x, rep_y]
+            if not np.array_equal(prod, p[i, j].astype(np.float32)[color]):
+                x, y = map(int, np.argwhere(prod != p[i, j][color])[0])
+                k = int(color[x, y])
+                raise SchemeError(
+                    f"p_{i},{j}^{k} is not constant: cell ({x},{y}) has "
+                    f"{int(prod[x, y])}, expected {int(p[i, j, k])}",
+                    witness=(i, j, k, x, y))
+            p[istar[j], istar[i]] = p[i, j][istar]
+    # the last column, then row last* by transpose; its last entry needs
+    # that row, so the column rule runs again for it
+    p[:, last] = n[:, None] - p[:, :last].sum(axis=1)
+    for j in range(1, last):
+        p[lstar, j] = p[istar[j], last][istar]
+    p[lstar, last] = n[lstar] - p[lstar, :last].sum(axis=0)
+
+    return SchemeTable(color, p, istar)
 
 
 def ref_relabel(sub):
@@ -798,6 +910,120 @@ def test_irregular_relation_rejected():
     assert err.value.witness[:3] == (1, 2, 0)
 
 
+def min_distance_octagon():
+    """C8 colored by min(distance, 3): row-regular and closed under
+    transposition, but B_1 B_2 is 1 at (0,3) and 0 at (0,4), both at
+    distance at least 3."""
+    d = np.abs(np.subtract.outer(np.arange(8), np.arange(8)))
+    return np.minimum(np.minimum(d, 8 - d), 3)
+
+
+def malformed_matrices():
+    """Matrices failing each axiom `validate` checks, the octagon above,
+    and the Cayley color matrices of every inverse-closed 2- and 3-part
+    split of the nonzero classes of C:n up to n = 12, of C:n colored by
+    a non-inverse-closed partition, and of the negative-control search."""
+    cases = [np.zeros((2, 3), dtype=int), np.zeros((2, 2)),
+             np.zeros((0, 0), dtype=int), np.array([[0, -1], [-1, 0]]),
+             np.array([[0, 2], [2, 0]]), np.array([[0, 10**12], [10**12, 0]]),
+             np.array([[1, 0], [0, 1]]), np.array([[0, 0], [0, 0]]),
+             np.array([[0, 1, 1], [2, 0, 1], [1, 2, 0]]),
+             np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]]),
+             np.array([[0, 1, 1], [2, 0, 1], [2, 2, 0]]),
+             min_distance_octagon()]
+    for n in range(4, 13):
+        pairs = sorted({min(x, n - x) for x in range(1, n)})
+        for labels in itertools.product(range(1, 4), repeat=len(pairs)):
+            parts = [[0]] + [[x for x in range(1, n)
+                              if labels[pairs.index(min(x, n - x))] == c]
+                             for c in sorted(set(labels))]
+            cases.append(ref_cayley_color(build_family(f"C:{n}"), parts))
+        cases.append(ref_cayley_color(build_family(f"C:{n}"),
+                                      [[0], [1], list(range(2, n))]))
+    return cases
+
+
+def validate_outcome(validator, matrix):
+    try:
+        s = validator(matrix)
+    except SchemeError as exc:
+        return str(exc), exc.witness
+    return s.p.tolist(), s.inverse.tolist(), s.valencies.tolist()
+
+
+@pytest.fixture(params=["packed", "one digit"])
+def packing(request, monkeypatch):
+    """`digit_runs` as it packs, or cut to runs of one color: the packing
+    bound lowered as far as it goes.  FLOAT32_EXACT_LIMIT itself also
+    bounds the point count, so the split is lowered here instead."""
+    if request.param == "one digit":
+        def one_digit_runs(colors, bound):
+            return [run for c in colors for run in digit_runs([c], bound)]
+        monkeypatch.setattr(schemes, "digit_runs", one_digit_runs)
+        monkeypatch.setattr(higmanian, "digit_runs", one_digit_runs)
+    return request.param
+
+
+def test_validate_matches_unpacked_reference(reference_schemes, packing):
+    schemes_ = list(reference_schemes.values()) + thin_schemes()
+    schemes_ += [orbit_scheme(n, units) for n in range(4, 31)
+                 for units in unit_groups(n)]
+    for scheme in schemes_:
+        want = validate_outcome(ref_validate, scheme.color)
+        assert validate_outcome(validate, scheme.color) == want
+
+
+def test_validate_failures_match_unpacked_reference(
+        packing, negative_control_candidates):
+    matrices = malformed_matrices()
+    matrices += [ref_cayley_color(G, parts)
+                 for G, parts in negative_control_candidates]
+    messages = set()
+    for matrix in matrices:
+        want = validate_outcome(ref_validate, matrix)
+        assert validate_outcome(validate, matrix) == want
+        if isinstance(want[0], str):
+            messages.add(want[0].split(":")[0].split(" is ")[0])
+    # the failures reach every kind of product, not just the first of a run
+    assert {"p_1,2^3", "p_2,2^1", "p_1,1^2"} <= messages
+    assert len(messages) > 20
+
+
+def test_octagon_fails_at_the_second_digit(packing):
+    with pytest.raises(SchemeError) as err:
+        validate(min_distance_octagon())
+    assert str(err.value) == \
+        "p_1,2^3 is not constant: cell (0,4) has 0, expected 1"
+    assert err.value.witness == (1, 2, 3, 0, 4)
+    # n_1 = 2: the products of B_1 are base-3 digits, B_2 the second
+    runs = schemes.digit_runs([1, 2], 2)
+    assert [run.colors for run in runs] == \
+        ([(1, 2)] if packing == "packed" else [(1,), (2,)])
+
+
+@pytest.mark.parametrize("bound, widths", [
+    (1, [7]), (243, [3, 3, 1]), (254, [3, 3, 1]), (255, [2, 2, 2, 1]),
+    (4094, [2, 2, 2, 1]), (4095, [1] * 7), (FLOAT32_EXACT_LIMIT - 2, [1] * 7),
+])
+def test_digit_runs_stay_exact_in_float32(bound, widths):
+    # a run closes before (bound + 1)^len reaches 2^24; every packed value
+    # and partial sum is then an exact float32 integer, and unpacks back
+    runs = digit_runs(list(range(7)), bound)
+    assert [len(run.colors) for run in runs] == widths
+    assert [c for run in runs for c in run.colors] == list(range(7))
+    rng = np.random.default_rng(bound)
+    for run in runs:
+        assert run.base ** len(run.colors) < FLOAT32_EXACT_LIMIT
+        digits = rng.integers(0, bound + 1, size=(len(run.colors), 50))
+        digits[:, 0] = bound
+        factors = list(digits.astype(np.float32))
+        packed = run.pack(factors)
+        assert packed.dtype == np.float32
+        assert (run.unpack(packed) == digits).all()
+        # the factors themselves are left as they were
+        assert all((f == d).all() for f, d in zip(factors, digits))
+
+
 def definition_cases(schemes):
     return [(scheme, parab) for scheme in schemes
             for parab in nontrivial_parabolics(scheme)]
@@ -890,7 +1116,8 @@ def test_dismantle_witnesses_pinned(n, units, shape, witness,
 def test_outside_pairs_cover_each_transpose_pair_once(reference_schemes):
     for scheme, parab in block_product_cases(reference_schemes):
         inverse, outside = scheme.inverse, parab.outside
-        pairs, _ = _outside_blocks(scheme, parab)
+        runs, _ = _outside_blocks(scheme, parab)
+        pairs = [(i, j) for i, run in runs for j in run.colors]
         assert pairs == sorted(pairs)
         transposes = [(int(inverse[j]), int(inverse[i])) for i, j in pairs]
         # each ordered pair is a kept pair or the transpose of one, and no
@@ -911,12 +1138,13 @@ class CountedMatmul(np.ndarray):
 
 def test_each_route_forms_one_product_per_class_and_pair(reference_schemes,
                                                          monkeypatch):
-    # a route that passes forms basis products for every class and every
-    # pair of `_outside_blocks`, no more and no fewer
+    # a route that passes forms one packed product for every class and
+    # every run of `_outside_blocks`, no more and no fewer
     def counted_blocks(scheme, parab):
-        pairs, bases = outside_blocks(scheme, parab)
-        return pairs, ({i: b.view(CountedMatmul) for i, b in basis.items()}
-                       for basis in bases)
+        runs, blocks = outside_blocks(scheme, parab)
+        return runs, ((off, {i: b.view(CountedMatmul)
+                             for i, b in basis.items()})
+                      for off, basis in blocks)
 
     outside_blocks = higmanian._outside_blocks
     monkeypatch.setattr(higmanian, "_outside_blocks", counted_blocks)
@@ -928,11 +1156,67 @@ def test_each_route_forms_one_product_per_class_and_pair(reference_schemes,
             if route(scheme, parab).ok:
                 assert CountedMatmul.products == want, (route, scheme, parab)
                 passed[route] += want > 0
+    # heis 3 1's F: pairs (S, S), (S, T), (T, T) in runs [S, T] and [T]
+    # through each of 4 classes, 8 products where single pairs took 12
     heis = reference_schemes["heis {'q': 3, 'r': 1}"]
     F = next(e for e in nontrivial_parabolics(heis) if e.corank == 2)
-    CountedMatmul.products = 0
-    assert is_dismantlable(heis, F).ok and CountedMatmul.products == 12
+    runs, _ = outside_blocks(heis, F)
+    assert [len(run.colors) for _, run in runs] == [2, 1]
+    for route in passed:
+        CountedMatmul.products = 0
+        assert route(heis, F).ok and CountedMatmul.products == 8
     assert min(passed.values()) > 10
+
+
+def test_route_witnesses_from_later_digits(monkeypatch):
+    # when a packed product fails, the run's single products name the
+    # failing pair; the results, witnesses included, are those of runs of
+    # one color and of the references, also where a later digit fails
+    schemes_ = [orbit_scheme(n, units) for n in range(4, 31)
+                for units in unit_groups(n)]
+    cases = [(scheme, parab) for scheme, parab
+             in definition_cases([s for s in schemes_ if s.rank <= 12])
+             if parab.num_classes <= 12]
+    routes = (is_uniform_by_definition, is_dismantlable)
+    packed_check = higmanian._packed_check
+    failed_digit = []
+
+    def recorded(basis, inverse, i, run, *compared):
+        M, failure = packed_check(basis, inverse, i, run, *compared)
+        if failure:
+            failed_digit.append(run.colors.index(failure[0]))
+        return M, failure
+
+    monkeypatch.setattr(higmanian, "_packed_check", recorded)
+    packed, later = {}, {route: 0 for route in routes}
+    for n, (scheme, parab) in enumerate(cases):
+        for route in routes:
+            failed_digit.clear()
+            packed[n, route] = route(scheme, parab)
+            later[route] += failed_digit[:1] not in ([], [0])
+    assert min(later.values()) > 5
+    for n, (scheme, parab) in enumerate(cases):
+        assert packed[n, is_uniform_by_definition] == \
+            ref_is_uniform_by_definition(scheme, parab)
+        assert packed[n, is_dismantlable].ok == \
+            ref_is_dismantlable(scheme, parab)
+    with monkeypatch.context() as m:
+        m.setattr(higmanian, "digit_runs", lambda colors, bound: [
+            run for c in colors for run in digit_runs([c], bound)])
+        for n, (scheme, parab) in enumerate(cases):
+            for route in routes:
+                assert route(scheme, parab) == packed[n, route]
+    # C:9 by {1, 8}, classes of 3: the run of color 1 is [1, 2, 4], and
+    # route 2 fails at its second digit, the pair (1, 2)
+    scheme = orbit_scheme(9, (1, 8))
+    (parab,) = [e for e in nontrivial_parabolics(scheme)
+                if e.num_classes == 3]
+    runs, _ = _outside_blocks(scheme, parab)
+    assert runs[0][1].colors == (1, 2, 4)
+    failed_digit.clear()
+    res = is_uniform_by_definition(scheme, parab)
+    assert res.witness[3:5] == (1, 2) and failed_digit == [1]
+    assert res == ref_is_uniform_by_definition(scheme, parab)
 
 
 def test_dismantlable_matches_reference(reference_schemes):
