@@ -12,6 +12,7 @@ direct products.  Spec strings: ``C:<n>``, ``EA:<p>:<k>``, ``Heis:<q>:<r>``,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,6 +40,10 @@ class FiniteGroup:
     x*y; identity and inverses are derived and checked.  Associativity is
     decided exactly at every order by Light's test on a generating set:
     ``generators`` is the greedy sequence of least elements not yet reached.
+    Each scan of the check compares blocks of at most 2^20 table entries,
+    so its transients stay a few MB at every order.  Every table is checked
+    except a direct product's, which :func:`direct_product` derives from
+    its two checked factors.
     """
 
     def __init__(self, mul, name: str = "") -> None:
@@ -48,43 +53,41 @@ class FiniteGroup:
         n = mul.shape[0]
         if mul.min() < 0 or mul.max() >= n:
             raise GroupError("table entries out of range")
-        self.order: int = n
-        self.mul: np.ndarray = mul
-        self.mul.setflags(write=False)
-        self.name = name
 
         # a left and a right identity coincide, so at most one element
         # has both its row and its column equal to the identity map
         rng = np.arange(n)
-        ids = np.flatnonzero((mul == rng).all(1) & (mul == rng[:, None]).all(0))
+        row_ok = np.empty(n, dtype=bool)
+        col_ok = np.ones(n, dtype=bool)
+        for start, rows in _row_blocks(mul):
+            row_ok[start:start + len(rows)] = (rows == rng).all(1)
+            col_ok &= (rows == rng[start:start + len(rows), None]).all(0)
+        ids = np.flatnonzero(row_ok & col_ok)
         if len(ids) != 1:
             raise GroupError("table has no two-sided identity")
-        self.identity: int = int(ids[0])
+        identity = int(ids[0])
 
-        xs, ys = np.nonzero(mul == self.identity)
-        two_sided = mul[ys, xs] == self.identity
-        xs, ys = xs[two_sided], ys[two_sided]
-        counts = np.bincount(xs, minlength=n)
+        counts = np.empty(n, dtype=np.intp)
+        inv = np.empty(n, dtype=np.int32)
+        for start, rows in _row_blocks(mul):
+            xs, ys = np.nonzero(rows == identity)
+            two_sided = mul[ys, xs + start] == identity
+            xs, ys = xs[two_sided], ys[two_sided]
+            counts[start:start + len(rows)] = np.bincount(
+                xs, minlength=len(rows))
+            inv[xs + start] = ys
         if (counts > 1).any():
             raise GroupError(f"element {np.argmax(counts > 1)} has two inverses")
         if (counts == 0).any():
             raise GroupError("some element has no two-sided inverse")
-        inv = np.empty(n, dtype=np.int32)
-        inv[xs] = ys
-        self.inv: np.ndarray = inv
-        self.inv.setflags(write=False)
 
         # Light's test: the a with (x*a)*y = x*(a*y) for all x, y are closed
         # under products, so the table is associative once they generate it.
         # Each new generator g lies outside the reached subgroup R, so R*g is
         # disjoint from R and at most log2(n) generators are needed.
-        step = max(1, (1 << 20) // n)  # rows compared at once
         gens: list[int] = []
-        reached = np.array([self.identity])
-        while len(reached) < n:
-            g = int(np.setdiff1d(rng, reached)[0])
-            for start in range(0, n, step):
-                rows = mul[start:start + step]
+        for g in _greedy_generators(mul, identity):
+            for start, rows in _row_blocks(mul):
                 # (x*g)*y against x*(g*y)
                 bad = mul[rows[:, g]] != np.take(rows, mul[g], axis=1)
                 if bad.any():
@@ -92,8 +95,24 @@ class FiniteGroup:
                     raise GroupError(
                         f"associativity fails at ({start + x},{g},{y})")
             gens.append(g)
-            reached = _closure(mul, [*reached, g])
-        self.generators: tuple[int, ...] = tuple(gens)
+        self._store(mul, identity, inv, name)
+        self.generators = tuple(gens)
+
+    def _store(self, mul: np.ndarray, identity: int, inv: np.ndarray,
+               name: str) -> None:
+        self.order: int = len(mul)
+        self.mul: np.ndarray = mul
+        self.mul.setflags(write=False)
+        self.identity: int = identity
+        self.inv: np.ndarray = inv
+        self.inv.setflags(write=False)
+        self.name = name
+
+    @functools.cached_property
+    def generators(self) -> tuple[int, ...]:
+        # a checked table stores the generators of its test in __init__;
+        # a direct product finds the same sequence when first asked
+        return tuple(_greedy_generators(self.mul, self.identity))
 
     # -- basic queries -------------------------------------------------------
 
@@ -133,6 +152,31 @@ class FiniteGroup:
         return f"<{tag} of order {self.order}>"
 
 
+# table entries one step of the group check or of a closure compares at once
+_BLOCK = 1 << 20
+
+
+def _row_blocks(mul: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, rows) over consecutive row blocks of at most _BLOCK entries,
+    one row at least."""
+    step = max(1, _BLOCK // len(mul))
+    for start in range(0, len(mul), step):
+        yield start, mul[start:start + step]
+
+
+def _greedy_generators(mul: np.ndarray, identity: int) -> Iterator[int]:
+    """Yield the least element outside the subgroup reached so far, until
+    the whole group is reached.  The subgroup is extended by each yielded
+    element only when the next one is asked for, so a caller can test an
+    element before it is used."""
+    rng = np.arange(len(mul))
+    reached = np.array([identity])
+    while len(reached) < len(mul):
+        g = int(np.setdiff1d(rng, reached)[0])
+        yield g
+        reached = _closure(mul, [*reached, g])
+
+
 def _closure(mul: np.ndarray, elements: Sequence[int]) -> np.ndarray:
     """Sorted elements of the subgroup generated by ``elements``, which must
     include the identity and multiply associatively: the set is replaced by
@@ -140,7 +184,9 @@ def _closure(mul: np.ndarray, elements: Sequence[int]) -> np.ndarray:
     reached = np.unique(elements)
     while len(reached) < len(mul):
         products = np.zeros(len(mul), dtype=bool)
-        products[mul[np.ix_(reached, reached)]] = True
+        step = max(1, _BLOCK // len(reached))
+        for start in range(0, len(reached), step):
+            products[mul[np.ix_(reached[start:start + step], reached)]] = True
         if products.sum() == len(reached):
             break
         reached = np.flatnonzero(products)
@@ -396,11 +442,23 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup, name: str = "") -> FiniteGroup:
+    """A x B with (a, b) at index a*|B| + b and the componentwise product.
+
+    The table is not checked again: the componentwise product of two
+    checked groups is associative, its identity is (e_A, e_B) and the
+    inverse of (a, b) is (a^-1, b^-1), so both are read off the factors.
+    ``generators`` is computed on first use, the same greedy sequence the
+    check would find.
+    """
     na, nb = A.order, B.order
     check_order(na * nb)
     mul = (A.mul[:, None, :, None] * nb + B.mul[None, :, None, :]).reshape(
         na * nb, na * nb)
-    return FiniteGroup(mul, name=name or f"Prod:{A.name},{B.name}")
+    inv = (A.inv[:, None] * nb + B.inv[None, :]).reshape(na * nb)
+    P = FiniteGroup.__new__(FiniteGroup)
+    P._store(mul, A.identity * nb + B.identity, inv,
+             name or f"Prod:{A.name},{B.name}")
+    return P
 
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:

@@ -425,14 +425,25 @@ def cayley_scheme(G: FiniteGroup, parts: Sequence[Iterable[int]]) -> SchemeTable
 # -- file format ----------------------------------------------------------------
 
 def write_scheme(scheme: SchemeTable, path) -> None:
-    """Text format: ``scheme <v> <rank>`` then v rows of colors."""
-    # one row of names at a time: the whole v x v object array of names
-    # would peak at about three times the memory
-    names = np.array([str(c) for c in range(scheme.rank)], dtype=object)
-    lines = [f"scheme {scheme.v} {scheme.rank}"]
-    lines += [" ".join(names[row].tolist()) for row in scheme.color]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Text format: ``scheme <v> <rank>`` then v rows of colors.
+
+    The body is one gather from a table of tokens, the color's name and a
+    space, or a newline at the end of a row.  Each token is zero-padded to
+    the widest name plus one byte, and the pad bytes are dropped after.
+    """
+    names = [str(c).encode() for c in range(scheme.rank)]
+    width = max(map(len, names)) + 1
+    token = np.dtype((np.void, width))
+    spaced = np.array([n + b" " for n in names], dtype=f"S{width}").view(token)
+    ended = np.array([n + b"\n" for n in names], dtype=f"S{width}").view(token)
+    body = spaced[scheme.color]
+    body[:, -1] = ended[scheme.color[:, -1]]
+    text = body.tobytes()
+    if width > 2:  # some name has two or more digits, so pads exist
+        text = text.translate(None, b"\0")
+    with open(path, "wb") as fh:
+        fh.write(f"scheme {scheme.v} {scheme.rank}\n".encode())
+        fh.write(text)
 
 
 class SchemeParseError(ValueError):

@@ -349,6 +349,21 @@ def test_exact_check_matches_full_loop(name, mul):
     assert (G.inv == want[1]).all()
 
 
+def test_inverse_faults_found_in_a_later_block():
+    # the inverse scan takes rows 0-872 and 873-1199 of C:1200 in two
+    # blocks; both faults sit in the second
+    two = np.add.outer(np.arange(1200), np.arange(1200)) % 1200
+    none = two.copy()
+    two[[900, 1000], [1000, 900]] = 0
+    none[1100, 100] = 1
+    for mul, message in [(two, "element 900 has two inverses"),
+                         (none, "some element has no two-sided inverse")]:
+        for check in (_loop_group_check, FiniteGroup):
+            with pytest.raises(GroupError) as exc:
+                check(mul)
+            assert str(exc.value) == message
+
+
 def test_intercalate_600_rejected(tmp_path):
     # a Latin square with identity 0 and unique inverses; 9,536 of its 600^3
     # triples are not associative, so a 1000-triple sample misses them
@@ -390,3 +405,100 @@ def test_generators_and_closure_match_search(spec):
     for _ in range(20):
         gens = rng.sample(range(G.order), min(G.order, 2))
         assert G.generated_subgroup(gens).elements == _bfs_closure(G, gens)
+
+
+def _relabelled(G, perm):
+    """G with element x renamed perm[x], checked as a new table."""
+    perm = np.asarray(perm)
+    mul = np.empty_like(G.mul)
+    mul[np.ix_(perm, perm)] = perm[G.mul]
+    return FiniteGroup(mul, name=f"{G.name}'")
+
+
+def _assert_matches_checked(P):
+    G = FiniteGroup(P.mul)
+    assert P.mul.dtype == P.inv.dtype == np.int32
+    assert not P.mul.flags.writeable and not P.inv.flags.writeable
+    assert (P.mul == G.mul).all() and P.identity == G.identity
+    assert (P.inv == G.inv).all() and P.generators == G.generators
+
+
+PRODUCT_SPECS = ["Prod:C:2,C:4", "Prod:C:2,C:2", "Prod:C:2,Prod:C:2,C:2",
+                 "Prod:C:2,C:6", "Prod:C:4,C:4", "Prod:Heis:3:1,C:4",
+                 "Prod:Q8cp:1,C:3", "Prod:Heis:3:2,C:4"]
+
+
+@pytest.mark.parametrize("spec", PRODUCT_SPECS)
+def test_product_specs_match_checked_constructor(spec):
+    _assert_matches_checked(build_family(spec))
+
+
+def test_derived_products_match_checked_constructor(monkeypatch):
+    made = []
+
+    def recording(A, B, name=""):
+        made.append(direct_product(A, B, name))
+        return made[-1]
+
+    monkeypatch.setattr(groups, "direct_product", recording)
+    for r in (2, 3):
+        groups.central_product_q8(r)
+    assert [P.order for P in made] == [64, 64, 256]
+    # identities away from index 0, and non-abelian factors on both sides
+    q8, s3 = quaternion_group(), build_family("GenDih:C:3")
+    c3r = _relabelled(cyclic_group(3), [2, 0, 1])
+    q8r = _relabelled(q8, [5, 3, 0, 7, 1, 6, 2, 4])
+    assert c3r.identity == 2 and q8r.identity == 5
+    for A, B in [(c3r, q8r), (q8r, c3r), (q8r, q8r), (q8, s3), (s3, q8r)]:
+        made.append(direct_product(A, B))
+    for P in made:
+        _assert_matches_checked(P)
+
+
+def test_recipe2_products_match_checked_constructor(constructions_by_family):
+    for con in constructions_by_family.values():
+        _assert_matches_checked(con.result.product_group)
+
+
+@pytest.mark.parametrize("spec, gens", [
+    ("C:4", (1, 4, 12, 36, 108, 324)),
+    ("EA:2:2", (1, 2, 4, 12, 36, 108, 324))])
+def test_product_generators_computed_on_first_use(monkeypatch, spec, gens):
+    A, B = build_family("Heis:3:2"), build_family(spec)
+    calls = []
+    closure = groups._closure
+
+    def counting(*args):
+        calls.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(groups, "_closure", counting)
+    P = direct_product(A, B)
+    assert not calls
+    assert P.generators == gens
+    assert calls
+
+
+def test_group_check_transients_bounded():
+    # the identity and inverse scans, Light's test and each closure compare
+    # blocks of at most 2^20 entries; one n x n bool would be 16.8 MB here.
+    # x*y = x + y + 1 mod n puts the identity, n - 1, in the last block.
+    idx = np.arange(4096, dtype=np.int32)
+    mul = (idx[:, None] + idx + 1) % 4096
+    tracemalloc.start()
+    try:
+        G = FiniteGroup(mul)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.identity == 4095 and G.generators == (0,)
+    assert (G.inv == (-idx - 2) % 4096).all()
+    assert peak <= 12 * 10 ** 6
+
+
+def test_closure_gathers_every_block():
+    # R = K u Kg, with K = 1 x C:768 at indices 0-767 and Kg at 768-1535,
+    # is multiplied in row blocks of 682.  The first block lies in K, so
+    # only the products of the later blocks, which reach into Kg, leave R.
+    G = build_family("Prod:C:3,C:768")
+    assert len(groups._closure(G.mul, range(1536))) == G.order

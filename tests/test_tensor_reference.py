@@ -40,7 +40,10 @@ same system or the same error on every closed family of the desk points,
 mutated ones and unions, and the same search result on each branch.
 The Lanczos float oracle is checked against the dense oracle it replaced
 (`eigh` of M, one projection per eigenspace): the same multiplicities, P
-within 1e-9, and the same error on wrong exact data.
+within 1e-9, and the same error on wrong exact data.  `write_scheme`,
+which gathers every token at once, is checked against the row-by-row
+writer it replaced (`ref_write_scheme`): the same bytes on every scheme
+here and on random color matrices whose names have 1 to 4 digits.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ import operator
 import random
 from fractions import Fraction
 from functools import total_ordering
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -69,9 +73,10 @@ from higman.quadratic import QuadraticNumber as QN
 from higman.quadratic import quadratic_roots, square_free_decomposition
 from higman.schemes import (FLOAT32_EXACT_LIMIT, SchemeError, SchemeTable,
                             cayley_scheme, digit_runs, is_wreath_over,
-                            nontrivial_parabolics, parabolics, quotient,
+                            nontrivial_parabolics, parabolics,
+                            parse_scheme_file, quotient, read_scheme,
                             restriction, trivial_scheme, validate,
-                            wreath_product)
+                            wreath_product, write_scheme)
 from higman.spectral import (EigenData, OracleResult, SpectralError,
                              eigenvalue_pair, float_eigen_oracle, krein,
                              spectral_data)
@@ -895,6 +900,52 @@ def test_cayley_scheme_matches_validate(constructions_by_family,
         assert (got.valencies == ref.valencies).all()
         accepted += 1
     assert 0 < accepted < len(cases)
+
+
+
+def ref_write_scheme(scheme, path) -> None:
+    """The header, then each row's names joined by spaces, one row at a
+    time."""
+    names = np.array([str(c) for c in range(scheme.rank)], dtype=object)
+    lines = [f"scheme {scheme.v} {scheme.rank}"]
+    lines += [" ".join(names[row].tolist()) for row in scheme.color]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def color_matrices():
+    """Random color matrices whose names have 1 to 4 digits, each also as
+    a transposed view, which is not C-contiguous."""
+    rng = np.random.default_rng(5)
+    out = []
+    for rank in (2, 10, 11, 100, 1001):
+        color = rng.integers(0, rank, (40, 40))
+        color[7, 3] = rank - 1
+        out += [(color, rank), (color.T, rank)]
+    assert not out[-1][0].flags.c_contiguous
+    return out
+
+
+def test_scheme_writer_matches_reference(tmp_path, reference_schemes):
+    def both_files(scheme):
+        got, want = tmp_path / "got.scheme", tmp_path / "want.scheme"
+        write_scheme(scheme, got)
+        ref_write_scheme(scheme, want)
+        assert got.read_bytes() == want.read_bytes()
+        return got
+
+    cases = (list(reference_schemes.values()) + thin_schemes()
+                + [orbit_scheme(n, units) for n in range(4, 41)
+                   for units in unit_groups(n)] + [trivial_scheme(1)])
+    for scheme in cases:
+        again = read_scheme(both_files(scheme))
+        assert again.rank == scheme.rank
+        assert (again.color == scheme.color).all()
+    for color, rank in color_matrices():
+        path = both_files(SimpleNamespace(color=color, v=len(color),
+                                          rank=rank))
+        matrix, declared = parse_scheme_file(path)
+        assert declared == rank and (matrix == color).all()
 
 
 def test_irregular_relation_rejected():
