@@ -397,7 +397,6 @@ def main(argv=None) -> int:
     pt = sub.add_parser("tables", help="reproduce the parameter tables")
     pt.add_argument("--max-search", type=int,
                     default=constructions.SEARCH_SPACE_CAP)
-    pt.add_argument("--seed", type=int, default=0, help="accepted, no effect")
     pt.set_defaults(func=cmd_tables)
 
     args = parser.parse_args(argv)

@@ -47,7 +47,7 @@ class ConstructionError(ValueError):
 
 
 class FileFormatError(ConstructionError):
-    """A linked-system or partition file is not in its text format."""
+    """A linked-system file is not in its text format."""
 
 
 # -- divisible and relative difference sets -------------------------------------
@@ -223,8 +223,7 @@ def _two_level_options(vec: np.ndarray, size: int) -> list[tuple[frozenset, int,
 
 
 def verify_linked_system(G: FiniteGroup, N: Subgroup,
-                         sets: Sequence[Iterable[int]],
-                         chi: Sequence[int] | None = None) -> LinkedSystem:
+                         sets: Sequence[Iterable[int]]) -> LinkedSystem:
     """Check the closed-linked-system product law and recover (chi, psi, mu, nu).
 
     Every member must be an (m, n, k, lam)-RDS relative to N, and every
@@ -259,8 +258,6 @@ def verify_linked_system(G: FiniteGroup, N: Subgroup,
             raise ConstructionError(
                 f"inverse of member {i} is not in the family")
         rec_chi.append(index[inv])
-    if chi is not None and tuple(chi) != tuple(rec_chi):
-        raise ConstructionError("supplied chi disagrees with the inverses")
 
     # chi is a permutation, so w >= 2 leaves w(w-1) >= 2 pairs here; each
     # pair maps its readings (mu, nu) to the member c it is two-level on
@@ -705,8 +702,8 @@ def construct_family(family: str, q: int | None = None, r: int | None = None,
     expected_assoc = build_family(assoc_spec)
     phi = next(iter(isomorphisms(expected_assoc, assoc)), None)
     if phi is not None:
-        # using the named family group as U keeps the product group's spec
-        # parseable for partition files; the choice of phi is immaterial
+        # the named family group as U gives the product group a family
+        # spec for a name; the choice of phi is immaterial
         result = example2_construct(system, U=expected_assoc, phi=phi)
     else:
         result = example2_construct(system)
@@ -720,21 +717,13 @@ def construct_family(family: str, q: int | None = None, r: int | None = None,
         table2_match=result.detection.params == t2)
 
 
-def example1_desk_constructions() -> list[Example1Result]:
-    """The desk-scale recipe-1 instances used by the cross-agreement suite."""
-    out = []
-    c4 = build_family("C:4")
-    out.append(example1_construct(c4, c4.subgroup([0, 2]), (0, 1)))
-    e9 = build_family("EA:3:2")
-    n = e9.subgroup([0, 1, 2])
-    rds = search_semiregular_rds(e9, n)
-    out.append(example1_construct(e9, n, rds[0]))
-    return out
-
-
 # -- file formats ---------------------------------------------------------------------
 
-def _require_rebuildable(G: FiniteGroup) -> None:
+def write_linked_system(system: LinkedSystem, path) -> None:
+    """Text format: group spec line, forbidden-subgroup elements, w, then the
+    RDS element lists (chi and psi are recovered on read).  The group's
+    name must be a family spec that rebuilds the same table."""
+    G = system.group
     if not G.name:
         raise ConstructionError("group has no family spec; cannot serialize")
     try:
@@ -746,14 +735,7 @@ def _require_rebuildable(G: FiniteGroup) -> None:
     if not _same_group(rebuilt, G):
         raise ConstructionError(
             f"spec {G.name!r} rebuilds a different element order")
-
-
-def write_linked_system(system: LinkedSystem, path) -> None:
-    """Text format: group spec line, forbidden-subgroup elements, w, then the
-    RDS element lists (chi and psi are recovered on read)."""
-    _require_rebuildable(system.group)
-    lines = [system.group.name,
-             " ".join(str(x) for x in system.forbidden.elements),
+    lines = [G.name, " ".join(str(x) for x in system.forbidden.elements),
              str(system.w)]
     lines += [" ".join(str(x) for x in s) for s in system.sets]
     with open(path, "w") as fh:
@@ -782,23 +764,3 @@ def read_linked_system(path) -> LinkedSystem:
         raise FileFormatError(f"expected {w} RDS lines, found {len(lines) - 3}")
     sets = [_int_line(ln, f"RDS line {i + 1}") for i, ln in enumerate(lines[3:])]
     return verify_linked_system(G, N, sets)
-
-
-def write_partition(partition: SRingPartition, path) -> None:
-    """Text format: group spec line, then one part per line."""
-    _require_rebuildable(partition.group)
-    lines = [partition.group.name]
-    lines += [" ".join(str(x) for x in p) for p in partition.parts]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_partition(path) -> SRingPartition:
-    with open(path) as fh:
-        lines = [ln for ln in (l.strip() for l in fh) if ln]
-    if len(lines) < 2:
-        raise FileFormatError("partition file too short")
-    G = build_family(lines[0])
-    parts = tuple(tuple(_int_line(ln, f"part line {i + 1}"))
-                  for i, ln in enumerate(lines[1:]))
-    return SRingPartition(group=G, parts=parts)

@@ -30,7 +30,7 @@ class GroupError(ValueError):
 
 
 class GroupOrderError(GroupError):
-    """A group spec or file names an order over GROUP_ORDER_LIMIT."""
+    """A group spec names an order over GROUP_ORDER_LIMIT."""
 
 
 class FiniteGroup:
@@ -321,14 +321,6 @@ def isomorphisms(G: FiniteGroup, H: FiniteGroup) -> Iterator[GroupIsomorphism]:
                 pass
 
 
-def automorphisms(G: FiniteGroup) -> list[GroupIsomorphism]:
-    return list(isomorphisms(G, G))
-
-
-def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
-    return next(iter(isomorphisms(G, H)), None) is not None
-
-
 # -- finite fields (internal, for the Heisenberg family) ---------------------
 
 # fixed irreducible polynomials (coefficients ascending, monic) for the small
@@ -610,49 +602,3 @@ def _int_parts(s: str, n: int, usage: str) -> list[int]:
     if len(parts) != n:
         raise GroupError(f"bad spec, expected {usage}")
     return [_as_int(x, usage) for x in parts]
-
-
-# -- file format --------------------------------------------------------------
-
-def write_group(G: FiniteGroup, path) -> None:
-    """Text format: ``group <order>`` then the table rows; identity is 0."""
-    mul = G.mul
-    if G.identity != 0:
-        perm = [G.identity] + [x for x in range(G.order) if x != G.identity]
-        pos = np.argsort(perm)
-        mul = pos[mul[np.ix_(perm, perm)]]
-    lines = [f"group {G.order}"]
-    lines += [" ".join(map(str, row.tolist())) for row in mul]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_group(path) -> FiniteGroup:
-    with open(path) as fh:
-        lines = [ln for ln in (l.strip() for l in fh) if ln]
-    if not lines or not lines[0].startswith("group "):
-        raise GroupError("group file must start with 'group <order>'")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise GroupError("bad group header") from None
-    check_order(n)
-    if len(lines) != n + 1:
-        raise GroupError(f"expected {n} table rows, found {len(lines) - 1}")
-    # lengths, then one matrix row by row, then the range before int32
-    if any(len(ln.split()) != n for ln in lines[1:]):
-        raise GroupError("table row has wrong length")
-    mul = np.empty((n, n), dtype=np.int64)
-    for i, ln in enumerate(lines[1:]):
-        try:
-            mul[i] = ln.split()
-        except ValueError:
-            raise GroupError("table row has a non-integer entry") from None
-        except OverflowError:
-            raise GroupError("table entries out of range") from None
-    if ((mul < 0) | (mul >= n)).any():
-        raise GroupError("table entries out of range")
-    G = FiniteGroup(mul)
-    if G.identity != 0:
-        raise GroupError("group file identity must be index 0")
-    return G

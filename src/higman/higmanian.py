@@ -251,8 +251,8 @@ def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
     both, with the same coefficients.
     Since the least (i, j) of each transpose pair is kept, and a packed
     product that fails is followed by the run's single products in order
-    (`_packed_check`), the first failing pair is that of a loop over all
-    pairs, and so is its witness.
+    (`DigitRun.check`, with the right factors basis[j*].T), the first
+    failing pair is that of a loop over all pairs, and so is its witness.
     """
     outside, inverse, color = parab.outside, scheme.inverse, scheme.color
     pairs = [(i, j) for i in outside for j in outside
@@ -266,25 +266,6 @@ def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
             cols = color[:, gpts][off]
             yield off, {i: (cols == i).astype(np.float32) for i in outside}
     return runs, blocks()
-
-
-def _packed_check(basis, inverse, i, run, cells, reference):
-    """The packed product of left color i and ``run`` through one class,
-    raveled, compared with itself at ``reference[cells]``: cell x is in
-    the cell set ``cells[x]``, whose reference cell is ``reference[cells[x]]``.
-    ``(product, None)`` when every cell agrees.  Otherwise some digit
-    disagrees, and the run's products are formed one at a time in order:
-    ``(None, (j, cell))`` names the first failing pair and its first
-    failing cell."""
-    M = (basis[i] @ run.pack([basis[inverse[j]] for j in run.colors]).T).ravel()
-    if np.array_equal(M, M[reference][cells]):
-        return M, None
-    for j in run.colors:
-        M = (basis[i] @ basis[inverse[j]].T).ravel()
-        bad = np.flatnonzero(M != M[reference][cells])
-        if len(bad):
-            return None, (j, int(bad[0]))
-    raise RuntimeError(f"packed run {run} fails, but none of its products")
 
 
 def _first_passing(route, scheme: SchemeTable,
@@ -348,8 +329,9 @@ def is_uniform_by_definition(scheme: SchemeTable,
         reference[triples] = pos[ref_x] * len(off) + pos[ref_y]
         cells = key[off][:, off].ravel()
         for i, run in runs:
-            M, failure = _packed_check(basis, inverse, i, run, cells,
-                                       reference)
+            M, failure = run.check(
+                basis[i], [basis[inverse[j]].T for j in run.colors], cells,
+                reference)
             if failure:
                 j, cell = failure
                 x, y = off[list(divmod(cell, len(off)))]
@@ -412,7 +394,9 @@ def is_dismantlable(scheme: SchemeTable, parab: Parabolic) -> DismantleCheck:
         sub = color[off][:, off].ravel()
         first = np.array([np.argmax(sub == k) for k in range(scheme.rank)])
         for i, run in runs:
-            _, failure = _packed_check(basis, inverse, i, run, sub, first)
+            _, failure = run.check(
+                basis[i], [basis[inverse[j]].T for j in run.colors], sub,
+                first)
             if not failure:
                 continue
             cell = failure[1]

@@ -79,6 +79,25 @@ class DigitRun(NamedTuple):
         powers = self.base ** np.arange(len(self.colors), dtype=np.int64)
         return np.asarray(packed, dtype=np.int64) // powers[:, None] % self.base
 
+    def check(self, left, rights, cells, reference):
+        """The packed product of ``left`` and ``rights``, one right factor
+        per color of the run, raveled and compared with itself at
+        ``reference[cells]``: cell x is in the cell set ``cells[x]``, whose
+        reference cell is ``reference[cells[x]]``.  ``(product, None)``
+        when every cell agrees.  Otherwise some digit disagrees, and the
+        run's products are formed one at a time in order: ``(product,
+        (j, cell))`` gives the first failing one, of the pair with right
+        color j, and its first failing cell."""
+        M = (left @ self.pack(rights)).ravel()
+        if np.array_equal(M, M[reference][cells]):
+            return M, None
+        for j, right in zip(self.colors, rights):
+            M = (left @ right).ravel()
+            bad = np.flatnonzero(M != M[reference][cells])
+            if len(bad):
+                return M, (j, int(bad[0]))
+        raise RuntimeError(f"packed run {self} fails, but none of its products")
+
 
 def digit_runs(colors: Sequence[int], bound: int) -> list[DigitRun]:
     """Split ``colors`` into runs packed as base-(bound + 1) digits.
@@ -105,11 +124,11 @@ def validate(matrix) -> SchemeTable:
     B_i B_j is at most the valency n_i, so the right factors of one B_i
     are packed as base-(n_i + 1) digits, and a run closes before
     (n_i + 1)^len reaches 2^24, below which float32 is exact.  The
-    intersection numbers are read digit by digit at one reference cell per
+    intersection numbers are read digit by digit at the first cell of each
     color.  A packed product that is not constant on a color class has a
-    digit that is not; that run's products are then formed one at a time
-    in order, so the first failing pair, its cell, the message and the
-    witness are those of a loop over single products.
+    digit that is not; `DigitRun.check` then forms that run's products one
+    at a time in order, so the first failing pair, its cell, the message
+    and the witness are those of a loop over single products.
     """
     color = np.asarray(matrix)
     if color.ndim != 2 or color.shape[0] != color.shape[1]:
@@ -193,21 +212,18 @@ def validate(matrix) -> SchemeTable:
             continue
         right = [j for j in range(1, last) if (istar[j], istar[i]) >= (i, j)]
         for run in digit_runs(right, n[i]):
-            prod = basis[i] @ run.pack([basis[j] for j in run.colors])
-            ref = prod[rep_x, rep_y]
-            if not np.array_equal(prod, ref[color]):
-                for j in run.colors:
-                    prod = basis[i] @ basis[j]
-                    ref = prod[rep_x, rep_y]
-                    bad = np.argwhere(prod != ref[color])
-                    if len(bad):
-                        x, y = map(int, bad[0])
-                        k = int(color[x, y])
-                        raise SchemeError(
-                            f"p_{i},{j}^{k} is not constant: cell ({x},{y}) "
-                            f"has {int(prod[x, y])}, expected {int(ref[k])}",
-                            witness=(i, j, k, x, y))
-            p[i, list(run.colors)] = run.unpack(ref)
+            M, failure = run.check(basis[i], [basis[j] for j in run.colors],
+                                   color.ravel(), first)
+            if failure:
+                j, cell = failure
+                x, y = divmod(cell, v)
+                k = int(color[x, y])
+                raise SchemeError(
+                    f"p_{i},{j}^{k} is not constant: cell ({x},{y}) "
+                    f"has {int(M[cell])}, expected {int(M[first[k]])}",
+                    witness=(i, j, k, x, y))
+            p[i, list(run.colors)] = run.unpack(M[first])
+            del M  # freed before the next run's product is formed
             for j in run.colors:
                 p[istar[j], istar[i]] = p[i, j][istar]
     # the last column, then row last* by transpose; its last entry needs

@@ -1,7 +1,7 @@
 import pytest
 
 from higman.constructions import (SRingPartition, construct_family,
-                                  example1_desk_constructions)
+                                  example1_construct, search_semiregular_rds)
 from higman.groups import FiniteGroup, GroupError, Subgroup, build_family
 from higman.higmanian import detect_higmanian
 from higman.schemes import SchemeError, cayley_scheme
@@ -38,7 +38,12 @@ def ea_construction(constructions_by_family):
 
 @pytest.fixture(scope="session")
 def example1_results():
-    return example1_desk_constructions()
+    """The desk-scale recipe-1 instances used by the cross-agreement suite."""
+    c4 = build_family("C:4")
+    e9 = build_family("EA:3:2")
+    n = e9.subgroup([0, 1, 2])
+    return [example1_construct(c4, c4.subgroup([0, 2]), (0, 1)),
+            example1_construct(e9, n, search_semiregular_rds(e9, n)[0])]
 
 
 NEGATIVE_CONTROL_GROUPS = ("C:12", "Prod:C:2,C:6", "GenDih:C:6", "Prod:C:4,C:4")

@@ -13,8 +13,7 @@ import numpy as np
 
 from higman.constructions import (construct_family, search_linked_system,
                                   semiregular_mu_nu)
-from higman.groups import (automorphisms, build_family, gre_multiply,
-                           is_isomorphic)
+from higman.groups import build_family, gre_multiply, isomorphisms
 from higman.higmanian import (HigmanianParams, detect_higmanian,
                               is_uniform_by_criterion, verdict_bundle)
 from higman.quadratic import QuadraticNumber as QN
@@ -45,7 +44,7 @@ def test_criterion_1_table1_reproduction():
         assert system.params == want
         from higman.constructions import associate_group
         assoc = associate_group(system)
-        assert is_isomorphic(assoc, build_family(assoc_spec))
+        assert next(isomorphisms(assoc, build_family(assoc_spec)), None)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60, f"criterion 1 took {elapsed:.1f}s"
     _ok(f"1 (Table 1 reproduction, {elapsed:.2f}s)")
@@ -195,7 +194,7 @@ def test_criterion_7_property_suites(tmp_path, constructions_by_family,
     from higman.constructions import associate_group, cayley_isomorphic
     for con in constructions_by_family.values():
         winf = associate_group(con.system)
-        autos = automorphisms(winf)
+        autos = list(isomorphisms(winf, winf))
         assert len(autos) >= 2
         cayley_isomorphic(autos[0], autos[1], con.system)  # raises on failure
 

@@ -5,20 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from higman.constructions import (ConstructionError, FileFormatError,
-                                  associate_group, cayley_isomorphic,
-                                  construct_family, example1_construct,
-                                  example2_construct, intersection_condition,
-                                  read_linked_system, read_partition,
+from higman.constructions import (ConstructionError, associate_group,
+                                  cayley_isomorphic, construct_family,
+                                  example1_construct, example2_construct,
+                                  intersection_condition, read_linked_system,
                                   search_linked_system,
                                   search_semiregular_rds, semiregular_mu_nu,
                                   table1_params, table2_params, verify_dds,
-                                  verify_linked_system, write_linked_system,
-                                  write_partition)
-from higman.groups import (GroupError, automorphisms, build_family,
-                           gre_multiply, is_isomorphic)
+                                  verify_linked_system, write_linked_system)
+from higman.groups import (FiniteGroup, build_family, gre_multiply,
+                           isomorphisms)
 from higman.quadratic import QuadraticNumber as QN
-from higman.schemes import SchemeError
+from higman.schemes import SchemeError, cayley_scheme
 
 
 # -- difference sets ---------------------------------------------------------
@@ -172,7 +170,7 @@ def test_associate_groups(q8_construction, heis_construction,
                       (ea_construction, "EA:3:1")):
         assoc = associate_group(con.system)
         assert assoc.order == con.system.w + 1
-        assert is_isomorphic(assoc, build_family(spec))
+        assert next(isomorphisms(assoc, build_family(spec)), None)
 
 
 # -- searches ----------------------------------------------------------------------
@@ -347,7 +345,7 @@ def test_cayley_isomorphism_two_phis(q8_construction, heis_construction,
     for con in (q8_construction, heis_construction, ea_construction):
         system = con.system
         winf = associate_group(system)
-        autos = automorphisms(winf)
+        autos = list(isomorphisms(winf, winf))
         assert len(autos) >= 2
         iso = cayley_isomorphic(autos[0], autos[1], system)
         assert iso.map != tuple(range(len(iso.map))) or autos[0].map == autos[1].map
@@ -368,16 +366,6 @@ def test_linked_system_file_roundtrip(tmp_path, q8_construction):
     assert again.chi == system.chi
 
 
-def test_partition_file_roundtrip(tmp_path, q8_construction):
-    partition = q8_construction.result.partition
-    path = tmp_path / "p.sring"
-    write_partition(partition, path)
-    again = read_partition(path)
-    assert again.parts == partition.parts
-    scheme = again.scheme()
-    assert scheme.rank == 5
-
-
 def test_linked_file_errors(tmp_path):
     p = tmp_path / "bad.linked"
     p.write_text("C:4\n0 2\n")
@@ -388,31 +376,43 @@ def test_linked_file_errors(tmp_path):
         read_linked_system(p)
 
 
-@pytest.mark.parametrize("body, error, message", [
-    ("", FileFormatError, "partition file too short"),
-    ("C:4\n", FileFormatError, "partition file too short"),
-    ("C:4\n0\n1 x\n", FileFormatError, "part line 2: non-integer token"),
-    ("Nope:4\n0\n1 2 3\n", GroupError, "unknown family spec"),
-    ("C:200000\n0\n1\n", GroupError, "exceeds the limit"),
-    ("C:4\n0\n1 3\n4\n", SchemeError, "part element outside 0..3"),
-    ("C:4\n0\n1 3\n-2\n", SchemeError, "part element outside 0..3"),
-    ("C:4\n0\n1 3\n", SchemeError, "do not partition"),
-    ("C:4\n1\n0 2 3\n", SchemeError, "identity singleton"),
-    ("C:4\n0\n1\n2 3\n", SchemeError, "inverse-closed"),
-    ("C:5\n0\n1 4\n2\n3\n", SchemeError, "not an S-ring"),
+@pytest.mark.parametrize("spec, parts, message", [
+    ("C:4", [[0], [1, 3], [4]], "part element outside 0..3"),
+    ("C:4", [[0], [1, 3], [-2]], "part element outside 0..3"),
+    ("C:4", [[0], [1, 3]], "do not partition"),
+    ("C:4", [[1], [0, 2, 3]], "identity singleton"),
+    ("C:4", [[0], [1], [2, 3]], "inverse-closed"),
+    ("C:5", [[0], [1, 4], [2], [3]], "not an S-ring"),
 ])
-def test_read_partition_malformed(tmp_path, body, error, message):
-    path = tmp_path / "m.sring"
-    path.write_text(body)
-    with pytest.raises(error, match=message):
-        read_partition(path).scheme()
+def test_cayley_scheme_rejects_bad_partitions(spec, parts, message):
+    with pytest.raises(SchemeError, match=message):
+        cayley_scheme(build_family(spec), parts)
 
 
-def test_abstract_associate_partition_not_serializable(tmp_path,
-                                                       q8_construction):
-    # a partition over G x (abstract associate group) has no rebuildable
-    # spec, so serialization must refuse rather than write a broken file
-    res = example2_construct(q8_construction.system)
-    assert "assoc" in res.product_group.name
-    with pytest.raises(ConstructionError, match="not a family spec"):
-        write_partition(res.partition, tmp_path / "p.sring")
+def test_linked_system_file_needs_a_family_spec(tmp_path, q8_construction):
+    # the file names its group by a family spec, so a group that no spec
+    # rebuilds is refused rather than written as a file that reads back
+    # as another group: an unnamed table, a name that is not a spec, and
+    # Q8cp:1 with 0 and 1 swapped, which is not an automorphism
+    system = q8_construction.system
+    mul = build_family("Q8cp:1").mul
+    same = np.arange(8)
+    swap = np.array([1, 0, 2, 3, 4, 5, 6, 7])
+    swapped = np.empty_like(mul)
+    swapped[np.ix_(swap, swap)] = swap[mul]
+    path = tmp_path / "sys.linked"
+    for G, perm, message in [
+            (FiniteGroup(mul), same, "has no family spec"),
+            (FiniteGroup(mul, name="assoc:Q8cp:1"), same, "not a family spec"),
+            (FiniteGroup(swapped, name="Q8cp:1"), swap,
+             "rebuilds a different element order")]:
+        N = G.subgroup(perm[list(system.forbidden.elements)])
+        linked = verify_linked_system(
+            G, N, [perm[list(s)] for s in system.sets])
+        assert linked.params == system.params
+        with pytest.raises(ConstructionError, match=message):
+            write_linked_system(linked, path)
+        assert not path.exists()
+    # recipe 2 names its product over the abstract associate group "assoc"
+    assert example2_construct(system).product_group.name == \
+        "Prod:Q8cp:1,assoc"

@@ -30,7 +30,8 @@ same printed values, order, errors and route-1/route-3 outputs.  Each of
 routes 2 and 4, when it passes, is counted to form one packed product per
 class and run of `digit_runs`, and their witnesses are required to match
 the references and runs cut to one color, also where a later digit of a
-run fails.  `validate`, which packs the products of one left color, is
+run fails; that failing digit is read where `validate` and both routes
+find it, in the one shared `DigitRun.check`.  `validate`, which packs the products of one left color, is
 checked against the validate that formed one product per pair
 (`ref_validate`, kept verbatim): the same tensor on every scheme, and the
 same message and witness on malformed matrices, with runs packed and cut
@@ -1040,16 +1041,34 @@ def test_validate_failures_match_unpacked_reference(
     assert len(messages) > 20
 
 
-def test_octagon_fails_at_the_second_digit(packing):
+@pytest.fixture
+def failed_digit(monkeypatch):
+    """The digit, within its run, of each pair that `DigitRun.check`
+    names as failing, in call order."""
+    check, found = schemes.DigitRun.check, []
+
+    def recorded(run, *args):
+        M, failure = check(run, *args)
+        if failure:
+            found.append(run.colors.index(failure[0]))
+        return M, failure
+
+    monkeypatch.setattr(schemes.DigitRun, "check", recorded)
+    return found
+
+
+def test_octagon_fails_at_the_second_digit(packing, failed_digit):
     with pytest.raises(SchemeError) as err:
         validate(min_distance_octagon())
     assert str(err.value) == \
         "p_1,2^3 is not constant: cell (0,4) has 0, expected 1"
     assert err.value.witness == (1, 2, 3, 0, 4)
-    # n_1 = 2: the products of B_1 are base-3 digits, B_2 the second
+    # n_1 = 2: the products of B_1 are base-3 digits, B_2 the second, and
+    # the check routes 2 and 4 share names the pair from that digit
     runs = schemes.digit_runs([1, 2], 2)
     assert [run.colors for run in runs] == \
         ([(1, 2)] if packing == "packed" else [(1,), (2,)])
+    assert failed_digit == ([1] if packing == "packed" else [0])
 
 
 @pytest.mark.parametrize("bound, widths", [
@@ -1219,7 +1238,7 @@ def test_each_route_forms_one_product_per_class_and_pair(reference_schemes,
     assert min(passed.values()) > 10
 
 
-def test_route_witnesses_from_later_digits(monkeypatch):
+def test_route_witnesses_from_later_digits(monkeypatch, failed_digit):
     # when a packed product fails, the run's single products name the
     # failing pair; the results, witnesses included, are those of runs of
     # one color and of the references, also where a later digit fails
@@ -1229,16 +1248,6 @@ def test_route_witnesses_from_later_digits(monkeypatch):
              in definition_cases([s for s in schemes_ if s.rank <= 12])
              if parab.num_classes <= 12]
     routes = (is_uniform_by_definition, is_dismantlable)
-    packed_check = higmanian._packed_check
-    failed_digit = []
-
-    def recorded(basis, inverse, i, run, *compared):
-        M, failure = packed_check(basis, inverse, i, run, *compared)
-        if failure:
-            failed_digit.append(run.colors.index(failure[0]))
-        return M, failure
-
-    monkeypatch.setattr(higmanian, "_packed_check", recorded)
     packed, later = {}, {route: 0 for route in routes}
     for n, (scheme, parab) in enumerate(cases):
         for route in routes:
@@ -1628,7 +1637,7 @@ def ref_rds_difference_vector(G, N, k, lam):
     return want
 
 
-def ref_verify_linked_system(G, N, sets, chi=None):
+def ref_verify_linked_system(G, N, sets):
     """Check the closed-linked-system product law and recover (chi, psi, mu, nu).
 
     Every member must be an (m, n, k, lam)-RDS relative to N; the product of
@@ -1660,8 +1669,6 @@ def ref_verify_linked_system(G, N, sets, chi=None):
             raise ConstructionError(
                 f"inverse of member {i} is not in the family")
         rec_chi.append(index[inv])
-    if chi is not None and tuple(chi) != tuple(rec_chi):
-        raise ConstructionError("supplied chi disagrees with the inverses")
 
     cache: dict = {}
     chi_form = ref_rds_difference_vector(G, N, k, lam)
@@ -1741,10 +1748,10 @@ def ref_search_linked_system(G, N, w, rds_list, mu_nu=None):
     return first
 
 
-def linked_outcome(verify, G, N, sets, chi=None):
+def linked_outcome(verify, G, N, sets):
     """What a verifier returns, by field, or the text of its error."""
     try:
-        s = verify(G, N, sets, chi)
+        s = verify(G, N, sets)
     except ConstructionError as exc:
         return str(exc)
     return (s.sets, s.chi, tuple(s.psi.items()), s.params, s.branch)
@@ -1783,31 +1790,27 @@ def test_verify_linked_system_matches_reference(constructions_by_family):
         fams = closed_families(con)
         assert con.system.sets in map(tuple, fams)
         for fam in fams:
-            chi = ref_verify_linked_system(G, N, fam).chi
-            cases += [(G, N, fam, None), (G, N, fam, chi),
-                      (G, N, fam, chi[::-1])]
-            cases += [(G, N, bad, None) for bad in mutated_families(G, fam)]
+            cases.append((G, N, fam))
+            cases += [(G, N, bad) for bad in mutated_families(G, fam)]
         if (con.family, con.r) == ("q8cp", 2):
             # unions of the first closed family with each other one: four
             # members, past the RDS and inverse checks into the products
-            cases += [(G, N, fams[0] + fam, None) for fam in fams[1:]]
+            cases += [(G, N, fams[0] + fam) for fam in fams[1:]]
     # singletons with a trivial N: every product is two-level on a member
     # (with two readings on C:2), so the law is taken, and lam = 0 then
     # has no sign branch
     for spec in ("C:2", "C:3", "C:4"):
         G = build_family(spec)
-        cases.append((G, G.subgroup([0]), [(x,) for x in range(G.order)],
-                      None))
+        cases.append((G, G.subgroup([0]), [(x,) for x in range(G.order)]))
     # a member uneven on N^#, a member hitting N, and unequal k
     c8, q8 = build_family("C:8"), build_family("Q8cp:1")
-    cases += [(c8, c8.subgroup([0, 2, 4, 6]), [(0, 2), (1, 3)], None),
-              (c8, c8.subgroup([0, 4]), [(0, 4), (1, 5)], None),
-              (q8, q8.center(), [(0, 2, 4, 6), (0, 3, 5, 7), (1,)], None)]
+    cases += [(c8, c8.subgroup([0, 2, 4, 6]), [(0, 2), (1, 3)]),
+              (c8, c8.subgroup([0, 4]), [(0, 4), (1, 5)]),
+              (q8, q8.center(), [(0, 2, 4, 6), (0, 3, 5, 7), (1,)])]
     seen = set()
-    for G, N, sets, chi in cases:
-        got = linked_outcome(constructions.verify_linked_system,
-                             G, N, sets, chi)
-        assert got == linked_outcome(ref_verify_linked_system, G, N, sets, chi)
+    for G, N, sets in cases:
+        got = linked_outcome(constructions.verify_linked_system, G, N, sets)
+        assert got == linked_outcome(ref_verify_linked_system, G, N, sets)
         seen.add(got if isinstance(got, str) else got[3])
     assert len(seen) > 12
 
