@@ -563,30 +563,27 @@ def search_linked_system(G: FiniteGroup, N: Subgroup, w: int,
 # -- the known families, at desk scale ----------------------------------------------
 
 def _family_setup(family: str, q: int | None, r: int | None, j: int | None):
+    if family not in ("q8cp", "heis", "ea"):
+        raise ConstructionError(f"unknown family {family!r}")
+    if r is None or r < 1:
+        raise ConstructionError(f"{family} needs r >= 1, not {r}")
     if family == "q8cp":
-        if r is None or r < 1:
-            raise ConstructionError("q8cp needs r >= 1")
         return None
+    if q is None or (family == "ea" and j is None):
+        raise ConstructionError(
+            "heis needs q and r" if family == "heis" else "ea needs q, r and j")
+    check_order(q, 2 * r + 1)
+    p, i = prime_power(q)
     if family == "heis":
-        if q is None or r is None or r < 1:
-            raise ConstructionError("heis needs q and r")
-        check_order(q, 2 * r + 1)
-        p, _ = prime_power(q)
         if p == 2:
             raise ConstructionError("heis family needs odd q")
         return None
-    if family == "ea":
-        if q is None or r is None or j is None:
-            raise ConstructionError("ea needs q, r and j")
-        check_order(q, 2 * r + 1)
-        p, i = prime_power(q)
-        if j < 1 or j > i:
-            raise ConstructionError("ea needs 1 <= j <= i")
-        if p ** j < 3:
-            raise ConstructionError(
-                f"w = p^j - 1 = {p ** j - 1} < 2: no linked system")
-        return None
-    raise ConstructionError(f"unknown family {family!r}")
+    if j < 1 or j > i:
+        raise ConstructionError("ea needs 1 <= j <= i")
+    if p ** j < 3:
+        raise ConstructionError(
+            f"w = p^j - 1 = {p ** j - 1} < 2: no linked system")
+    return None
 
 
 def table1_params(family: str, q: int | None = None, r: int | None = None,

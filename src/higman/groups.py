@@ -220,12 +220,6 @@ class Subgroup:
     def __contains__(self, x: int) -> bool:
         return x in self.as_set
 
-    def is_normal(self) -> bool:
-        G = self.parent
-        els = list(self.elements)
-        conj = G.mul[G.mul[:, els], G.inv[:, None]]  # [g, x] = g x g^-1
-        return bool(np.isin(conj, els).all())
-
     def __repr__(self) -> str:
         return f"<Subgroup of order {self.order}>"
 
@@ -483,55 +477,25 @@ def heisenberg_group(q: int, r: int) -> FiniteGroup:
     return FiniteGroup(add[add, dot], name=f"Heis:{q}:{r}")
 
 
-def quaternion_group() -> FiniteGroup:
-    # elements encoded as (axis, sign): index = 2*axis + (sign < 0)
-    axis_mul = {  # (axis, axis) -> (axis, sign)
-        (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
-        (1, 0): (1, 1), (1, 1): (0, -1), (1, 2): (3, 1), (1, 3): (2, -1),
-        (2, 0): (2, 1), (2, 1): (3, -1), (2, 2): (0, -1), (2, 3): (1, 1),
-        (3, 0): (3, 1), (3, 1): (2, 1), (3, 2): (1, -1), (3, 3): (0, -1),
-    }
-    mul = np.empty((8, 8), dtype=np.int32)
-    for x in range(8):
-        ax, sx = x // 2, -1 if x % 2 else 1
-        for y in range(8):
-            ay, sy = y // 2, -1 if y % 2 else 1
-            az, sz = axis_mul[(ax, ay)]
-            s = sx * sy * sz
-            mul[x, y] = 2 * az + (0 if s > 0 else 1)
-    return FiniteGroup(mul, name="Q8cp:1")
-
-
-def quotient_group(G: FiniteGroup, N: Subgroup, name: str = "") -> FiniteGroup:
-    if not N.is_normal():
-        raise GroupError("quotient needs a normal subgroup")
-    # right coset Ng is named by its least element, as in cosets()
-    least = G.mul[list(N.elements)].min(axis=0)
-    reps, block_of = np.unique(least, return_inverse=True)
-    return FiniteGroup(block_of[G.mul[np.ix_(reps, reps)]], name=name)
-
-
 def central_product_q8(r: int) -> FiniteGroup:
-    """Central product of r copies of Q8: identify the central involutions."""
+    """Central product of r copies of Q8, built from its quadratic form.
+
+    Bit 0 of an element is its sign and bits 2t+1, 2t+2 are the axis bits
+    (x0, x1) of factor t, with 1, i, j, k as 00, 10, 01, 11, so Q8cp:1 is
+    numbered 1, -1, i, -i, j, -j, k, -k.  The axes multiply by XOR and the
+    sign picks up the cocycle beta(x, y) = sum_t x0 y0 + x1 y1 + x1 y0
+    mod 2.  Its diagonal g^2 = sum_t x0^2 + x0 x1 + x1^2 is a quadratic
+    form of Arf invariant r mod 2.
+    """
     if r < 1:
         raise GroupError("r must be >= 1")
-    check_order(2, 2 * r + 1)
-    G = quaternion_group()
-    for _ in range(r - 1):
-        P = direct_product(G, quaternion_group())
-        # identify the two central involutions: kill (z, -1) with z = old -1,
-        # whose index in G x Q8 is z * 8 + 1
-        K = P.generated_subgroup([_central_involution(G) * 8 + 1])
-        G = quotient_group(P, K)
-    return FiniteGroup(G.mul, name=f"Q8cp:{r}")
-
-
-def _central_involution(G: FiniteGroup) -> int:
-    zs = [x for x in G.center().elements
-          if x != G.identity and G.element_order(x) == 2]
-    if len(zs) != 1:
-        raise GroupError("expected a unique central involution")
-    return zs[0]
+    x = np.arange(check_order(2, 2 * r + 1), dtype=np.int32)
+    mul = x[:, None] ^ x
+    for t in range(r):
+        x0 = ((x >> 2 * t + 1) & 1).astype(bool)
+        x1 = ((x >> 2 * t + 2) & 1).astype(bool)
+        mul ^= np.outer(x0, x0) ^ np.outer(x1, x1 ^ x0)
+    return FiniteGroup(mul, name=f"Q8cp:{r}")
 
 
 def generalized_dihedral(G: FiniteGroup) -> FiniteGroup:

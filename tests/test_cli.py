@@ -156,6 +156,11 @@ def test_construct_errors(capsys):
     assert code == 3
     code, _, err = run(capsys, "construct", "q8cp")
     assert code == 3 and "usage" in err
+    for args, r in [(["q8cp", "0"], 0), (["heis", "3", "0"], 0),
+                    (["ea", "3", "0", "1"], 0), (["ea", "3", "-2", "1"], -2)]:
+        code, stdout, err = run(capsys, "construct", *args)
+        assert code == 3 and stdout == ""
+        assert err == f"error: {args[0]} needs r >= 1, not {r}\n"
 
 
 def test_tables_cli(capsys):

@@ -274,6 +274,17 @@ def test_table_constraints():
         table2_params("ea", q=3, r=1, j=2)  # j > i
 
 
+@pytest.mark.parametrize("r", [0, -1, None])
+@pytest.mark.parametrize("family,q,j", [("q8cp", None, None),
+                                        ("heis", 3, None), ("ea", 3, 1)])
+def test_rank_below_one_refused(family, q, j, r):
+    # every family needs r >= 1: at r = 0 the ea formulas give fractions
+    # and its group would be EA:3:1
+    for build in (table1_params, table2_params, construct_family):
+        with pytest.raises(ConstructionError, match=f"{family} needs r >= 1"):
+            build(family, q=q, r=r, j=j)
+
+
 # -- recipe 2 verification ---------------------------------------------------------------
 
 def test_parts_are_self_inverse(q8_construction, heis_construction,

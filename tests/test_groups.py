@@ -9,8 +9,7 @@ from higman.groups import (FiniteGroup, GroupError, GroupIsomorphism,
                            build_family, cosets, cyclic_group,
                            direct_product, elementary_abelian,
                            generalized_dihedral, gre_multiply,
-                           heisenberg_group, isomorphisms, prime_power,
-                           quaternion_group)
+                           heisenberg_group, isomorphisms, prime_power)
 
 BUILTIN_SPECS = ["C:4", "C:6", "EA:2:2", "EA:3:2", "Q8cp:1", "Heis:3:1",
                  "GenDih:C:4", "Prod:C:2,C:4"]
@@ -38,7 +37,7 @@ def test_cyclic_table_reduced_in_place(monkeypatch):
 
 
 def test_q8():
-    q8 = quaternion_group()
+    q8 = build_family("Q8cp:1")
     z = q8.center()
     assert q8.order == 8 and z.order == 2
     involutions = [x for x in range(8) if q8.element_order(x) == 2]
@@ -61,12 +60,33 @@ def test_heisenberg_prime_power():
         heisenberg_group(6, 1)
 
 
-def test_q8cp_central_involution():
-    for r in (1, 2):
+def test_q8cp_quadratic_form():
+    # g^2 is the sign Q(axes) of the sum of r copies of the anisotropic
+    # form x0^2 + x0 x1 + x1^2 on F_2^2.  Its Arf invariant is r mod 2, so
+    # Q is of minus type for odd r and of plus type for even r, and has
+    # 2^(2r-1) + (-1)^r 2^(r-1) zeros: each zero gives the elements +-g
+    # with g^2 = e
+    for r, involutions in [(1, 2), (2, 20), (3, 56), (4, 272)]:
         g = build_family(f"Q8cp:{r}")
         assert g.order == 2 ** (2 * r + 1)
-        z = g.center()
-        assert z.order == 2
+        assert g.center().elements == (0, 1)
+        squares = g.mul[np.arange(g.order), np.arange(g.order)]
+        assert set(squares.tolist()) == {0, 1}
+        zeros = 2 ** (2 * r - 1) + (-1) ** r * 2 ** (r - 1)
+        assert (squares == g.identity).sum() == 2 * zeros == involutions
+
+
+def test_q8cp_table_memory():
+    # the cocycle is XORed into the one n x n table, so Q8cp:5 peaks
+    # below 2.5 times its 16 MiB int32 table, the group check included
+    tracemalloc.start()
+    try:
+        g = build_family("Q8cp:5")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.mul.nbytes == 16 << 20
+    assert peak <= 2.5 * g.mul.nbytes
 
 
 def test_generalized_dihedral():
@@ -76,7 +96,7 @@ def test_generalized_dihedral():
     for g in range(4, 8):
         assert d8.element_order(g) == 2
     with pytest.raises(GroupError):
-        generalized_dihedral(quaternion_group())
+        generalized_dihedral(build_family("Q8cp:1"))
 
 
 def test_product_and_nested_specs():
@@ -144,7 +164,7 @@ def test_subgroup_validation():
 
 
 def test_cosets():
-    q8 = quaternion_group()
+    q8 = build_family("Q8cp:1")
     z = q8.center()
     blocks = cosets(q8, z)
     assert len(blocks) == 4 and all(len(b) == 2 for b in blocks)
@@ -154,7 +174,7 @@ def test_cosets():
 
 
 def test_gre_identities():
-    q8 = quaternion_group()
+    q8 = build_family("Q8cp:1")
     xs = [0, 2, 4, 6]
     indicator = np.bincount(xs, minlength=8)
     # {e} is the unit on both sides
@@ -396,19 +416,11 @@ def test_product_specs_match_checked_constructor(spec):
     _assert_matches_checked(build_family(spec))
 
 
-def test_derived_products_match_checked_constructor(monkeypatch):
-    made = []
-
-    def recording(A, B, name=""):
-        made.append(direct_product(A, B, name))
-        return made[-1]
-
-    monkeypatch.setattr(groups, "direct_product", recording)
-    for r in (2, 3):
-        groups.central_product_q8(r)
-    assert [P.order for P in made] == [64, 64, 256]
+def test_derived_products_match_checked_constructor():
+    q8, s3 = build_family("Q8cp:1"), build_family("GenDih:C:3")
+    made = [direct_product(q8, q8), direct_product(build_family("Q8cp:2"), q8)]
+    assert [P.order for P in made] == [64, 256]
     # identities away from index 0, and non-abelian factors on both sides
-    q8, s3 = quaternion_group(), build_family("GenDih:C:3")
     c3r = _relabelled(cyclic_group(3), [2, 0, 1])
     q8r = _relabelled(q8, [5, 3, 0, 7, 1, 6, 2, 4])
     assert c3r.identity == 2 and q8r.identity == 5

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from higman.groups import cyclic_group, quaternion_group
+from higman.groups import build_family, cyclic_group
 from higman.schemes import (SchemeError, SchemeParseError, cayley_scheme,
                             is_wreath_over, nontrivial_parabolics,
                             parabolics, parse_scheme_file, quotient,
@@ -141,7 +141,7 @@ def test_not_wreath(q8_construction):
 
 
 def test_cayley_scheme_basics():
-    q8 = quaternion_group()
+    q8 = build_family("Q8cp:1")
     rank2 = cayley_scheme(q8, [[0], list(range(1, 8))])
     assert rank2.rank == 2
     thin = cayley_scheme(cyclic_group(5), [[i] for i in range(5)])

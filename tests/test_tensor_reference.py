@@ -66,7 +66,7 @@ from higman import constructions, higmanian, schemes, spectral
 from higman.cli import TABLE_GRID
 from higman.constructions import (ConstructionError, search_semiregular_rds,
                                   table1_params, table2_params)
-from higman.groups import build_family, cosets, gre_multiply, quaternion_group
+from higman.groups import build_family, cosets, gre_multiply
 from higman.higmanian import (DefinitionCheck, HigmanianParams,
                               _outside_blocks, detect_higmanian,
                               is_dismantlable, is_uniform_by_definition)
@@ -776,7 +776,7 @@ def unit_groups(n):
 
 
 def thin_partitions():
-    q8 = quaternion_group()
+    q8 = build_family("Q8cp:1")
     return [(build_family("C:5"), [[i] for i in range(5)]),
             (q8, [[i] for i in range(q8.order)]),
             (build_family("C:7"), [[0], [1, 2, 4], [3, 5, 6]]),
