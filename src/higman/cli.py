@@ -167,12 +167,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_construct(args) -> int:
     family = args.family.lower()
-    # the parameters each family takes, in command-line order
-    names = {"q8cp": ("r",), "heis": ("q", "r"),
-             "ea": ("q", "r", "j")}.get(family)
+    names = constructions.FAMILY_PARAMS.get(family)
     if names is None:
-        print(f"error: unknown family {args.family!r} "
-              f"(expected q8cp | heis | ea)", file=sys.stderr)
+        print(f"error: unknown family {args.family!r} (expected "
+              f"{' | '.join(constructions.FAMILY_PARAMS)})", file=sys.stderr)
         return EXIT_BAD_FILE
     try:
         if len(args.params) != len(names):
@@ -181,13 +179,12 @@ def cmd_construct(args) -> int:
         con = constructions.construct_family(
             family, **dict(zip(names, args.params)),
             max_space=args.max_search)
-    except (ConstructionError, GroupError) as exc:
+        out = args.output or _default_scheme_name(family, args.params)
+        schemes.write_scheme(con.result.scheme, out)
+    except (ConstructionError, GroupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
 
-    scheme = con.result.scheme
-    out = args.output or _default_scheme_name(family, args.params)
-    schemes.write_scheme(scheme, out)
     print(f"group: {con.result.product_group.name} "
           f"(order {con.result.product_group.order})")
     print(f"linked system parameters: {con.system.params} "
@@ -242,7 +239,9 @@ def cmd_search_linked(args) -> int:
         N = _parse_subgroup(G, args.forbidden)
         system = constructions.search_linked_system(
             G, N, args.w, max_space=args.max_search)
-    except (GroupError, ConstructionError) as exc:
+        if system is not None and args.output:
+            constructions.write_linked_system(system, args.output)
+    except (GroupError, ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
     if system is None:
@@ -250,7 +249,6 @@ def cmd_search_linked(args) -> int:
         return 1
     _print_linked(system)
     if args.output:
-        constructions.write_linked_system(system, args.output)
         print(f"written to {args.output}")
     return 0
 
@@ -316,11 +314,10 @@ def cmd_tables(args) -> int:
     for family, q, r, j in TABLE_GRID:
         label = _point_label(family, q, r, j)
         try:
-            constructions.table1_params(family, q, r, j)
+            order = constructions.table2_params(family, q, r, j).v
         except ConstructionError as exc:
             print(f"{label}: SKIP ({exc})")
             continue
-        order = constructions.table2_params(family, q, r, j).v
         if order > TABLES_ORDER_LIMIT:
             print(f"{label}: SKIP (scheme order {order} > "
                   f"{TABLES_ORDER_LIMIT})")

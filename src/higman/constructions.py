@@ -34,7 +34,7 @@ from .groups import (FiniteGroup, GroupError, GroupIsomorphism, Subgroup,
                      gre_multiply, isomorphisms, prime_power)
 from .higmanian import DetectionResult, HigmanianParams, detect_higmanian
 from .quadratic import QuadraticNumber
-from .schemes import SchemeTable, cayley_scheme
+from .schemes import SchemeTable, cayley_scheme, text_lines
 
 QN = QuadraticNumber
 
@@ -320,6 +320,13 @@ def associate_group(system: LinkedSystem) -> FiniteGroup:
 
 # -- recipe 2 ---------------------------------------------------------------------
 
+def recipe2_params(n: int, lam: int, w: int, nu: int) -> HigmanianParams:
+    """Higmanian parameters of recipe 2 on a linked system with these
+    (n, lam, w, nu)."""
+    return HigmanianParams(f=w + 1, m=n * lam, n=n, k=n * lam * (n - 1),
+                           t=(n - 1) * (w - 1) * nu)
+
+
 @dataclass
 class Example2Result:
     system: LinkedSystem
@@ -334,9 +341,7 @@ class Example2Result:
     @property
     def expected_params(self) -> HigmanianParams:
         L = self.system
-        return HigmanianParams(
-            f=L.w + 1, m=L.n * L.lam, n=L.n, k=L.n * L.lam * (L.n - 1),
-            t=(L.n - 1) * (L.w - 1) * L.nu)
+        return recipe2_params(L.n, L.lam, L.w, L.nu)
 
 
 def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
@@ -562,13 +567,20 @@ def search_linked_system(G: FiniteGroup, N: Subgroup, w: int,
 
 # -- the known families, at desk scale ----------------------------------------------
 
-def _family_setup(family: str, q: int | None, r: int | None, j: int | None):
-    if family not in ("q8cp", "heis", "ea"):
+# the parameters each family takes, in command-line order
+FAMILY_PARAMS = {"q8cp": ("r",), "heis": ("q", "r"), "ea": ("q", "r", "j")}
+
+
+def _family_setup(family: str, q: int | None, r: int | None,
+                  j: int | None) -> tuple[int, int, str, str]:
+    """Validate a family point and return (q, w, group spec, associate
+    spec).  q8cp takes heis's parameters at q = 2."""
+    if family not in FAMILY_PARAMS:
         raise ConstructionError(f"unknown family {family!r}")
     if r is None or r < 1:
         raise ConstructionError(f"{family} needs r >= 1, not {r}")
     if family == "q8cp":
-        return None
+        return 2, 2, f"Q8cp:{r}", "C:3"
     if q is None or (family == "ea" and j is None):
         raise ConstructionError(
             "heis needs q and r" if family == "heis" else "ea needs q, r and j")
@@ -577,57 +589,31 @@ def _family_setup(family: str, q: int | None, r: int | None, j: int | None):
     if family == "heis":
         if p == 2:
             raise ConstructionError("heis family needs odd q")
-        return None
+        return q, q, f"Heis:{q}:{r}", f"C:{q + 1}"
     if j < 1 or j > i:
         raise ConstructionError("ea needs 1 <= j <= i")
     if p ** j < 3:
         raise ConstructionError(
             f"w = p^j - 1 = {p ** j - 1} < 2: no linked system")
-    return None
+    return q, p ** j - 1, f"EA:{p}:{i * (2 * r + 1)}", f"EA:{p}:{j}"
 
 
 def table1_params(family: str, q: int | None = None, r: int | None = None,
                   j: int | None = None) -> tuple[int, ...]:
     """Closed-form linked-system parameters (m, n, k, lam, w, mu, nu)."""
-    _family_setup(family, q, r, j)
-    if family == "q8cp":
-        q = 2
-    p, _ = prime_power(q)
-    m = q ** (2 * r)
-    lam = q ** (2 * r - 1)
-    if family == "q8cp":
-        return (m, 2, m, lam, 2,
-                lam - 2 ** r + 2 ** (r - 1), lam + 2 ** (r - 1))
-    if family == "heis":
-        return (m, q, m, lam, q,
-                lam - q ** r + q ** (r - 1), lam + q ** (r - 1))
-    return (m, q, m, lam, p ** j - 1,
-            lam + q ** r - q ** (r - 1), lam - q ** (r - 1))
+    q, w, _, _ = _family_setup(family, q, r, j)
+    eps = 1 if family == "ea" else -1
+    m, lam = q ** (2 * r), q ** (2 * r - 1)
+    return (m, q, m, lam, w, lam + eps * (q ** r - q ** (r - 1)),
+            lam - eps * q ** (r - 1))
 
 
 def table2_params(family: str, q: int | None = None, r: int | None = None,
                   j: int | None = None) -> HigmanianParams:
-    """Closed-form Higmanian parameters of the constructed Cayley scheme."""
-    t1 = table1_params(family, q, r, j)
-    _, n, _, lam, w, _, nu = t1
-    t = (n - 1) * (w - 1) * nu
-    if family == "q8cp":
-        params = HigmanianParams(f=3, m=4 ** r, n=2, k=4 ** r,
-                                 t=2 ** (r - 1) * (2 ** r + 1))
-    elif family == "heis":
-        params = HigmanianParams(f=q + 1, m=q ** (2 * r), n=q,
-                                 k=q ** (2 * r) * (q - 1),
-                                 t=q ** (r - 1) * (q - 1) ** 2 * (q ** r + 1))
-    else:
-        p, _ = prime_power(q)
-        params = HigmanianParams(f=p ** j, m=q ** (2 * r), n=q,
-                                 k=q ** (2 * r) * (q - 1),
-                                 t=q ** (r - 1) * (q - 1) * (q ** r - 1)
-                                   * (p ** j - 2))
-    if params.t != t:
-        raise ConstructionError(
-            f"table formula t = {params.t} violates t = (n-1)(w-1)nu = {t}")
-    return params
+    """Closed-form Higmanian parameters of the constructed Cayley scheme:
+    recipe 2 applied to Table 1."""
+    _, n, _, lam, w, _, nu = table1_params(family, q, r, j)
+    return recipe2_params(n, lam, w, nu)
 
 
 @dataclass
@@ -655,29 +641,17 @@ def construct_family(family: str, q: int | None = None, r: int | None = None,
     """End-to-end pipeline: build the group, search RDSs and a linked system,
     build the associate group and the Cayley scheme, compare with the
     closed-form parameter tables."""
-    _family_setup(family, q, r, j)
-    if family == "q8cp":
-        G = build_family(f"Q8cp:{r}")
+    _, w, group_spec, assoc_spec = _family_setup(family, q, r, j)
+    G = build_family(group_spec)
+    if family != "ea":
         candidates = [G.center()]
-        w = 2
-        assoc_spec = "C:3"
-    elif family == "heis":
-        G = build_family(f"Heis:{q}:{r}")
-        candidates = [G.center()]
-        w = q
-        assoc_spec = f"C:{q + 1}"
+    elif prime_power(q)[1] == 1:
+        candidates = [H for H in G.cyclic_subgroups() if H.order == q]
     else:
-        p, i = prime_power(q)
-        G = build_family(f"EA:{p}:{i * (2 * r + 1)}")
-        if i == 1:
-            candidates = [H for H in G.cyclic_subgroups() if H.order == q]
-        else:
-            candidates = []
-        w = p ** j - 1
-        assoc_spec = f"EA:{p}:{j}"
-        if not candidates:
-            raise ConstructionError(
-                f"no forbidden-subgroup candidates of order {q}")
+        candidates = []
+    if not candidates:
+        raise ConstructionError(
+            f"no forbidden-subgroup candidates of order {q}")
 
     t1 = table1_params(family, q, r, j)
     system = None
@@ -747,8 +721,7 @@ def _int_line(line: str, what: str) -> list[int]:
 
 
 def read_linked_system(path) -> LinkedSystem:
-    with open(path) as fh:
-        lines = [ln for ln in (l.strip() for l in fh) if ln]
+    lines = text_lines(path, FileFormatError)
     if len(lines) < 4:
         raise FileFormatError("linked-system file too short")
     G = build_family(lines[0])

@@ -466,10 +466,19 @@ class SchemeParseError(ValueError):
     """The file is not in the scheme format (distinct from axiom failures)."""
 
 
+def text_lines(path, error: type[Exception]) -> list[str]:
+    """The stripped nonblank lines of a UTF-8 text file; ``error`` when its
+    bytes are not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [ln for ln in (l.strip() for l in fh) if ln]
+    except UnicodeDecodeError:
+        raise error("not a UTF-8 text file") from None
+
+
 def parse_scheme_file(path) -> tuple[np.ndarray, int]:
     """Read the color matrix and declared rank without validating axioms."""
-    with open(path) as fh:
-        lines = [ln for ln in (l.strip() for l in fh) if ln]
+    lines = text_lines(path, SchemeParseError)
     if not lines or not lines[0].startswith("scheme "):
         raise SchemeParseError("scheme file must start with 'scheme <v> <rank>'")
     head = lines[0].split()

@@ -234,11 +234,13 @@ def test_construct_analyze_identical_verdicts(tmp_path, capsys):
      "not a scheme: p_1,2^3 is not constant: cell (0,4) has 0, expected 1"),
     # no rows: no reader warning, and the validator names the empty set
     ("scheme 0 1\n", 4, "not a scheme: empty point set"),
+    # a byte that is not UTF-8 (written as latin-1 below)
+    ("scheme 2 2\n0 \xff\n1 0\n", 3, "error: not a UTF-8 text file"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_analyze_malformed_schemes(tmp_path, capsys, body, code, message):
     path = tmp_path / "m.scheme"
-    path.write_text(body)
+    path.write_text(body, encoding="latin-1")
     got, stdout, err = run(capsys, "analyze", str(path))
     assert got == code and stdout == ""
     assert err.splitlines() == [err.strip()] and err.startswith(message)
@@ -257,13 +259,27 @@ def test_analyze_malformed_schemes(tmp_path, capsys, body, code, message):
      "error: subgroup element outside 0..7"),
     ("Q8cp:1\n0 1\n2\n0 2 4 6\n0 2 4 99\n", 4,
      "invalid linked system: element outside 0..7"),
+    ("Q8cp:1\n0 1\n2\n0 2 4 6\n0 3 5 \xff\n", 3,
+     "error: not a UTF-8 text file"),
 ])
 def test_verify_linked_malformed(tmp_path, capsys, body, code, message):
     path = tmp_path / "m.linked"
-    path.write_text(body)
+    path.write_text(body, encoding="latin-1")
     got, stdout, err = run(capsys, "verify-linked", str(path))
     assert got == code and stdout == ""
     assert err.splitlines() == [err.strip()] and err.startswith(message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "q8cp", "1"],
+    ["search-linked-system", "Q8cp:1", "center", "2"],
+])
+def test_unwritable_output(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out"
+    code, stdout, err = run(capsys, *argv, "-o", str(out))
+    assert code == 3 and stdout == "" and not out.exists()
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: ") and str(out) in err
 
 
 def test_analyze_reports_no_sampled_dismantlability(tmp_path, capsys):

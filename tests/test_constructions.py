@@ -13,8 +13,9 @@ from higman.constructions import (ConstructionError, associate_group,
                                   search_semiregular_rds, semiregular_mu_nu,
                                   table1_params, table2_params, verify_dds,
                                   verify_linked_system, write_linked_system)
-from higman.groups import (FiniteGroup, build_family, gre_multiply,
-                           isomorphisms)
+from higman.groups import (GROUP_ORDER_LIMIT, FiniteGroup, GroupError,
+                           build_family, gre_multiply, isomorphisms,
+                           prime_power)
 from higman.quadratic import QuadraticNumber as QN
 from higman.schemes import SchemeError, cayley_scheme
 
@@ -263,6 +264,54 @@ def test_table2_values():
     assert table2_params("heis", q=3, r=1).astuple() == (4, 9, 3, 18, 16)
     assert table2_params("ea", q=3, r=1, j=1).astuple() == (3, 9, 3, 18, 4)
     assert table2_params("q8cp", r=2).astuple() == (3, 16, 2, 16, 10)
+
+
+def _valid_family_points():
+    """Every valid (family, q, r, j) whose group, of order q^(2r+1) with
+    q = 2 for q8cp, is within GROUP_ORDER_LIMIT."""
+    points = []
+    for family in ("q8cp", "heis", "ea"):
+        for q in [2] if family == "q8cp" else range(2, GROUP_ORDER_LIMIT):
+            for r in itertools.count(1):
+                if q ** (2 * r + 1) > GROUP_ORDER_LIMIT:
+                    break
+                for j in range(1, 15) if family == "ea" else [None]:
+                    point = (family, None if family == "q8cp" else q, r, j)
+                    try:
+                        table1_params(*point)
+                    except (ConstructionError, GroupError):
+                        continue
+                    points.append(point)
+    return points
+
+
+def test_tables_match_explicit_family_formulas():
+    # the tables' explicit per-family closed forms, kept as the reference
+    # for the one formula (Table 1) and recipe 2 applied to it (Table 2)
+    points = _valid_family_points()
+    assert len(points) == 42
+    for family, q, r, j in points:
+        if family == "q8cp":
+            q = 2
+        p, _ = prime_power(q)
+        m, lam = q ** (2 * r), q ** (2 * r - 1)
+        if family == "q8cp":
+            t1 = (m, 2, m, lam, 2, lam - 2 ** r + 2 ** (r - 1),
+                  lam + 2 ** (r - 1))
+            t2 = (3, 4 ** r, 2, 4 ** r, 2 ** (r - 1) * (2 ** r + 1))
+        elif family == "heis":
+            t1 = (m, q, m, lam, q, lam - q ** r + q ** (r - 1),
+                  lam + q ** (r - 1))
+            t2 = (q + 1, m, q, m * (q - 1),
+                  q ** (r - 1) * (q - 1) ** 2 * (q ** r + 1))
+        else:
+            t1 = (m, q, m, lam, p ** j - 1, lam + q ** r - q ** (r - 1),
+                  lam - q ** (r - 1))
+            t2 = (p ** j, m, q, m * (q - 1),
+                  q ** (r - 1) * (q - 1) * (q ** r - 1) * (p ** j - 2))
+        point = (family, None if family == "q8cp" else q, r, j)
+        assert table1_params(*point) == t1, point
+        assert table2_params(*point).astuple() == t2, point
 
 
 def test_table_constraints():
