@@ -4,7 +4,10 @@ Commands: analyze, construct, search-rds, search-linked-system,
 verify-linked, tables.  `analyze` exit codes: 0 uniform Higmanian,
 1 Higmanian but not uniform, 2 not Higmanian, 3 unreadable/malformed file,
 4 scheme-axiom failure, 5 internal verdict inconsistency or, with
---oracle, a float oracle that disagrees with the exact spectrum.
+--oracle, a float oracle that disagrees with the exact spectrum.  A
+command-line usage error (a missing or unknown command or argument, or an
+option value of the wrong type) exits 3 for every command, with the usage
+text on stderr.
 """
 
 from __future__ import annotations
@@ -29,6 +32,15 @@ EXIT_BAD_SCHEME = 4
 EXIT_INCONSISTENT = 5
 
 PARABOLIC_LIST_RANK_LIMIT = 12
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 3, not its own 2, which
+    `analyze` uses for "not Higmanian"; subcommand parsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_FILE, f"{self.prog}: error: {message}\n")
 
 
 @dataclass
@@ -347,7 +359,7 @@ def cmd_tables(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="higman",
         description="Construct and analyze Higmanian association schemes.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -26,7 +26,8 @@ import numpy as np
 
 from .quadratic import QuadraticNumber
 from .schemes import (Parabolic, SchemeError, SchemeTable, digit_runs,
-                      is_wreath_over, nontrivial_parabolics, restriction)
+                      first_cells, is_wreath_over, nontrivial_parabolics,
+                      restriction)
 from . import spectral
 
 QN = QuadraticNumber
@@ -263,8 +264,11 @@ def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
     def blocks():
         for gi, gpts in enumerate(parab.classes):
             off = np.flatnonzero(parab.class_of != gi)
-            cols = color[:, gpts][off]
-            yield off, {i: (cols == i).astype(np.float32) for i in outside}
+            # A_i[off, G] is A_i*[G, off] transposed, and G's rows gather
+            # faster than its columns
+            cols = color[list(gpts)][:, off].T
+            yield off, {i: (cols == inverse[i]).astype(np.float32)
+                        for i in outside}
     return runs, blocks()
 
 
@@ -305,8 +309,12 @@ def is_uniform_by_definition(scheme: SchemeTable,
     r, v, c = scheme.rank, scheme.v, parab.num_classes
     class_of, color, inverse = parab.class_of, scheme.color, scheme.inverse
     # each cell's (D, L, k) triple; its reference cell is the last one in
-    # row-major order, as when the block values are scattered into a table
-    key = (class_of[:, None] * (c * r) + class_of[None, :] * r + color)
+    # row-major order, as when the block values are scattered into a table.
+    # The key is int16 unless there are many classes.
+    kind = np.int16 if c * c * r <= 1 << 15 else np.intp
+    key = (class_of * (c * r)).astype(kind)[:, None] \
+        + (class_of * r).astype(kind)
+    key += color
     last = np.full(c * c * r, -1)
     np.maximum.at(last, key.ravel(), np.arange(key.size))
     triples = np.flatnonzero(last >= 0)
@@ -327,7 +335,7 @@ def is_uniform_by_definition(scheme: SchemeTable,
         ref_x, ref_y = np.divmod(last[triples], v)
         reference = np.zeros(c * c * r, dtype=np.intp)
         reference[triples] = pos[ref_x] * len(off) + pos[ref_y]
-        cells = key[off][:, off].ravel()
+        cells = key[off][:, off].astype(np.intp, order="C").ravel()
         for i, run in runs:
             M, failure = run.check(
                 basis[i], [basis[inverse[j]].T for j in run.colors], cells,
@@ -391,16 +399,17 @@ def is_dismantlable(scheme: SchemeTable, parab: Parabolic) -> DismantleCheck:
     runs, blocks = _outside_blocks(scheme, parab)
     for gi, (off, basis) in enumerate(blocks):
         # each cell off G is compared with the first cell of its color
-        sub = color[off][:, off].ravel()
-        first = np.array([np.argmax(sub == k) for k in range(scheme.rank)])
+        sub = color[off][:, off]  # in column-major order, as gathered
+        index = sub.astype(np.intp, order="C").ravel()
+        first = first_cells(sub, scheme.rank, index)
         for i, run in runs:
             _, failure = run.check(
-                basis[i], [basis[inverse[j]].T for j in run.colors], sub,
+                basis[i], [basis[inverse[j]].T for j in run.colors], index,
                 first)
             if not failure:
                 continue
             cell = failure[1]
-            cells = np.divmod([cell, first[sub[cell]]], len(off))
+            cells = np.divmod([cell, first[index[cell]]], len(off))
             S = set(class_of[off[np.ravel(cells)]].tolist())
             for checked, union in enumerate((S, S | {gi}), start=1):
                 union = tuple(sorted(union))

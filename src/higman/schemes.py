@@ -14,7 +14,6 @@ their tensor comes from the products of the parts.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -87,13 +86,14 @@ class DigitRun(NamedTuple):
         when every cell agrees.  Otherwise some digit disagrees, and the
         run's products are formed one at a time in order: ``(product,
         (j, cell))`` gives the first failing one, of the pair with right
-        color j, and its first failing cell."""
+        color j, and its first failing cell.  ``cells`` is in intp, so the
+        gather skips the index conversion."""
         M = (left @ self.pack(rights)).ravel()
-        if np.array_equal(M, M[reference][cells]):
+        if np.array_equal(M, M[reference].take(cells)):
             return M, None
         for j, right in zip(self.colors, rights):
             M = (left @ right).ravel()
-            bad = np.flatnonzero(M != M[reference][cells])
+            bad = np.flatnonzero(M != M[reference].take(cells))
             if len(bad):
                 return M, (j, int(bad[0]))
         raise RuntimeError(f"packed run {self} fails, but none of its products")
@@ -114,6 +114,21 @@ def digit_runs(colors: Sequence[int], bound: int) -> list[DigitRun]:
         width += 1
     return [DigitRun(tuple(colors[s:s + width]), base)
             for s in range(0, len(colors), width)]
+
+
+def first_cells(color: np.ndarray, rank: int, index: np.ndarray) -> np.ndarray:
+    """The row-major first cell of each color below ``rank`` in the 2-d
+    ``color``, or 0 for a color that does not occur; ``index`` is
+    ``color.ravel()`` in intp.  When every color occurs in row 0, as in
+    every row of a scheme, the first cells are read off that row;
+    otherwise the whole matrix is scanned."""
+    found, at = np.unique(color[0], return_index=True)
+    if len(found) == rank:
+        return at
+    first = np.full(rank, color.size)
+    np.minimum.at(first, index, np.arange(color.size))
+    first[first == color.size] = 0
+    return first
 
 
 def validate(matrix) -> SchemeTable:
@@ -143,41 +158,45 @@ def validate(matrix) -> SchemeTable:
                           f"{FLOAT32_EXACT_LIMIT} (exact float32 products)")
     if color.min() < 0:
         raise SchemeError("negative color")
-    # every color below the rank is used; checked before narrowing the
-    # dtype.  v^2 cells hold at most v^2 colors, so a color of v^2 or more
-    # leaves a smaller one unused and all of them can share one bin; v^2
-    # then fits the dtype, and bincount needs indices that fit intp.
+    # every color up to the largest is used.  In a scheme every color
+    # occurs in row 0; otherwise the colors are counted, before the dtype
+    # is narrowed.  v^2 cells hold at most v^2 colors, so a color of v^2 or
+    # more leaves a smaller one unused and all of them can share one bin;
+    # v^2 then fits the dtype, and bincount needs indices that fit intp.
     cells = v * v
     flat = color.ravel()
-    if int(color.max()) >= cells:
-        flat = np.minimum(flat, cells)
-    counts = np.bincount(flat.astype(np.intp, copy=False))
-    gaps = np.flatnonzero(counts == 0)
-    if len(gaps):
-        raise SchemeError(f"color {int(gaps[0])} unused")
-    rank = len(counts)
+    top = int(color.max())
+    if len(np.unique(color[0])) <= top:
+        if top >= cells:
+            flat = np.minimum(flat, cells)
+        counts = np.bincount(flat.astype(np.intp, copy=False))
+        gaps = np.flatnonzero(counts == 0)
+        if len(gaps):
+            raise SchemeError(f"color {int(gaps[0])} unused")
+    rank = top + 1
     if rank > np.iinfo(np.int16).max + 1:
         raise SchemeError(f"rank {rank} over the int16 color limit")
+    index = flat.astype(np.intp, copy=False)  # once, for every packed product
     color = color.astype(np.int16)
-    first = np.full(rank, cells)  # the row-major first cell of each color
-    np.minimum.at(first, color.ravel(), np.arange(cells))
+    first = first_cells(color, rank, index)
 
     diag = np.diagonal(color)
     if (diag != 0).any():
         x = int(np.nonzero(diag)[0][0])
         raise SchemeError(f"diagonal cell ({x},{x}) has color {int(color[x, x])}",
                           witness=(x, x))
-    offdiag_zero = np.argwhere((color == 0) & ~np.eye(v, dtype=bool))
-    if len(offdiag_zero):
-        x, y = map(int, offdiag_zero[0])
+    if np.count_nonzero(color == 0) != v:  # color 0 is also off the diagonal
+        x, y = map(int, np.argwhere((color == 0) & ~np.eye(v, dtype=bool))[0])
         raise SchemeError(f"color 0 occurs off the diagonal at ({x},{y})",
                           witness=(x, y))
 
     # inverse colors: the transpose of each relation must be a single color
     rep_x, rep_y = np.divmod(first, v)
     istar = color[rep_y, rep_x]
-    if not np.array_equal(color.T, istar[color]):
-        x, y = map(int, np.argwhere(color.T != istar[color])[0])
+    image = color if (istar == np.arange(rank)).all() \
+        else istar[index].reshape(v, v)
+    if not np.array_equal(color.T, image):
+        x, y = map(int, np.argwhere(color.T != image)[0])
         raise SchemeError(
             f"relation {int(color[x, y])} has no single inverse color "
             f"(witness ({x},{y}))", witness=(x, y))
@@ -190,11 +209,19 @@ def validate(matrix) -> SchemeTable:
     # row-regular; then sum_j B_j = J gives B_i B_last = n_i J -
     # sum_{j != last} B_i B_j.  B_0 = I is never a factor, and (B_i B_j)^T =
     # B_j* B_i*, so only the first product of each such pair is formed, and
-    # none with j = last or i = last*.
-    basis = [None] + [(color == i).astype(np.float32) for i in range(1, rank)]
+    # none with j = last or i = last*.  So B_last is a factor only when
+    # last* != last, and is built only then; its row sums are the v - 1
+    # cells of each row that the other colors leave.
+    last = rank - 1
+    lstar = istar[last]
+    basis = [None] + [(color == i).astype(np.float32) for i in range(1, last)]
+    if lstar != last:
+        basis.append((color == last).astype(np.float32))
     n = np.ones(rank, dtype=np.int64)
+    spare = np.full(v, v - 1, dtype=np.float32)
     for i in range(1, rank):
-        rows = basis[i].sum(axis=1)
+        rows = basis[i].sum(axis=1) if i < len(basis) else spare
+        spare = spare - rows
         n[i] = rows[0]
         bad = np.nonzero(rows != n[i])[0]
         if len(bad):
@@ -203,8 +230,6 @@ def validate(matrix) -> SchemeTable:
                 f"p_{i},{int(istar[i])}^0 is not constant: cell ({x},{x}) "
                 f"has {int(rows[x])}, expected {n[i]}",
                 witness=(i, int(istar[i]), 0, x, x))
-    last = rank - 1
-    lstar = istar[last]
     p = np.zeros((rank, rank, rank), dtype=np.int64)
     p[0] = p[:, 0] = np.eye(rank, dtype=np.int64)
     for i in range(1, rank):
@@ -213,7 +238,7 @@ def validate(matrix) -> SchemeTable:
         right = [j for j in range(1, last) if (istar[j], istar[i]) >= (i, j)]
         for run in digit_runs(right, n[i]):
             M, failure = run.check(basis[i], [basis[j] for j in run.colors],
-                                   color.ravel(), first)
+                                   index, first)
             if failure:
                 j, cell = failure
                 x, y = divmod(cell, v)
@@ -312,14 +337,26 @@ def parabolics(scheme: SchemeTable) -> list[Parabolic]:
         for k in range(r):
             ok &= member[:, k] | ~((m @ support[:, :, k]) * m).any(axis=1)
         found = []
+        v = scheme.v
         for row in member[ok]:
             colors = np.flatnonzero(row)
-            # each point's least class-mate names its class; all classes
-            # have the same size, the sum of the valencies in C
-            lead = row[scheme.color].argmax(axis=1)
-            leads, class_of = np.unique(lead, return_inverse=True)
-            order = np.argsort(class_of, kind="stable")
-            classes = tuple(map(tuple, order.reshape(len(leads), -1).tolist()))
+            if len(colors) == 1:  # {0}: every point is a class
+                class_of = np.arange(v, dtype=np.intp)
+                classes = tuple((x,) for x in range(v))
+            elif len(colors) == r:  # every color: one class
+                class_of = np.zeros(v, dtype=np.intp)
+                classes = (tuple(range(v)),)
+            else:
+                # each point's least class-mate names its class; all
+                # classes have the same size, the sum of the valencies in C
+                inside = scheme.color == 0
+                for c in colors[1:]:
+                    inside |= scheme.color == c
+                leads, class_of = np.unique(inside.argmax(axis=1),
+                                            return_inverse=True)
+                order = np.argsort(class_of, kind="stable")
+                classes = tuple(map(tuple,
+                                    order.reshape(len(leads), -1).tolist()))
             found.append((frozenset(colors.tolist()), classes, class_of))
         # the cache holds no Parabolic, which points back at the scheme: a
         # reference cycle would keep every dropped scheme alive until the
@@ -476,33 +513,105 @@ def text_lines(path, error: type[Exception]) -> list[str]:
         raise error("not a UTF-8 text file") from None
 
 
-def parse_scheme_file(path) -> tuple[np.ndarray, int]:
-    """Read the color matrix and declared rank without validating axioms."""
-    lines = text_lines(path, SchemeParseError)
-    if not lines or not lines[0].startswith("scheme "):
+def _header(line: str) -> tuple[int, int]:
+    """``(v, rank)`` from the first nonblank line, stripped."""
+    if not line.startswith("scheme "):
         raise SchemeParseError("scheme file must start with 'scheme <v> <rank>'")
-    head = lines[0].split()
+    head = line.split()
     try:
-        v, rank = int(head[1]), int(head[2])
+        return int(head[1]), int(head[2])
     except (IndexError, ValueError):
         raise SchemeParseError("bad scheme header") from None
+
+
+def _parse_bytes(raw: bytes) -> tuple[np.ndarray, int] | None:
+    """The matrix and rank of a file in the plain layout, in vectorized
+    passes over its bytes; None for any other file.
+
+    The plain layout is ASCII, with a header that `_header` accepts, and
+    v nonblank lines of v unsigned decimal tokens of at most 18 digits,
+    separated by spaces and tabs, with lines broken by \\n, \\r or \\r\\n.
+    Blank lines are dropped, as `text_lines` drops them.  The matrix has
+    the narrowest signed integer dtype that holds its entries.
+    """
+    body = raw.lstrip(b" \t\r\n").replace(b"\r", b"\n")  # \r breaks a line
+    nl = body.find(b"\n")
+    line = body[:nl] if nl >= 0 else body
+    if not line.isascii():
+        return None
+    try:
+        v, rank = _header(line.decode().strip())
+    except SchemeParseError:
+        return None
+    # the rows hold only digits, spaces, tabs and line breaks: deleting
+    # those leaves of the whole file what it leaves of the header's line
+    allowed = b"0123456789 \t\n"
+    if v < 1 or body.translate(None, allowed) != line.translate(None, allowed):
+        return None
+    b = np.frombuffer(body, dtype=np.uint8)[len(line):]  # from its line break
+    # each byte less "0", and a -1 past the end: digits are 0 to 9, and
+    # spaces, tabs and line breaks wrap below 0
+    d = np.empty(len(b) + 1, dtype=np.int8)
+    d[-1] = -1
+    np.subtract(b, np.uint8(48), out=d[:-1], casting="unsafe")
+    digit = d >= 0
+    end = digit[:-1] > digit[1:]  # the last digit of each token
+    breaks = np.flatnonzero(b == 10).tolist() + [len(b)]
+    tokens = [np.count_nonzero(end[a:z]) for a, z in zip(breaks, breaks[1:])]
+    counts = [n for n in tokens if n]  # no longer than the file
+    if len(counts) != v or any(n != v for n in counts):
+        return None
+    # the widest token: run[t] says that byte t + longest ends more than
+    # `longest` digits in a row
+    run, longest = digit, 0
+    while run.any() and longest <= 18:
+        longest += 1
+        run = run[1:] & digit[:-longest]
+    if longest > 18:  # may not fit int64
+        return None
+    # in a dtype that holds every number of `longest` digits, each token's
+    # value is summed at its last digit: d[i - k] 10^k for the digit k
+    # places before it.  In int8, value is d itself: a step reads a copy
+    # of d, and there is at most one
+    dtype = next(t for t, most in ((np.int8, 2), (np.int16, 4),
+                                   (np.int32, 9), (np.int64, 18))
+                 if longest <= most)
+    value = d[:-1].astype(dtype, copy=False)
+    run = digit[:-1]
+    for k in range(1, longest):
+        run = run[1:] & digit[:-k - 1]
+        np.add(value[k:], d[:-k - 1].astype(dtype) * dtype(10 ** k),
+               out=value[k:], where=run)
+    # the last digits, a block of rows at a time: compress indexes its
+    # cells in intp, 8 bytes a cell
+    lines = [(a, z) for a, z, n in zip(breaks, breaks[1:], tokens) if n]
+    matrix = np.empty((v, v), dtype=dtype)
+    block = max(1, 2 ** 16 // v)
+    for r in range(0, v, block):
+        a, z = lines[r][0], lines[min(r + block, v) - 1][1]
+        matrix[r:r + block] = value[a:z].compress(end[a:z]).reshape(-1, v)
+    top = int(matrix.max())
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if top <= np.iinfo(t).max)
+    return matrix.astype(dtype, copy=False), rank
+
+
+def parse_scheme_file(path) -> tuple[np.ndarray, int]:
+    """Read the color matrix and declared rank without validating axioms.
+
+    A file in the plain layout of `_parse_bytes` is read from its bytes.
+    Any other file goes through the row loop below, which raises the
+    error, names the bad row, or accepts what int() accepts (such as 1_0,
+    +4 or non-ASCII digits) into an int64 matrix.
+    """
+    with open(path, "rb") as fh:
+        plain = _parse_bytes(fh.read())
+    if plain is not None:
+        return plain
+    lines = text_lines(path, SchemeParseError)
+    v, rank = _header(lines[0] if lines else "")
     if len(lines) != v + 1:
         raise SchemeParseError(f"expected {v} rows, found {len(lines) - 1}")
-    # loadtxt converts the rows in C, and a (v, v) result proves that every
-    # row holds v tokens.  When it refuses the rows or splits them
-    # differently, the loops below name the bad row, or accept what int()
-    # accepts (such as 1_0).  Any warning is a refusal here: older NumPy
-    # parses "4.0" as an integer with a DeprecationWarning, and zero rows
-    # (v = 0) give a UserWarning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            matrix = np.loadtxt(lines[1:], dtype=np.int64, comments=None,
-                                ndmin=2)
-        except (ValueError, OverflowError, Warning):
-            matrix = None
-    if matrix is not None and matrix.shape == (v, v):
-        return matrix, rank
     # the row lengths first, so that the matrix is allocated only once every
     # row is known to hold v tokens: it is never larger than the file.
     # Keeping all v token lists alive at once raised peak memory by a few

@@ -68,6 +68,22 @@ def test_analyze_not_higmanian(tmp_path, capsys):
     assert "not Higmanian" in stdout
 
 
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["analyze"], "the following arguments are required: file"),
+    (["analyze", "f.scheme", "--seed", "x"],
+     "argument --seed: invalid int value: 'x'"),
+])
+def test_usage_errors_exit_3(capsys, argv, message):
+    # exit 2 would read as "not Higmanian"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 3 and captured.out == ""
+    assert captured.err.startswith("usage: higman")
+    assert captured.err.endswith(f"error: {message}\n")
+
+
 def test_analyze_wreath_rejected(tmp_path, capsys):
     w = wreath_product(trivial_scheme(2), trivial_scheme(3))
     path = tmp_path / "w.scheme"
@@ -223,9 +239,12 @@ def test_construct_analyze_identical_verdicts(tmp_path, capsys):
      "error: row 2: non-integer entry"),
     # row lengths are checked before any entry is converted
     ("scheme 2 2\n0 x\n1\n", 3, "error: row 2 has 1 entries, expected 2"),
-    # rows that loadtxt reads into another shape are measured one by one
+    # ragged rows are refused by the byte reader and measured by the row loop
     ("scheme 2 2\n0 1 1\n1 0 1\n", 3,
      "error: row 1 has 3 entries, expected 2"),
+    # a header v far past the rows: counted, never allocated
+    ("scheme 1000000000000 2\n0 1\n1 0\n", 3,
+     "error: expected 1000000000000 rows, found 2"),
     ("scheme 2 3\n0 1\n1 0\n", 4, "not a scheme: header says rank 3"),
     # C8 colored by min(distance, 3): the second of two packed products
     ("scheme 8 4\n" + "".join(

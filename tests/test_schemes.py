@@ -1,9 +1,11 @@
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from higman import schemes
 from higman.groups import build_family, cyclic_group
 from higman.schemes import (SchemeError, SchemeParseError, cayley_scheme,
                             is_wreath_over, nontrivial_parabolics,
@@ -227,6 +229,14 @@ READER_CASES = {
     "-2^63 - 1": (f"0 1\n{-2**63 - 1} 0",
                   "entry out of the 64-bit integer range"),
     "ragged": ("0 1 1\n1 0", "row 1 has 3 entries, expected 2"),
+    "ragged, v^2 entries": ("0 1 1\n1", "row 1 has 3 entries, expected 2"),
+    "crlf": ("0 1\r\n1 0\r", [[0, 1], [1, 0]]),
+    "lone cr": ("0 1\r1 0", [[0, 1], [1, 0]]),
+    "blank line": ("0 1\n\n1 0", [[0, 1], [1, 0]]),
+    "leading and trailing spaces": ("  0 1  \n 1 0 ", [[0, 1], [1, 0]]),
+    "leading zeros": ("00 01\n01 00", [[0, 1], [1, 0]]),
+    "two-digit colors": ("0 12\n12 0", [[0, 12], [12, 0]]),
+    "trailing nbsp": ("0 1\xa0\n1 0", [[0, 1], [1, 0]]),
 }
 
 
@@ -235,24 +245,61 @@ def read_outcome(path):
         matrix, rank = parse_scheme_file(path)
     except SchemeParseError as err:
         return str(err)
-    assert matrix.dtype == np.int64 and rank == 2
+    assert np.issubdtype(matrix.dtype, np.signedinteger) and rank == 2
     return matrix.tolist()
 
 
 @pytest.mark.parametrize("name", sorted(READER_CASES))
 def test_reader_matches_row_loop(tmp_path, monkeypatch, name):
-    # the same matrix or the same error with loadtxt and with the row
-    # loop alone
+    # the same matrix or the same error with the byte reader and with the
+    # row loop alone
     body, expected = READER_CASES[name]
     p = tmp_path / "case.scheme"
     p.write_text(f"scheme 2 2\n{body}\n", encoding="utf-8")
     assert read_outcome(p) == expected
-
-    def refuse(*args, **kwargs):
-        raise ValueError("loadtxt refused")
-
-    monkeypatch.setattr(np, "loadtxt", refuse)
+    monkeypatch.setattr(schemes, "_parse_bytes", lambda raw: None)
     assert read_outcome(p) == expected
+
+
+@pytest.mark.parametrize("body, entry, dtype", [
+    ("0 1\n1 0", 1, np.int8),
+    ("0 1\r\n\n1\t0", 1, np.int8),
+    ("0 12\n12 0", 12, np.int8),
+    ("0 300\n300 0", 300, np.int16),
+    ("0 70000\n70000 0", 70000, np.int32),
+    ("0 999999999999999999\n999999999999999999 0", 10**18 - 1, np.int64),
+])
+def test_byte_reader_plain_layout(body, entry, dtype):
+    # read from the bytes, in the narrowest dtype that holds the entries
+    matrix, rank = schemes._parse_bytes(f"scheme 2 2\n{body}\n".encode())
+    assert matrix.dtype == dtype and rank == 2
+    assert matrix.tolist() == [[0, entry], [entry, 0]]
+
+
+# read_scheme's traced peak on the file below with the np.loadtxt reader
+# (int64 matrix) and a validate that converted the index in every packed
+# product, measured with NumPy 2.4
+PEAK_BOUND = 9_510_808
+
+
+def test_read_scheme_peak_memory(tmp_path):
+    # the cyclotomic scheme of index 4 on Z_521: v = 521, rank 5.  The
+    # reader and validate may not trade memory for speed
+    p, h = 521, 4
+    gen = next(g for g in range(2, p)
+               if all(pow(g, (p - 1) // q, p) != 1 for q in (2, 5, 13)))
+    powers = [pow(gen, e, p) for e in range(p - 1)]
+    parts = [[0]] + [powers[c::h] for c in range(h)]
+    path = tmp_path / "cyclotomic.scheme"
+    write_scheme(cayley_scheme(cyclic_group(p), parts), path)
+    tracemalloc.start()
+    try:
+        scheme = read_scheme(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scheme.v == p and scheme.rank == h + 1
+    assert peak <= PEAK_BOUND
 
 
 INTEGER_DTYPES = (np.int8, np.int16, np.int32, np.int64,
