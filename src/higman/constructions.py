@@ -202,13 +202,6 @@ def semiregular_mu_nu(n: int, lam: int) -> tuple[tuple[QN, QN], tuple[QN, QN]]:
     return plus, minus
 
 
-def _product_vector(G: FiniteGroup, cache: dict, a: tuple, b: tuple) -> np.ndarray:
-    key = (a, b)
-    if key not in cache:
-        cache[key] = gre_multiply(G, a, b)
-    return cache[key]
-
-
 def _two_level_options(vec: np.ndarray, size: int) -> list[tuple[frozenset, int, int]]:
     """Decompositions of vec as mu*1_Y + nu*1_complement with |Y| = size."""
     vals = np.unique(vec)
@@ -231,8 +224,16 @@ def verify_linked_system(G: FiniteGroup, N: Subgroup,
     with one (mu, nu) throughout.  X_a X_chi(a) = X_a X_a^-1 is the
     difference multiset of X_a, which ``verify_dds`` has pinned to
     k*e + lam*(G \\ N) once lambda1 = 0 and (k, lam) is common, so only
-    the w(w-1) other products are formed.  The law taken is the first law
-    of the least pair that every pair shares.
+    the w(w-1) other products are formed.
+
+    Each pair takes the first of its two-level readings that lands on a
+    member.  Both readings, Y and G \\ Y, land on members only when
+    |Y| = |G \\ Y| = k <= m, that is n <= 2.  With n = 1, k(k-1) =
+    lam(2k-1) forces k = 1, so G = C:2, as it is with n = 2 and m = 1;
+    there every pair reads (0, 1) first, and lam = 0 has no sign branch.
+    With n = 2 and m >= 2, N = {e, z}, k = m and G \\ Y = zY; the family
+    then holds Y^-1 z, and Y Y^-1 z = m z + (m/2)(G \\ N), 0 at e, is not
+    two-level, so that pair is refused whichever readings the others take.
     """
     family = [tuple(sorted(set(int(x) for x in s))) for s in sets]
     w = len(family)
@@ -260,24 +261,25 @@ def verify_linked_system(G: FiniteGroup, N: Subgroup,
         rec_chi.append(index[inv])
 
     # chi is a permutation, so w >= 2 leaves w(w-1) >= 2 pairs here; each
-    # pair maps its readings (mu, nu) to the member c it is two-level on
-    laws: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    # pair reads (mu, nu) and psi off the first member it is two-level on
+    psi: dict[tuple[int, int], int] = {}
+    laws = set()
     for a, b in itertools.product(range(w), repeat=2):
         if b == rec_chi[a]:
             continue
         vec = gre_multiply(G, family[a], family[b])
-        laws[a, b] = {(mu, nu): index[y] for y, mu, nu
-                      in _two_level_options(vec, k) if y in index}
-        if not laws[a, b]:
+        for y, mu, nu in _two_level_options(vec, k):
+            if y in index:
+                psi[a, b] = index[y]
+                laws.add((mu, nu))
+                break
+        else:
             raise ConstructionError(
                 f"product of members {a},{b} is not two-level on a family "
                 f"member")
-    shared = set.intersection(*map(set, laws.values()))
-    law = next((x for x in laws[min(laws)] if x in shared), None)
-    if law is None:
+    if len(laws) != 1:
         raise ConstructionError("no globally consistent (mu, nu)")
-    mu, nu = law
-    psi = {pair: readings[law] for pair, readings in laws.items()}
+    (mu, nu), = laws
 
     branch = ""
     plus, minus = semiregular_mu_nu(n, lam)
@@ -331,8 +333,7 @@ def recipe2_params(n: int, lam: int, w: int, nu: int) -> HigmanianParams:
 class Example2Result:
     system: LinkedSystem
     associate: FiniteGroup
-    U: FiniteGroup
-    phi: GroupIsomorphism
+    phi: GroupIsomorphism  # from U onto the associate group
     product_group: FiniteGroup
     partition: SRingPartition
     scheme: SchemeTable
@@ -348,31 +349,22 @@ def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
     return a.order == b.order and bool((a.mul == b.mul).all())
 
 
-def example2_construct(system: LinkedSystem, U: FiniteGroup | None = None,
+def example2_construct(system: LinkedSystem,
                        phi: GroupIsomorphism | None = None) -> Example2Result:
     """Rank-5 partition of G x U from a closed linked system of semiregular
     RDSs; validates the S-ring and the detected parameters.
 
-    U defaults to the associate group itself with the identity indexing as
-    phi; any other U of order w+1 needs (or finds) an isomorphism to it.
+    U is ``phi.source``, and phi an isomorphism onto the associate group;
+    without phi, U is the associate group itself, with the identity as phi.
     """
     if system.k != system.m:
         raise ConstructionError("recipe needs semiregular members (k = m)")
     winf = associate_group(system)
-    if U is None:
-        U = winf
-    if U.order != winf.order:
-        raise ConstructionError("|U| must be w + 1")
     if phi is None:
-        if _same_group(U, winf):
-            phi = GroupIsomorphism(U, winf, tuple(range(U.order)))
-        else:
-            phi = next(iter(isomorphisms(U, winf)), None)
-            if phi is None:
-                raise ConstructionError(
-                    "U is not isomorphic to the associate group")
-    if phi.source is not U or not _same_group(phi.target, winf):
+        phi = GroupIsomorphism(winf, winf, tuple(range(winf.order)))
+    if not _same_group(phi.target, winf):
         raise ConstructionError("phi must map U to the associate group")
+    U = phi.source
 
     G = system.group
     uname = U.name if U.name and not U.name.startswith("assoc:") else "assoc"
@@ -403,7 +395,7 @@ def example2_construct(system: LinkedSystem, U: FiniteGroup | None = None,
     if not det:
         raise ConstructionError(
             f"partition is not Higmanian: {det.reason}")
-    result = Example2Result(system=system, associate=winf, U=U, phi=phi,
+    result = Example2Result(system=system, associate=winf, phi=phi,
                             product_group=P, partition=partition,
                             scheme=scheme, detection=det)
     want = result.expected_params
@@ -417,8 +409,8 @@ def cayley_isomorphic(phi1: GroupIsomorphism, phi2: GroupIsomorphism,
                       system: LinkedSystem) -> GroupIsomorphism:
     """The automorphism of G x U fixing G and twisting U by phi2^-1 phi1;
     verified to map the first partition's parts onto the second's."""
-    res1 = example2_construct(system, U=phi1.source, phi=phi1)
-    res2 = example2_construct(system, U=phi2.source, phi=phi2)
+    res1 = example2_construct(system, phi1)
+    res2 = example2_construct(system, phi2)
     if phi1.source is not phi2.source:
         raise ConstructionError("both isomorphisms must share the same U")
     U = phi1.source
@@ -509,7 +501,10 @@ def _close(G: FiniteGroup, w: int, k: int, rds_set: set, cache: dict,
         a_inv = frozenset(int(G.inv[x]) for x in a)
         if b == a_inv:
             continue  # the chi-pair: holds automatically for RDSs
-        vec = _product_vector(G, cache, tuple(sorted(a)), tuple(sorted(b)))
+        key = (tuple(sorted(a)), tuple(sorted(b)))
+        if key not in cache:
+            cache[key] = gre_multiply(G, *key)
+        vec = cache[key]
         opts = [y for y, _, _ in _two_level_options(vec, k)]
         if not opts:
             return None
@@ -672,12 +667,9 @@ def construct_family(family: str, q: int | None = None, r: int | None = None,
     assoc = associate_group(system)
     expected_assoc = build_family(assoc_spec)
     phi = next(iter(isomorphisms(expected_assoc, assoc)), None)
-    if phi is not None:
-        # the named family group as U gives the product group a family
-        # spec for a name; the choice of phi is immaterial
-        result = example2_construct(system, U=expected_assoc, phi=phi)
-    else:
-        result = example2_construct(system)
+    # the named family group as U gives the product group a family spec
+    # for a name; the choice of phi is immaterial
+    result = example2_construct(system, phi)
     t2 = table2_params(family, q, r, j)
     return FamilyConstruction(
         family=family, q=q, r=r, j=j, group=G, forbidden=forbidden,

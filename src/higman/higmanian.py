@@ -26,8 +26,7 @@ import numpy as np
 
 from .quadratic import QuadraticNumber
 from .schemes import (Parabolic, SchemeError, SchemeTable, digit_runs,
-                      first_cells, is_wreath_over, nontrivial_parabolics,
-                      restriction)
+                      first_cells, nontrivial_parabolics, restriction)
 from . import spectral
 
 QN = QuadraticNumber
@@ -139,17 +138,16 @@ def detect_higmanian(scheme: SchemeTable, strict: bool = True) -> DetectionResul
         return _reject("no parabolic chain with rk(E)=cork(F)=2, "
                        "rk(F)=cork(E)=3", count)
     E, F = chain
-
-    for parab in parabs:
-        if is_wreath_over(scheme, parab):
-            return _reject(
-                f"decomposable: wreath product over the parabolic with "
-                f"classes of size {parab.n_class}", count)
-
-    outside = F.outside
-    if len(outside) != 2:
-        return _reject(f"{len(outside)} relations outside F, expected 2", count)
-    a, b = outside
+    # The chain makes the scheme indecomposable: no nontrivial parabolic P
+    # is a wreath factor, with P i P = {i} for every i outside P.  Not E:
+    # its 3 outside colors fall into cork(E) - 1 = 2 double cosets.  Not F:
+    # its outside colors S and T form one.  A wreath factor P is comparable
+    # with every parabolic Q (for i in Q \ P, A_i A_i* meets every color of
+    # P, so P < Q).  So any other P has E < P, as E's 2 colors hold no
+    # other nontrivial parabolic, and then F < P, so P = F + {S} or
+    # F + {T}; but F S F = {S, T} lies in P, so P holds every color and
+    # is trivial.
+    a, b = F.outside  # F holds 3 of the 5 colors
     if scheme.valencies[a] >= scheme.valencies[b]:
         s_color, t_color = a, b
     else:

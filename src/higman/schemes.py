@@ -200,9 +200,9 @@ def validate(matrix) -> SchemeTable:
         raise SchemeError(
             f"relation {int(color[x, y])} has no single inverse color "
             f"(witness ({x},{y}))", witness=(x, y))
+    # which gives color[x, y] = istar[color[y, x]] = istar[istar[color[x,
+    # y]]] on every cell; every color occurs, so istar is an involution
     istar = istar.astype(np.int64)
-    if (istar[istar] != np.arange(rank)).any():
-        raise SchemeError("color inversion is not an involution")
 
     # intersection numbers: B_i B_j must be constant on every color class.
     # The row sums of B_i are the diagonal of B_i B_i*, so B_i must be
@@ -514,13 +514,14 @@ def text_lines(path, error: type[Exception]) -> list[str]:
 
 
 def _header(line: str) -> tuple[int, int]:
-    """``(v, rank)`` from the first nonblank line, stripped."""
+    """``(v, rank)`` from the first nonblank line, stripped, which holds
+    ``scheme``, v and the rank and nothing more."""
     if not line.startswith("scheme "):
         raise SchemeParseError("scheme file must start with 'scheme <v> <rank>'")
-    head = line.split()
     try:
-        return int(head[1]), int(head[2])
-    except (IndexError, ValueError):
+        _, v, rank = line.split()
+        return int(v), int(rank)
+    except ValueError:
         raise SchemeParseError("bad scheme header") from None
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -136,6 +137,19 @@ def test_search_rds_order_limit(capsys, spec):
     assert err.startswith("error: group order") and "exceeds the limit" in err
 
 
+def test_search_rds_bad_subgroup(capsys):
+    code, stdout, err = run(capsys, "search-rds", "Q8cp:1", "x")
+    assert code == 3 and stdout == ""
+    assert err.startswith("error: bad subgroup spec 'x'")
+
+
+def test_search_linked_none_found(capsys):
+    code, stdout, err = run(capsys, "search-linked-system", "Q8cp:1",
+                            "center", "3")
+    assert code == 1 and stdout == ""
+    assert err == "no closed linked system found\n"
+
+
 def test_search_linked_cli(tmp_path, capsys):
     out = tmp_path / "sys.linked"
     code, stdout, _ = run(capsys, "search-linked-system", "Q8cp:1", "center",
@@ -156,6 +170,16 @@ def test_verify_linked_invalid(tmp_path, capsys):
     code, _, err = run(capsys, "verify-linked", str(path))
     assert code == 4
     assert "invalid" in err
+
+
+def test_construct_default_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = run(capsys, "construct", "q8cp", "1")
+    assert code == 0 and "scheme written to q8cp_1.scheme" in stdout
+    assert [p.name for p in tmp_path.iterdir()] == ["q8cp_1.scheme"]
+    digest = hashlib.sha256((tmp_path / "q8cp_1.scheme").read_bytes())
+    assert digest.hexdigest() == ("55126e3abc043b4280dce6d7f62b9241"
+                                  "7886c81448dc6c0ad48c6f9b80d960e3")
 
 
 def test_construct_errors(capsys):
@@ -246,6 +270,9 @@ def test_construct_analyze_identical_verdicts(tmp_path, capsys):
     ("scheme 1000000000000 2\n0 1\n1 0\n", 3,
      "error: expected 1000000000000 rows, found 2"),
     ("scheme 2 3\n0 1\n1 0\n", 4, "not a scheme: header says rank 3"),
+    # the header holds exactly "scheme", v and the rank
+    ("scheme 2 2 junk\n0 1\n1 0\n", 3, "error: bad scheme header"),
+    ("scheme x 2\n0 1\n1 0\n", 3, "error: bad scheme header"),
     # C8 colored by min(distance, 3): the second of two packed products
     ("scheme 8 4\n" + "".join(
         " ".join(str(min(abs(x - y), 8 - abs(x - y), 3)) for y in range(8))

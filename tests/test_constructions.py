@@ -14,8 +14,8 @@ from higman.constructions import (ConstructionError, associate_group,
                                   table1_params, table2_params, verify_dds,
                                   verify_linked_system, write_linked_system)
 from higman.groups import (GROUP_ORDER_LIMIT, FiniteGroup, GroupError,
-                           build_family, gre_multiply, isomorphisms,
-                           prime_power)
+                           GroupIsomorphism, build_family, gre_multiply,
+                           isomorphisms, prime_power)
 from higman.quadratic import QuadraticNumber as QN
 from higman.schemes import SchemeError, cayley_scheme
 
@@ -396,8 +396,9 @@ def test_constructed_params_satisfy_criterion(q8_construction, heis_construction
 
 def test_example2_rejects_wrong_u(q8_construction):
     system = q8_construction.system
-    with pytest.raises(ConstructionError, match=r"\|U\|"):
-        example2_construct(system, U=build_family("C:4"))
+    c4 = build_family("C:4")
+    with pytest.raises(ConstructionError, match="phi must map U"):
+        example2_construct(system, GroupIsomorphism(c4, c4, (0, 1, 2, 3)))
 
 
 def test_cayley_isomorphism_two_phis(q8_construction, heis_construction,

@@ -352,6 +352,17 @@ def test_validate_point_limit():
         validate(huge)
 
 
+def test_validate_rank_limit():
+    # 182 * 181 = 32942 off-diagonal cells, each a color of its own: every
+    # color is used, and the rank is one past the int16 colors
+    v = 182
+    color = np.zeros((v, v), dtype=np.int32)
+    color[~np.eye(v, dtype=bool)] = np.arange(1, v * (v - 1) + 1)
+    with pytest.raises(SchemeError) as info:
+        validate(color)
+    assert str(info.value) == "rank 32943 over the int16 color limit"
+
+
 def test_parabolics_scanned_once(q8_construction):
     scheme = q8_construction.result.scheme
     first, again = parabolics(scheme), parabolics(scheme)

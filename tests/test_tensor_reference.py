@@ -1300,17 +1300,23 @@ def test_dismantlable_matches_reference(reference_schemes):
     assert outcomes == {True, False}
 
 
+def rank5_schemes(reference_schemes, negative_controls):
+    """The rank-5 schemes at hand: the reference schemes, the negative
+    controls and the rank-5 orbit schemes of C:4 to C:60."""
+    orbits = [(n, orbit_parts(n, units))
+              for n in range(4, 61) for units in unit_groups(n)]
+    return ([s for s in reference_schemes.values() if s.rank == 5]
+            + [scheme for _, scheme, _ in negative_controls]
+            + [cayley_scheme(build_family(f"C:{n}"), parts)
+               for n, parts in orbits if len(parts) == 5])
+
+
 def test_detection_matches_reference_count(reference_schemes,
                                            negative_controls, monkeypatch):
     # k is read from the tensor; the reference detection counts it on the
     # v x v matrix.  Params, the second labeling and the rejection reason
     # must agree on every rank-5 scheme at hand.
-    orbits = [(n, orbit_parts(n, units))
-              for n in range(4, 61) for units in unit_groups(n)]
-    schemes = ([s for s in reference_schemes.values() if s.rank == 5]
-               + [scheme for _, scheme, _ in negative_controls]
-               + [cayley_scheme(build_family(f"C:{n}"), parts)
-                  for n, parts in orbits if len(parts) == 5])
+    schemes = rank5_schemes(reference_schemes, negative_controls)
     def checked_ref_count(scheme, F, color):
         # the count is constant wherever detection asks for it
         k = ref_per_class_count(scheme, F, color)
@@ -1329,6 +1335,23 @@ def test_detection_matches_reference_count(reference_schemes,
         alts += got.alt_params is not None
     # both outcomes, and the n_S = n_T case with two labelings
     assert None in reasons and len(reasons) > 1 and alts
+
+
+def test_detected_schemes_are_indecomposable(reference_schemes,
+                                             negative_controls):
+    # detection reads indecomposability off its parabolic chain: no
+    # nontrivial parabolic of an accepted scheme is a wreath factor
+    accepted = 0
+    for scheme in rank5_schemes(reference_schemes, negative_controls):
+        for strict in (True, False):
+            if not detect_higmanian(scheme, strict=strict):
+                continue
+            accepted += 1
+            for parab in nontrivial_parabolics(scheme):
+                assert not is_wreath_over(scheme, parab)
+                assert not ref_is_wreath(scheme, parab.colors, parab.classes,
+                                         parab.class_of)
+    assert accepted > 2 * len(negative_controls)
 
 
 def route3_params():
@@ -1813,6 +1836,34 @@ def test_verify_linked_system_matches_reference(constructions_by_family):
         assert got == linked_outcome(ref_verify_linked_system, G, N, sets)
         seen.add(got if isinstance(got, str) else got[3])
     assert len(seen) > 12
+
+
+def test_two_member_readings_refused_at_y_inverse_z():
+    # Y^-1 Y^-1 has two readings on members, Y and zY, which needs n = 2.
+    # The family then holds Y^-1 z, and Y Y^-1 z = m z + (m/2)(G \ N) has
+    # three values, so that pair is refused before any law is chosen
+    G = build_family("Q8cp:2")
+    N = G.center()
+    (z,) = [x for x in N.elements if x != G.identity]
+    Y = search_semiregular_rds(G, N)[0]
+
+    def image(of):
+        return tuple(sorted(int(of[y]) for y in Y))
+
+    zY, y_inv = image(G.mul[z]), image(G.inv)
+    y_inv_z = image(G.mul[G.inv, z])
+    fam = sorted({Y, zY, y_inv, y_inv_z})
+    readings = constructions._two_level_options(
+        gre_multiply(G, y_inv, y_inv), len(Y))
+    assert {y for y, _, _ in readings} == {frozenset(Y), frozenset(zY)}
+    product = gre_multiply(G, Y, y_inv_z)
+    assert (product[G.identity], product[z]) == (0, 16)
+    assert set(product.tolist()) == {0, 8, 16}
+    want = (f"product of members {fam.index(Y)},{fam.index(y_inv_z)} is not "
+            f"two-level on a family member")
+    for verify in (constructions.verify_linked_system,
+                   ref_verify_linked_system):
+        assert linked_outcome(verify, G, N, fam) == want
 
 
 @pytest.mark.parametrize("family, kw", [
