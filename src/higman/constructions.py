@@ -34,7 +34,7 @@ from .groups import (FiniteGroup, GroupError, GroupIsomorphism, Subgroup,
                      gre_multiply, isomorphisms, prime_power)
 from .higmanian import DetectionResult, HigmanianParams, detect_higmanian
 from .quadratic import QuadraticNumber
-from .schemes import SchemeTable, cayley_scheme, text_lines
+from .schemes import SchemeTable, cayley_scheme
 
 QN = QuadraticNumber
 
@@ -409,10 +409,10 @@ def cayley_isomorphic(phi1: GroupIsomorphism, phi2: GroupIsomorphism,
                       system: LinkedSystem) -> GroupIsomorphism:
     """The automorphism of G x U fixing G and twisting U by phi2^-1 phi1;
     verified to map the first partition's parts onto the second's."""
-    res1 = example2_construct(system, phi1)
-    res2 = example2_construct(system, phi2)
     if phi1.source is not phi2.source:
         raise ConstructionError("both isomorphisms must share the same U")
+    res1 = example2_construct(system, phi1)
+    res2 = example2_construct(system, phi2)
     U = phi1.source
     twist = phi2.inverse().compose(phi1)
     P = res1.product_group
@@ -713,7 +713,11 @@ def _int_line(line: str, what: str) -> list[int]:
 
 
 def read_linked_system(path) -> LinkedSystem:
-    lines = text_lines(path, FileFormatError)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln for ln in (l.strip() for l in fh) if ln]
+    except UnicodeDecodeError:
+        raise FileFormatError("not a UTF-8 text file") from None
     if len(lines) < 4:
         raise FileFormatError("linked-system file too short")
     G = build_family(lines[0])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -503,26 +503,18 @@ class SchemeParseError(ValueError):
     """The file is not in the scheme format (distinct from axiom failures)."""
 
 
-def text_lines(path, error: type[Exception]) -> list[str]:
-    """The stripped nonblank lines of a UTF-8 text file; ``error`` when its
-    bytes are not UTF-8."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return [ln for ln in (l.strip() for l in fh) if ln]
-    except UnicodeDecodeError:
-        raise error("not a UTF-8 text file") from None
+MAX_DIGITS = 18  # every token of this many digits fits int64
 
 
-def _header(line: str) -> tuple[int, int]:
-    """``(v, rank)`` from the first nonblank line, stripped, which holds
-    ``scheme``, v and the rank and nothing more."""
-    if not line.startswith("scheme "):
+def _header(line: bytes) -> tuple[int, int]:
+    """``(v, rank)`` from the first nonblank line, which holds ``scheme``,
+    v and the rank in ASCII digits, and nothing more."""
+    if not line.startswith(b"scheme "):
         raise SchemeParseError("scheme file must start with 'scheme <v> <rank>'")
-    try:
-        _, v, rank = line.split()
-        return int(v), int(rank)
-    except ValueError:
-        raise SchemeParseError("bad scheme header") from None
+    fields = line.split()[1:]
+    if len(fields) != 2 or not all(map(bytes.isdigit, fields)):
+        raise SchemeParseError("bad scheme header")
+    return int(fields[0]), int(fields[1])
 
 
 def _parse_bytes(raw: bytes) -> tuple[np.ndarray, int] | None:
@@ -530,28 +522,26 @@ def _parse_bytes(raw: bytes) -> tuple[np.ndarray, int] | None:
     passes over its bytes; None for any other file.
 
     The plain layout is ASCII, with a header that `_header` accepts, and
-    v nonblank lines of v unsigned decimal tokens of at most 18 digits,
-    separated by spaces and tabs, with lines broken by \\n, \\r or \\r\\n.
-    Blank lines are dropped, as `text_lines` drops them.  The matrix has
-    the narrowest signed integer dtype that holds its entries.
+    v nonblank lines of v tokens of 1 to 18 ASCII digits, separated by
+    the blanks of bytes.split(): space, tab, VT and FF, with lines broken
+    by \\n, \\r or \\r\\n.  Blank lines are dropped.  The matrix has the
+    narrowest signed integer dtype that holds its entries.
     """
-    body = raw.lstrip(b" \t\r\n").replace(b"\r", b"\n")  # \r breaks a line
+    body = raw.lstrip().replace(b"\r", b"\n")  # \r breaks a line
     nl = body.find(b"\n")
     line = body[:nl] if nl >= 0 else body
-    if not line.isascii():
-        return None
     try:
-        v, rank = _header(line.decode().strip())
+        v, rank = _header(line)
     except SchemeParseError:
         return None
-    # the rows hold only digits, spaces, tabs and line breaks: deleting
-    # those leaves of the whole file what it leaves of the header's line
-    allowed = b"0123456789 \t\n"
-    if v < 1 or body.translate(None, allowed) != line.translate(None, allowed):
+    # the rows hold only digits, blanks and line breaks: deleting those
+    # leaves of the whole file what it leaves of the header's line
+    allowed = b"0123456789 \t\v\f\n"
+    if body.translate(None, allowed) != line.translate(None, allowed):
         return None
     b = np.frombuffer(body, dtype=np.uint8)[len(line):]  # from its line break
     # each byte less "0", and a -1 past the end: digits are 0 to 9, and
-    # spaces, tabs and line breaks wrap below 0
+    # blanks and line breaks wrap below 0
     d = np.empty(len(b) + 1, dtype=np.int8)
     d[-1] = -1
     np.subtract(b, np.uint8(48), out=d[:-1], casting="unsafe")
@@ -565,17 +555,17 @@ def _parse_bytes(raw: bytes) -> tuple[np.ndarray, int] | None:
     # the widest token: run[t] says that byte t + longest ends more than
     # `longest` digits in a row
     run, longest = digit, 0
-    while run.any() and longest <= 18:
+    while run.any() and longest <= MAX_DIGITS:
         longest += 1
         run = run[1:] & digit[:-longest]
-    if longest > 18:  # may not fit int64
+    if longest > MAX_DIGITS:
         return None
     # in a dtype that holds every number of `longest` digits, each token's
     # value is summed at its last digit: d[i - k] 10^k for the digit k
     # places before it.  In int8, value is d itself: a step reads a copy
     # of d, and there is at most one
     dtype = next(t for t, most in ((np.int8, 2), (np.int16, 4),
-                                   (np.int32, 9), (np.int64, 18))
+                                   (np.int32, 9), (np.int64, MAX_DIGITS))
                  if longest <= most)
     value = d[:-1].astype(dtype, copy=False)
     run = digit[:-1]
@@ -587,51 +577,52 @@ def _parse_bytes(raw: bytes) -> tuple[np.ndarray, int] | None:
     # cells in intp, 8 bytes a cell
     lines = [(a, z) for a, z, n in zip(breaks, breaks[1:], tokens) if n]
     matrix = np.empty((v, v), dtype=dtype)
-    block = max(1, 2 ** 16 // v)
+    block = max(1, 2 ** 16 // (v or 1))
     for r in range(0, v, block):
         a, z = lines[r][0], lines[min(r + block, v) - 1][1]
         matrix[r:r + block] = value[a:z].compress(end[a:z]).reshape(-1, v)
-    top = int(matrix.max())
+    top = int(matrix.max(initial=0))
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
                  if top <= np.iinfo(t).max)
     return matrix.astype(dtype, copy=False), rank
 
 
+def _refuse(raw: bytes) -> NoReturn:
+    """Raise the first fault of a file that `_parse_bytes` refuses, in
+    this order: not UTF-8, the header, the number of rows, the number of
+    entries in each row, then row by row the first entry that is not
+    ASCII digits or has more than `MAX_DIGITS`.  Builds no matrix."""
+    try:
+        raw.decode()
+    except UnicodeDecodeError:
+        raise SchemeParseError("not a UTF-8 text file") from None
+    lines = [ln for ln in (ln.strip()
+                           for ln in raw.replace(b"\r", b"\n").split(b"\n"))
+             if ln]
+    v, _ = _header(lines[0] if lines else b"")
+    rows = lines[1:]
+    if len(rows) != v:
+        raise SchemeParseError(f"expected {v} rows, found {len(rows)}")
+    for i, row in enumerate(rows, 1):
+        count = len(row.split())
+        if count != v:
+            raise SchemeParseError(f"row {i} has {count} entries, expected {v}")
+    raise SchemeParseError(next(
+        f"row {i}: non-integer entry" if not token.isdigit()
+        else f"row {i}: entry of more than {MAX_DIGITS} digits"
+        for i, row in enumerate(rows, 1) for token in row.split()
+        if not token.isdigit() or len(token) > MAX_DIGITS))
+
+
 def parse_scheme_file(path) -> tuple[np.ndarray, int]:
     """Read the color matrix and declared rank without validating axioms.
 
-    A file in the plain layout of `_parse_bytes` is read from its bytes.
-    Any other file goes through the row loop below, which raises the
-    error, names the bad row, or accepts what int() accepts (such as 1_0,
-    +4 or non-ASCII digits) into an int64 matrix.
+    Only a file in the plain layout of `_parse_bytes` is read; `_refuse`
+    names the fault of any other.
     """
     with open(path, "rb") as fh:
-        plain = _parse_bytes(fh.read())
-    if plain is not None:
-        return plain
-    lines = text_lines(path, SchemeParseError)
-    v, rank = _header(lines[0] if lines else "")
-    if len(lines) != v + 1:
-        raise SchemeParseError(f"expected {v} rows, found {len(lines) - 1}")
-    # the row lengths first, so that the matrix is allocated only once every
-    # row is known to hold v tokens: it is never larger than the file.
-    # Keeping all v token lists alive at once raised peak memory by a few
-    # MB at v = 972, so rows are split again to convert.
-    for li, ln in enumerate(lines[1:]):
-        count = len(ln.split())
-        if count != v:
-            raise SchemeParseError(
-                f"row {li + 1} has {count} entries, expected {v}")
-    matrix = np.empty((v, v), dtype=np.int64)
-    for li, ln in enumerate(lines[1:]):
-        try:
-            matrix[li] = ln.split()
-        except ValueError:
-            raise SchemeParseError(f"row {li + 1}: non-integer entry") from None
-        except OverflowError:
-            raise SchemeParseError(
-                "entry out of the 64-bit integer range") from None
-    return matrix, rank
+        raw = fh.read()
+    return _parse_bytes(raw) or _refuse(raw)
 
 
 def read_scheme(path) -> SchemeTable:

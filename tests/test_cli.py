@@ -256,14 +256,14 @@ def test_construct_analyze_identical_verdicts(tmp_path, capsys):
     ("scheme 2 2\n0 40000\n40000 0\n", 4, "not a scheme: color 1 unused"),
     ("scheme 2 2\n0 65537\n65537 0\n", 4, "not a scheme: color 1 unused"),
     ("scheme 2 2\n0 99999999999999999999\n1 0\n", 3,
-     "error: entry out of the 64-bit integer range"),
+     "error: row 1: entry of more than 18 digits"),
     ("scheme 2 2\n0 x\n1 0\n", 3, "error: row 1: non-integer entry"),
     # the first bad row is named
     ("scheme 3 2\n0 1 1\n1 0 y\n1 x 0\n", 3,
      "error: row 2: non-integer entry"),
     # row lengths are checked before any entry is converted
     ("scheme 2 2\n0 x\n1\n", 3, "error: row 2 has 1 entries, expected 2"),
-    # ragged rows are refused by the byte reader and measured by the row loop
+    # ragged rows: the first one is named
     ("scheme 2 2\n0 1 1\n1 0 1\n", 3,
      "error: row 1 has 3 entries, expected 2"),
     # a header v far past the rows: counted, never allocated
@@ -273,6 +273,11 @@ def test_construct_analyze_identical_verdicts(tmp_path, capsys):
     # the header holds exactly "scheme", v and the rank
     ("scheme 2 2 junk\n0 1\n1 0\n", 3, "error: bad scheme header"),
     ("scheme x 2\n0 1\n1 0\n", 3, "error: bad scheme header"),
+    # v and the rank are plain ASCII digits: no sign, and no fullwidth
+    # digit 2 (its UTF-8 bytes, written as latin-1 below)
+    ("scheme +2 2\n0 1\n1 0\n", 3, "error: bad scheme header"),
+    ("scheme -1 2\n", 3, "error: bad scheme header"),
+    ("scheme \xef\xbc\x92 2\n0 1\n1 0\n", 3, "error: bad scheme header"),
     # C8 colored by min(distance, 3): the second of two packed products
     ("scheme 8 4\n" + "".join(
         " ".join(str(min(abs(x - y), 8 - abs(x - y), 3)) for y in range(8))

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from higman import constructions
 from higman.constructions import (ConstructionError, associate_group,
                                   cayley_isomorphic, construct_family,
                                   example1_construct, example2_construct,
@@ -413,6 +414,22 @@ def test_cayley_isomorphism_two_phis(q8_construction, heis_construction,
         # identity phi pair gives the identity map
         ident = cayley_isomorphic(autos[0], autos[0], system)
         assert ident.map == tuple(range(len(ident.map)))
+
+
+def test_cayley_isomorphism_checks_sources_first(q8_construction,
+                                                 monkeypatch):
+    # a pair with different sources is refused before either scheme is built
+    system = q8_construction.system
+    winf = associate_group(system)
+    phi1 = next(isomorphisms(winf, winf))
+    phi2 = next(isomorphisms(FiniteGroup(winf.mul), winf))
+    calls = []
+    monkeypatch.setattr(constructions, "example2_construct",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ConstructionError, match="both isomorphisms must "
+                       "share the same U"):
+        cayley_isomorphic(phi1, phi2, system)
+    assert calls == []
 
 
 # -- file formats ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 import hashlib
 import random
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from higman import schemes
 from higman.groups import build_family, cyclic_group
 from higman.schemes import (SchemeError, SchemeParseError, cayley_scheme,
                             is_wreath_over, nontrivial_parabolics,
@@ -219,15 +219,18 @@ READER_CASES = {
     "spaces": ("0 1\n1 0", [[0, 1], [1, 0]]),
     "tabs": ("0\t1\n1\t0", [[0, 1], [1, 0]]),
     "vertical tab and form feed": ("0\x0b1\n1\x0c0", [[0, 1], [1, 0]]),
-    "underscore": ("0 1_0\n1_0 0", [[0, 10], [10, 0]]),
-    "plus sign": ("+0 +4\n4 0", [[0, 4], [4, 0]]),
-    "unicode digits": ("\u0660 \u0661\n\u0661 \u0660", [[0, 1], [1, 0]]),
+    "underscore": ("0 1_0\n1_0 0", "row 1: non-integer entry"),
+    "plus sign": ("+0 +4\n4 0", "row 1: non-integer entry"),
+    "unicode digits": ("\u0660 \u0661\n\u0661 \u0660",
+                       "row 1: non-integer entry"),
     "hash entry": ("0 #\n1 0", "row 1: non-integer entry"),
     "hash suffix": ("0 1\n1 0#", "row 2: non-integer entry"),
     "float": ("0 4.0\n4 0", "row 1: non-integer entry"),
-    "2^63": (f"0 {2**63}\n1 0", "entry out of the 64-bit integer range"),
-    "-2^63 - 1": (f"0 1\n{-2**63 - 1} 0",
-                  "entry out of the 64-bit integer range"),
+    "2^63": (f"0 {2**63}\n1 0", "row 1: entry of more than 18 digits"),
+    "-2^63 - 1": (f"0 1\n{-2**63 - 1} 0", "row 2: non-integer entry"),
+    # the rule counts digits, not value
+    "zero-padded": ("0 0000000000000000001\n1 0",
+                    "row 1: entry of more than 18 digits"),
     "ragged": ("0 1 1\n1 0", "row 1 has 3 entries, expected 2"),
     "ragged, v^2 entries": ("0 1 1\n1", "row 1 has 3 entries, expected 2"),
     "crlf": ("0 1\r\n1 0\r", [[0, 1], [1, 0]]),
@@ -236,8 +239,38 @@ READER_CASES = {
     "leading and trailing spaces": ("  0 1  \n 1 0 ", [[0, 1], [1, 0]]),
     "leading zeros": ("00 01\n01 00", [[0, 1], [1, 0]]),
     "two-digit colors": ("0 12\n12 0", [[0, 12], [12, 0]]),
-    "trailing nbsp": ("0 1\xa0\n1 0", [[0, 1], [1, 0]]),
+    "trailing nbsp": ("0 1\xa0\n1 0", "row 1: non-integer entry"),
 }
+
+
+def row_loop(raw: bytes):
+    """The plain layout read row by row: the matrix as lists, or the
+    message of the first fault, in the reader's order."""
+    try:
+        raw.decode()
+    except UnicodeDecodeError:
+        return "not a UTF-8 text file"
+    lines = [ln.strip(b" \t\v\f") for ln in re.split(rb"\r\n?|\n", raw)]
+    lines = [ln for ln in lines if ln]
+    if not lines or not lines[0].startswith(b"scheme "):
+        return "scheme file must start with 'scheme <v> <rank>'"
+    header = lines[0].split()
+    if len(header) != 3 or not all(re.fullmatch(rb"[0-9]+", f)
+                                   for f in header[1:]):
+        return "bad scheme header"
+    v, rows = int(header[1]), [ln.split() for ln in lines[1:]]
+    if len(rows) != v:
+        return f"expected {v} rows, found {len(rows)}"
+    for i, row in enumerate(rows, 1):
+        if len(row) != v:
+            return f"row {i} has {len(row)} entries, expected {v}"
+    for i, row in enumerate(rows, 1):
+        for token in row:
+            if not re.fullmatch(rb"[0-9]+", token):
+                return f"row {i}: non-integer entry"
+            if len(token) > 18:
+                return f"row {i}: entry of more than 18 digits"
+    return [[int(token) for token in row] for row in rows]
 
 
 def read_outcome(path):
@@ -245,20 +278,48 @@ def read_outcome(path):
         matrix, rank = parse_scheme_file(path)
     except SchemeParseError as err:
         return str(err)
-    assert np.issubdtype(matrix.dtype, np.signedinteger) and rank == 2
+    assert np.issubdtype(matrix.dtype, np.signedinteger)
+    assert rank == int(path.read_bytes().split()[2])
     return matrix.tolist()
 
 
 @pytest.mark.parametrize("name", sorted(READER_CASES))
-def test_reader_matches_row_loop(tmp_path, monkeypatch, name):
-    # the same matrix or the same error with the byte reader and with the
-    # row loop alone
+def test_reader_matches_row_loop(tmp_path, name):
+    # the table's matrix or error, from the reader and from the row loop
     body, expected = READER_CASES[name]
     p = tmp_path / "case.scheme"
     p.write_text(f"scheme 2 2\n{body}\n", encoding="utf-8")
-    assert read_outcome(p) == expected
-    monkeypatch.setattr(schemes, "_parse_bytes", lambda raw: None)
-    assert read_outcome(p) == expected
+    assert read_outcome(p) == expected == row_loop(p.read_bytes())
+
+
+def test_reader_matches_row_loop_on_edited_files(tmp_path):
+    # scheme files with bytes inserted, deleted or replaced: each reads to
+    # the row loop's matrix, or raises the row loop's first fault
+    rng = random.Random(5)
+    alphabet = [b"0", b"7", b"12", b" ", b"\t", b"\x0b", b"\x0c", b"\r",
+                b"\n", b"\r\n", b"x", b"+", b"-", b"_", b"\xc2\xa0",
+                b"\xff", b"\xd9\xa1", b"9" * 19, b"0" * 18]
+    p = tmp_path / "edited.scheme"
+    outcomes = set()
+    for _ in range(600):
+        write_scheme(trivial_scheme(rng.randint(1, 4)), p)
+        raw = bytearray(p.read_bytes())
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(raw) + 1)
+            cut = rng.choice([0, 0, 1])
+            raw[at:at + cut] = rng.choice(alphabet)
+        p.write_bytes(bytes(raw))
+        got = row_loop(bytes(raw))
+        assert read_outcome(p) == got, bytes(raw)
+        outcomes.add(re.sub(r"\d+", "#", got) if isinstance(got, str)
+                     else "read")
+    # every outcome of the row loop occurs
+    assert outcomes == {
+        "read", "not a UTF-# text file",
+        "scheme file must start with 'scheme <v> <rank>'",
+        "bad scheme header", "expected # rows, found #",
+        "row # has # entries, expected #", "row #: non-integer entry",
+        "row #: entry of more than # digits"}
 
 
 @pytest.mark.parametrize("body, entry, dtype", [
@@ -269,9 +330,11 @@ def test_reader_matches_row_loop(tmp_path, monkeypatch, name):
     ("0 70000\n70000 0", 70000, np.int32),
     ("0 999999999999999999\n999999999999999999 0", 10**18 - 1, np.int64),
 ])
-def test_byte_reader_plain_layout(body, entry, dtype):
+def test_byte_reader_plain_layout(tmp_path, body, entry, dtype):
     # read from the bytes, in the narrowest dtype that holds the entries
-    matrix, rank = schemes._parse_bytes(f"scheme 2 2\n{body}\n".encode())
+    p = tmp_path / "plain.scheme"
+    p.write_bytes(f"scheme 2 2\n{body}\n".encode())
+    matrix, rank = parse_scheme_file(p)
     assert matrix.dtype == dtype and rank == 2
     assert matrix.tolist() == [[0, entry], [entry, 0]]
 
