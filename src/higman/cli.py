@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import constructions, higmanian, schemes
 from .constructions import ConstructionError
-from .groups import GroupError, build_family
+from .groups import GroupError, build_family, digit_fault
 from .higmanian import (NotHigmanianError, OracleError,
                         VerdictInconsistencyError)
 
@@ -189,8 +189,7 @@ def cmd_construct(args) -> int:
             usage = " ".join(f"<{name}>" for name in names)
             raise ConstructionError(f"usage: construct {family} {usage}")
         con = constructions.construct_family(
-            family, **dict(zip(names, args.params)),
-            max_space=args.max_search)
+            family, **dict(zip(names, args.params)))
         out = args.output or _default_scheme_name(family, args.params)
         schemes.write_scheme(con.result.scheme, out)
     except (ConstructionError, GroupError, OSError) as exc:
@@ -220,20 +219,18 @@ def _default_scheme_name(family: str, params: list[int]) -> str:
 def _parse_subgroup(G, spec: str):
     if spec == "center":
         return G.center()
-    try:
-        elements = [int(tok) for tok in spec.split(",")]
-    except ValueError:
+    elements = spec.split(",")
+    if any(map(digit_fault, elements)):
         raise GroupError(f"bad subgroup spec {spec!r}; use 'center' or "
-                         f"comma-separated element indices") from None
-    return G.subgroup(elements)
+                         f"comma-separated element indices")
+    return G.subgroup(map(int, elements))
 
 
 def cmd_search_rds(args) -> int:
     try:
         G = build_family(args.groupspec)
         N = _parse_subgroup(G, args.forbidden)
-        found = constructions.search_semiregular_rds(
-            G, N, max_space=args.max_search)
+        found = constructions.search_semiregular_rds(G, N)
     except (GroupError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
@@ -249,8 +246,7 @@ def cmd_search_linked(args) -> int:
     try:
         G = build_family(args.groupspec)
         N = _parse_subgroup(G, args.forbidden)
-        system = constructions.search_linked_system(
-            G, N, args.w, max_space=args.max_search)
+        system = constructions.search_linked_system(G, N, args.w)
         if system is not None and args.output:
             constructions.write_linked_system(system, args.output)
     except (GroupError, ConstructionError, OSError) as exc:
@@ -335,8 +331,7 @@ def cmd_tables(args) -> int:
                   f"{TABLES_ORDER_LIMIT})")
             continue
         try:
-            con = constructions.construct_family(
-                family, q=q, r=r, j=j, max_space=args.max_search)
+            con = constructions.construct_family(family, q=q, r=r, j=j)
         except ConstructionError as exc:
             print(f"{label}: SKIP ({exc})")
             continue
@@ -378,15 +373,11 @@ def main(argv=None) -> int:
     pc.add_argument("family", help="q8cp | heis | ea")
     pc.add_argument("params", type=int, nargs="*")
     pc.add_argument("-o", "--output")
-    pc.add_argument("--max-search", type=int,
-                    default=constructions.SEARCH_SPACE_CAP)
     pc.set_defaults(func=cmd_construct)
 
     pr = sub.add_parser("search-rds", help="enumerate semiregular RDSs")
     pr.add_argument("groupspec")
     pr.add_argument("forbidden", help="'center' or comma-separated indices")
-    pr.add_argument("--max-search", type=int,
-                    default=constructions.SEARCH_SPACE_CAP)
     pr.set_defaults(func=cmd_search_rds)
 
     pl = sub.add_parser("search-linked-system",
@@ -395,8 +386,6 @@ def main(argv=None) -> int:
     pl.add_argument("forbidden")
     pl.add_argument("w", type=int)
     pl.add_argument("-o", "--output")
-    pl.add_argument("--max-search", type=int,
-                    default=constructions.SEARCH_SPACE_CAP)
     pl.set_defaults(func=cmd_search_linked)
 
     pv = sub.add_parser("verify-linked", help="verify a linked-system file")
@@ -404,8 +393,6 @@ def main(argv=None) -> int:
     pv.set_defaults(func=cmd_verify_linked)
 
     pt = sub.add_parser("tables", help="reproduce the parameter tables")
-    pt.add_argument("--max-search", type=int,
-                    default=constructions.SEARCH_SPACE_CAP)
     pt.set_defaults(func=cmd_tables)
 
     args = parser.parse_args(argv)

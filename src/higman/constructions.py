@@ -30,11 +30,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .groups import (FiniteGroup, GroupError, GroupIsomorphism, Subgroup,
-                     build_family, check_order, cosets, direct_product,
-                     gre_multiply, isomorphisms, prime_power)
+                     build_family, check_order, cosets, digit_fault,
+                     direct_product, gre_multiply, isomorphisms, prime_power)
 from .higmanian import DetectionResult, HigmanianParams, detect_higmanian
 from .quadratic import QuadraticNumber
-from .schemes import SchemeTable, cayley_scheme
+from .schemes import SchemeTable, cayley_scheme, plain_lines
 
 QN = QuadraticNumber
 
@@ -523,7 +523,6 @@ def _close(G: FiniteGroup, w: int, k: int, rds_set: set, cache: dict,
 
 def search_linked_system(G: FiniteGroup, N: Subgroup, w: int,
                          rds_list: Sequence[tuple[int, ...]] | None = None,
-                         max_space: int = SEARCH_SPACE_CAP,
                          mu_nu: tuple[int, int] | None = None) -> LinkedSystem | None:
     """Find a closed linked system of size w by closing a start RDS under
     inverses and product images; starts are tried in lex order.
@@ -535,7 +534,7 @@ def search_linked_system(G: FiniteGroup, N: Subgroup, w: int,
     if w < 2:
         raise ConstructionError("need w >= 2")
     if rds_list is None:
-        rds_list = search_semiregular_rds(G, N, max_space)
+        rds_list = search_semiregular_rds(G, N)
     if not rds_list:
         return None
     rds_set = {frozenset(s) for s in rds_list}
@@ -575,6 +574,7 @@ def _family_setup(family: str, q: int | None, r: int | None,
     if r is None or r < 1:
         raise ConstructionError(f"{family} needs r >= 1, not {r}")
     if family == "q8cp":
+        check_order(2, 2 * r + 1)
         return 2, 2, f"Q8cp:{r}", "C:3"
     if q is None or (family == "ea" and j is None):
         raise ConstructionError(
@@ -631,8 +631,7 @@ class FamilyConstruction:
 
 
 def construct_family(family: str, q: int | None = None, r: int | None = None,
-                     j: int | None = None,
-                     max_space: int = SEARCH_SPACE_CAP) -> FamilyConstruction:
+                     j: int | None = None) -> FamilyConstruction:
     """End-to-end pipeline: build the group, search RDSs and a linked system,
     build the associate group and the Cayley scheme, compare with the
     closed-form parameter tables."""
@@ -652,7 +651,7 @@ def construct_family(family: str, q: int | None = None, r: int | None = None,
     system = None
     forbidden = None
     for N in candidates:
-        rds = search_semiregular_rds(G, N, max_space)
+        rds = search_semiregular_rds(G, N)
         if not rds:
             continue
         found = search_linked_system(G, N, w, rds_list=rds,
@@ -705,28 +704,24 @@ def write_linked_system(system: LinkedSystem, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _int_line(line: str, what: str) -> list[int]:
-    try:
-        return [int(tok) for tok in line.split()]
-    except ValueError:
-        raise FileFormatError(f"{what}: non-integer token") from None
-
-
 def read_linked_system(path) -> LinkedSystem:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln for ln in (l.strip() for l in fh) if ln]
-    except UnicodeDecodeError:
-        raise FileFormatError("not a UTF-8 text file") from None
+    """Read `write_linked_system`'s format in the lines of `plain_lines`.
+    The first line after the group spec with a token that `digit_fault`
+    refuses is named before the RDS line count and the subgroup are checked."""
+    with open(path, "rb") as fh:
+        lines = plain_lines(fh.read(), FileFormatError)
     if len(lines) < 4:
         raise FileFormatError("linked-system file too short")
-    G = build_family(lines[0])
-    N = G.subgroup(_int_line(lines[1], "subgroup line"))
-    try:
-        w = int(lines[2])
-    except ValueError:
-        raise FileFormatError("bad w line") from None
-    if len(lines) != 3 + w:
-        raise FileFormatError(f"expected {w} RDS lines, found {len(lines) - 3}")
-    sets = [_int_line(ln, f"RDS line {i + 1}") for i, ln in enumerate(lines[3:])]
-    return verify_linked_system(G, N, sets)
+    G = build_family(lines[0].decode())
+    rows = [line.split() for line in lines[1:]]
+    for i, row in enumerate(rows):
+        fault = next(filter(None, map(digit_fault, row)), None)
+        if i == 1 and (fault or len(row) != 1):
+            raise FileFormatError("bad w line")
+        if fault:
+            where = "subgroup line" if i == 0 else f"RDS line {i - 1}"
+            raise FileFormatError(f"{where}: {fault}")
+    subgroup, (w,), *sets = [list(map(int, row)) for row in rows]
+    if len(sets) != w:
+        raise FileFormatError(f"expected {w} RDS lines, found {len(sets)}")
+    return verify_linked_system(G, G.subgroup(subgroup), sets)

@@ -23,6 +23,9 @@ import numpy as np
 # largest order a built-in family may have: an int32 table of 2^28 entries
 # (1 GiB) is checked before it is allocated
 GROUP_ORDER_LIMIT = 1 << 14
+# most GenDih and Prod heads in one spec: each nests a call of build_family
+SPEC_HEAD_LIMIT = 32
+MAX_DIGITS = 18  # every number of this many digits fits int64
 
 
 class GroupError(ValueError):
@@ -519,11 +522,14 @@ def generalized_dihedral(G: FiniteGroup) -> FiniteGroup:
 
 
 def build_family(spec: str) -> FiniteGroup:
-    """Build a named group from a family spec string."""
-    spec = spec.strip()
+    """Build a named group from a family spec string, whose numbers are
+    spelled as `digit_fault` allows."""
+    if spec.count("GenDih:") + spec.count("Prod:") > SPEC_HEAD_LIMIT:
+        raise GroupError(f"spec has more than {SPEC_HEAD_LIMIT} GenDih and "
+                         f"Prod heads")
     head, _, rest = spec.partition(":")
     if head == "C":
-        return cyclic_group(_as_int(rest, "C:<n>"))
+        return cyclic_group(*_int_parts(rest, 1, "C:<n>"))
     if head == "EA":
         p, k = _int_parts(rest, 2, "EA:<p>:<k>")
         return elementary_abelian(p, k)
@@ -531,38 +537,44 @@ def build_family(spec: str) -> FiniteGroup:
         q, r = _int_parts(rest, 2, "Heis:<q>:<r>")
         return heisenberg_group(q, r)
     if head == "Q8cp":
-        return central_product_q8(_as_int(rest, "Q8cp:<r>"))
+        return central_product_q8(*_int_parts(rest, 1, "Q8cp:<r>"))
     if head == "GenDih":
         if not rest:
             raise GroupError("GenDih needs an inner spec")
         return generalized_dihedral(build_family(rest))
     if head == "Prod":
+        # each Prod head has one comma, after its left factor, and heads
+        # outnumber commas before any earlier one: so the left factor ends
+        # at the first comma with as many heads before it as commas
         parts = rest.split(",")
-        # a cut whose sides parse but one is too large reports that limit
-        too_large = None
-        for cut in range(1, len(parts)):
+        heads = itertools.accumulate(p.count("Prod:") for p in parts[:-1])
+        cut = next((c for c, n in enumerate(heads, 1) if n < c), None)
+        if cut:
             left, right = ",".join(parts[:cut]), ",".join(parts[cut:])
             try:
-                A, B = build_family(left), build_family(right)
-            except GroupOrderError as exc:
-                too_large = too_large or exc
-                continue
+                return direct_product(build_family(left), build_family(right),
+                                      name=f"Prod:{left},{right}")
+            except GroupOrderError:
+                raise
             except GroupError:
-                continue
-            return direct_product(A, B, name=f"Prod:{left},{right}")
-        raise too_large or GroupError(f"cannot parse product spec {spec!r}")
+                pass
+        raise GroupError(f"cannot parse product spec {spec!r}")
     raise GroupError(f"unknown family spec {spec!r}")
 
 
-def _as_int(s: str, usage: str) -> int:
-    try:
-        return int(s)
-    except ValueError:
-        raise GroupError(f"bad spec, expected {usage}") from None
+def digit_fault(token: str | bytes, noun: str = "token") -> str | None:
+    """None for 1 to MAX_DIGITS ASCII digits, the one spelling of a number
+    in every input, files and specs alike, so int() reads it at once and
+    it fits int64; otherwise the fault of ``token``, naming ``noun``."""
+    if not (token.isascii() and token.isdigit()):
+        return f"non-integer {noun}"
+    if len(token) > MAX_DIGITS:
+        return f"{noun} of more than {MAX_DIGITS} digits"
+    return None
 
 
 def _int_parts(s: str, n: int, usage: str) -> list[int]:
     parts = s.split(":")
-    if len(parts) != n:
+    if len(parts) != n or any(map(digit_fault, parts)):
         raise GroupError(f"bad spec, expected {usage}")
-    return [_as_int(x, usage) for x in parts]
+    return [int(x) for x in parts]

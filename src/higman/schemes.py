@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, gre_multiply
+from .groups import MAX_DIGITS, FiniteGroup, digit_fault, gre_multiply
 
 PARABOLIC_RANK_LIMIT = 16
 FLOAT32_EXACT_LIMIT = 1 << 24  # integers below this are exact in float32
@@ -503,16 +503,13 @@ class SchemeParseError(ValueError):
     """The file is not in the scheme format (distinct from axiom failures)."""
 
 
-MAX_DIGITS = 18  # every token of this many digits fits int64
-
-
 def _header(line: bytes) -> tuple[int, int]:
     """``(v, rank)`` from the first nonblank line, which holds ``scheme``,
-    v and the rank in ASCII digits, and nothing more."""
+    then v and the rank as `digit_fault` spells numbers, and nothing more."""
     if not line.startswith(b"scheme "):
         raise SchemeParseError("scheme file must start with 'scheme <v> <rank>'")
     fields = line.split()[1:]
-    if len(fields) != 2 or not all(map(bytes.isdigit, fields)):
+    if len(fields) != 2 or any(map(digit_fault, fields)):
         raise SchemeParseError("bad scheme header")
     return int(fields[0]), int(fields[1])
 
@@ -587,18 +584,25 @@ def _parse_bytes(raw: bytes) -> tuple[np.ndarray, int] | None:
     return matrix.astype(dtype, copy=False), rank
 
 
-def _refuse(raw: bytes) -> NoReturn:
-    """Raise the first fault of a file that `_parse_bytes` refuses, in
-    this order: not UTF-8, the header, the number of rows, the number of
-    entries in each row, then row by row the first entry that is not
-    ASCII digits or has more than `MAX_DIGITS`.  Builds no matrix."""
+def plain_lines(raw: bytes, error: type[ValueError]) -> list[bytes]:
+    """The nonblank lines of a text file in the plain layout, stripped of
+    blanks: lines break at \\n, \\r or \\r\\n, and the blanks are
+    space, tab, VT and FF.  A file that is not UTF-8 raises ``error``."""
     try:
         raw.decode()
     except UnicodeDecodeError:
-        raise SchemeParseError("not a UTF-8 text file") from None
-    lines = [ln for ln in (ln.strip()
-                           for ln in raw.replace(b"\r", b"\n").split(b"\n"))
-             if ln]
+        raise error("not a UTF-8 text file") from None
+    return [ln for ln in (ln.strip()
+                          for ln in raw.replace(b"\r", b"\n").split(b"\n"))
+            if ln]
+
+
+def _refuse(raw: bytes) -> NoReturn:
+    """Raise the first fault of a file that `_parse_bytes` refuses, in
+    this order: not UTF-8, the header, the number of rows, the number of
+    entries in each row, then row by row the first entry that
+    `digit_fault` refuses.  Builds no matrix."""
+    lines = plain_lines(raw, SchemeParseError)
     v, _ = _header(lines[0] if lines else b"")
     rows = lines[1:]
     if len(rows) != v:
@@ -608,10 +612,9 @@ def _refuse(raw: bytes) -> NoReturn:
         if count != v:
             raise SchemeParseError(f"row {i} has {count} entries, expected {v}")
     raise SchemeParseError(next(
-        f"row {i}: non-integer entry" if not token.isdigit()
-        else f"row {i}: entry of more than {MAX_DIGITS} digits"
-        for i, row in enumerate(rows, 1) for token in row.split()
-        if not token.isdigit() or len(token) > MAX_DIGITS))
+        f"row {i}: {fault}" for i, row in enumerate(rows, 1)
+        for fault in (digit_fault(token, "entry") for token in row.split())
+        if fault))
 
 
 def parse_scheme_file(path) -> tuple[np.ndarray, int]:

@@ -143,6 +143,24 @@ def test_search_rds_bad_subgroup(capsys):
     assert err.startswith("error: bad subgroup spec 'x'")
 
 
+@pytest.mark.parametrize("spec, forbidden, message", [
+    ("Q8cp:1", "0,+1", "error: bad subgroup spec '0,+1'"),
+    ("Q8cp:1", "0,1_0", "error: bad subgroup spec '0,1_0'"),
+    ("C:+4", "center", "error: bad spec, expected C:<n>"),
+    pytest.param("GenDih:" * 1200 + "C:2", "center",
+                 "error: spec has more than 32 GenDih and Prod heads",
+                 id="GenDih-1200"),
+    pytest.param("Prod:C:1," * 1200 + "C:1", "center",
+                 "error: spec has more than 32 GenDih and Prod heads",
+                 id="Prod-1200"),
+])
+def test_search_rds_refuses_spellings(capsys, spec, forbidden, message):
+    # one error line and exit 3, never a traceback
+    code, stdout, err = run(capsys, "search-rds", spec, forbidden)
+    assert code == 3 and stdout == ""
+    assert err.splitlines() == [err.strip()] and err.startswith(message)
+
+
 def test_search_linked_none_found(capsys):
     code, stdout, err = run(capsys, "search-linked-system", "Q8cp:1",
                             "center", "3")
@@ -192,6 +210,12 @@ def test_construct_errors(capsys):
             code, _, err = run(capsys, "construct", *params)
             assert code == 3
             assert err == f"error: group order {q}^3 exceeds the limit 16384\n"
+    # an r past 18 digits meets the order limit before any spec is formed
+    r = "9" * 20
+    code, _, err = run(capsys, "construct", "q8cp", r)
+    assert code == 3
+    assert err == (f"error: group order 2^{2 * int(r) + 1} exceeds the "
+                   f"limit 16384\n")
     code, _, err = run(capsys, "construct", "nosuch", "1")
     assert code == 3
     code, _, err = run(capsys, "construct", "q8cp")
@@ -278,6 +302,11 @@ def test_construct_analyze_identical_verdicts(tmp_path, capsys):
     ("scheme +2 2\n0 1\n1 0\n", 3, "error: bad scheme header"),
     ("scheme -1 2\n", 3, "error: bad scheme header"),
     ("scheme \xef\xbc\x92 2\n0 1\n1 0\n", 3, "error: bad scheme header"),
+    # as every number, of at most 18 digits: int() never meets 5,000
+    ("scheme 0000000000000000002 2\n0 1\n1 0\n", 3,
+     "error: bad scheme header"),
+    pytest.param("scheme " + "9" * 5000 + " 2\n0 1\n1 0\n", 3,
+                 "error: bad scheme header", id="5000-digit v"),
     # C8 colored by min(distance, 3): the second of two packed products
     ("scheme 8 4\n" + "".join(
         " ".join(str(min(abs(x - y), 8 - abs(x - y), 3)) for y in range(8))
@@ -312,6 +341,26 @@ def test_analyze_malformed_schemes(tmp_path, capsys, body, code, message):
      "invalid linked system: element outside 0..7"),
     ("Q8cp:1\n0 1\n2\n0 2 4 6\n0 3 5 \xff\n", 3,
      "error: not a UTF-8 text file"),
+    # every number is 1 to 18 ASCII digits, as in a scheme file: no sign,
+    # underscore, NBSP (its UTF-8 bytes, written as latin-1) or other digit
+    ("Q8cp:1\n0 +1\n2\n0 2 4 6\n0 3 5 7\n", 3,
+     "error: subgroup line: non-integer token"),
+    ("Q8cp:1\n0 1\n0_2\n0 2 4 6\n0 3 5 7\n", 3, "error: bad w line"),
+    ("Q8cp:1\n0 1\n2 2\n0 2 4 6\n0 3 5 7\n", 3, "error: bad w line"),
+    ("Q8cp:1\n0\xc2\xa01\n2\n0 2 4 6\n0 3 5 7\n", 3,
+     "error: subgroup line: non-integer token"),
+    ("Q8cp:1\n0 1\n2\n0 2 4 6\n0 3 5 \xd9\xa7\n", 3,
+     "error: RDS line 2: non-integer token"),
+    ("Q8cp:1\n0 1\n2\n0 2 4 6\n0 3 5 0000000000000000007\n", 3,
+     "error: RDS line 2: token of more than 18 digits"),
+    pytest.param("Q8cp:1\n0 " + "1" * 5000 + "\n2\n0 2 4 6\n0 3 5 7\n", 3,
+                 "error: subgroup line: token of more than 18 digits",
+                 id="5000-digit token"),
+    pytest.param("Q8cp:1\n0 1\n" + "2" * 5000 + "\n0 2 4 6\n0 3 5 7\n", 3,
+                 "error: bad w line", id="5000-digit w"),
+    pytest.param("GenDih:" * 1200 + "C:2\n0\n2\n0\n0\n", 3,
+                 "error: spec has more than 32 GenDih and Prod heads",
+                 id="GenDih-1200"),
 ])
 def test_verify_linked_malformed(tmp_path, capsys, body, code, message):
     path = tmp_path / "m.linked"

@@ -444,6 +444,23 @@ def test_linked_system_file_roundtrip(tmp_path, q8_construction):
     assert again.chi == system.chi
 
 
+@pytest.mark.parametrize("old, new", [(b"\n", b"\r\n"), (b"\n", b"\r"),
+                                      (b" ", b"\x0b"), (b" ", b"\x0c \t"),
+                                      (b"\n", b"\n\x0c\n")],
+                         ids=["crlf", "cr", "vt", "ff-tab", "ff-lines"])
+def test_linked_system_file_plain_layout(tmp_path, q8_construction, old, new):
+    # the scheme file's plain layout: any line break and any blank
+    system = q8_construction.system
+    path = tmp_path / "sys.linked"
+    write_linked_system(system, path)
+    path.write_bytes(path.read_bytes().replace(old, new))
+    again = read_linked_system(path)
+    assert again.group.name == system.group.name
+    assert again.forbidden.elements == system.forbidden.elements
+    assert (again.params, again.sets, again.chi) == \
+        (system.params, system.sets, system.chi)
+
+
 def test_linked_file_errors(tmp_path):
     p = tmp_path / "bad.linked"
     p.write_text("C:4\n0 2\n")

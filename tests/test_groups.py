@@ -118,6 +118,47 @@ def test_build_family_errors():
         build_family("Nope:3")
     with pytest.raises(GroupError, match="cannot parse product spec"):
         build_family("Prod:C:2,Nope:3")
+    # numbers are 1 to 18 ASCII digits: no sign, blank, underscore or
+    # other digit, and none past int64
+    for spec in ["C:+4", "C: 4", "C:4_0", "C:\u0664", "EA:3:+2", "C:-4",
+                 "C:" + "0" * 18 + "4", "Q8cp:" + "1" * 5000]:
+        with pytest.raises(GroupError, match="bad spec, expected"):
+            build_family(spec)
+
+
+@pytest.mark.parametrize("spec", ["GenDih:" * 1200 + "C:2",
+                                  "Prod:C:1," * 1200 + "C:1"],
+                         ids=["GenDih", "Prod"])
+def test_build_family_refuses_deep_specs(spec):
+    # 1,200 levels would pass Python's recursion limit
+    with pytest.raises(GroupError, match="more than 32 GenDih and Prod"):
+        build_family(spec)
+
+
+def test_build_family_at_the_head_limit():
+    assert build_family("GenDih:" * 4 + "Prod:C:1," * 28 + "C:2").order == 32
+
+
+def test_product_spec_split_once(monkeypatch):
+    # the left factor of a Prod spec ends at the first comma with as many
+    # Prod heads before it as commas; trying every comma would call
+    # build_family exponentially often on this unparseable spec
+    calls = []
+    build = groups.build_family
+
+    def counted(spec):
+        calls.append(spec)
+        assert len(calls) < 1000, "build_family called too often"
+        return build(spec)
+
+    monkeypatch.setattr(groups, "build_family", counted)
+    with pytest.raises(GroupError, match="cannot parse product spec"):
+        counted("Prod:" * 10 + "C:1," * 20 + "C:1")
+    assert len(calls) <= 1 + 2 * 10  # the spec, and two sides per head
+    calls.clear()
+    assert counted("Prod:Prod:C:2,C:3,Prod:C:5,GenDih:C:3").order == 180
+    assert calls[1:] == ["Prod:C:2,C:3", "C:2", "C:3", "Prod:C:5,GenDih:C:3",
+                         "C:5", "GenDih:C:3", "C:3"]
 
 
 def test_prime_power():

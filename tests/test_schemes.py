@@ -255,7 +255,7 @@ def row_loop(raw: bytes):
     if not lines or not lines[0].startswith(b"scheme "):
         return "scheme file must start with 'scheme <v> <rank>'"
     header = lines[0].split()
-    if len(header) != 3 or not all(re.fullmatch(rb"[0-9]+", f)
+    if len(header) != 3 or not all(re.fullmatch(rb"[0-9]{1,18}", f)
                                    for f in header[1:]):
         return "bad scheme header"
     v, rows = int(header[1]), [ln.split() for ln in lines[1:]]
