@@ -7,13 +7,16 @@ verify-linked, tables.  `analyze` exit codes: 0 uniform Higmanian,
 --oracle, a float oracle that disagrees with the exact spectrum.  A
 command-line usage error (a missing or unknown command or argument, or an
 option value of the wrong type) exits 3 for every command, with the usage
-text on stderr.
+text on stderr.  Every command also exits 3, with no message, when its
+standard output is closed before it has written everything, as by
+``| head``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -396,7 +399,15 @@ def main(argv=None) -> int:
     pt.set_defaults(func=cmd_tables)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout is gone, as with `| head`: what is still
+        # buffered goes to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BAD_FILE
+    return code
 
 
 if __name__ == "__main__":

@@ -436,13 +436,17 @@ def search_semiregular_rds(G: FiniteGroup, N: Subgroup,
     """All transversals of N whose differences avoid N^# and cover G \\ N
     with constant multiplicity, sorted.
 
-    Exhaustive, one coset of N per level: a block of partial transversals
-    (their chosen elements and difference counts) is extended by every
-    element of the next coset at once, and the rows whose counts stay 0 on
-    N and at most lam elsewhere are kept.  Blocks are searched depth first
-    and hold at most ``_BLOCK_CELLS`` counts once extended, so memory is
-    bounded by the number of levels times the block size, not by the width
-    of a level.  ``max_space`` still caps n^m.
+    Right translation by z keeps every difference x y^-1 and permutes the
+    cosets Ng, so every such transversal is Y z with e in Y and z in N,
+    for the one z it holds in N.  The search finds the Y, and each is
+    translated by every z.  It is exhaustive, one coset of N per level,
+    with N first: a block of partial transversals (their chosen elements
+    and difference counts) is extended by every element of the next coset
+    at once, and the rows whose counts stay 0 on N and at most lam
+    elsewhere are kept.  Blocks are searched depth first and hold at most
+    ``_BLOCK_CELLS`` counts once extended, so memory is bounded by the
+    number of levels times the block size, not by the width of a level.
+    ``max_space`` still caps n^m.
     """
     n = N.order
     m = G.order // n
@@ -455,17 +459,21 @@ def search_semiregular_rds(G: FiniteGroup, N: Subgroup,
     mul, inv = G.mul, G.inv
     cap = np.full(order, m // n, dtype=np.int32)
     cap[list(N.elements)] = 0
-    blocks = np.array(cosets(G, N))  # row i: the i-th coset of N
+    # row i: the i-th coset of N, N itself first
+    blocks = np.array([N.elements] + [c for c in cosets(G, N)
+                                      if c != N.elements])
     rows = max(1, _BLOCK_CELLS // (n * order))
     offsets = np.arange(0, rows * n * order, order)[:, None]
     # before the cap test a count is at most lam + 2m <= 3 * GROUP_ORDER_LIMIT
     # (lam = m when N is trivial): beyond int16, well inside int32
-    stack = [(np.zeros((1, 0), dtype=np.intp),
-              np.zeros((1, order), dtype=np.int32))]
-    found: list[tuple[int, ...]] = []
+    stack = [(np.array([[G.identity]]), np.zeros((1, order), dtype=np.int32))]
+    found = [np.empty((0, m), dtype=np.intp)]
     while stack:
         chosen, counts = stack.pop()
         level = chosen.shape[1]
+        if level == m:
+            found.append(chosen)
+            continue
         xs = blocks[level]
         width = len(chosen) * n  # row b * n + j extends row b by xs[j]
         d = mul[xs[None, :, None], inv[chosen][:, None, :]]  # x y^-1
@@ -477,20 +485,21 @@ def search_semiregular_rds(G: FiniteGroup, N: Subgroup,
         keep = np.flatnonzero((new <= cap).all(axis=1))
         chosen = np.concatenate((chosen[keep // n], xs[keep % n, None]),
                                 axis=1)
-        if level + 1 == m:
-            found.extend(map(tuple, np.sort(chosen, axis=1).tolist()))
-            continue
         new = new[keep]
         for lo in range(0, len(chosen), rows):
             stack.append((chosen[lo:lo + rows], new[lo:lo + rows]))
-    return sorted(found)
+    Y = np.concatenate(found)
+    translates = mul[Y[:, None, :], np.array(N.elements)[:, None]]  # y z
+    return sorted(map(tuple, np.sort(translates.reshape(-1, m), axis=1)
+                      .tolist()))
 
 
 def _close(G: FiniteGroup, w: int, k: int, rds_set: set, cache: dict,
            fam: frozenset) -> frozenset | None:
     """Close a family of RDSs (frozensets) under inverses and product
-    images, depth first over the viable images; None when it exceeds w
-    members or some product has no viable image."""
+    images, depth first over the viable images, those whose sorted tuple
+    is in ``rds_set``; None when it exceeds w members or some product has
+    no viable image."""
     if len(fam) > w:
         return None
     for s in fam:
@@ -510,7 +519,7 @@ def _close(G: FiniteGroup, w: int, k: int, rds_set: set, cache: dict,
             return None
         if any(y in fam for y in opts):
             continue
-        viable = [y for y in opts if y in rds_set]
+        viable = [y for y in opts if tuple(sorted(y)) in rds_set]
         if not viable:
             return None
         for y in viable:
@@ -537,7 +546,9 @@ def search_linked_system(G: FiniteGroup, N: Subgroup, w: int,
         rds_list = search_semiregular_rds(G, N)
     if not rds_list:
         return None
-    rds_set = {frozenset(s) for s in rds_list}
+    # keyed by sorted tuples, which are cheaper to build than frozensets:
+    # a search makes few lookups in many RDSs
+    rds_set = {tuple(sorted(s)) for s in rds_list}
     k = len(rds_list[0])
     cache: dict = {}
     first = None

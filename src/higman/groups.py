@@ -62,9 +62,9 @@ class FiniteGroup:
         rng = np.arange(n)
         row_ok = np.empty(n, dtype=bool)
         col_ok = np.ones(n, dtype=bool)
-        for start, rows in _row_blocks(mul):
-            row_ok[start:start + len(rows)] = (rows == rng).all(1)
-            col_ok &= (rows == rng[start:start + len(rows), None]).all(0)
+        for rows in row_blocks(mul):
+            row_ok[rows] = (mul[rows] == rng).all(1)
+            col_ok &= (mul[rows] == rng[rows, None]).all(0)
         ids = np.flatnonzero(row_ok & col_ok)
         if len(ids) != 1:
             raise GroupError("table has no two-sided identity")
@@ -72,13 +72,12 @@ class FiniteGroup:
 
         counts = np.empty(n, dtype=np.intp)
         inv = np.empty(n, dtype=np.int32)
-        for start, rows in _row_blocks(mul):
-            xs, ys = np.nonzero(rows == identity)
-            two_sided = mul[ys, xs + start] == identity
+        for rows in row_blocks(mul):
+            xs, ys = np.nonzero(mul[rows] == identity)
+            two_sided = mul[ys, xs + rows.start] == identity
             xs, ys = xs[two_sided], ys[two_sided]
-            counts[start:start + len(rows)] = np.bincount(
-                xs, minlength=len(rows))
-            inv[xs + start] = ys
+            counts[rows] = np.bincount(xs, minlength=len(counts[rows]))
+            inv[xs + rows.start] = ys
         if (counts > 1).any():
             raise GroupError(f"element {np.argmax(counts > 1)} has two inverses")
         if (counts == 0).any():
@@ -90,13 +89,14 @@ class FiniteGroup:
         # disjoint from R and at most log2(n) generators are needed.
         gens: list[int] = []
         for g in _greedy_generators(mul, identity):
-            for start, rows in _row_blocks(mul):
+            for rows in row_blocks(mul):
                 # (x*g)*y against x*(g*y)
-                bad = mul[rows[:, g]] != np.take(rows, mul[g], axis=1)
+                block = mul[rows]
+                bad = mul[block[:, g]] != np.take(block, mul[g], axis=1)
                 if bad.any():
                     x, y = np.argwhere(bad)[0]
                     raise GroupError(
-                        f"associativity fails at ({start + x},{g},{y})")
+                        f"associativity fails at ({rows.start + x},{g},{y})")
             gens.append(g)
         self._store(mul, identity, inv, name)
         self.generators = tuple(gens)
@@ -155,16 +155,18 @@ class FiniteGroup:
         return f"<{tag} of order {self.order}>"
 
 
-# table entries one step of the group check or of a closure compares at once
-_BLOCK = 1 << 20
+# table or matrix entries that one step of a row-blocked loop handles at
+# once: the group check, a closure, and the packed products of `schemes`
+BLOCK_ENTRIES = 1 << 20
 
 
-def _row_blocks(mul: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, rows) over consecutive row blocks of at most _BLOCK entries,
-    one row at least."""
-    step = max(1, _BLOCK // len(mul))
-    for start in range(0, len(mul), step):
-        yield start, mul[start:start + step]
+def row_blocks(matrix: np.ndarray,
+               entries: int = BLOCK_ENTRIES) -> Iterator[slice]:
+    """Consecutive row blocks of the 2-d ``matrix``, as slices, of at most
+    ``entries`` entries and one row at least."""
+    step = max(1, entries // matrix.shape[1])
+    return (slice(start, start + step)
+            for start in range(0, len(matrix), step))
 
 
 def _greedy_generators(mul: np.ndarray, identity: int) -> Iterator[int]:
@@ -187,7 +189,7 @@ def _closure(mul: np.ndarray, elements: Sequence[int]) -> np.ndarray:
     reached = np.unique(elements)
     while len(reached) < len(mul):
         products = np.zeros(len(mul), dtype=bool)
-        step = max(1, _BLOCK // len(reached))
+        step = max(1, BLOCK_ENTRIES // len(reached))
         for start in range(0, len(reached), step):
             products[mul[np.ix_(reached[start:start + step], reached)]] = True
         if products.sum() == len(reached):

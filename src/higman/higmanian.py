@@ -25,8 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from .quadratic import QuadraticNumber
-from .schemes import (Parabolic, SchemeError, SchemeTable, digit_runs,
-                      first_cells, nontrivial_parabolics, restriction)
+from .schemes import (GATHER_ENTRIES, Parabolic, SchemeError, SchemeTable,
+                      digit_runs, first_cells, nontrivial_parabolics,
+                      restriction)
 from . import spectral
 
 QN = QuadraticNumber
@@ -221,7 +222,8 @@ def is_uniform_by_criterion(params: HigmanianParams) -> bool:
 def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
     """What routes 2 and 4 build their block products from: ``(runs,
     blocks)``, with the product of (i, j) through class G being
-    A_i[:, G] A_j[G, :] = basis[i] @ basis[j*].T for G's ``basis``.
+    A_i[:, G] A_j[G, :] = basis[i] @ (right == j) for G's ``basis`` and
+    ``right``.
 
     The pairs (i, j) with both colors outside the parabolic are kept, one
     of each transpose pair {(i, j), (j*, i*)}, in lexicographic order.
@@ -230,13 +232,14 @@ def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
     the packed right factors stay exact float32 integers below 2^24.  One
     packed product per run and class decides the run's pairs: it is
     constant on a cell set exactly when each of its digits is.
-    ``blocks`` yields, class by class, ``(off, basis)``: the points off G
-    and the 0/1 columns A_i[off, G] of each outside color, in float32.  A
-    product is formed only on the rows and columns off G: for x in G,
-    A_i[x, z] != 0 would put z in the class of x, so an outside color has
-    no cell in G x G, and the product is 0 on G's rows and columns.  Every
-    (D, L, k) cell set of route 2 with D or L = G lies there, and so does
-    no cell route 4 compares.
+    ``blocks`` yields, class by class, ``(off, right, basis)``: the points
+    off G, the int16 colors of G x off, which `DigitRun.pack` packs into
+    the right factor of a run, and the 0/1 columns A_i[off, G] of each
+    outside color, in float32.  A product is formed only on the rows and
+    columns off G: for x in G, A_i[x, z] != 0 would put z in the class of
+    x, so an outside color has no cell in G x G, and the product is 0 on
+    G's rows and columns.  Every (D, L, k) cell set of route 2 with D or
+    L = G lies there, and so does no cell route 4 compares.
 
     Neither route can fail on a pair with a color inside the parabolic.  If
     i is inside, A_i[x, z] != 0 puts z in the class of x, so for x in G the
@@ -250,7 +253,7 @@ def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
     both, with the same coefficients.
     Since the least (i, j) of each transpose pair is kept, and a packed
     product that fails is followed by the run's single products in order
-    (`DigitRun.check`, with the right factors basis[j*].T), the first
+    (`DigitRun.check`, with the right factors right == j), the first
     failing pair is that of a loop over all pairs, and so is its witness.
     """
     outside, inverse, color = parab.outside, scheme.inverse, scheme.color
@@ -264,9 +267,9 @@ def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
             off = np.flatnonzero(parab.class_of != gi)
             # A_i[off, G] is A_i*[G, off] transposed, and G's rows gather
             # faster than its columns
-            cols = color[list(gpts)][:, off].T
-            yield off, {i: (cols == inverse[i]).astype(np.float32)
-                        for i in outside}
+            right = color[list(gpts)].take(off, axis=1)
+            yield off, right, {i: (right.T == inverse[i]).astype(np.float32)
+                               for i in outside}
     return runs, blocks()
 
 
@@ -300,21 +303,26 @@ def is_uniform_by_definition(scheme: SchemeTable,
 
     The packed products of `_outside_blocks` are formed off G, and each
     (D, L, k) cell set is compared with its last cell; the other pairs
-    pass."""
+    pass.  The last cells are found GATHER_ENTRIES cells at a time, and
+    each cell off G is labelled by its triple's key."""
     cork = parab.corank
     if cork != 2:
         return DefinitionCheck(ok=False, cork=cork)
     r, v, c = scheme.rank, scheme.v, parab.num_classes
-    class_of, color, inverse = parab.class_of, scheme.color, scheme.inverse
+    class_of, color = parab.class_of, scheme.color
     # each cell's (D, L, k) triple; its reference cell is the last one in
     # row-major order, as when the block values are scattered into a table.
     # The key is int16 unless there are many classes.
     kind = np.int16 if c * c * r <= 1 << 15 else np.intp
-    key = (class_of * (c * r)).astype(kind)[:, None] \
-        + (class_of * r).astype(kind)
-    key += color
+    row_key = (class_of * (c * r)).astype(kind)[:, None]
+    col_key = (class_of * r).astype(kind)
     last = np.full(c * c * r, -1)
-    np.maximum.at(last, key.ravel(), np.arange(key.size))
+    step = max(1, GATHER_ENTRIES // v)
+    for start in range(0, v, step):
+        rows = slice(start, start + step)
+        key = row_key[rows] + col_key + color[rows]
+        np.maximum.at(last, key.ravel(),
+                      np.arange(start * v, start * v + key.size))
     triples = np.flatnonzero(last >= 0)
     D, L, K = np.unravel_index(triples, (c, c, r))
     occurs = np.zeros((r, c, c), dtype=bool)   # [k, D, L]: k meets D x L
@@ -323,7 +331,7 @@ def is_uniform_by_definition(scheme: SchemeTable,
     runs, blocks = _outside_blocks(scheme, parab)
     gmin = np.full((r, r, r), np.inf)
     gmax = np.full((r, r, r), -np.inf)
-    for gi, (off, basis) in enumerate(blocks):
+    for gi, (off, right, basis) in enumerate(blocks):
         # off G, row-major order is that of the full matrix, so the last
         # cell of each triple off G is its last cell in sub coordinates.
         # Triples in G's rows or columns map to no cell off G, and no
@@ -333,11 +341,9 @@ def is_uniform_by_definition(scheme: SchemeTable,
         ref_x, ref_y = np.divmod(last[triples], v)
         reference = np.zeros(c * c * r, dtype=np.intp)
         reference[triples] = pos[ref_x] * len(off) + pos[ref_y]
-        cells = key[off][:, off].astype(np.intp, order="C").ravel()
+        labels = row_key[off] + col_key[off] + color[off].take(off, axis=1)
         for i, run in runs:
-            M, failure = run.check(
-                basis[i], [basis[inverse[j]].T for j in run.colors], cells,
-                reference)
+            values, failure = run.check(basis[i], right, labels, reference)
             if failure:
                 j, cell = failure
                 x, y = off[list(divmod(cell, len(off)))]
@@ -346,8 +352,8 @@ def is_uniform_by_definition(scheme: SchemeTable,
                     witness=(int(class_of[x]), gi, int(class_of[y]),
                              i, j, int(color[x, y])))
             # record coefficient values across admissible triples
-            values = run.unpack(M[reference[triples]])
-            for j, vals in zip(run.colors, values):
+            digits = run.unpack(values[triples])
+            for j, vals in zip(run.colors, digits):
                 sel = occurs[i][D, gi] & occurs[j][gi, L]
                 np.minimum.at(gmin[i, j], K[sel], vals[sel])
                 np.maximum.at(gmax[i, j], K[sel], vals[sel])
@@ -393,21 +399,18 @@ def is_dismantlable(scheme: SchemeTable, parab: Parabolic) -> DismantleCheck:
     S1 + S2 or S1 + S2 + {G}, so `restriction` rejects one of these; it is
     the witness.
     """
-    color, class_of, inverse = scheme.color, parab.class_of, scheme.inverse
+    color, class_of = scheme.color, parab.class_of
     runs, blocks = _outside_blocks(scheme, parab)
-    for gi, (off, basis) in enumerate(blocks):
+    for gi, (off, right, basis) in enumerate(blocks):
         # each cell off G is compared with the first cell of its color
-        sub = color[off][:, off]  # in column-major order, as gathered
-        index = sub.astype(np.intp, order="C").ravel()
-        first = first_cells(sub, scheme.rank, index)
+        sub = color[off].take(off, axis=1)
+        first = first_cells(sub, scheme.rank)
         for i, run in runs:
-            _, failure = run.check(
-                basis[i], [basis[inverse[j]].T for j in run.colors], index,
-                first)
+            _, failure = run.check(basis[i], right, sub, first)
             if not failure:
                 continue
             cell = failure[1]
-            cells = np.divmod([cell, first[index[cell]]], len(off))
+            cells = np.divmod([cell, first[sub.flat[cell]]], len(off))
             S = set(class_of[off[np.ravel(cells)]].tolist())
             for checked, union in enumerate((S, S | {gi}), start=1):
                 union = tuple(sorted(union))

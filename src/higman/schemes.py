@@ -9,20 +9,30 @@ axiom.  Parabolics, their coranks and the wreath test are read off that
 tensor; quotients and restrictions work on the color matrix and are
 validated again.  Cayley schemes of group partitions skip validation:
 their tensor comes from the products of the parts.
+
+Validation and the block-product routes of `higmanian` share one packed
+product check, `DigitRun.check`.  It forms a product a block of rows at a
+time and compares it with the values at one reference cell per label, so
+beyond the int16 color matrix it holds one v x v float32 factor and a
+block, not a v x v index, basis stack or product.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
-from .groups import MAX_DIGITS, FiniteGroup, digit_fault, gre_multiply
+from .groups import (BLOCK_ENTRIES, MAX_DIGITS, FiniteGroup, digit_fault,
+                     gre_multiply, row_blocks)
 
 PARABOLIC_RANK_LIMIT = 16
 FLOAT32_EXACT_LIMIT = 1 << 24  # integers below this are exact in float32
+# cells whose labels one step gathers: np.take converts them to intp
+GATHER_ENTRIES = BLOCK_ENTRIES >> 4
 
 
 class SchemeError(ValueError):
@@ -61,16 +71,13 @@ class DigitRun(NamedTuple):
     colors: tuple[int, ...]
     base: int
 
-    def pack(self, factors):
-        """sum_pos base^pos factors[pos] by Horner's rule, in one new array;
-        a single factor is returned as it is."""
-        packed = factors[-1]
-        if len(factors) > 1:
-            packed = packed * self.base
-            for factor in factors[-2:0:-1]:
-                packed += factor
-                packed *= self.base
-            packed += factors[0]
+    def pack(self, right) -> np.ndarray:
+        """The packed right factor sum_pos base^pos (right == colors[pos])
+        of the integer matrix ``right``, in float32, by Horner's rule."""
+        packed = (right == self.colors[-1]).astype(np.float32)
+        for color in self.colors[-2::-1]:
+            packed *= self.base
+            packed += right == color
         return packed
 
     def unpack(self, packed) -> np.ndarray:
@@ -78,25 +85,63 @@ class DigitRun(NamedTuple):
         powers = self.base ** np.arange(len(self.colors), dtype=np.int64)
         return np.asarray(packed, dtype=np.int64) // powers[:, None] % self.base
 
-    def check(self, left, rights, cells, reference):
-        """The packed product of ``left`` and ``rights``, one right factor
-        per color of the run, raveled and compared with itself at
-        ``reference[cells]``: cell x is in the cell set ``cells[x]``, whose
-        reference cell is ``reference[cells[x]]``.  ``(product, None)``
-        when every cell agrees.  Otherwise some digit disagrees, and the
-        run's products are formed one at a time in order: ``(product,
-        (j, cell))`` gives the first failing one, of the pair with right
-        color j, and its first failing cell.  ``cells`` is in intp, so the
-        gather skips the index conversion."""
-        M = (left @ self.pack(rights)).ravel()
-        if np.array_equal(M, M[reference].take(cells)):
-            return M, None
-        for j, right in zip(self.colors, rights):
-            M = (left @ right).ravel()
-            bad = np.flatnonzero(M != M[reference].take(cells))
-            if len(bad):
-                return M, (j, int(bad[0]))
+    def check(self, left, right, labels, reference):
+        """Whether the packed product of ``left`` and the right factors of
+        the run, the 0/1 matrices ``right == j``, is constant on each label:
+        cell (x, y) has the label ``labels[x, y]``, and the flat index
+        ``reference[l]`` is the reference cell of label l.
+
+        The value at each reference cell is formed first, as the dot
+        product of a row of ``left`` and a column of the packed factor.  Its
+        terms are 0 or a weight, so every partial sum is a nonnegative
+        integer at most the value, below 2^24: exact in float32.  The
+        product is then formed a block of rows at a time, in row-major
+        order, and compared with the values of its labels
+        (`_first_mismatch`); no v x v index or product is held.  ``left``
+        may be boolean: each block of its rows is cast to float32.
+
+        ``(values, None)`` when every cell agrees, with ``values[l]`` the
+        packed value at ``reference[l]``.  Otherwise some digit disagrees,
+        and the run's single products are checked the same way, in order:
+        ``(values, (j, cell))`` gives the values of the first that fails,
+        of the pair with right color j, and its first failing cell in
+        row-major order, those of a loop over whole single products."""
+        packed = self.pack(right)
+        values = _values_at(left, packed, reference)
+        if _first_mismatch(left, packed, labels, values) is None:
+            return values, None
+        del packed
+        for j in self.colors:
+            single = (right == j).astype(np.float32)
+            values = _values_at(left, single, reference)
+            cell = _first_mismatch(left, single, labels, values)
+            if cell is not None:
+                return values, (j, cell)
         raise RuntimeError(f"packed run {self} fails, but none of its products")
+
+
+def _values_at(left, factor, reference) -> np.ndarray:
+    """(left @ factor) at the flat indices ``reference``, one dot product
+    per cell."""
+    x, y = np.divmod(reference, factor.shape[1])
+    return np.einsum("lk,kl->l", left[x], factor[:, y])
+
+
+def _first_mismatch(left, factor, labels, values) -> int | None:
+    """The row-major index of the first cell (x, y) of ``left @ factor``
+    that differs from ``values[labels[x, y]]``, or None.  The product is
+    formed in float32 a block of rows at a time, of at most BLOCK_ENTRIES
+    cells, and compared GATHER_ENTRIES cells at a time."""
+    cols = labels.shape[1]
+    for rows in row_blocks(labels, BLOCK_ENTRIES):
+        product = left[rows].astype(np.float32, copy=False) @ factor
+        for part in row_blocks(product, GATHER_ENTRIES):
+            diff = product[part]
+            diff -= np.take(values, labels[rows][part])
+            if diff.any():
+                x = rows.start + part.start
+                return x * cols + int(np.flatnonzero(diff)[0])
+    return None
 
 
 def digit_runs(colors: Sequence[int], bound: int) -> list[DigitRun]:
@@ -116,19 +161,26 @@ def digit_runs(colors: Sequence[int], bound: int) -> list[DigitRun]:
             for s in range(0, len(colors), width)]
 
 
-def first_cells(color: np.ndarray, rank: int, index: np.ndarray) -> np.ndarray:
+def first_cells(color: np.ndarray, rank: int) -> np.ndarray:
     """The row-major first cell of each color below ``rank`` in the 2-d
-    ``color``, or 0 for a color that does not occur; ``index`` is
-    ``color.ravel()`` in intp.  When every color occurs in row 0, as in
-    every row of a scheme, the first cells are read off that row;
-    otherwise the whole matrix is scanned."""
+    ``color``, or 0 for a color that does not occur.  When every color
+    occurs in row 0, as in every row of a scheme, the first cells are read
+    off that row; otherwise each color is searched for in the whole
+    matrix."""
     found, at = np.unique(color[0], return_index=True)
     if len(found) == rank:
         return at
-    first = np.full(rank, color.size)
-    np.minimum.at(first, index, np.arange(color.size))
-    first[first == color.size] = 0
-    return first
+    flat = color.ravel()
+    return np.array([np.argmax(flat == c) for c in range(rank)])
+
+
+def _is_transpose(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a.T == b, for square a and b, compared in square tiles of
+    GATHER_ENTRIES cells: a tile read across its rows stays in cache."""
+    side = math.isqrt(GATHER_ENTRIES)
+    return all(np.array_equal(a[y:y + side, x:x + side].T,
+                              b[x:x + side, y:y + side])
+               for x in range(0, len(a), side) for y in range(0, len(a), side))
 
 
 def validate(matrix) -> SchemeTable:
@@ -138,12 +190,16 @@ def validate(matrix) -> SchemeTable:
     float32, one per left color i and run of `digit_runs`: every entry of
     B_i B_j is at most the valency n_i, so the right factors of one B_i
     are packed as base-(n_i + 1) digits, and a run closes before
-    (n_i + 1)^len reaches 2^24, below which float32 is exact.  The
-    intersection numbers are read digit by digit at the first cell of each
-    color.  A packed product that is not constant on a color class has a
-    digit that is not; `DigitRun.check` then forms that run's products one
-    at a time in order, so the first failing pair, its cell, the message
-    and the witness are those of a loop over single products.
+    (n_i + 1)^len reaches 2^24, below which float32 is exact.
+    `DigitRun.check` forms the values at the first cell of each color,
+    from which the intersection numbers are read digit by digit, then the
+    packed product a block of rows at a time, each compared with the
+    values of its cells' colors.  A packed product that is not constant on
+    a color class has a digit that is not; the check then takes that run's
+    products one at a time in order, so the first failing pair, its cell,
+    the message and the witness are those of a loop over single products.
+    Beyond the int16 colors, one left color's 0/1 rows and one packed right
+    factor, only a block is held.
     """
     color = np.asarray(matrix)
     if color.ndim != 2 or color.shape[0] != color.shape[1]:
@@ -163,12 +219,11 @@ def validate(matrix) -> SchemeTable:
     # is narrowed.  v^2 cells hold at most v^2 colors, so a color of v^2 or
     # more leaves a smaller one unused and all of them can share one bin;
     # v^2 then fits the dtype, and bincount needs indices that fit intp.
-    cells = v * v
-    flat = color.ravel()
     top = int(color.max())
     if len(np.unique(color[0])) <= top:
-        if top >= cells:
-            flat = np.minimum(flat, cells)
+        flat = color.ravel()
+        if top >= v * v:
+            flat = np.minimum(flat, v * v)
         counts = np.bincount(flat.astype(np.intp, copy=False))
         gaps = np.flatnonzero(counts == 0)
         if len(gaps):
@@ -176,9 +231,8 @@ def validate(matrix) -> SchemeTable:
     rank = top + 1
     if rank > np.iinfo(np.int16).max + 1:
         raise SchemeError(f"rank {rank} over the int16 color limit")
-    index = flat.astype(np.intp, copy=False)  # once, for every packed product
     color = color.astype(np.int16)
-    first = first_cells(color, rank, index)
+    first = first_cells(color, rank)
 
     diag = np.diagonal(color)
     if (diag != 0).any():
@@ -194,8 +248,8 @@ def validate(matrix) -> SchemeTable:
     rep_x, rep_y = np.divmod(first, v)
     istar = color[rep_y, rep_x]
     image = color if (istar == np.arange(rank)).all() \
-        else istar[index].reshape(v, v)
-    if not np.array_equal(color.T, image):
+        else istar[color]
+    if not _is_transpose(color, image):
         x, y = map(int, np.argwhere(color.T != image)[0])
         raise SchemeError(
             f"relation {int(color[x, y])} has no single inverse color "
@@ -209,19 +263,14 @@ def validate(matrix) -> SchemeTable:
     # row-regular; then sum_j B_j = J gives B_i B_last = n_i J -
     # sum_{j != last} B_i B_j.  B_0 = I is never a factor, and (B_i B_j)^T =
     # B_j* B_i*, so only the first product of each such pair is formed, and
-    # none with j = last or i = last*.  So B_last is a factor only when
-    # last* != last, and is built only then; its row sums are the v - 1
-    # cells of each row that the other colors leave.
+    # none with j = last or i = last*.  Each B_i is a left factor as the
+    # 0/1 matrix color == i, and the right factors of a run are packed
+    # from the color matrix itself (`DigitRun.pack`).
     last = rank - 1
     lstar = istar[last]
-    basis = [None] + [(color == i).astype(np.float32) for i in range(1, last)]
-    if lstar != last:
-        basis.append((color == last).astype(np.float32))
     n = np.ones(rank, dtype=np.int64)
-    spare = np.full(v, v - 1, dtype=np.float32)
     for i in range(1, rank):
-        rows = basis[i].sum(axis=1) if i < len(basis) else spare
-        spare = spare - rows
+        rows = np.count_nonzero(color == i, axis=1)
         n[i] = rows[0]
         bad = np.nonzero(rows != n[i])[0]
         if len(bad):
@@ -236,19 +285,19 @@ def validate(matrix) -> SchemeTable:
         if i == lstar:
             continue
         right = [j for j in range(1, last) if (istar[j], istar[i]) >= (i, j)]
+        left = color == i
         for run in digit_runs(right, n[i]):
-            M, failure = run.check(basis[i], [basis[j] for j in run.colors],
-                                   index, first)
+            values, failure = run.check(left, color, color, first)
             if failure:
                 j, cell = failure
                 x, y = divmod(cell, v)
                 k = int(color[x, y])
+                got = np.count_nonzero(left[x] & (color[:, y] == j))
                 raise SchemeError(
                     f"p_{i},{j}^{k} is not constant: cell ({x},{y}) "
-                    f"has {int(M[cell])}, expected {int(M[first[k]])}",
+                    f"has {got}, expected {int(values[k])}",
                     witness=(i, j, k, x, y))
-            p[i, list(run.colors)] = run.unpack(M[first])
-            del M  # freed before the next run's product is formed
+            p[i, list(run.colors)] = run.unpack(values)
             for j in run.colors:
                 p[istar[j], istar[i]] = p[i, j][istar]
     # the last column, then row last* by transpose; its last entry needs

@@ -299,6 +299,7 @@ def float_eigen_oracle(scheme: SchemeTable, exact: EigenData,
     else:
         raise SpectralError("could not separate eigenspaces numerically")
     weights, Y = ritz
+    del M  # v x v float64, freed before the per-color products
 
     # P_float[j, i] = y_j^T A_i y_j, one thin product A_i Y per color
     P_float = np.empty((r, r))

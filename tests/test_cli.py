@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import higman
 from higman import higmanian, spectral
 from higman.cli import main
 from higman.schemes import trivial_scheme, wreath_product, write_scheme
@@ -477,3 +481,22 @@ def test_oracle_runs_only_on_consistent_verdicts(tmp_path, capsys,
     assert code == 5 and err == ""
     assert "FATAL: verdicts disagree" in stdout.splitlines()
     assert calls == []
+
+
+def test_closed_stdout_exits_3_without_traceback():
+    # a reader that has left, as `| head` leaves: the writes fail with
+    # EPIPE.  The command stops at once, with no traceback and without
+    # the exit code 1 of "not uniform"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(higman.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "higman.cli", "search-rds", "Q8cp:2",
+             "center"], stdout=write_end, stderr=subprocess.PIPE, env=env,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert b"Traceback" not in proc.stderr

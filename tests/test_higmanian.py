@@ -9,7 +9,9 @@ from higman.higmanian import (HigmanianParams, NotHigmanianError,
                               verdict_bundle)
 from higman.quadratic import QuadraticNumber as QN
 from higman.schemes import (SchemeError, cayley_scheme, nontrivial_parabolics,
-                            restriction, trivial_scheme, wreath_product)
+                            restriction, trivial_scheme, validate,
+                            wreath_product)
+from test_schemes import nested_blocks, traced_peak
 
 
 def rank5_wreath():
@@ -217,3 +219,18 @@ def test_negative_search_consistency(negative_controls):
         b = verdict_bundle(scheme)
         assert b.consistent
         assert b.uniform == is_uniform_by_criterion(det.params)
+
+
+@pytest.mark.parametrize("route", [is_uniform_by_definition, is_dismantlable])
+def test_route_peak_memory_per_cell(route):
+    # v = 1024 and 4 classes of 256: each route forms its packed products
+    # through one class at a time, a row block at a time, against the
+    # values at one reference cell per cell set, and holds no v x v index
+    # or product.  The parent took 14 (route 4) and 15.5 (route 2) bytes
+    # a cell
+    scheme = validate(nested_blocks(1024, (4, 256)))
+    (parab,) = [e for e in nontrivial_parabolics(scheme)
+                if e.num_classes == 4]
+    result, peak = traced_peak(route, scheme, parab)
+    assert result.ok
+    assert peak <= 9 * scheme.v ** 2

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from higman import schemes
 from higman.groups import build_family, cyclic_group
 from higman.schemes import (SchemeError, SchemeParseError, cayley_scheme,
                             is_wreath_over, nontrivial_parabolics,
@@ -363,6 +364,58 @@ def test_read_scheme_peak_memory(tmp_path):
         tracemalloc.stop()
     assert scheme.v == p and scheme.rank == h + 1
     assert peak <= PEAK_BOUND
+
+
+def nested_blocks(v: int, sizes) -> np.ndarray:
+    """The int8 color matrix of nested blocks: color c + 1 joins two points
+    in one block of size sizes[c] and in no smaller block, the last color
+    joins the rest, and 0 is the diagonal.  A scheme of rank len(sizes) + 2
+    when each size divides the next and the last divides v."""
+    idx = np.arange(v)
+    color = np.full((v, v), len(sizes) + 1, dtype=np.int8)
+    for c, size in reversed(list(enumerate(sizes))):
+        color[idx[:, None] // size == idx // size] = c + 1
+    np.fill_diagonal(color, 0)
+    return color
+
+
+def traced_peak(f, *args):
+    """``(f(*args), the traced peak of the call in bytes)``."""
+    tracemalloc.start()
+    try:
+        result = f(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_validate_peak_memory_per_cell():
+    # the products are formed a row block of at most BLOCK_ENTRIES cells
+    # at a time, here a quarter of the matrix, against the values at the
+    # first cell of each color: no v x v index, basis stack or product is
+    # held.  The int16 colors, the rows of one left color and the packed
+    # right factor take 7 bytes a cell; the parent took 27
+    color = nested_blocks(2048, (4, 64))
+    scheme, peak = traced_peak(validate, color)
+    assert scheme.rank == 4 and scheme.valencies.tolist() == [1, 3, 60, 1984]
+    assert peak <= 12 * color.size
+
+
+def test_validate_goes_through_the_shared_kernel(monkeypatch):
+    # `validate` decides every product with `DigitRun.check`, the kernel
+    # routes 2 and 4 use, so tests that spy on it see the real path
+    runs, check = [], schemes.DigitRun.check
+
+    def recorded(run, *args):
+        runs.append(run.colors)
+        return check(run, *args)
+
+    monkeypatch.setattr(schemes.DigitRun, "check", recorded)
+    scheme = validate(nested_blocks(48, (2, 8)))
+    # i = 1: j = 1, 2 in one run; i = 2: j = 2; i = 3 = 3* is not formed
+    assert runs == [(1, 2), (2,)]
+    assert scheme.p[1, 1].tolist() == [1, 0, 0, 0]
 
 
 INTEGER_DTYPES = (np.int8, np.int16, np.int32, np.int64,

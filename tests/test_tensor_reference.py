@@ -38,7 +38,9 @@ same message and witness on malformed matrices, with runs packed and cut
 to one color.  `verify_linked_system` is checked against the verifier that
 formed every product, the inverse-partner ones and repeats included: the
 same system or the same error on every closed family of the desk points,
-mutated ones and unions, and the same search result on each branch.
+mutated ones and unions, and the same search result on each branch, where
+the reference search closes families with a copy of `_close` whose RDS
+index holds frozensets, not sorted tuples (`ref_close`).
 The Lanczos float oracle is checked against the dense oracle it replaced
 (`eigh` of M, one projection per eigenspace): the same multiplicities, P
 within 1e-9, and the same error on wrong exact data.  `write_scheme`,
@@ -1071,27 +1073,84 @@ def test_octagon_fails_at_the_second_digit(packing, failed_digit):
     assert failed_digit == ([1] if packing == "packed" else [0])
 
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Row blocks of a few cells, so that `DigitRun.check`'s products and
+    comparisons, route 2's last-cell scan and `validate`'s transpose tiles
+    take many blocks on desk-sized schemes."""
+    monkeypatch.setattr(schemes, "BLOCK_ENTRIES", 40)
+    monkeypatch.setattr(schemes, "GATHER_ENTRIES", 9)
+    monkeypatch.setattr(higmanian, "GATHER_ENTRIES", 9)
+
+
+def test_small_row_blocks_match_references(small_blocks,
+                                           negative_control_candidates):
+    # a failing cell in a later block is found, and named, as in one block
+    matrices = malformed_matrices()
+    matrices += [ref_cayley_color(G, parts)
+                 for G, parts in negative_control_candidates]
+    for matrix in matrices:
+        assert validate_outcome(validate, matrix) == \
+            validate_outcome(ref_validate, matrix)
+    schemes_ = [orbit_scheme(n, units) for n in range(4, 21)
+                for units in unit_groups(n)]
+    cases = [(scheme, parab) for scheme, parab
+             in definition_cases([s for s in schemes_ if s.rank <= 12])
+             if parab.num_classes <= 12]
+    outcomes = set()
+    for scheme, parab in cases:
+        res = is_uniform_by_definition(scheme, parab)
+        assert res == ref_is_uniform_by_definition(scheme, parab)
+        ok = is_dismantlable(scheme, parab).ok
+        assert ok == ref_is_dismantlable(scheme, parab)
+        outcomes.add((res.ok, res.witness is not None, ok))
+    assert {(True, False, True), (False, True, False)} <= outcomes
+
+
+@pytest.mark.parametrize("blocks", ["whole", "small"])
+def test_later_rows_are_named(blocks, request):
+    if blocks == "small":
+        request.getfixturevalue("small_blocks")
+    # the first failing cell of the check, and the inverse-color fault of
+    # `validate`, lie past the first row block and transpose tile
+    right = np.ones((8, 7), dtype=np.int16)
+    right[5, 3] = 2
+    run = schemes.DigitRun((1, 2), 2)
+    values, failure = run.check(np.eye(8, dtype=np.float32), right,
+                                np.zeros((8, 7), dtype=np.int16), [0])
+    assert failure == (1, 5 * 7 + 3) and values.tolist() == [1]
+    matrix = 1 - np.eye(8, dtype=np.int64)
+    matrix[6, 7] = 2
+    want = ("relation 1 has no single inverse color (witness (7,6))", (7, 6))
+    assert validate_outcome(validate, matrix) == want
+    assert validate_outcome(ref_validate, matrix) == want
+
+
 @pytest.mark.parametrize("bound, widths", [
     (1, [7]), (243, [3, 3, 1]), (254, [3, 3, 1]), (255, [2, 2, 2, 1]),
     (4094, [2, 2, 2, 1]), (4095, [1] * 7), (FLOAT32_EXACT_LIMIT - 2, [1] * 7),
 ])
 def test_digit_runs_stay_exact_in_float32(bound, widths):
-    # a run closes before (bound + 1)^len reaches 2^24; every packed value
-    # and partial sum is then an exact float32 integer, and unpacks back
+    # a run closes before (bound + 1)^len reaches 2^24; a product whose
+    # digits are at most bound is then an exact float32 integer, and
+    # unpacks back
     runs = digit_runs(list(range(7)), bound)
     assert [len(run.colors) for run in runs] == widths
     assert [c for run in runs for c in run.colors] == list(range(7))
     rng = np.random.default_rng(bound)
     for run in runs:
         assert run.base ** len(run.colors) < FLOAT32_EXACT_LIMIT
-        digits = rng.integers(0, bound + 1, size=(len(run.colors), 50))
-        digits[:, 0] = bound
-        factors = list(digits.astype(np.float32))
-        packed = run.pack(factors)
+        # weights summing to bound on 7 rows of colors: each digit of the
+        # product is at most bound, and column 0 reaches it
+        cuts = np.sort(rng.integers(0, bound + 1, size=6))
+        weights = np.diff(cuts, prepend=0, append=bound)
+        right = rng.integers(0, 8, size=(7, 50))  # color 7 is in no run
+        right[:, 0] = run.colors[-1]
+        packed = run.pack(right)
         assert packed.dtype == np.float32
-        assert (run.unpack(packed) == digits).all()
-        # the factors themselves are left as they were
-        assert all((f == d).all() for f, d in zip(factors, digits))
+        digits = [weights @ (right == j) for j in run.colors]
+        assert (run.unpack(weights.astype(np.float32) @ packed)
+                == digits).all()
 
 
 def definition_cases(schemes):
@@ -1212,9 +1271,9 @@ def test_each_route_forms_one_product_per_class_and_pair(reference_schemes,
     # every run of `_outside_blocks`, no more and no fewer
     def counted_blocks(scheme, parab):
         runs, blocks = outside_blocks(scheme, parab)
-        return runs, ((off, {i: b.view(CountedMatmul)
-                             for i, b in basis.items()})
-                      for off, basis in blocks)
+        return runs, ((off, right, {i: b.view(CountedMatmul)
+                                    for i, b in basis.items()})
+                      for off, right, basis in blocks)
 
     outside_blocks = higmanian._outside_blocks
     monkeypatch.setattr(higmanian, "_outside_blocks", counted_blocks)
@@ -1748,15 +1807,51 @@ def ref_verify_linked_system(G, N, sets):
         m=m, n=n, k=k, lam=lam, mu=mu, nu=nu, branch=branch)
 
 
+def ref_close(G, w, k, rds_set, cache, fam):
+    """`constructions._close` with an RDS index of frozensets: close a
+    family of RDSs (frozensets) under inverses and product images, depth
+    first over the viable images; None when it exceeds w members or some
+    product has no viable image."""
+    if len(fam) > w:
+        return None
+    for s in fam:
+        inv = frozenset(int(G.inv[x]) for x in s)
+        if inv not in fam:
+            return ref_close(G, w, k, rds_set, cache, fam | {inv})
+    for a, b in itertools.product(sorted(fam, key=sorted), repeat=2):
+        a_inv = frozenset(int(G.inv[x]) for x in a)
+        if b == a_inv:
+            continue  # the chi-pair: holds automatically for RDSs
+        key = (tuple(sorted(a)), tuple(sorted(b)))
+        if key not in cache:
+            cache[key] = gre_multiply(G, *key)
+        vec = cache[key]
+        opts = [y for y, _, _ in constructions._two_level_options(vec, k)]
+        if not opts:
+            return None
+        if any(y in fam for y in opts):
+            continue
+        viable = [y for y in opts if y in rds_set]
+        if not viable:
+            return None
+        for y in viable:
+            got = ref_close(G, w, k, rds_set, cache, fam | {y})
+            if got is not None:
+                return got
+        return None
+    return fam if len(fam) == w else None
+
+
 def ref_search_linked_system(G, N, w, rds_list, mu_nu=None):
-    """`search_linked_system` verifying every closed start, repeats too."""
+    """`search_linked_system` verifying every closed start, repeats too,
+    with `ref_close`."""
     rds_set = {frozenset(s) for s in rds_list}
     k = len(rds_list[0])
     cache: dict = {}
     first = None
     for start in rds_list:
-        fam = constructions._close(G, w, k, rds_set, cache,
-                                   frozenset({frozenset(start)}))
+        fam = ref_close(G, w, k, rds_set, cache,
+                        frozenset({frozenset(start)}))
         if fam is None:
             continue
         try:
@@ -1781,14 +1876,14 @@ def linked_outcome(verify, G, N, sets):
 
 
 def closed_families(con):
-    """Every closed family `_close` reaches from some start RDS at a desk
-    point, as sorted member lists, in order of first reach."""
+    """Every closed family `ref_close` reaches from some start RDS at a
+    desk point, as sorted member lists, in order of first reach."""
     G, N, w = con.group, con.forbidden, con.system.w
     rds = search_semiregular_rds(G, N)
     rds_set, cache, out = {frozenset(s) for s in rds}, {}, []
     for start in rds:
-        fam = constructions._close(G, w, len(rds[0]), rds_set, cache,
-                                   frozenset({frozenset(start)}))
+        fam = ref_close(G, w, len(rds[0]), rds_set, cache,
+                        frozenset({frozenset(start)}))
         if fam is not None:
             fam = sorted(tuple(sorted(s)) for s in fam)
             if fam not in out:
