@@ -14,11 +14,12 @@ U is the associate group on W + {infinity}:
     {e},  N^#,  G \\ N,  union of u X_phi(u),  union of u (G \\ X_phi(u)).
 
 Both partitions span Higmanian S-rings; the second has parameters
-(w+1, n*lam, n, n*lam*(n-1), (n-1)(w-1)*nu).  Brute-force searchers
-instantiate the known families at desk scale: transversal RDS search one
-coset at a time over blocks of partial transversals and their difference
-counts, linked-system search by closing a family under inverses and product
-images.
+(w+1, n*lam, n, n*lam*(n-1), (n-1)(w-1)*nu).  The Q8 central-product family
+has its linked systems in closed form (``q8cp_linked_system``).  The heis
+and ea families are instantiated at desk scale by brute-force search:
+transversal RDS search one coset at a time over blocks of partial
+transversals and their difference counts, linked-system search by closing a
+family under inverses and product images.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .groups import (FiniteGroup, GroupError, GroupIsomorphism, Subgroup,
-                     build_family, check_order, cosets, digit_fault,
-                     direct_product, gre_multiply, isomorphisms, prime_power)
+                     build_family, central_product_q8, check_order, cosets,
+                     digit_fault, direct_product, gre_multiply, isomorphisms,
+                     prime_power)
 from .higmanian import DetectionResult, HigmanianParams, detect_higmanian
 from .quadratic import QuadraticNumber
 from .schemes import SchemeTable, cayley_scheme, plain_lines
@@ -641,12 +643,38 @@ class FamilyConstruction:
     table2_match: bool
 
 
-def construct_family(family: str, q: int | None = None, r: int | None = None,
-                     j: int | None = None) -> FamilyConstruction:
-    """End-to-end pipeline: build the group, search RDSs and a linked system,
-    build the associate group and the Cayley scheme, compare with the
-    closed-form parameter tables."""
-    _, w, group_spec, assoc_spec = _family_setup(family, q, r, j)
+def q8cp_linked_system(r: int) -> LinkedSystem:
+    """Table 1's linked system {X_c, X_c^-1} of Q8cp:r relative to its
+    center, X_c the elements of sign c = 1 - (r mod 2), verified by
+    ``verify_linked_system``.
+
+    Write x = (u, s), u in GF(2)^2r the axis bits and s the sign, so that
+    (u, s)(v, t) = (u + v, s + t + beta(u, v)), Q(u) = beta(u, u) and
+    (v, t)^-1 = (v, t + Q(v)).  The difference of (u, c) and (v, c) is
+    (u + v, beta(u + v, v)), and beta(d, .) is a nonzero linear form for
+    d != 0, so X_c meets each (d, s) off the center 2^(2r-1) times: a
+    semiregular RDS for either c.  X_c X_c, the same for both c, holds
+    (d, s) #{v : Q(v) + beta(d, v) = s} times.  With B_Q = beta + beta^T,
+    beta(d, v) = B_Q(Wd, v) for W = B_Q^-1 beta, (d0, d1) -> (d1, d0 + d1)
+    on each factor, an isometry of Q.  So Q(v) + beta(d, v) =
+    Q(v + Wd) + Q(d), and the count is the number Z of zeros of Q on
+    X_0^-1 = {(d, Q(d))}, and 2^2r - Z on its complement X_1^-1.  The pair
+    is linked for both c, with mu = Z at c = 0 and 2^2r - Z at c = 1.  Q
+    has Arf invariant r mod 2, so Z = 2^(2r-1) + (-1)^r 2^(r-1), and
+    Table 1's mu = 2^(2r-1) - 2^(r-1) takes c != r mod 2; the other c
+    gives the + branch.
+    """
+    G = central_product_q8(r)
+    X = tuple(range(1 - r % 2, G.order, 2))
+    X_inv = tuple(sorted(G.inv[list(X)].tolist()))
+    return verify_linked_system(G, G.center(), sorted([X, X_inv]))
+
+
+def _searched_system(family: str, q: int, w: int, group_spec: str,
+                     mu_nu: tuple[int, int]) -> LinkedSystem:
+    """The first linked system of size w that the searches find in the
+    family group, over its forbidden-subgroup candidates: the center for
+    heis, the cyclic subgroups of order q for ea with q prime."""
     G = build_family(group_spec)
     if family != "ea":
         candidates = [G.center()]
@@ -657,22 +685,33 @@ def construct_family(family: str, q: int | None = None, r: int | None = None,
     if not candidates:
         raise ConstructionError(
             f"no forbidden-subgroup candidates of order {q}")
-
-    t1 = table1_params(family, q, r, j)
-    system = None
-    forbidden = None
     for N in candidates:
         rds = search_semiregular_rds(G, N)
         if not rds:
             continue
-        found = search_linked_system(G, N, w, rds_list=rds,
-                                     mu_nu=(t1[5], t1[6]))
+        found = search_linked_system(G, N, w, rds_list=rds, mu_nu=mu_nu)
         if found is not None:
-            system, forbidden = found, N
-            break
-    if system is None:
-        raise ConstructionError(
-            f"no closed linked system of size {w} found in {G.name}")
+            return found
+    raise ConstructionError(
+        f"no closed linked system of size {w} found in {G.name}")
+
+
+def construct_family(family: str, q: int | None = None, r: int | None = None,
+                     j: int | None = None) -> FamilyConstruction:
+    """End-to-end pipeline: a linked system, in closed form for q8cp and by
+    search for heis and ea, then the associate group and the Cayley scheme,
+    compared with the closed-form parameter tables.
+
+    A point whose product group G x U would pass ``GROUP_ORDER_LIMIT`` is
+    refused with ``GroupOrderError`` before any group is built."""
+    _, w, group_spec, assoc_spec = _family_setup(family, q, r, j)
+    t1 = table1_params(family, q, r, j)
+    t2 = table2_params(family, q, r, j)
+    check_order(t2.v)
+    if family == "q8cp":
+        system = q8cp_linked_system(r)
+    else:
+        system = _searched_system(family, q, w, group_spec, (t1[5], t1[6]))
 
     assoc = associate_group(system)
     expected_assoc = build_family(assoc_spec)
@@ -680,10 +719,10 @@ def construct_family(family: str, q: int | None = None, r: int | None = None,
     # the named family group as U gives the product group a family spec
     # for a name; the choice of phi is immaterial
     result = example2_construct(system, phi)
-    t2 = table2_params(family, q, r, j)
     return FamilyConstruction(
-        family=family, q=q, r=r, j=j, group=G, forbidden=forbidden,
-        system=system, table1_expected=t1, table1_match=system.params == t1,
+        family=family, q=q, r=r, j=j, group=system.group,
+        forbidden=system.forbidden, system=system, table1_expected=t1,
+        table1_match=system.params == t1,
         associate=assoc, associate_expected_spec=assoc_spec,
         associate_match=phi is not None,
         result=result, table2_expected=t2,

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -220,6 +221,13 @@ def test_construct_errors(capsys):
     assert code == 3
     assert err == (f"error: group order 2^{2 * int(r) + 1} exceeds the "
                    f"limit 16384\n")
+    # Q8cp:6 is within the limit, its product with C:3 is not: refused
+    # before either group is built
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, "construct", "q8cp", "6")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and stdout == ""
+    assert err == "error: group order 24576 exceeds the limit 16384\n"
     code, _, err = run(capsys, "construct", "nosuch", "1")
     assert code == 3
     code, _, err = run(capsys, "construct", "q8cp")
@@ -242,8 +250,9 @@ def test_tables_cli(capsys):
     # the w >= 2 constraint produces a skip note, not an attempt
     assert "SKIP" in by_label["ea q=2 r=1 j=1"]
     assert "w = p^j - 1 = 1 < 2" in by_label["ea q=2 r=1 j=1"]
-    # oversize and over-cap points are skipped with notes
-    assert "SKIP" in by_label["q8cp r=3"]
+    # q8cp r=3 takes its linked system in closed form, not by search
+    assert "match" in by_label["q8cp r=3"]
+    # oversize points are skipped with notes
     assert "SKIP" in by_label["heis q=5 r=1"]
     # only cyclic forbidden subgroups of prime order are tried
     assert by_label["ea q=4 r=1 j=2"] == \
@@ -259,10 +268,10 @@ def test_tables_inconsistent_verdicts(capsys, monkeypatch):
     assert code == 1 and err == ""
     by_label = {ln.split(":")[0]: ln for ln in stdout.splitlines()}
     assert len(by_label) == 10
-    for label in ("q8cp r=1", "q8cp r=2", "heis q=3 r=1", "ea q=3 r=1 j=1"):
+    for label in ("q8cp r=1", "q8cp r=2", "q8cp r=3", "heis q=3 r=1",
+                  "ea q=3 r=1 j=1"):
         assert by_label[label].startswith(f"{label}: MISMATCH")
         assert by_label[label].endswith("uniform=False")
-    assert "SKIP" in by_label["q8cp r=3"]
 
 
 def test_construct_analyze_identical_verdicts(tmp_path, capsys):

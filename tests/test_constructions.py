@@ -15,8 +15,10 @@ from higman.constructions import (ConstructionError, associate_group,
                                   table1_params, table2_params, verify_dds,
                                   verify_linked_system, write_linked_system)
 from higman.groups import (GROUP_ORDER_LIMIT, FiniteGroup, GroupError,
-                           GroupIsomorphism, build_family, gre_multiply,
-                           isomorphisms, prime_power)
+                           GroupIsomorphism, build_family,
+                           central_product_q8, gre_multiply, isomorphisms,
+                           prime_power)
+from higman.higmanian import verdict_bundle
 from higman.quadratic import QuadraticNumber as QN
 from higman.schemes import SchemeError, cayley_scheme
 
@@ -238,17 +240,86 @@ def test_search_linked_system_falls_back_to_first_system():
 
 
 def test_construction_leaves_no_reference_cycles():
-    # the searches and the isomorphism test hold no self-referencing
+    # the searches (heis) and the isomorphism test hold no self-referencing
     # closures, so a construction is freed by reference counting alone.
     # The first call runs once for the lazy imports of the libraries.
-    construct_family("q8cp", r=2)
-    gc.collect()
-    gc.disable()
-    try:
-        construct_family("q8cp", r=2)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    for family, params in (("q8cp", dict(r=2)), ("heis", dict(q=3, r=1))):
+        construct_family(family, **params)
+        gc.collect()
+        gc.disable()
+        try:
+            construct_family(family, **params)
+            assert gc.collect() == 0, family
+        finally:
+            gc.enable()
+
+
+# -- the q8cp family in closed form ----------------------------------------------------
+
+def _sign_class_system(r, c):
+    """The elements of Q8cp:r with sign bit c and their inverses, through
+    verify_linked_system."""
+    G = central_product_q8(r)
+    X = tuple(range(c, G.order, 2))
+    X_inv = tuple(sorted(int(G.inv[x]) for x in X))
+    return verify_linked_system(G, G.center(), sorted([X, X_inv]))
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_q8cp_closed_form_equals_the_search(r):
+    system = constructions.q8cp_linked_system(r)
+    G = build_family(f"Q8cp:{r}")
+    t1 = table1_params("q8cp", r=r)
+    found = search_linked_system(G, G.center(), 2, mu_nu=(t1[5], t1[6]))
+    assert system.sets == found.sets
+    assert system.chi == found.chi and system.psi == found.psi
+    assert system.params == found.params == t1
+    assert system.branch == found.branch == "-"
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_q8cp_sign_constant_picks_the_branch(r):
+    # c != r mod 2 is Table 1's branch; the other sign class is linked too,
+    # on the + branch, with mu and nu swapped
+    t1 = table1_params("q8cp", r=r)
+    ours = _sign_class_system(r, 1 - r % 2)
+    assert ours.params == t1 and ours.branch == "-"
+    assert constructions.q8cp_linked_system(r).sets == ours.sets
+    other = _sign_class_system(r, r % 2)
+    assert other.branch == "+" and other.params != t1
+    assert other.params == t1[:5] + (t1[6], t1[5])
+
+
+def test_q8cp_closed_form_at_r4():
+    system = constructions.q8cp_linked_system(4)
+    assert system.params == table1_params("q8cp", r=4)
+    assert system.branch == "-"
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_q8cp_construct_runs_no_search(r, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("construct_family searched")
+    monkeypatch.setattr(constructions, "search_semiregular_rds", refuse)
+    monkeypatch.setattr(constructions, "search_linked_system", refuse)
+    con = construct_family("q8cp", r=r)
+    assert con.table1_match and con.table2_match and con.associate_match
+    assert con.result.detection.params == table2_params("q8cp", r=r)
+    bundle = verdict_bundle(con.result.scheme)
+    assert bundle.consistent and bundle.uniform
+
+
+def test_oversize_family_point_refused_before_any_group(monkeypatch):
+    # Q8cp:6 has order 8192, within the limit, but G x C:3 would not be
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group was built")
+    monkeypatch.setattr(constructions, "central_product_q8", refuse)
+    monkeypatch.setattr(constructions, "build_family", refuse)
+    for family, params in (("q8cp", dict(r=6)), ("heis", dict(q=5, r=2))):
+        order = table2_params(family, **params).v
+        with pytest.raises(GroupError, match=f"group order {order} exceeds "
+                                             f"the limit {GROUP_ORDER_LIMIT}"):
+            construct_family(family, **params)
 
 
 # -- parameter tables -----------------------------------------------------------------
