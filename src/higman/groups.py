@@ -144,11 +144,23 @@ class FiniteGroup:
         return Subgroup(self, np.flatnonzero((self.mul == self.mul.T).all(1)))
 
     def cyclic_subgroups(self) -> list["Subgroup"]:
-        found = {}
+        """Every cyclic subgroup, ordered by (order, elements).  <x> is read
+        off the walk x, x^2, ... up to the identity.  Its generators are
+        the x^k with k prime to its order, so they are marked and not
+        walked again, and each subgroup is validated once."""
+        walked = np.zeros(self.order, dtype=bool)
+        found = []
         for x in range(self.order):
-            h = self.generated_subgroup([x])
-            found.setdefault(h.elements, h)
-        return sorted(found.values(), key=lambda h: (h.order, h.elements))
+            if walked[x]:
+                continue
+            powers = [x]
+            while powers[-1] != self.identity:
+                powers.append(int(self.mul[powers[-1], x]))
+            for k, y in enumerate(powers, start=1):
+                if math.gcd(k, len(powers)) == 1:
+                    walked[y] = True
+            found.append(Subgroup(self, powers))
+        return sorted(found, key=lambda h: (h.order, h.elements))
 
     def __repr__(self) -> str:
         tag = self.name or "FiniteGroup"
@@ -373,12 +385,18 @@ def _base_digits(p: int, k: int) -> np.ndarray:
 
 def _digit_add(p: int, k: int) -> np.ndarray:
     """Table of digit-wise x + y mod p on k-digit base-p numbers: the group
-    (Z/p)^k, which is also the additive group of GF(p^k)."""
-    digits = _base_digits(p, k).astype(np.int32)
-    out = np.zeros((p ** k, p ** k), dtype=np.int32)
-    for t in range(k):
-        d = digits[:, t]
-        out += (d[:, None] + d[None, :]) % p * p ** t
+    (Z/p)^k, which is also the additive group of GF(p^k).  Digit t has
+    weight p^t.  The table is built one digit at a time in the layout of
+    `direct_product`, (Z/p)^t = (Z/p)^(t-1) x Z/p with the new digit the
+    least significant: T_t = T_(t-1) p + T_1 on the pairs of high parts
+    and low digits, with no pass of ``% p`` over a whole table."""
+    idx = np.arange(p, dtype=np.int32)
+    one = (idx[:, None] + idx[None, :]) % p
+    out = one
+    for _ in range(1, k):
+        n = len(out)
+        out = (out[:, None, :, None] * p + one[None, :, None, :]).reshape(
+            n * p, n * p)
     return out
 
 

@@ -14,7 +14,9 @@ over the operands' already square-free D, with one sign flip and one gcd;
 no Fraction and no factorization run there.  Nothing here ever rounds,
 and Python integers do not overflow.  The rational coefficients are read
 as the Fraction properties `a` and `b`, from which `str`, `repr` and
-`float` are computed.
+`float` are computed.  An exact kernel that works on the integers
+themselves reads them with `integers` and turns each result into one
+canonical value with `from_integers`.
 """
 
 from __future__ import annotations
@@ -94,6 +96,15 @@ class QuadraticNumber:
         self._b: int = b // g
         self._den: int = den // g
         self.D: int = D
+
+    # (a + b*sqrt(D)) / den from integers, den != 0 and D square-free (as
+    # `integers` gives them), normalized once: for exact kernels that work
+    # on the integers and build one value per result
+    from_integers = staticmethod(_new)
+
+    def integers(self) -> tuple[int, int, int, int]:
+        """The canonical integers (a, b, den, D) of (a + b*sqrt(D)) / den."""
+        return self._a, self._b, self._den, self.D
 
     @classmethod
     def sqrt(cls, x: _FracLike) -> QuadraticNumber:

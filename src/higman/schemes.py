@@ -479,7 +479,8 @@ def cayley_scheme(G: FiniteGroup, parts: Sequence[Iterable[int]]) -> SchemeTable
     on every part (Schur); that constant is the intersection number.  The
     pairs (z, y) with color(e, z) = i and color(z, y) = j are those with
     y = tz, t in T_j and z in T_i, so p_ij^k is the coefficient of
-    T_j T_i at any y in T_k.  No v x v product is formed.
+    T_j T_i at any y in T_k.  No v x v product is formed, and of the
+    r^2 products of parts only one per transpose pair of nontrivial parts.
     """
     part_sets = [frozenset(int(x) for x in p) for p in parts]
     total = sum(len(p) for p in part_sets)
@@ -506,8 +507,18 @@ def cayley_scheme(G: FiniteGroup, parts: Sequence[Iterable[int]]) -> SchemeTable
             raise SchemeError(f"partition is not an S-ring: color {i} unused")
     rep = [ti[0] for ti in idx]
 
+    # T_0 = {e}, so T_j T_0 = T_j and T_0 T_i = T_i.  Of the other pairs,
+    # only the least of each {(i, j), (j*, i*)} is formed: (T_j T_i)^-1 =
+    # T_i* T_j*, and inversion maps T_k onto T_k*, so p_j*i*^k = p_ij^k*,
+    # and one product is constant on every part iff the other is.  A
+    # failing pair's partner fails too, so the first failing pair is the
+    # first of a loop over all pairs.
     p = np.zeros((rank, rank, rank), dtype=np.int64)
-    for i, j in itertools.product(range(rank), repeat=2):
+    p[0, range(rank), range(rank)] = p[range(rank), 0, range(rank)] = 1
+    star = istar.tolist()
+    for i, j in itertools.product(range(1, rank), repeat=2):
+        if (star[j], star[i]) < (i, j):
+            continue
         prod = gre_multiply(G, idx[j], idx[i])
         p[i, j] = prod[rep]
         bad = np.nonzero(prod != p[i, j][part_of])[0]
@@ -519,6 +530,7 @@ def cayley_scheme(G: FiniteGroup, parts: Sequence[Iterable[int]]) -> SchemeTable
                 f"cell ({G.identity},{y}) has {int(prod[y])}, expected "
                 f"{int(p[i, j, k])}",
                 witness=(i, j, k, G.identity, y))
+        p[star[j], star[i]] = p[i, j][istar]
     # color[x, y] = part(y x^-1):  mul[:, inv][y, x] = y * inv(x)
     color = np.ascontiguousarray(part_of[G.mul[:, G.inv]].T)
     return SchemeTable(color, p, istar)

@@ -14,22 +14,34 @@ where x1, x3 are the roots of
     x^2 + ((f-2)(mn-k) - t*mn/k) x - (f-1)k(mn-k)/(m(n-1)) = 0
 
 with |x1| >= |x3|; row 0 is the valency vector, and the multiplicities
-follow from P by row orthogonality.  All of it is computed over
-QuadraticNumber, so uniformity decisions are exact; there is no exact
-eigensolver for other schemes.  A floating-point oracle exists solely as an
-independent cross-check of constructed schemes: it reads the spectrum of a
-random element of the Bose-Mesner algebra from r Lanczos steps (whose
-Krylov space closes there, as the element has r distinct eigenvalues), and
-the multiplicities from its trace moments as Gauss quadrature weights,
-with no v x v eigensolver and no v x v product.
+follow from P by row orthogonality.  All of it is exact, so uniformity
+decisions are exact; there is no exact eigensolver for other schemes.
+P is built from QuadraticNumber values, but the multiplicities, their
+check, the Krein tensor and its zero pattern, and the Q-Higmanian search
+run on one integer-pair kernel: each entry of P and each multiplicity is
+written (a + b sqrt(D)) / d over one common d and one square-free D, a
+product of pairs is (a1 a2 + b1 b2 D, a1 b2 + a2 b1), and a weight such as
+1/n_l^2 is folded into one common N = lcm(n_l^2).  Only Python integers
+are used, so nothing rounds or overflows, and each result becomes one
+canonical QuadraticNumber through `QuadraticNumber.from_integers`: the
+values are those QuadraticNumber arithmetic gives.  Values from two
+quadratic fields raise the error that arithmetic raises on them.
+
+A floating-point oracle exists solely as an independent cross-check of
+constructed schemes: it reads the spectrum of a random element of the
+Bose-Mesner algebra from r Lanczos steps (whose Krylov space closes there,
+as the element has r distinct eigenvalues), and the multiplicities from
+its trace moments as Gauss quadrature weights, with no v x v eigensolver
+and no v x v product.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,6 +49,7 @@ from .quadratic import QuadraticNumber, quadratic_roots
 from .schemes import SchemeTable
 
 QN = QuadraticNumber
+_ZERO = QN(0)
 
 
 class SpectralError(ValueError):
@@ -61,32 +74,49 @@ class EigenData:
         return sum(self.valencies)
 
     def check(self) -> None:
-        """Row 0 = valencies, multiplicities sum to v, column orthogonality."""
+        """Row 0 = valencies, multiplicities sum to v, and column
+        orthogonality sum_j m_j P_ji P_jk = v n_i [i = k], on the integer
+        form: with m_j = mu_j / d and P_ji = p_ji / d, the pair sums
+        sum_j mu_j p_ji p_jk must be (v n_i d^3 [i = k], 0)."""
         r, v = self.rank, self.v
         if tuple(x.as_integer() if x.is_integer else None for x in self.P[0]) \
                 != self.valencies:
             raise SpectralError("row 0 of P must be the valency vector")
-        if sum(self.multiplicities, QN(0)) != QN(v):
+        _, d, mults = _integer_form(m.integers() for m in self.multiplicities)
+        if sum(a for a, _ in mults) != v * d or sum(b for _, b in mults):
             raise SpectralError("multiplicities do not sum to v")
         for m in self.multiplicities:
             if m.sign() <= 0:
                 raise SpectralError("nonpositive multiplicity")
+        # one form for both, multiplicities first
+        D, d, flat = _integer_form(x.integers() for x in itertools.chain(
+            self.multiplicities, *self.P))
+        mults, rows = flat[:r], [flat[r + j * r:r + (j + 1) * r]
+                                 for j in range(r)]
+        # mu_j p_ji for every j and i
+        mp = [[(x * a + y * b * D, x * b + y * a) for a, b in row]
+              for (x, y), row in zip(mults, rows)]
+        target = v * d ** 3
         for i in range(r):
             for k in range(i, r):
-                s = QN(0)
+                X = Y = 0
                 for j in range(r):
-                    s = s + self.multiplicities[j] * self.P[j][i] * self.P[j][k]
-                s = s / (self.valencies[i] * self.valencies[k])
-                if (s != Fraction(v, self.valencies[i])) if i == k else s:
+                    (a1, b1), (a2, b2) = mp[j][i], rows[j][k]
+                    X += a1 * a2 + b1 * b2 * D
+                    Y += a1 * b2 + a2 * b1
+                if Y or X != (target * self.valencies[i] if i == k else 0):
                     raise SpectralError(
                         f"column orthogonality fails at ({i},{k})")
 
 
 @dataclass(frozen=True)
 class KreinTensor:
-    """Exact Krein parameters q_ij^k of a symmetric scheme."""
+    """Exact Krein parameters q_ij^k of a symmetric scheme, and their zero
+    pattern: ``nonzero[i][j][k]`` is whether q_ij^k != 0."""
 
     q: tuple[tuple[tuple[QN, ...], ...], ...]
+    nonzero: tuple[tuple[tuple[bool, ...], ...], ...] = field(
+        repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -105,7 +135,7 @@ class KreinTensor:
     def circ_closed(self, I: frozenset[int]) -> bool:
         """True when span{E_i : i in I} is closed under the Hadamard product."""
         outside = [k for k in range(self.rank) if k not in I]
-        return not any(self.q[i][j][k]
+        return not any(self.nonzero[i][j][k]
                        for i in I for j in I for k in outside)
 
 
@@ -157,53 +187,123 @@ def spectral_data(params) -> EigenData:
     return data
 
 
+def _integer_form(parts: Iterable[tuple[int, int, int, int]]
+                  ) -> tuple[int, int, list[tuple[int, int]]]:
+    """Values given by the integers (a, b, den, D) of (a + b sqrt(D)) / den,
+    as `QuadraticNumber.integers` gives them, on one integer form: (D, d,
+    pairs) with each value (a' + b' sqrt(D)) / d for its pair (a', b'),
+    over one square-free D >= 0 and one common denominator d > 0.  Values
+    with radicals from two quadratic fields raise the error
+    QuadraticNumber arithmetic raises when it mixes them."""
+    parts = list(parts)
+    D = 0
+    for _, b, _, Dx in parts:
+        if b and Dx != D:
+            if D:
+                raise ValueError(
+                    f"incompatible radicals sqrt({D}), sqrt({Dx})")
+            D = Dx
+    d = math.lcm(*[den for _, _, den, _ in parts])
+    return D, d, [(a * (d // den), b * (d // den)) for a, b, den, _ in parts]
+
+
 def multiplicity_check(P: Sequence[Sequence[QN]],
                        valencies: Sequence[int]) -> tuple[QN, ...]:
-    """Multiplicities recomputed from P alone: m_j = v (sum_i P_ji^2/n_i)^-1."""
+    """Multiplicities recomputed from P alone: m_j = v (sum_i P_ji^2/n_i)^-1.
+
+    Row j needs only the squares (a^2 + b^2 D + 2ab sqrt(D)) / den^2 of its
+    entries, which go on one integer form (D, d, pairs).  With N = lcm(n_i)
+    the sum is (X + Y sqrt(D)) / (d N) for (X, Y) = sum_i (N/n_i) pair_i,
+    so m_j = v d N (X - Y sqrt(D)) / (X^2 - Y^2 D)."""
     v = sum(valencies)
+    N = math.lcm(*valencies)
+    w = [N // n_i for n_i in valencies]
     out = []
     for row in P:
-        s = QN(0)
-        for i, n_i in enumerate(valencies):
-            s = s + row[i] * row[i] / n_i
-        if not s:
+        D, d, squares = _integer_form(
+            (a * a + b * b * Dx, 2 * a * b, den * den, Dx)
+            for a, b, den, Dx in (x.integers() for x in row))
+        X = sum(w_i * a for w_i, (a, _) in zip(w, squares))
+        Y = sum(w_i * b for w_i, (_, b) in zip(w, squares))
+        if not (X or Y):
             raise SpectralError("zero denominator in multiplicity formula")
-        out.append(QN(v) / s)
+        scale = v * d * N
+        out.append(QN.from_integers(scale * X, -scale * Y,
+                                    X * X - Y * Y * D, D))
     return tuple(out)
 
 
 def krein(P: Sequence[Sequence[QN]], multiplicities: Sequence[QN],
           valencies: Sequence[int]) -> KreinTensor:
     """q_ij^k = (m_i m_j / v) s_ijk with s_ijk = sum_l P_il P_jl P_kl / n_l^2,
-    exactly.  s is symmetric in i, j, k, so it is formed once per sorted
-    triple, and q_ij^k = q_ji^k once per sorted pair (i, j)."""
+    exactly, on the integer forms P_il = p_il / d and m_i = mu_i / e.  With
+    N = lcm(n_l^2), s_ijk = S_ijk / (d^3 N) for the pair sum
+    S_ijk = sum_l (N/n_l^2) p_il p_jl p_kl, and q_ij^k =
+    mu_i mu_j S_ijk / (v N d^3 e^2).  S is symmetric in i, j, k, so it is
+    formed once per sorted triple, and q_ij^k = q_ji^k once per sorted pair
+    (i, j).  P and the multiplicities may lie in two quadratic fields as
+    long as no product of m_i m_j and s_ijk mixes their radicals."""
     r = len(valencies)
-    v = sum(valencies)
-    nl2 = [n_l * n_l for n_l in valencies]
-    s = {}
-    for i, j, k in itertools.combinations_with_replacement(range(r), 3):
-        acc = QN(0)
-        for l in range(r):
-            acc = acc + P[i][l] * P[j][l] * P[k][l] / nl2[l]
-        s[i, j, k] = acc
-    q = [[()] * r for _ in range(r)]
+    N = math.lcm(*(n_l * n_l for n_l in valencies))
+    w = [N // (n_l * n_l) for n_l in valencies]
+    D, d, flat = _integer_form(x.integers() for row in P for x in row)
+    rows = [flat[j * r:(j + 1) * r] for j in range(len(P))]
+    S = {}
     for i, j in itertools.combinations_with_replacement(range(r), 2):
-        scale = multiplicities[i] * multiplicities[j] / v
-        q[i][j] = q[j][i] = tuple(scale * s[tuple(sorted((i, j, k)))]
-                                  for k in range(r))
-    return KreinTensor(q=tuple(tuple(row) for row in q))
+        # (N/n_l^2) p_il p_jl for every l
+        e = [(w_l * (a1 * a2 + b1 * b2 * D), w_l * (a1 * b2 + a2 * b1))
+             for w_l, (a1, b1), (a2, b2) in zip(w, rows[i], rows[j])]
+        for k in range(j, r):
+            X = Y = 0
+            for (a1, b1), (a2, b2) in zip(e, rows[k]):
+                X += a1 * a2 + b1 * b2 * D
+                Y += a1 * b2 + a2 * b1
+            S[i, j, k] = X, Y
+    Dm, dm, mults = _integer_form(m.integers() for m in multiplicities)
+    den = sum(valencies) * N * d ** 3 * dm * dm
+    q = [[()] * r for _ in range(r)]
+    nonzero = [[()] * r for _ in range(r)]
+    for i, j in itertools.combinations_with_replacement(range(r), 2):
+        (a1, b1), (a2, b2) = mults[i], mults[j]
+        x, y = a1 * a2 + b1 * b2 * Dm, a1 * b2 + a2 * b1
+        nums = []
+        for k in range(r):
+            X, Y = S[(k, i, j) if k < i else (i, k, j) if k < j else (i, j, k)]
+            if y and Y and Dm != D:
+                raise ValueError(
+                    f"incompatible radicals sqrt({Dm}), sqrt({D})")
+            Dq = Dm if y else D  # the field of the product
+            nums.append((x * X + y * Y * Dq, x * Y + y * X, Dq))
+        # most q_ij^k vanish, and one zero serves them all
+        q[i][j] = q[j][i] = tuple(QN.from_integers(A, B, den, Dq)
+                                  if A or B else _ZERO for A, B, Dq in nums)
+        nonzero[i][j] = nonzero[j][i] = tuple(bool(A or B)
+                                              for A, B, _ in nums)
+    return KreinTensor(q=tuple(map(tuple, q)),
+                       nonzero=tuple(map(tuple, nonzero)))
 
 
 def sim_classes(I: frozenset[int], kr: KreinTensor) -> tuple[frozenset[int], ...]:
     """Classes of the relation i ~ j iff q_ij^k != 0 for some k in I,
-    closed transitively."""
+    closed transitively.  The relation is symmetric, as q_ij^k = q_ji^k,
+    so its classes are the connected components, found from their least
+    members in turn."""
     r = kr.rank
-    reach = np.array([[i == j or any(kr.q[i][j][k] for k in I)
-                       for j in range(r)] for i in range(r)])
-    for x in range(r):  # Warshall: paths through x
-        reach |= reach[:, x:x + 1] & reach[x]
-    classes = {frozenset(np.flatnonzero(row).tolist()) for row in reach}
-    return tuple(sorted(classes, key=min))
+    classes = []
+    unseen = set(range(r))
+    while unseen:
+        start = min(unseen)
+        unseen.discard(start)
+        comp, stack = {start}, [start]
+        while stack:
+            i = stack.pop()
+            for j in [j for j in unseen
+                      if any(kr.nonzero[i][j][k] for k in I)]:
+                unseen.discard(j)
+                comp.add(j)
+                stack.append(j)
+        classes.append(frozenset(comp))
+    return tuple(classes)
 
 
 @dataclass(frozen=True)
@@ -225,15 +325,18 @@ def is_q_higmanian(multiplicities: Sequence[QN], kr: KreinTensor) -> QHigmanianV
     """
     r = kr.rank
     d = r - 1
+    # m_i = mu_i / den on the integer form, so sums and multiples of
+    # multiplicities compare as pairs of integers
+    _, den, mults = _integer_form(m.integers() for m in multiplicities)
     certs = []
     for z in range(1, r):
         I = frozenset({0, z})
         if not kr.circ_closed(I):
             continue
-        f = sum((multiplicities[i] for i in I), QN(0))
-        if not f.is_integer or f.as_integer() < 2:
+        fa, fb = (sum(pair) for pair in zip(*(mults[i] for i in I)))
+        if fb or fa % den or fa // den < 2:
             continue
-        f_int = f.as_integer()
+        f_int = fa // den
         classes = set(sim_classes(I, kr))
         middle = [i for i in range(1, r) if i != z]
         for perm in itertools.permutations(middle):
@@ -245,8 +348,8 @@ def is_q_higmanian(multiplicities: Sequence[QN], kr: KreinTensor) -> QHigmanianV
                              for i in range(l, d - l + 1)}
                 if classes != expected:
                     continue
-                if all(multiplicities[ordering[d - i]]
-                       == multiplicities[ordering[i]] * (f_int - 1)
+                if all(mults[ordering[d - i]]
+                       == tuple(c * (f_int - 1) for c in mults[ordering[i]])
                        for i in range(l)):
                     certs.append((ordering, l, f_int))
     return QHigmanianVerdict(verdict=bool(certs), certificates=tuple(certs))

@@ -105,6 +105,18 @@ def test_field_tables_match_digit_loops(p, i):
     assert (_gf_mul(p, i) == mul).all()
 
 
+@pytest.mark.parametrize("p,k", [(2, k) for k in range(1, 11)]
+                         + [(3, k) for k in range(1, 7)]
+                         + [(5, k) for k in range(1, 4)])
+def test_digit_add_matches_digit_formula(p, k):
+    # the digit-at-a-time table against one pass of % p per digit
+    digits = np.arange(p ** k)[:, None] // p ** np.arange(k) % p
+    want = sum((d[:, None] + d[None, :]) % p * p ** t
+               for t, d in enumerate(digits.T))
+    got = _digit_add(p, k)
+    assert got.dtype == np.int32 and (got == want).all()
+
+
 def test_fixed_polynomials_kept_where_not_least():
     # the numbering of GF(9), GF(25), GF(49) and GF(64) depends on these
     for field in [(3, 2), (5, 2), (7, 2), (2, 6)]:

@@ -418,6 +418,25 @@ FAMILY_SPECS = ["C:1", "C:12", "EA:2:4", "EA:3:3", "Heis:2:1", "Heis:2:2",
                 "Prod:Q8cp:1,C:3"]
 
 
+@pytest.mark.parametrize("spec", sorted(set(BUILTIN_SPECS + FAMILY_SPECS)))
+def test_cyclic_subgroups_match_one_closure_per_element(spec, monkeypatch):
+    # the power walks find the subgroups that one generated_subgroup per
+    # element finds, and validate each of them once
+    G = build_family(spec)
+    found = {}
+    for x in range(G.order):
+        h = G.generated_subgroup([x])
+        found.setdefault(h.elements, h)
+    want = sorted(found, key=lambda els: (len(els), els))
+    built = []
+    subgroup = groups.Subgroup
+    monkeypatch.setattr(groups, "Subgroup",
+                        lambda *args: built.append(args) or subgroup(*args))
+    got = G.cyclic_subgroups()
+    assert [h.elements for h in got] == want
+    assert len(built) == len(want)
+
+
 @pytest.mark.parametrize("spec", FAMILY_SPECS)
 def test_generators_and_closure_match_search(spec):
     G = build_family(spec)

@@ -25,6 +25,22 @@ def test_normalization():
     assert QN(0, Fraction(1, 2), 8) == QN(0, 1, 2)
 
 
+def test_integers_round_trip():
+    # from_integers takes any integers over a square-free D and normalizes
+    # them: sign of den, gcd, and D = 0 for a rational
+    rng = random.Random(3)
+    for _ in range(200):
+        x = QN(Fraction(rng.randint(-30, 30), rng.randint(1, 20)),
+               Fraction(rng.randint(-30, 30), rng.randint(1, 20)),
+               rng.choice((0, 2, 3, 8, 12)))
+        assert QN.from_integers(*x.integers()) == x
+        a, b, den, D = x.integers()
+        k = rng.choice((-3, -1, 2, 7))
+        assert QN.from_integers(k * a, k * b, k * den, D) == x
+    assert QN.from_integers(2, 4, -6, 3).integers() == (-1, -2, 3, 3)
+    assert QN.from_integers(4, 0, 6, 5).integers() == (2, 0, 3, 0)
+
+
 def test_sqrt():
     assert QN.sqrt(4) == QN(2)
     assert QN.sqrt(Fraction(16, 4)) == QN(2)

@@ -24,7 +24,13 @@ closed form in (f, m, n, k) and the eigenvalue pair.  Subset products
 element of the smaller side, the block-wise RDS search against a
 backtracking search that adds one element and one difference at a time,
 and Cayley schemes, whose tensor comes from the products of the parts,
-against `validate` on their color matrices.  The integer kernel of
+against `validate` on their color matrices and against the loop over all
+r^2 products (`ref_cayley_products`): the same tensor, and the same
+failing pair, cell and message.  Route 3's integer kernel is checked
+against the `QuadraticNumber` loops it replaced (`ref_multiplicity_check`,
+`ref_eigen_check`, `ref_sorted_krein`): the same values on every route-3
+parameter tuple, and the same values or errors on corrupted spectral
+data.  The integer kernel of
 `QuadraticNumber` is checked against the Fraction kernel it replaced: the
 same printed values, order, errors and route-1/route-3 outputs.  Each of
 routes 2 and 4, when it passes, is counted to form one packed product per
@@ -80,8 +86,9 @@ from higman.schemes import (FLOAT32_EXACT_LIMIT, SchemeError, SchemeTable,
                             parse_scheme_file, quotient, read_scheme,
                             restriction, trivial_scheme, validate,
                             wreath_product, write_scheme)
-from higman.spectral import (EigenData, OracleResult, SpectralError,
-                             eigenvalue_pair, float_eigen_oracle, krein,
+from higman.spectral import (EigenData, KreinTensor, OracleResult,
+                             SpectralError, eigenvalue_pair,
+                             float_eigen_oracle, krein, multiplicity_check,
                              spectral_data)
 from test_groups import BUILTIN_SPECS
 
@@ -369,6 +376,64 @@ def ref_krein(P, multiplicities, valencies):
     return tuple(tensor)
 
 
+# The QuadraticNumber loops that multiplicity_check, EigenData.check and
+# krein ran before their integer kernel, kept with one change: sums start
+# from the int 0, not QN(0), so that the loops run on either kernel of the
+# parity tests below.  The integer kernel must give their values and, on
+# corrupted input, their errors.
+
+def ref_multiplicity_check(P, valencies):
+    v = sum(valencies)
+    out = []
+    for row in P:
+        s = 0
+        for i, n_i in enumerate(valencies):
+            s = s + row[i] * row[i] / n_i
+        if not s:
+            raise SpectralError("zero denominator in multiplicity formula")
+        out.append(v / s)
+    return tuple(out)
+
+
+def ref_eigen_check(data):
+    r, v = data.rank, data.v
+    if tuple(x.as_integer() if x.is_integer else None for x in data.P[0]) \
+            != data.valencies:
+        raise SpectralError("row 0 of P must be the valency vector")
+    if sum(data.multiplicities, 0) != v:
+        raise SpectralError("multiplicities do not sum to v")
+    for m in data.multiplicities:
+        if m.sign() <= 0:
+            raise SpectralError("nonpositive multiplicity")
+    for i in range(r):
+        for k in range(i, r):
+            s = 0
+            for j in range(r):
+                s = s + data.multiplicities[j] * data.P[j][i] * data.P[j][k]
+            s = s / (data.valencies[i] * data.valencies[k])
+            if (s != Fraction(v, data.valencies[i])) if i == k else s:
+                raise SpectralError(
+                    f"column orthogonality fails at ({i},{k})")
+
+
+def ref_sorted_krein(P, multiplicities, valencies):
+    r = len(valencies)
+    v = sum(valencies)
+    nl2 = [n_l * n_l for n_l in valencies]
+    s = {}
+    for i, j, k in itertools.combinations_with_replacement(range(r), 3):
+        acc = 0
+        for l in range(r):
+            acc = acc + P[i][l] * P[j][l] * P[k][l] / nl2[l]
+        s[i, j, k] = acc
+    q = [[()] * r for _ in range(r)]
+    for i, j in itertools.combinations_with_replacement(range(r), 2):
+        scale = multiplicities[i] * multiplicities[j] / v
+        q[i][j] = q[j][i] = tuple(scale * s[tuple(sorted((i, j, k)))]
+                                  for k in range(r))
+    return tuple(tuple(row) for row in q)
+
+
 def ref_higmanian_multiplicities(params, x1, x3):
     """Closed-form multiplicities (m_0, ..., m_4) given the eigenvalue pair."""
     f, m, n, k = params.f, params.m, params.n, params.k
@@ -481,6 +546,12 @@ class RefQuadraticNumber:
         self.a: Fraction = a
         self.b: Fraction = b
         self.D: int = D
+
+    def integers(self) -> tuple[int, int, int, int]:
+        """(a, b, den, D) over the least common denominator den."""
+        den = math.lcm(self.a.denominator, self.b.denominator)
+        return (self.a.numerator * (den // self.a.denominator),
+                self.b.numerator * (den // self.b.denominator), den, self.D)
 
     @classmethod
     def sqrt(cls, x: _FracLike) -> RefQuadraticNumber:
@@ -873,13 +944,10 @@ def ref_cayley_color(G, parts):
     return part_of[G.mul[:, G.inv]].T
 
 
-def test_cayley_scheme_matches_validate(constructions_by_family,
-                                        example1_results,
-                                        negative_control_candidates):
-    # cayley_scheme decides the S-ring from the products of the parts;
-    # validate must accept the same color matrices and derive the same
-    # tensor.  Every Cayley scheme the suite builds, and every candidate
-    # partition of the negative-control search, accepted or not.
+def cayley_cases(constructions_by_family, example1_results,
+                 negative_control_candidates):
+    """Every Cayley scheme the suite builds, and every candidate partition
+    of the negative-control search, accepted or not."""
     partitions = [con.result.partition
                   for con in constructions_by_family.values()]
     partitions += [res.partition for res in example1_results]
@@ -887,7 +955,17 @@ def test_cayley_scheme_matches_validate(constructions_by_family,
     cases += list(small_partitions().values()) + thin_partitions()
     cases += [(build_family(f"C:{n}"), orbit_parts(n, units))
               for n in range(4, 41) for units in unit_groups(n)]
-    cases += negative_control_candidates
+    return cases + negative_control_candidates
+
+
+def test_cayley_scheme_matches_validate(constructions_by_family,
+                                        example1_results,
+                                        negative_control_candidates):
+    # cayley_scheme decides the S-ring from the products of the parts;
+    # validate must accept the same color matrices and derive the same
+    # tensor
+    cases = cayley_cases(constructions_by_family, example1_results,
+                         negative_control_candidates)
     accepted = 0
     for G, parts in cases:
         try:
@@ -904,6 +982,63 @@ def test_cayley_scheme_matches_validate(constructions_by_family,
         accepted += 1
     assert 0 < accepted < len(cases)
 
+
+def ref_cayley_products(G, parts):
+    """p_ij^k from all r^2 products of parts, in order, or the text and
+    witness of the error on the first product not constant on a part."""
+    idx = [sorted(int(x) for x in part) for part in parts]
+    part_of = np.empty(G.order, dtype=np.int16)
+    for pi, part in enumerate(idx):
+        part_of[part] = pi
+    rep = [part[0] for part in idx]
+    r = len(idx)
+    p = np.zeros((r, r, r), dtype=np.int64)
+    for i, j in itertools.product(range(r), repeat=2):
+        prod = ref_gre_multiply(G, idx[j], idx[i])
+        p[i, j] = prod[rep]
+        bad = np.nonzero(prod != p[i, j][part_of])[0]
+        if len(bad):
+            y = int(bad[0])
+            k = int(part_of[y])
+            return (f"partition is not an S-ring: p_{i},{j}^{k} is not "
+                    f"constant: cell ({G.identity},{y}) has {int(prod[y])}, "
+                    f"expected {int(p[i, j, k])}", (i, j, k, G.identity, y))
+    return p
+
+
+def test_cayley_products_match_all_pairs(constructions_by_family,
+                                         example1_results,
+                                         negative_control_candidates,
+                                         monkeypatch):
+    # one product per transpose pair of nontrivial parts gives the tensor of
+    # all r^2 products, and the same first failing pair, cell and message
+    products = []
+    multiply = schemes.gre_multiply
+    monkeypatch.setattr(schemes, "gre_multiply",
+                        lambda G, xs, ys: products.append(1)
+                        or multiply(G, xs, ys))
+    outcomes = {"tensor": 0, "failure": 0}
+    for G, parts in cayley_cases(constructions_by_family, example1_results,
+                                 negative_control_candidates):
+        products.clear()
+        try:
+            scheme = cayley_scheme(G, parts)
+        except SchemeError as exc:
+            if exc.witness is None:  # refused before any product
+                continue
+            assert (str(exc), exc.witness) == ref_cayley_products(G, parts)
+            outcomes["failure"] += 1
+            continue
+        assert (scheme.p == ref_cayley_products(G, parts)).all()
+        star = scheme.inverse.tolist()
+        r = scheme.rank
+        assert len(products) == sum(
+            (star[j], star[i]) >= (i, j)
+            for i, j in itertools.product(range(1, r), repeat=2))
+        if star == list(range(r)):  # symmetric: the pairs i <= j
+            assert len(products) == r * (r - 1) // 2
+        outcomes["tensor"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def ref_write_scheme(scheme, path) -> None:
@@ -1587,13 +1722,33 @@ def test_sqrt_and_roots_match_fraction_reference():
         assert got == want, (b, c)
 
 
-def kernel_outputs(params_list, n_lams):
+def library_spectral(p):
+    """Route 3's exact data from the library: P, multiplicities, Krein."""
+    data = spectral.spectral_data(p)
+    return data, spectral.krein(data.P, data.multiplicities, data.valencies)
+
+
+def reference_spectral(p):
+    """The same data from the QuadraticNumber loops on the closed-form P;
+    the zero pattern is read off the reference Krein parameters."""
+    P = spectral.higmanian_eigenmatrix(p)
+    valencies = tuple(x.as_integer() for x in P[0])
+    data = EigenData(P=P, multiplicities=ref_multiplicity_check(P, valencies),
+                     valencies=valencies)
+    ref_eigen_check(data)
+    q = ref_sorted_krein(data.P, data.multiplicities, data.valencies)
+    nonzero = tuple(tuple(tuple(map(bool, row)) for row in plane)
+                    for plane in q)
+    return data, KreinTensor(q=q, nonzero=nonzero)
+
+
+def kernel_outputs(params_list, n_lams, spectral_data):
     """str of every exact quantity routes 1 and 3 and the linked-system
-    branches produce, through the module-level names a kernel swap patches."""
+    branches produce, through the module-level names a kernel swap patches,
+    with route 3's data from ``spectral_data``."""
     out = []
     for p in params_list:
-        data = spectral.spectral_data(p)
-        kr = spectral.krein(data.P, data.multiplicities, data.valencies)
+        data, kr = spectral_data(p)
         qh = spectral.is_q_higmanian(data.multiplicities, kr)
         values = [x for row in data.P for x in row] + list(data.multiplicities)
         values += [x for plane in kr.q for row in plane for x in row]
@@ -1607,6 +1762,8 @@ def kernel_outputs(params_list, n_lams):
 
 
 def test_routes_match_under_fraction_reference(monkeypatch):
+    # route 3's integer kernel does no QuadraticNumber arithmetic, so the
+    # Fraction side runs the QuadraticNumber loops it replaced
     params_list = route3_params()
     n_lams = [(n, lam) for n in range(1, 9) for lam in range(1, 9)]
     for family, q, r, j in TABLE_GRID:
@@ -1615,11 +1772,11 @@ def test_routes_match_under_fraction_reference(monkeypatch):
         except ConstructionError:
             continue
         n_lams.append((n, lam))
-    fast = kernel_outputs(params_list, n_lams)
+    fast = kernel_outputs(params_list, n_lams, library_spectral)
     for mod in (spectral, higmanian, constructions):
         monkeypatch.setattr(mod, "QN", RefQuadraticNumber)
     monkeypatch.setattr(spectral, "quadratic_roots", ref_quadratic_roots)
-    slow = kernel_outputs(params_list, n_lams)
+    slow = kernel_outputs(params_list, n_lams, reference_spectral)
     assert len(fast) == len(slow)
     for got, want in zip(fast, slow):
         *got_head, got_values = got
@@ -1631,6 +1788,101 @@ def test_routes_match_under_fraction_reference(monkeypatch):
             assert_canonical(x)
         assert list(map(str, got_values)) == list(map(str, want_values)), \
             got_head
+
+
+# -- route 3's integer kernel against the QuadraticNumber loops --------------------
+
+def spectral_outcomes(P, multiplicities, valencies):
+    """What multiplicity_check, EigenData.check and krein give on the
+    integer kernel and on the QuadraticNumber loops: values or errors."""
+    data = EigenData(P=P, multiplicities=multiplicities, valencies=valencies)
+    got = (outcome(multiplicity_check, P, valencies), outcome(data.check),
+           outcome(lambda: krein(P, multiplicities, valencies).q))
+    want = (outcome(ref_multiplicity_check, P, valencies),
+            outcome(ref_eigen_check, data),
+            outcome(ref_sorted_krein, P, multiplicities, valencies))
+    return got, want
+
+
+def kernel_values(x):
+    """Every QuadraticNumber in a nested tuple."""
+    if isinstance(x, QN):
+        return [x]
+    if isinstance(x, tuple):
+        return [y for item in x for y in kernel_values(item)]
+    return []
+
+
+def test_spectral_kernel_matches_qn_loops_on_route3_params():
+    # Table 2 at every grid point, the nonuniform P24_BAD and the sweep,
+    # irrational eigenvalues among them
+    for params in route3_params():
+        data = spectral_data(params)
+        got, want = spectral_outcomes(data.P, data.multiplicities,
+                                      data.valencies)
+        assert got == want, params
+        assert got[1] is None  # the data passes its check
+        for x in kernel_values(got):
+            assert_canonical(x)
+
+
+def replaced(P, i, j, x):
+    rows = [list(row) for row in P]
+    rows[i][j] = x
+    return tuple(map(tuple, rows))
+
+
+def corrupted_spectral_inputs():
+    """(name, P, multiplicities, valencies) that break the spectral data."""
+    good = spectral_data(HigmanianParams(3, 4, 2, 4, 3))   # rational
+    bad = spectral_data(HigmanianParams(3, 4, 2, 4, 2))    # in Q(sqrt 2)
+    out = [
+        ("nonpositive multiplicity", good.P,
+         (QN(1), QN(-4), QN(9), QN(16), QN(2)), good.valencies),
+        ("zero multiplicity denominator",
+         replaced(replaced(replaced(good.P, 2, 0, QN(0)), 2, 1, QN(0)),
+                  2, 4, QN(0)), good.multiplicities, good.valencies),
+        ("entry in Q(sqrt 3)", replaced(bad.P, 1, 2, QN(1, 1, 3)),
+         bad.multiplicities, bad.valencies),
+        ("pure radical sqrt 3", replaced(bad.P, 1, 2, QN(0, 1, 3)),
+         bad.multiplicities, bad.valencies),
+        ("multiplicities in Q(sqrt 3)", bad.P,
+         (QN(1), QN(6, 1, 3), QN(9), QN(6, -1, 3), QN(2)), bad.valencies),
+    ]
+    for data, name in ((good, "P24"), (bad, "P24_BAD")):
+        for i, j in itertools.product(range(1, 5), range(5)):
+            out.append((f"{name} P[{i}][{j}] + 1",
+                        replaced(data.P, i, j, data.P[i][j] + 1),
+                        data.multiplicities, data.valencies))
+    return out
+
+
+def test_spectral_kernel_matches_qn_loops_on_corrupted_inputs():
+    errors = set()
+    for name, P, mults, valencies in corrupted_spectral_inputs():
+        got, want = spectral_outcomes(P, mults, valencies)
+        assert got == want, name
+        errors |= {x[1] for x in got if isinstance(x, tuple) and len(x) == 2
+                   and x[0] in (SpectralError, ValueError)}
+    assert {"nonpositive multiplicity",
+            "zero denominator in multiplicity formula",
+            "incompatible radicals sqrt(3), sqrt(2)",
+            "column orthogonality fails at (0,1)"} <= errors, errors
+
+
+def test_spectral_verdict_makes_few_qn_operations(monkeypatch):
+    # route 3 works on integers; only the eigenvalue pair is formed with
+    # QuadraticNumber operators
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__"):
+        op = QN.__dict__[name]
+        monkeypatch.setattr(QN, name, lambda x, y, _op=op:
+                            calls.append(1) or _op(x, y))
+    for params in route3_params():
+        calls.clear()
+        higmanian._spectral_verdict(params)
+        assert len(calls) <= 16, (params, len(calls))
 
 
 def test_gre_multiply_matches_reference(constructions_by_family):
