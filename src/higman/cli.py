@@ -90,7 +90,6 @@ def _spectral_dict(bundle: higmanian.VerdictBundle) -> dict:
 
 
 def analyze_scheme(scheme: schemes.SchemeTable, descriptor: str,
-                   strict: bool = True,
                    oracle: bool = False) -> tuple[AnalysisReport, int]:
     """Shared analysis driver for the CLI and the library."""
     report = AnalysisReport(input=descriptor, v=scheme.v, rank=scheme.rank)
@@ -105,8 +104,7 @@ def analyze_scheme(scheme: schemes.SchemeTable, descriptor: str,
 
     t0 = time.perf_counter()
     try:
-        bundle = higmanian.verdict_bundle(scheme, strict=strict,
-                                          oracle=oracle)
+        bundle = higmanian.verdict_bundle(scheme, oracle=oracle)
     except NotHigmanianError as exc:
         report.rejection = str(exc)
         return report, EXIT_NOT_HIGMANIAN
@@ -170,9 +168,7 @@ def cmd_analyze(args) -> int:
         print(f"not a scheme: {exc}", file=sys.stderr)
         return EXIT_BAD_SCHEME
     try:
-        report, code = analyze_scheme(scheme, args.file,
-                                      strict=not args.no_strict_higmanian,
-                                      oracle=args.oracle)
+        report, code = analyze_scheme(scheme, args.file, oracle=args.oracle)
     except OracleError as exc:
         print(f"error: oracle: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
@@ -367,8 +363,6 @@ def main(argv=None) -> int:
     pa.add_argument("--json", action="store_true")
     pa.add_argument("--oracle", action="store_true",
                     help="cross-check exact spectra numerically")
-    pa.add_argument("--no-strict-higmanian", action="store_true",
-                    help="analyze schemes with extra nontrivial parabolics")
     pa.add_argument("--seed", type=int, default=0, help="accepted, no effect")
     pa.set_defaults(func=cmd_analyze)
 

@@ -433,8 +433,8 @@ def cayley_isomorphic(phi1: GroupIsomorphism, phi2: GroupIsomorphism,
 
 # -- searches ----------------------------------------------------------------------
 
-def search_semiregular_rds(G: FiniteGroup, N: Subgroup,
-                           max_space: int = SEARCH_SPACE_CAP) -> list[tuple[int, ...]]:
+def search_semiregular_rds(G: FiniteGroup,
+                           N: Subgroup) -> list[tuple[int, ...]]:
     """All transversals of N whose differences avoid N^# and cover G \\ N
     with constant multiplicity, sorted.
 
@@ -448,13 +448,13 @@ def search_semiregular_rds(G: FiniteGroup, N: Subgroup,
     elsewhere are kept.  Blocks are searched depth first and hold at most
     ``_BLOCK_CELLS`` counts once extended, so memory is bounded by the
     number of levels times the block size, not by the width of a level.
-    ``max_space`` still caps n^m.
+    ``SEARCH_SPACE_CAP`` still caps n^m.
     """
     n = N.order
     m = G.order // n
-    if n ** m > max_space:
+    if n ** m > SEARCH_SPACE_CAP:
         raise ConstructionError(
-            f"search space {n}^{m} exceeds cap {max_space}")
+            f"search space {n}^{m} exceeds cap {SEARCH_SPACE_CAP}")
     if m % n:
         return []
     order = G.order

@@ -98,19 +98,47 @@ class DetectionResult:
     F: Parabolic | None = None
     relation_order: tuple[int, ...] | None = None  # scheme colors in the
     # canonical relation order (diagonal, E-color, S, T, F-color)
-    nontrivial_parabolic_count: int = 0
 
     def __bool__(self) -> bool:
         return self.higmanian
 
 
-def _reject(reason: str, count: int = 0) -> DetectionResult:
-    return DetectionResult(higmanian=False, reason=reason,
-                           nontrivial_parabolic_count=count)
+def _reject(reason: str) -> DetectionResult:
+    return DetectionResult(higmanian=False, reason=reason)
 
 
-def detect_higmanian(scheme: SchemeTable, strict: bool = True) -> DetectionResult:
-    """Decide Higmanian-ness and extract (E, F, S, T) and (f, m, n, k, t)."""
+def detect_higmanian(scheme: SchemeTable) -> DetectionResult:
+    """Decide Higmanian-ness and extract (E, F, S, T) and (f, m, n, k, t).
+
+    A count of nontrivial parabolics other than 2 is rejected at once, and
+    the chain is checked on the two, E before F by class size.  No scheme
+    is lost: a chain E < F with rk(E) = cork(F) = 2 and rk(F) = cork(E) = 3
+    leaves no third nontrivial parabolic.  Let E hold the colors 0, e and F
+    the colors 0, e, g, with S, T outside F; f, m, n >= 2.  Take a
+    nontrivial parabolic P.
+
+    1. If e is in P, P is a union of E-double cosets.  As cork(E) = 3 and
+       EgE lies in F ∖ E, these are E, {g} and {S, T}.  P = E + {S, T} is
+       impossible: take x and z in one F-class with (x, z) in g, and y in
+       another F-class; then (x, y) and (y, z) lie in S + T.  So P is E or F.
+    2. If e is not in P, P meets F in {0, g} at most.  Also g is not in P:
+       take x != z in one E-class and y in another E-class of the same
+       F-class; then (x, y) and (y, z) are in g, but (x, z) is in e.  So P
+       lies in {0, S, T}, and each P-class meets each F-class at most once.
+       This rules out S and T together, and forces the one outside color X
+       in P to have per-class count 1 (`_per_class_count` is constant).
+    3. Then p_eY^Y takes two values, which a scheme cannot do.  Let Y be
+       the other outside color.  For (x, y) in Y, let w be the point of
+       x's F-class in y's P-class; the value is (n - 1) - [w in E(x)].  As
+       y runs over x's Y-neighbours in one other class, w runs over x's
+       F-class minus x, so the value is n - 2 for n - 1 >= 1 choices of y,
+       and n - 1 for mn - n >= 2 choices.
+
+    Indecomposability then needs no wreath test: neither E nor F is a
+    wreath factor P, with P i P = {i} for every i outside P.  Not E: its 3
+    outside colors fall into cork(E) - 1 = 2 double cosets.  Not F: its
+    outside colors S and T form one.
+    """
     if scheme.rank != 5:
         return _reject(f"rank {scheme.rank} != 5")
     if not scheme.is_symmetric():
@@ -118,54 +146,27 @@ def detect_higmanian(scheme: SchemeTable, strict: bool = True) -> DetectionResul
     parabs = nontrivial_parabolics(scheme)
     if not parabs:
         return _reject("primitive: no nontrivial parabolic")
-    count = len(parabs)
-    if strict and count != 2:
-        return _reject(
-            f"{count} nontrivial parabolics, strict detection wants exactly 2",
-            count)
-
-    chain = None
-    for E, F in itertools.permutations(parabs, 2):
-        if not (E.colors < F.colors):
-            continue
-        # the restriction to a class of P has rank |P|
-        if len(E.colors) != 2 or len(F.colors) != 3:
-            continue
-        if F.corank != 2 or E.corank != 3:
-            continue
-        chain = (E, F)
-        break
-    if chain is None:
+    if len(parabs) != 2:
+        return _reject(f"{len(parabs)} nontrivial parabolics, "
+                       f"a Higmanian scheme has exactly 2")
+    E, F = parabs
+    # the restriction to a class of P has rank |P|.  cork(F) = 2 follows:
+    # cork(E) = 3 puts S and T in one E-double coset, as EgE = {g}
+    if not (E.colors < F.colors and len(E.colors) == 2
+            and len(F.colors) == 3 and E.corank == 3):
         return _reject("no parabolic chain with rk(E)=cork(F)=2, "
-                       "rk(F)=cork(E)=3", count)
-    E, F = chain
-    # The chain makes the scheme indecomposable: no nontrivial parabolic P
-    # is a wreath factor, with P i P = {i} for every i outside P.  Not E:
-    # its 3 outside colors fall into cork(E) - 1 = 2 double cosets.  Not F:
-    # its outside colors S and T form one.  A wreath factor P is comparable
-    # with every parabolic Q (for i in Q \ P, A_i A_i* meets every color of
-    # P, so P < Q).  So any other P has E < P, as E's 2 colors hold no
-    # other nontrivial parabolic, and then F < P, so P = F + {S} or
-    # F + {T}; but F S F = {S, T} lies in P, so P holds every color and
-    # is trivial.
-    a, b = F.outside  # F holds 3 of the 5 colors
-    if scheme.valencies[a] >= scheme.valencies[b]:
-        s_color, t_color = a, b
-    else:
-        s_color, t_color = b, a
-
-    v = scheme.v
-    n = E.n_class
-    n_F = F.n_class
-    f, m = v // n_F, n_F // n
-    (e_color,) = [c for c in E.colors if c != 0]
-
-    t = int(scheme.p[t_color, s_color, t_color])
+                       "rk(F)=cork(E)=3")
+    # S is the larger of the two relations outside F, the lower color on a tie
+    s_color, t_color = sorted(F.outside, key=lambda c: -scheme.valencies[c])
+    n, n_F = E.n_class, F.n_class
+    f, m = scheme.v // n_F, n_F // n
+    (e_color,) = E.colors - {0}
+    (g_color,) = F.colors - E.colors
     params = HigmanianParams(f=f, m=m, n=n,
-                             k=_per_class_count(scheme, F, s_color), t=t)
-
+                             k=_per_class_count(scheme, F, s_color),
+                             t=int(scheme.p[t_color, s_color, t_color]))
     alt = None
-    if scheme.valencies[a] == scheme.valencies[b]:
+    if scheme.valencies[s_color] == scheme.valencies[t_color]:
         # n_S = n_T: both labelings are legitimate; keep the larger t first
         alt = HigmanianParams(
             f=f, m=m, n=n, k=_per_class_count(scheme, F, t_color),
@@ -175,9 +176,7 @@ def detect_higmanian(scheme: SchemeTable, strict: bool = True) -> DetectionResul
             s_color, t_color = t_color, s_color
     return DetectionResult(
         higmanian=True, params=params, alt_params=alt, E=E, F=F,
-        relation_order=(0, e_color, s_color, t_color,
-                        [c for c in F.colors if c not in (0, e_color)][0]),
-        nontrivial_parabolic_count=count)
+        relation_order=(0, e_color, s_color, t_color, g_color))
 
 
 def _per_class_count(scheme: SchemeTable, F: Parabolic, color: int) -> int:
@@ -445,7 +444,6 @@ class VerdictBundle:
     eigen: spectral.EigenData
     kr: spectral.KreinTensor = field(repr=False)
     q_certificates: tuple = ()
-    rhs_candidates: tuple[QN, QN] = ()
     definition_details: dict = field(default_factory=dict, repr=False)
     dismantle_details: dict = field(default_factory=dict, repr=False)
     oracle: spectral.OracleResult | None = None
@@ -464,6 +462,12 @@ class VerdictBundle:
     def uniform(self) -> bool:
         return self.criterion
 
+    @property
+    def rhs_candidates(self) -> tuple[QN, QN]:
+        """Both right-hand sides of the criterion for ``params``."""
+        p = self.params
+        return uniformity_rhs(p.f, p.m, p.n, p.k)
+
 
 def _spectral_verdict(params: HigmanianParams):
     eigen = spectral.spectral_data(params)
@@ -472,7 +476,7 @@ def _spectral_verdict(params: HigmanianParams):
     return eigen, kr, qh
 
 
-def verdict_bundle(scheme: SchemeTable, strict: bool = True, seed: int = 0,
+def verdict_bundle(scheme: SchemeTable, seed: int = 0,
                    oracle: bool = False) -> VerdictBundle:
     """Run all four uniformity routes on a Higmanian scheme.
 
@@ -484,7 +488,7 @@ def verdict_bundle(scheme: SchemeTable, strict: bool = True, seed: int = 0,
     OracleError.  ``seed`` is accepted and has no effect: every route is
     exact and none samples.
     """
-    det = detect_higmanian(scheme, strict=strict)
+    det = detect_higmanian(scheme)
     if not det:
         raise NotHigmanianError(det.reason or "not Higmanian")
     params = det.params
@@ -505,7 +509,6 @@ def verdict_bundle(scheme: SchemeTable, strict: bool = True, seed: int = 0,
         definition=definition, q_higmanian=qh.verdict,
         dismantlable=dismantlable, eigen=eigen, kr=kr,
         q_certificates=qh.certificates,
-        rhs_candidates=uniformity_rhs(params.f, params.m, params.n, params.k),
         definition_details=def_details, dismantle_details=dis_details,
         alt_agrees=alt_agrees)
     if not bundle.consistent:

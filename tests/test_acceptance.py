@@ -215,7 +215,7 @@ def test_criterion_8_negative_controls(capsys):
     assert not detect_higmanian(w)
     w5 = wreath_product(wreath_product(trivial_scheme(2), trivial_scheme(2)),
                         wreath_product(trivial_scheme(2), trivial_scheme(2)))
-    assert w5.rank == 5 and not detect_higmanian(w5, strict=False)
+    assert w5.rank == 5 and not detect_higmanian(w5)
 
     # the criterion rejects a parameter tuple violating the equality
     assert not is_uniform_by_criterion(HigmanianParams(3, 4, 2, 4, 2))

@@ -11,7 +11,9 @@ import pytest
 import higman
 from higman import higmanian, spectral
 from higman.cli import main
-from higman.schemes import trivial_scheme, wreath_product, write_scheme
+from higman.schemes import (nontrivial_parabolics, trivial_scheme,
+                            wreath_product, write_scheme)
+from test_higmanian import rank5_wreath
 
 
 def run(capsys, *argv):
@@ -79,6 +81,8 @@ def test_analyze_not_higmanian(tmp_path, capsys):
     (["analyze"], "the following arguments are required: file"),
     (["analyze", "f.scheme", "--seed", "x"],
      "argument --seed: invalid int value: 'x'"),
+    (["analyze", "f.scheme", "--no-strict-higmanian"],
+     "unrecognized arguments: --no-strict-higmanian"),
 ])
 def test_usage_errors_exit_3(capsys, argv, message):
     # exit 2 would read as "not Higmanian"
@@ -96,6 +100,18 @@ def test_analyze_wreath_rejected(tmp_path, capsys):
     write_scheme(w, path)
     code, stdout, _ = run(capsys, "analyze", str(path))
     assert code == 2
+
+
+def test_analyze_rank5_wreath_names_parabolic_count(tmp_path, capsys):
+    w = rank5_wreath()
+    path = tmp_path / "w5.scheme"
+    write_scheme(w, path)
+    code, stdout, _ = run(capsys, "analyze", str(path))
+    count = len(nontrivial_parabolics(w))
+    assert code == 2 and count > 2
+    assert stdout.splitlines()[-1] == (
+        f"not Higmanian: {count} nontrivial parabolics, "
+        f"a Higmanian scheme has exactly 2")
 
 
 def test_analyze_malformed_file(tmp_path, capsys):

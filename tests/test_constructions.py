@@ -202,10 +202,11 @@ def test_search_rds_h33_nonempty():
 
 
 def test_search_rds_cap():
-    g = build_family("EA:2:5")
+    # 2^32 transversals, past the 2^24 cap: refused before any search
+    g = build_family("EA:2:6")
     n = g.subgroup([0, 1])
-    with pytest.raises(ConstructionError, match="cap"):
-        search_semiregular_rds(g, n, max_space=100)
+    with pytest.raises(ConstructionError, match=r"space 2\^32 exceeds cap"):
+        search_semiregular_rds(g, n)
 
 
 def test_search_rds_memory_bounded():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from higman.groups import build_family
@@ -8,9 +9,9 @@ from higman.higmanian import (HigmanianParams, NotHigmanianError,
                               is_uniform_by_definition_any, uniformity_rhs,
                               verdict_bundle)
 from higman.quadratic import QuadraticNumber as QN
-from higman.schemes import (SchemeError, cayley_scheme, nontrivial_parabolics,
-                            restriction, trivial_scheme, validate,
-                            wreath_product)
+from higman.schemes import (SchemeError, cayley_scheme, is_wreath_over,
+                            nontrivial_parabolics, restriction,
+                            trivial_scheme, validate, wreath_product)
 from test_schemes import nested_blocks, traced_peak
 
 
@@ -48,13 +49,48 @@ def test_detect_rejects_triple_wreath():
 
 
 def test_detect_rejects_rank5_wreath():
-    # a wreath product cannot carry the rk(E)=cork(F)=2, rk(F)=cork(E)=3
-    # chain, so rejection comes from the chain test
+    # the rank-5 wreath has more than two nontrivial parabolics, and the
+    # reason names the count
     w = rank5_wreath()
     assert w.rank == 5 and w.is_symmetric()
-    det = detect_higmanian(w, strict=False)
+    count = len(nontrivial_parabolics(w))
+    assert count > 2
+    det = detect_higmanian(w)
     assert not det
-    assert "chain" in det.reason
+    assert det.reason == \
+        f"{count} nontrivial parabolics, a Higmanian scheme has exactly 2"
+
+
+def icosahedron_scheme():
+    """Distance scheme of the icosahedron: rank 4, and its one nontrivial
+    parabolic, the antipodal pairs, has corank 2 (the quotient is K6)."""
+    edges = [(0, 1 + i) for i in range(5)] + [(11, 6 + i) for i in range(5)]
+    for i in range(5):
+        j = (i + 1) % 5
+        edges += [(1 + i, 1 + j), (6 + i, 6 + j), (1 + i, 6 + i),
+                  (1 + i, 6 + j)]
+    adjacent = np.zeros((12, 12), dtype=int)
+    for x, y in edges:
+        adjacent[x, y] = adjacent[y, x] = 1
+    dist, walks = np.zeros((12, 12), dtype=int), np.eye(12, dtype=int)
+    for d in (1, 2, 3):
+        walks = walks @ adjacent
+        dist[(walks > 0) & (dist == 0)] = d
+    np.fill_diagonal(dist, 0)
+    return validate(dist)
+
+
+def test_detect_rejects_chain_over_wreath_factor():
+    # K2 wreath the icosahedron has just two nontrivial parabolics E < F,
+    # with rk(E) = cork(F) = 2 and rk(F) = 3, but cork(E) = 4: E is a
+    # wreath factor, and only the test of cork(E) rejects the scheme
+    w = wreath_product(trivial_scheme(2), icosahedron_scheme())
+    assert w.rank == 5 and w.is_symmetric()
+    E, F = nontrivial_parabolics(w)
+    assert (len(E.colors), F.corank, len(F.colors), E.corank) == (2, 2, 3, 4)
+    assert is_wreath_over(w, E)
+    det = detect_higmanian(w)
+    assert not det and "chain" in det.reason
 
 
 def test_detect_rejects_nonsymmetric():
@@ -69,7 +105,7 @@ def test_detect_positive(q8_construction):
     assert det
     assert det.params.astuple() == (3, 4, 2, 4, 3)
     assert det.E.n_class == 2 and det.F.n_class == 8
-    assert det.nontrivial_parabolic_count == 2
+    assert len(nontrivial_parabolics(q8_construction.result.scheme)) == 2
     # tie labeling: second tuple differs only in t
     assert det.alt_params.astuple() == (3, 4, 2, 4, 1)
 
@@ -167,18 +203,6 @@ def test_verct_bundle_rejects_non_higmanian():
 def test_bundle_oracle(q8_construction):
     b = verdict_bundle(q8_construction.result.scheme, oracle=True)
     assert b.oracle is not None and b.oracle.max_abs_error < 1e-8
-
-
-def test_strict_flag_on_extra_parabolic_scheme():
-    # the rank-5 wreath has more than two nontrivial parabolics; strict mode
-    # rejects on the count, lax mode proceeds and rejects on the chain
-    w = rank5_wreath()
-    count = len(nontrivial_parabolics(w))
-    assert count != 2
-    strict = detect_higmanian(w, strict=True)
-    assert not strict and "strict" in strict.reason
-    lax = detect_higmanian(w, strict=False)
-    assert not lax and "chain" in lax.reason
 
 
 def octagon_scheme():

@@ -17,9 +17,14 @@ columns in the class and 0 elsewhere, tested directly; the pair list they
 share is checked to cover every ordered pair of outside colors, and the
 witnesses of both are pinned on orbit schemes), `is_dismantlable`
 decides every union from one pass over the class products, and detection
-reads k from the tensor; both must agree everywhere.  Route 3 is checked the same way: the Krein parameters against
-the loop over every ordered triple, and the multiplicities against the
-closed form in (f, m, n, k) and the eigenvalue pair.  Subset products
+reads k from the tensor; both must agree everywhere.  Detection, which
+rejects any count of nontrivial parabolics but 2 before it tests the
+chain, is checked against the search over every ordered pair that it
+replaced (`ref_detect_chain`): the same acceptance, params, second
+labeling and relation order.  Route 3 is checked against loops too: the
+Krein parameters against the loop over every ordered triple, and the
+multiplicities against the closed form in (f, m, n, k) and the eigenvalue
+pair.  Subset products
 `gre_multiply` are checked against a weighted scatter of one table row per
 element of the smaller side, the block-wise RDS search against a
 backtracking search that adds one element and one difference at a time,
@@ -1519,10 +1524,10 @@ def test_detection_matches_reference_count(reference_schemes,
 
     reasons, alts = set(), 0
     for scheme in schemes:
-        got = detect_higmanian(scheme, strict=False)
+        got = detect_higmanian(scheme)
         with monkeypatch.context() as m:
             m.setattr(higmanian, "_per_class_count", checked_ref_count)
-            ref = detect_higmanian(scheme, strict=False)
+            ref = detect_higmanian(scheme)
         assert (got.reason, got.params, got.alt_params) == \
             (ref.reason, ref.params, ref.alt_params)
         reasons.add(got.reason)
@@ -1537,15 +1542,70 @@ def test_detected_schemes_are_indecomposable(reference_schemes,
     # nontrivial parabolic of an accepted scheme is a wreath factor
     accepted = 0
     for scheme in rank5_schemes(reference_schemes, negative_controls):
-        for strict in (True, False):
-            if not detect_higmanian(scheme, strict=strict):
-                continue
+        if not detect_higmanian(scheme):
+            continue
+        accepted += 1
+        for parab in nontrivial_parabolics(scheme):
+            assert not is_wreath_over(scheme, parab)
+            assert not ref_is_wreath(scheme, parab.colors, parab.classes,
+                                     parab.class_of)
+    assert accepted > len(negative_controls)
+
+
+def ref_detect_chain(scheme):
+    """Detection by a search over every ordered pair of nontrivial
+    parabolics for the chain E < F, rk(E) = cork(F) = 2, rk(F) = cork(E)
+    = 3, with no test of their count, and k counted on the v x v matrix:
+    ``(params, alt_params, relation_order)``, or None with no chain."""
+    if scheme.rank != 5 or not scheme.is_symmetric():
+        return None
+    for E, F in itertools.permutations(nontrivial_parabolics(scheme), 2):
+        if (E.colors < F.colors and len(E.colors) == 2
+                and len(F.colors) == 3 and F.corank == 2
+                and E.corank == 3):
+            break
+    else:
+        return None
+    a, b = F.outside
+    s_color, t_color = (a, b) if (scheme.valencies[a]
+                                  >= scheme.valencies[b]) else (b, a)
+    f, m, n = scheme.v // F.n_class, F.n_class // E.n_class, E.n_class
+    (e_color,) = E.colors - {0}
+    (g_color,) = F.colors - E.colors
+    params = HigmanianParams(f, m, n, ref_per_class_count(scheme, F, s_color),
+                             int(scheme.p[t_color, s_color, t_color]))
+    alt = None
+    if scheme.valencies[a] == scheme.valencies[b]:
+        alt = HigmanianParams(f, m, n,
+                              ref_per_class_count(scheme, F, t_color),
+                              int(scheme.p[s_color, t_color, s_color]))
+        if alt.t > params.t:
+            params, alt = alt, params
+            s_color, t_color = t_color, s_color
+    return params, alt, (0, e_color, s_color, t_color, g_color)
+
+
+def test_detection_matches_chain_search(reference_schemes, negative_controls,
+                                        negative_control_candidates):
+    # a chain leaves no third nontrivial parabolic (`detect_higmanian`'s
+    # docstring), so testing the count first loses no scheme: the same
+    # acceptance, params, second labeling and relation order as the search
+    # over every pair, on every rank-5 scheme and S-ring at hand
+    srings = []
+    for G, parts in negative_control_candidates:
+        try:
+            srings.append(cayley_scheme(G, parts))
+        except SchemeError:
+            pass
+    accepted = 0
+    for scheme in rank5_schemes(reference_schemes, negative_controls) + srings:
+        got, ref = detect_higmanian(scheme), ref_detect_chain(scheme)
+        assert bool(got) == (ref is not None)
+        if got:
             accepted += 1
-            for parab in nontrivial_parabolics(scheme):
-                assert not is_wreath_over(scheme, parab)
-                assert not ref_is_wreath(scheme, parab.colors, parab.classes,
-                                         parab.class_of)
-    assert accepted > 2 * len(negative_controls)
+            assert len(nontrivial_parabolics(scheme)) == 2
+            assert (got.params, got.alt_params, got.relation_order) == ref
+    assert len(negative_controls) < accepted < len(srings)
 
 
 def route3_params():
