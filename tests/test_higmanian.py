@@ -61,6 +61,23 @@ def test_detect_rejects_rank5_wreath():
         f"{count} nontrivial parabolics, a Higmanian scheme has exactly 2"
 
 
+def test_strict_flag_on_extra_parabolic_scheme():
+    # the rank-5 wreath has more than two nontrivial parabolics; the strict
+    # and lax modes that once parted on such a scheme are gone, since no
+    # ordered pair of its parabolics forms the chain the lax mode sought:
+    # rejecting on the count loses nothing
+    w = rank5_wreath()
+    parabolics = nontrivial_parabolics(w)
+    assert len(parabolics) > 2
+    assert not any(E.colors < F.colors and len(E.colors) == 2
+                   and len(F.colors) == 3 and F.corank == 2
+                   and E.corank == 3
+                   for E in parabolics for F in parabolics)
+    assert not detect_higmanian(w)
+    with pytest.raises(TypeError):
+        detect_higmanian(w, strict=False)
+
+
 def icosahedron_scheme():
     """Distance scheme of the icosahedron: rank 4, and its one nontrivial
     parabolic, the antipodal pairs, has corank 2 (the quotient is K6)."""
