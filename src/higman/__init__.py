@@ -6,8 +6,8 @@ from .quadratic import QuadraticNumber
 from .groups import (FiniteGroup, GroupIsomorphism, Subgroup, build_family,
                      cosets, gre_multiply)
 from .schemes import (Parabolic, SchemeTable, cayley_scheme, parabolics,
-                      quotient, read_scheme, restriction, validate,
-                      wreath_product, write_scheme)
+                      read_scheme, restriction, validate, wreath_product,
+                      write_scheme)
 from .spectral import (EigenData, KreinTensor, higmanian_eigenmatrix,
                        is_q_higmanian, krein, multiplicity_check,
                        sim_classes, spectral_data)

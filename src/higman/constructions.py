@@ -32,8 +32,8 @@ import numpy as np
 
 from .groups import (FiniteGroup, GroupError, GroupIsomorphism, Subgroup,
                      build_family, central_product_q8, check_order, cosets,
-                     digit_fault, direct_product, gre_multiply, isomorphisms,
-                     prime_power)
+                     digit_fault, direct_product, generalized_dihedral,
+                     gre_multiply, isomorphisms, prime_power)
 from .higmanian import DetectionResult, HigmanianParams, detect_higmanian
 from .quadratic import QuadraticNumber
 from .schemes import SchemeTable, cayley_scheme, plain_lines
@@ -106,21 +106,28 @@ def intersection_condition(G: FiniteGroup, N: Subgroup, X: Iterable[int]) -> boo
     return len(counts) == 1
 
 
-# -- S-ring partitions -----------------------------------------------------------
+# -- the recipes' shared tail ------------------------------------------------------
 
-@dataclass(frozen=True)
-class SRingPartition:
-    group: FiniteGroup = field(repr=False)
-    parts: tuple[tuple[int, ...], ...]
-
-    def scheme(self) -> SchemeTable:
-        return cayley_scheme(self.group, self.parts)
+def _higmanian_cayley(G: FiniteGroup, parts: tuple[tuple[int, ...], ...],
+                      want: HigmanianParams
+                      ) -> tuple[SchemeTable, DetectionResult]:
+    """The Cayley scheme of a recipe's partition and its detection, refused
+    unless it is Higmanian with ``want`` in either labeling."""
+    scheme = cayley_scheme(G, parts)
+    det = detect_higmanian(scheme)
+    if not det:
+        raise ConstructionError(
+            f"construction did not yield a Higmanian scheme: {det.reason}")
+    if want not in (det.params, det.alt_params):
+        raise ConstructionError(
+            f"detected parameters {det.params} differ from expected {want}")
+    return scheme, det
 
 
 @dataclass
 class Example1Result:
-    dds: DivisibleDifferenceSet
-    partition: SRingPartition
+    group: FiniteGroup  # the generalized dihedral group <G, u>
+    parts: tuple[tuple[int, ...], ...]
     scheme: SchemeTable
     detection: DetectionResult
 
@@ -128,8 +135,6 @@ class Example1Result:
 def example1_construct(G: FiniteGroup, N: Subgroup,
                        X: Iterable[int]) -> Example1Result:
     """Generalized-dihedral S-ring from a DDS with the intersection condition."""
-    from .groups import generalized_dihedral
-
     if not G.is_abelian():
         raise ConstructionError("recipe needs an abelian group")
     dds = verify_dds(G, N, X)
@@ -149,21 +154,12 @@ def example1_construct(G: FiniteGroup, N: Subgroup,
         tuple(sorted(g + x for x in xs)),
         tuple(sorted(g + x for x in range(g) if x not in xs)),
     )
-    partition = SRingPartition(group=GD, parts=parts)
-    scheme = partition.scheme()
-    det = detect_higmanian(scheme)
-    if not det:
-        raise ConstructionError(
-            f"construction did not yield a Higmanian scheme: {det.reason}")
     # the n_T <= n_S convention reads k off the larger outside relation, so
     # a difference set smaller than its complement contributes mn - k
     k_s = max(dds.k, dds.m * dds.n - dds.k)
     want = HigmanianParams(f=2, m=dds.m, n=dds.n, k=k_s, t=0)
-    if det.params != want and det.alt_params != want:
-        raise ConstructionError(
-            f"detected parameters {det.params} differ from expected {want}")
-    return Example1Result(dds=dds, partition=partition, scheme=scheme,
-                          detection=det)
+    scheme, det = _higmanian_cayley(GD, parts, want)
+    return Example1Result(group=GD, parts=parts, scheme=scheme, detection=det)
 
 
 # -- closed linked systems --------------------------------------------------------
@@ -334,10 +330,8 @@ def recipe2_params(n: int, lam: int, w: int, nu: int) -> HigmanianParams:
 @dataclass
 class Example2Result:
     system: LinkedSystem
-    associate: FiniteGroup
-    phi: GroupIsomorphism  # from U onto the associate group
     product_group: FiniteGroup
-    partition: SRingPartition
+    parts: tuple[tuple[int, ...], ...]
     scheme: SchemeTable
     detection: DetectionResult
 
@@ -391,44 +385,10 @@ def example2_construct(system: LinkedSystem,
             (t3 if g in x_set else t4).append(idx(g, u))
     parts = (t0, tuple(sorted(t1)), tuple(sorted(t2)),
              tuple(sorted(t3)), tuple(sorted(t4)))
-    partition = SRingPartition(group=P, parts=parts)
-    scheme = partition.scheme()
-    det = detect_higmanian(scheme)
-    if not det:
-        raise ConstructionError(
-            f"partition is not Higmanian: {det.reason}")
-    result = Example2Result(system=system, associate=winf, phi=phi,
-                            product_group=P, partition=partition,
-                            scheme=scheme, detection=det)
-    want = result.expected_params
-    if det.params != want and det.alt_params != want:
-        raise ConstructionError(
-            f"detected parameters {det.params} differ from expected {want}")
-    return result
-
-
-def cayley_isomorphic(phi1: GroupIsomorphism, phi2: GroupIsomorphism,
-                      system: LinkedSystem) -> GroupIsomorphism:
-    """The automorphism of G x U fixing G and twisting U by phi2^-1 phi1;
-    verified to map the first partition's parts onto the second's."""
-    if phi1.source is not phi2.source:
-        raise ConstructionError("both isomorphisms must share the same U")
-    res1 = example2_construct(system, phi1)
-    res2 = example2_construct(system, phi2)
-    U = phi1.source
-    twist = phi2.inverse().compose(phi1)
-    P = res1.product_group
-    mapping = [0] * P.order
-    for g in range(system.group.order):
-        for u in range(U.order):
-            mapping[g * U.order + u] = g * U.order + twist(u)
-    iso = GroupIsomorphism(P, P, tuple(mapping))
-    for part1, part2 in zip(res1.partition.parts, res2.partition.parts):
-        image = {mapping[x] for x in part1}
-        if image != set(part2):
-            raise ConstructionError(
-                "twisted automorphism does not map parts to parts")
-    return iso
+    scheme, det = _higmanian_cayley(
+        P, parts, recipe2_params(system.n, system.lam, system.w, system.nu))
+    return Example2Result(system=system, product_group=P, parts=parts,
+                          scheme=scheme, detection=det)
 
 
 # -- searches ----------------------------------------------------------------------
@@ -630,8 +590,6 @@ class FamilyConstruction:
     q: int | None
     r: int | None
     j: int | None
-    group: FiniteGroup
-    forbidden: Subgroup
     system: LinkedSystem
     table1_expected: tuple[int, ...]
     table1_match: bool
@@ -720,8 +678,7 @@ def construct_family(family: str, q: int | None = None, r: int | None = None,
     # for a name; the choice of phi is immaterial
     result = example2_construct(system, phi)
     return FamilyConstruction(
-        family=family, q=q, r=r, j=j, group=system.group,
-        forbidden=system.forbidden, system=system, table1_expected=t1,
+        family=family, q=q, r=r, j=j, system=system, table1_expected=t1,
         table1_match=system.params == t1,
         associate=assoc, associate_expected_spec=assoc_spec,
         associate_match=phi is not None,

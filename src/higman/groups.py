@@ -281,19 +281,6 @@ class GroupIsomorphism:
     def __call__(self, x: int) -> int:
         return self.map[x]
 
-    def inverse(self) -> "GroupIsomorphism":
-        inv = [0] * len(self.map)
-        for x, y in enumerate(self.map):
-            inv[y] = x
-        return GroupIsomorphism(self.target, self.source, tuple(inv))
-
-    def compose(self, other: "GroupIsomorphism") -> "GroupIsomorphism":
-        """self after other (other first)."""
-        if other.target is not self.source:
-            raise GroupError("composition mismatch")
-        return GroupIsomorphism(other.source, self.target,
-                                tuple(self.map[y] for y in other.map))
-
 
 def isomorphisms(G: FiniteGroup, H: FiniteGroup) -> Iterator[GroupIsomorphism]:
     """Yield all isomorphisms G -> H, trying every image of the generators

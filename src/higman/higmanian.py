@@ -71,14 +71,6 @@ class HigmanianParams:
     def v(self) -> int:
         return self.f * self.m * self.n
 
-    @property
-    def n_S(self) -> int:
-        return self.k * (self.f - 1)
-
-    @property
-    def n_T(self) -> int:
-        return (self.m * self.n - self.k) * (self.f - 1)
-
     def astuple(self) -> tuple[int, int, int, int, int]:
         return (self.f, self.m, self.n, self.k, self.t)
 

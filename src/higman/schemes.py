@@ -5,10 +5,10 @@ diagonal, every color has an inverse color landing on the transposed cells,
 and the count of two-colored paths between two points depends only on the
 color joining them (the intersection numbers p_ij^k).  Validation derives
 the full intersection tensor and rejects non-schemes with the first violated
-axiom.  Parabolics, their coranks and the wreath test are read off that
-tensor; quotients and restrictions work on the color matrix and are
-validated again.  Cayley schemes of group partitions skip validation:
-their tensor comes from the products of the parts.
+axiom.  Parabolics and their coranks are read off that tensor;
+restrictions work on the color matrix and are validated again.  Cayley
+schemes of group partitions skip validation: their tensor comes from the
+products of the parts.
 
 Validation and the block-product routes of `higmanian` share one packed
 product check, `DigitRun.check`.  It forms a product a block of rows at a
@@ -358,7 +358,9 @@ class Parabolic:
 
     @property
     def corank(self) -> int:
-        """Rank of the quotient scheme on the classes."""
+        """Rank of the quotient scheme on the classes.  P is a wreath factor,
+        every P i P with i outside P being {i}, exactly when this is
+        rank - |P| + 1."""
         return 1 + len(self.double_cosets())
 
 
@@ -426,32 +428,10 @@ def _relabel(sub: np.ndarray) -> np.ndarray:
     return label[inverse.reshape(sub.shape)]
 
 
-def quotient(scheme: SchemeTable, parab: Parabolic) -> SchemeTable:
-    """Scheme on the classes; block colors keyed by the color sets they meet."""
-    if parab.scheme is not scheme:
-        raise SchemeError("parabolic belongs to a different scheme")
-    order = np.concatenate(parab.classes)
-    starts = np.arange(0, scheme.v, parab.n_class)
-    bits = np.left_shift(1, scheme.color[np.ix_(order, order)].astype(np.int64))
-    blocks = np.bitwise_or.reduceat(
-        np.bitwise_or.reduceat(bits, starts, axis=0), starts, axis=1)
-    # diagonal blocks hold color 0, off-diagonal ones never do
-    return validate(_relabel(blocks))
-
-
 def restriction(scheme: SchemeTable, points: Sequence[int]) -> SchemeTable:
     """Restrict to a point subset, relabel colors densely, re-validate."""
     pts = sorted(set(int(x) for x in points))
     return validate(_relabel(scheme.color[np.ix_(pts, pts)]))
-
-
-def is_wreath_over(scheme: SchemeTable, parab: Parabolic) -> bool:
-    """True when every relation outside the parabolic is block-constant
-    on off-diagonal class pairs (the wreath-product pattern), i.e. every
-    double coset P i P with i outside P is {i}."""
-    if parab.is_trivial():
-        raise SchemeError("wreath test needs a nontrivial proper parabolic")
-    return all(len(dc) == 1 for dc in parab.double_cosets())
 
 
 def wreath_product(inner: SchemeTable, outer: SchemeTable) -> SchemeTable:

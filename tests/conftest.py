@@ -1,7 +1,7 @@
 import pytest
 
-from higman.constructions import (SRingPartition, construct_family,
-                                  example1_construct, search_semiregular_rds)
+from higman.constructions import (construct_family, example1_construct,
+                                  search_semiregular_rds)
 from higman.groups import FiniteGroup, GroupError, Subgroup, build_family
 from higman.higmanian import detect_higmanian
 from higman.schemes import SchemeError, cayley_scheme
@@ -59,8 +59,8 @@ def negative_control_candidates():
 
 @pytest.fixture(scope="session")
 def negative_controls(negative_control_candidates):
-    """(partition, scheme, detection) of every candidate partition that
-    spans a Higmanian scheme."""
+    """((group, parts), scheme, detection) of every candidate partition
+    that spans a Higmanian scheme."""
     found = []
     for G, parts in negative_control_candidates:
         try:
@@ -69,7 +69,7 @@ def negative_controls(negative_control_candidates):
             continue
         det = detect_higmanian(scheme)
         if det:
-            found.append((SRingPartition(G, parts), scheme, det))
+            found.append(((G, parts), scheme, det))
     return found
 
 

@@ -17,8 +17,8 @@ from higman.groups import build_family, gre_multiply, isomorphisms
 from higman.higmanian import (HigmanianParams, detect_higmanian,
                               is_uniform_by_criterion, verdict_bundle)
 from higman.quadratic import QuadraticNumber as QN
-from higman.schemes import (read_scheme, trivial_scheme, wreath_product,
-                            write_scheme)
+from higman.schemes import (cayley_scheme, read_scheme, trivial_scheme,
+                            wreath_product, write_scheme)
 from higman.spectral import (float_eigen_oracle, krein, sim_classes,
                              spectral_data)
 
@@ -134,7 +134,7 @@ def test_criterion_6_product_identities(constructions_by_family):
         res = con.result
         P = res.product_group
         n, lam, w, mu, nu = L.n, L.lam, L.w, L.mu, L.nu
-        parts = res.partition.parts
+        parts = res.parts
         t = [np.bincount(part, minlength=P.order) for part in parts]
 
         def prod(a, b):
@@ -170,13 +170,12 @@ def test_criterion_7_property_suites(tmp_path, constructions_by_family,
             assert (gre_multiply(G, H.elements, xs) == want).all()
 
     # triangle identity on all basic-set triples of every S-ring
-    partitions = [c.result.partition for c in constructions_by_family.values()]
-    partitions += [r.partition for r in example1_results]
-    for partition in partitions:
-        G = partition.group
-        parts = partition.parts
+    partitions = [(c.result.product_group, c.result.parts)
+                  for c in constructions_by_family.values()]
+    partitions += [(r.group, r.parts) for r in example1_results]
+    for G, parts in partitions:
         sizes = [len(p) for p in parts]
-        p = partition.scheme().p
+        p = cayley_scheme(G, parts).p
         inv = [[frozenset(q) for q in parts].index(
             frozenset(int(G.inv[x]) for x in part)) for part in parts]
         for x, y, z in itertools.product(range(len(parts)), repeat=3):
@@ -191,12 +190,13 @@ def test_criterion_7_property_suites(tmp_path, constructions_by_family,
         assert L.branch in ("+", "-")
 
     # partition independence of phi: at least two distinct phi each
-    from higman.constructions import associate_group, cayley_isomorphic
+    from higman.constructions import associate_group
+    from test_constructions import cayley_isomorphic
     for con in constructions_by_family.values():
         winf = associate_group(con.system)
         autos = list(isomorphisms(winf, winf))
         assert len(autos) >= 2
-        cayley_isomorphic(autos[0], autos[1], con.system)  # raises on failure
+        cayley_isomorphic(autos[0], autos[1], con.system)  # asserts on failure
 
     # scheme-file round trip is byte-identical
     for i, con in enumerate(constructions_by_family.values()):

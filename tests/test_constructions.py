@@ -7,8 +7,8 @@ import pytest
 
 from higman import constructions
 from higman.constructions import (ConstructionError, associate_group,
-                                  cayley_isomorphic, construct_family,
-                                  example1_construct, example2_construct,
+                                  construct_family, example1_construct,
+                                  example2_construct,
                                   intersection_condition, read_linked_system,
                                   search_linked_system,
                                   search_semiregular_rds, semiregular_mu_nu,
@@ -80,9 +80,9 @@ def test_example1_t3_t4_product_lands_inside_g(example1_results):
     # the product of the two outside parts has support inside the abelian
     # half, which is why t = 0 for this recipe
     for res in example1_results:
-        GD = res.partition.group
+        GD = res.group
         half = GD.order // 2
-        t3, t4 = res.partition.parts[3:5]
+        t3, t4 = res.parts[3:5]
         assert not gre_multiply(GD, t3, t4)[half:].any()
         assert not gre_multiply(GD, t4, t3)[half:].any()
 
@@ -414,13 +414,13 @@ def test_parts_are_self_inverse(q8_construction, heis_construction,
     for con in (q8_construction, heis_construction, ea_construction):
         res = con.result
         P = res.product_group
-        for part in res.partition.parts:
+        for part in res.parts:
             assert {int(P.inv[x]) for x in part} == set(part)
 
 
 def test_part_sizes(q8_construction):
     L = q8_construction.system
-    parts = q8_construction.result.partition.parts
+    parts = q8_construction.result.parts
     assert len(parts[3]) == L.w * L.n * L.lam
     assert len(parts[4]) == L.w * L.n * L.lam * (L.n - 1)
     assert len(parts[3]) <= len(parts[4])
@@ -434,14 +434,12 @@ def test_scheme_valencies_24(q8_construction):
 def test_triangle_identity_all_triples(q8_construction, heis_construction,
                                        ea_construction, example1_results):
     """|Z| p_XY^(Z^-1) = |X| p_YZ^(X^-1) = |Y| p_ZX^(Y^-1)."""
-    partitions = [c.result.partition for c in
+    partitions = [(c.result.product_group, c.result.parts) for c in
                   (q8_construction, heis_construction, ea_construction)]
-    partitions += [r.partition for r in example1_results]
-    for partition in partitions:
-        G = partition.group
-        parts = partition.parts
+    partitions += [(r.group, r.parts) for r in example1_results]
+    for G, parts in partitions:
         sizes = [len(p) for p in parts]
-        p = partition.scheme().p
+        p = cayley_scheme(G, parts).p
         inv_part = []
         for part in parts:
             inv_set = frozenset(int(G.inv[x]) for x in part)
@@ -474,6 +472,19 @@ def test_example2_rejects_wrong_u(q8_construction):
         example2_construct(system, GroupIsomorphism(c4, c4, (0, 1, 2, 3)))
 
 
+def cayley_isomorphic(phi1, phi2, system):
+    """The automorphism of G x U fixing G and twisting U by phi2^-1 phi1,
+    checked to map recipe 2's parts under phi1 onto its parts under phi2:
+    the scheme does not depend on phi."""
+    res1, res2 = (example2_construct(system, phi) for phi in (phi1, phi2))
+    twist = [phi2.map.index(phi1(u)) for u in range(phi1.source.order)]
+    iso = GroupIsomorphism(res1.product_group, res1.product_group, tuple(
+        g * len(twist) + t for g in range(system.group.order) for t in twist))
+    assert [{iso(x) for x in p} for p in res1.parts] == \
+        [set(p) for p in res2.parts]
+    return iso
+
+
 def test_cayley_isomorphism_two_phis(q8_construction, heis_construction,
                                      ea_construction):
     for con in (q8_construction, heis_construction, ea_construction):
@@ -486,22 +497,6 @@ def test_cayley_isomorphism_two_phis(q8_construction, heis_construction,
         # identity phi pair gives the identity map
         ident = cayley_isomorphic(autos[0], autos[0], system)
         assert ident.map == tuple(range(len(ident.map)))
-
-
-def test_cayley_isomorphism_checks_sources_first(q8_construction,
-                                                 monkeypatch):
-    # a pair with different sources is refused before either scheme is built
-    system = q8_construction.system
-    winf = associate_group(system)
-    phi1 = next(isomorphisms(winf, winf))
-    phi2 = next(isomorphisms(FiniteGroup(winf.mul), winf))
-    calls = []
-    monkeypatch.setattr(constructions, "example2_construct",
-                        lambda *args: calls.append(args))
-    with pytest.raises(ConstructionError, match="both isomorphisms must "
-                       "share the same U"):
-        cayley_isomorphic(phi1, phi2, system)
-    assert calls == []
 
 
 # -- file formats ---------------------------------------------------------------------------

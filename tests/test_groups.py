@@ -239,9 +239,6 @@ def test_isomorphisms():
     c3 = cyclic_group(3)
     assert len(list(isomorphisms(c3, c3))) == 2
     assert len(list(isomorphisms(c4, c4))) == 2
-    # composition and inverse round-trip
-    iso = next(iter(isomorphisms(c4, c4)))
-    assert iso.compose(iso.inverse()).map == tuple(range(4))
 
 
 def test_isomorphism_validation():

@@ -9,10 +9,11 @@ from higman.higmanian import (HigmanianParams, NotHigmanianError,
                               is_uniform_by_definition_any, uniformity_rhs,
                               verdict_bundle)
 from higman.quadratic import QuadraticNumber as QN
-from higman.schemes import (SchemeError, cayley_scheme, is_wreath_over,
-                            nontrivial_parabolics, restriction,
-                            trivial_scheme, validate, wreath_product)
+from higman.schemes import (SchemeError, cayley_scheme, nontrivial_parabolics,
+                            restriction, trivial_scheme, validate,
+                            wreath_product)
 from test_schemes import nested_blocks, traced_peak
+from test_tensor_reference import wreath_checked
 
 
 def rank5_wreath():
@@ -22,7 +23,7 @@ def rank5_wreath():
 
 
 def test_params_validation():
-    HigmanianParams(3, 4, 2, 4, 3)
+    assert HigmanianParams(3, 4, 2, 4, 3).v == 24
     with pytest.raises(ValueError):
         HigmanianParams(1, 4, 2, 4, 3)
     with pytest.raises(ValueError):
@@ -31,8 +32,6 @@ def test_params_validation():
         HigmanianParams(3, 4, 2, 9, 3)  # k > mn
     with pytest.raises(ValueError, match="k < mn"):
         HigmanianParams(3, 2, 2, 4, 0)  # k = mn leaves n_T = 0
-    p = HigmanianParams(3, 4, 2, 4, 3)
-    assert (p.v, p.n_S, p.n_T) == (24, 8, 8)
 
 
 def test_detect_rejects_wrong_rank():
@@ -105,7 +104,7 @@ def test_detect_rejects_chain_over_wreath_factor():
     assert w.rank == 5 and w.is_symmetric()
     E, F = nontrivial_parabolics(w)
     assert (len(E.colors), F.corank, len(F.colors), E.corank) == (2, 2, 3, 4)
-    assert is_wreath_over(w, E)
+    assert wreath_checked(w, E)
     det = detect_higmanian(w)
     assert not det and "chain" in det.reason
 

