@@ -34,8 +34,6 @@ EXIT_BAD_FILE = 3
 EXIT_BAD_SCHEME = 4
 EXIT_INCONSISTENT = 5
 
-PARABOLIC_LIST_RANK_LIMIT = 12
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors on exit code 3, not its own 2, which
@@ -94,7 +92,7 @@ def analyze_scheme(scheme: schemes.SchemeTable, descriptor: str,
     """Shared analysis driver for the CLI and the library."""
     report = AnalysisReport(input=descriptor, v=scheme.v, rank=scheme.rank)
     t0 = time.perf_counter()
-    if scheme.rank <= PARABOLIC_LIST_RANK_LIMIT:
+    if scheme.rank <= schemes.PARABOLIC_RANK_LIMIT:
         for parab in schemes.parabolics(scheme):
             report.parabolics.append({
                 "classes": parab.num_classes,
@@ -302,8 +300,6 @@ TABLE_GRID = (
     ("ea", 9, 1, 1),
 )
 
-TABLES_ORDER_LIMIT = 512
-
 
 def _point_label(family, q, r, j) -> str:
     bits = [family]
@@ -321,17 +317,8 @@ def cmd_tables(args) -> int:
     for family, q, r, j in TABLE_GRID:
         label = _point_label(family, q, r, j)
         try:
-            order = constructions.table2_params(family, q, r, j).v
-        except ConstructionError as exc:
-            print(f"{label}: SKIP ({exc})")
-            continue
-        if order > TABLES_ORDER_LIMIT:
-            print(f"{label}: SKIP (scheme order {order} > "
-                  f"{TABLES_ORDER_LIMIT})")
-            continue
-        try:
             con = constructions.construct_family(family, q=q, r=r, j=j)
-        except ConstructionError as exc:
+        except (ConstructionError, GroupError) as exc:
             print(f"{label}: SKIP ({exc})")
             continue
         try:

@@ -254,11 +254,13 @@ def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
             for run in digit_runs([j for _, j in group], parab.n_class)]
 
     def blocks():
-        for gi, gpts in enumerate(parab.classes):
-            off = np.flatnonzero(parab.class_of != gi)
+        class_of = parab.class_of
+        for gi in range(parab.num_classes):
+            in_g = class_of == gi
+            off = np.flatnonzero(~in_g)
             # A_i[off, G] is A_i*[G, off] transposed, and G's rows gather
             # faster than its columns
-            right = color[list(gpts)].take(off, axis=1)
+            right = color[in_g].take(off, axis=1)
             yield off, right, {i: (right.T == inverse[i]).astype(np.float32)
                                for i in outside}
     return runs, blocks()
@@ -353,12 +355,6 @@ def is_uniform_by_definition(scheme: SchemeTable,
     return DefinitionCheck(ok=True, cork=2, coefficients_consistent=consistent)
 
 
-def is_uniform_by_definition_any(scheme: SchemeTable) -> tuple[bool, dict]:
-    """The scheme-level verdict: some nontrivial parabolic passes."""
-    return _first_passing(is_uniform_by_definition, scheme,
-                          nontrivial_parabolics(scheme))
-
-
 # -- uniformity route 4: dismantlability ----------------------------------------
 
 @dataclass
@@ -406,21 +402,13 @@ def is_dismantlable(scheme: SchemeTable, parab: Parabolic) -> DismantleCheck:
             for checked, union in enumerate((S, S | {gi}), start=1):
                 union = tuple(sorted(union))
                 try:
-                    restriction(scheme, [x for ci in union
-                                         for x in parab.classes[ci]])
+                    restriction(scheme,
+                                np.flatnonzero(np.isin(class_of, union)))
                 except SchemeError:
                     return DismantleCheck(False, union, checked)
             raise RuntimeError(f"both witness unions through class {gi} "
                                f"induce subschemes")
     return DismantleCheck(ok=True)
-
-
-def is_dismantlable_any(scheme: SchemeTable) -> tuple[bool, dict]:
-    # coarser parabolics first: fewer classes, cheaper and decisive for
-    # the corank-2 parabolic of a uniform scheme
-    return _first_passing(is_dismantlable, scheme,
-                          sorted(nontrivial_parabolics(scheme),
-                                 key=lambda e: e.num_classes))
 
 
 # -- the bundle ------------------------------------------------------------------
@@ -486,8 +474,12 @@ def verdict_bundle(scheme: SchemeTable, seed: int = 0,
     params = det.params
     criterion = is_uniform_by_criterion(params)
     eigen, kr, qh = _spectral_verdict(params)
-    definition, def_details = is_uniform_by_definition_any(scheme)
-    dismantlable, dis_details = is_dismantlable_any(scheme)
+    # detection leaves E and F as the only nontrivial parabolics.  Route 4
+    # tries F first: fewer classes, cheaper, and decisive on a uniform scheme
+    definition, def_details = _first_passing(is_uniform_by_definition,
+                                             scheme, (det.E, det.F))
+    dismantlable, dis_details = _first_passing(is_dismantlable, scheme,
+                                               (det.F, det.E))
 
     alt_agrees = True
     if det.alt_params is not None:

@@ -5,10 +5,13 @@ diagonal, every color has an inverse color landing on the transposed cells,
 and the count of two-colored paths between two points depends only on the
 color joining them (the intersection numbers p_ij^k).  Validation derives
 the full intersection tensor and rejects non-schemes with the first violated
-axiom.  Parabolics and their coranks are read off that tensor;
-restrictions work on the color matrix and are validated again.  Cayley
+axiom.  A parabolic is its set of colors: the parabolics, their class
+sizes and their coranks are read off that tensor, and a parabolic's
+classes are formed from the color matrix only where a route walks them.
+Restrictions work on the color matrix and are validated again.  Cayley
 schemes of group partitions skip validation: their tensor comes from the
-products of the parts.
+products of the parts, and their colors are gathered a block of rows at a
+time.
 
 Validation and the block-product routes of `higmanian` share one packed
 product check, `DigitRun.check`.  It forms a product a block of rows at a
@@ -55,7 +58,8 @@ class SchemeTable:
         self.p = p                # p[i, j, k] = p_ij^k
         self.inverse = inverse    # color involution i -> i*
         self.valencies = p[np.arange(self.rank), inverse, 0]  # n_i = p_ii*^0
-        self._parabolics: list[tuple] | None = None  # see parabolics()
+        self._parabolics: list[frozenset] | None = None  # see parabolics()
+        self._class_of: dict[frozenset, np.ndarray] = {}  # Parabolic.class_of
 
     def is_symmetric(self) -> bool:
         return bool((self.inverse == np.arange(self.rank)).all())
@@ -320,20 +324,34 @@ def trivial_scheme(v: int) -> SchemeTable:
 
 @dataclass(frozen=True)
 class Parabolic:
-    """An equivalence relation that is a union of basic relations."""
+    """A closed subset of colors: the equivalence relation that is their
+    union.  Its class size and count come from the valencies; its classes
+    are formed from the color matrix only when `class_of` is first read."""
 
     scheme: SchemeTable = field(repr=False)
     colors: frozenset[int]
-    classes: tuple[tuple[int, ...], ...]
-    class_of: np.ndarray = field(repr=False)
 
     @property
     def n_class(self) -> int:
-        return len(self.classes[0])
+        return int(self.scheme.valencies[sorted(self.colors)].sum())
 
     @property
     def num_classes(self) -> int:
-        return len(self.classes)
+        return self.scheme.v // self.n_class
+
+    @property
+    def class_of(self) -> np.ndarray:
+        """Each point's class, numbered in the order of the classes' least
+        points: each point's least class-mate names its class.  Formed on
+        first use and kept on the scheme, once per color set."""
+        cache, color = self.scheme._class_of, self.scheme.color
+        if self.colors not in cache:
+            inside = color == 0
+            for c in self.colors - {0}:
+                inside |= color == c
+            cache[self.colors] = np.unique(inside.argmax(axis=1),
+                                           return_inverse=True)[1]
+        return cache[self.colors]
 
     @property
     def outside(self) -> list[int]:
@@ -341,7 +359,7 @@ class Parabolic:
         return [i for i in range(self.scheme.rank) if i not in self.colors]
 
     def is_trivial(self) -> bool:
-        return self.n_class in (1, self.scheme.v)
+        return len(self.colors) in (1, self.scheme.rank)
 
     def double_cosets(self) -> list[frozenset[int]]:
         """The distinct color sets P i P for colors i outside P.
@@ -372,6 +390,7 @@ def parabolics(scheme: SchemeTable) -> list[Parabolic]:
     at once: row s of ``member`` is the set of bits s plus color 0, and
     m_s^T P_k m_s counts the pairs (i, j) inside set s with p_ij^k > 0,
     where P_k is the support of p_..^k (float32 is exact: at most r^2).
+    Only the color sets are kept; no class is formed.
     """
     if scheme._parabolics is None:
         r = scheme.rank
@@ -387,33 +406,11 @@ def parabolics(scheme: SchemeTable) -> list[Parabolic]:
         support = (scheme.p > 0).astype(np.float32)
         for k in range(r):
             ok &= member[:, k] | ~((m @ support[:, :, k]) * m).any(axis=1)
-        found = []
-        v = scheme.v
-        for row in member[ok]:
-            colors = np.flatnonzero(row)
-            if len(colors) == 1:  # {0}: every point is a class
-                class_of = np.arange(v, dtype=np.intp)
-                classes = tuple((x,) for x in range(v))
-            elif len(colors) == r:  # every color: one class
-                class_of = np.zeros(v, dtype=np.intp)
-                classes = (tuple(range(v)),)
-            else:
-                # each point's least class-mate names its class; all
-                # classes have the same size, the sum of the valencies in C
-                inside = scheme.color == 0
-                for c in colors[1:]:
-                    inside |= scheme.color == c
-                leads, class_of = np.unique(inside.argmax(axis=1),
-                                            return_inverse=True)
-                order = np.argsort(class_of, kind="stable")
-                classes = tuple(map(tuple,
-                                    order.reshape(len(leads), -1).tolist()))
-            found.append((frozenset(colors.tolist()), classes, class_of))
-        # the cache holds no Parabolic, which points back at the scheme: a
-        # reference cycle would keep every dropped scheme alive until the
-        # cyclic collector runs
-        scheme._parabolics = sorted(found, key=lambda e: len(e[1][0]))
-    return [Parabolic(scheme, *entry) for entry in scheme._parabolics]
+        found = [Parabolic(scheme, frozenset(np.flatnonzero(row).tolist()))
+                 for row in member[ok]]
+        scheme._parabolics = [e.colors for e in sorted(
+            found, key=lambda e: e.n_class)]
+    return [Parabolic(scheme, colors) for colors in scheme._parabolics]
 
 
 def nontrivial_parabolics(scheme: SchemeTable) -> list[Parabolic]:
@@ -511,8 +508,12 @@ def cayley_scheme(G: FiniteGroup, parts: Sequence[Iterable[int]]) -> SchemeTable
                 f"{int(p[i, j, k])}",
                 witness=(i, j, k, G.identity, y))
         p[star[j], star[i]] = p[i, j][istar]
-    # color[x, y] = part(y x^-1):  mul[:, inv][y, x] = y * inv(x)
-    color = np.ascontiguousarray(part_of[G.mul[:, G.inv]].T)
+    # color[x, y] = part(y x^-1) = istar[part(x y^-1)], and x y^-1 is
+    # mul[x, inv[y]]: one gather per block of rows, no v x v index
+    dual = istar[part_of].astype(np.int16)
+    color = np.empty((G.order, G.order), dtype=np.int16)
+    for rows in row_blocks(G.mul):
+        color[rows] = dual[G.mul[rows][:, G.inv]]
     return SchemeTable(color, p, istar)
 
 

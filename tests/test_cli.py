@@ -9,11 +9,12 @@ import warnings
 import pytest
 
 import higman
-from higman import higmanian, spectral
+from higman import cli, higmanian, schemes, spectral
 from higman.cli import main
 from higman.schemes import (nontrivial_parabolics, trivial_scheme,
                             wreath_product, write_scheme)
 from test_higmanian import rank5_wreath
+from test_tensor_reference import orbit_scheme
 
 
 def run(capsys, *argv):
@@ -112,6 +113,24 @@ def test_analyze_rank5_wreath_names_parabolic_count(tmp_path, capsys):
     assert stdout.splitlines()[-1] == (
         f"not Higmanian: {count} nontrivial parabolics, "
         f"a Higmanian scheme has exactly 2")
+
+
+def test_analyze_lists_parabolics_up_to_the_scan_limit(tmp_path, capsys):
+    # C:15 with every element its own color has rank 15, within the scan's
+    # rank limit: one parabolic per subgroup, listed by class size
+    thin = orbit_scheme(15, (1,))
+    assert thin.rank == 15 <= schemes.PARABOLIC_RANK_LIMIT
+    path = tmp_path / "c15.scheme"
+    write_scheme(thin, path)
+    code, stdout, _ = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert stdout.splitlines()[2:] == [
+        "parabolics: 15x1 (colors [0]), 5x3 (colors [0, 5, 10]), "
+        "3x5 (colors [0, 3, 6, 9, 12]), "
+        f"1x15 (colors {list(range(15))})",
+        "not Higmanian: rank 15 != 5"]
+    # the listing reads the tensor and forms no class
+    assert cli.analyze_scheme(thin, "c15")[1] == 2 and thin._class_of == {}
 
 
 def test_analyze_malformed_file(tmp_path, capsys):
@@ -268,12 +287,28 @@ def test_tables_cli(capsys):
     assert "w = p^j - 1 = 1 < 2" in by_label["ea q=2 r=1 j=1"]
     # q8cp r=3 takes its linked system in closed form, not by search
     assert "match" in by_label["q8cp r=3"]
-    # oversize points are skipped with notes
-    assert "SKIP" in by_label["heis q=5 r=1"]
+    # points past the desk are skipped with the reason construct_family
+    # gives: the search cap, or no forbidden subgroup to search over
+    assert by_label["heis q=3 r=2"] == \
+        "heis q=3 r=2: SKIP (search space 3^81 exceeds cap 16777216)"
+    assert by_label["heis q=5 r=1"] == \
+        "heis q=5 r=1: SKIP (search space 5^25 exceeds cap 16777216)"
+    assert by_label["ea q=9 r=1 j=1"] == \
+        "ea q=9 r=1 j=1: SKIP (no forbidden-subgroup candidates of order 9)"
     # only cyclic forbidden subgroups of prime order are tried
     assert by_label["ea q=4 r=1 j=2"] == \
         "ea q=4 r=1 j=2: SKIP (no forbidden-subgroup candidates of order 4)"
     assert "MISMATCH" not in stdout
+
+
+def test_tables_skips_point_past_group_order_limit(capsys, monkeypatch):
+    # G x U of q8cp r=6 has order 24576: construct_family refuses it before
+    # building any group, and tables reports that as a skip
+    monkeypatch.setattr(cli, "TABLE_GRID", (("q8cp", None, 6, None),))
+    code, stdout, err = run(capsys, "tables")
+    assert (code, err) == (0, "")
+    assert stdout == ("q8cp r=6: SKIP (group order 24576 exceeds the limit "
+                      "16384)\n")
 
 
 def test_tables_inconsistent_verdicts(capsys, monkeypatch):

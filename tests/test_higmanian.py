@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
+from higman import constructions
 from higman.groups import build_family
 from higman.higmanian import (HigmanianParams, NotHigmanianError,
                               detect_higmanian, is_dismantlable,
-                              is_dismantlable_any, is_uniform_by_criterion,
-                              is_uniform_by_definition,
-                              is_uniform_by_definition_any, uniformity_rhs,
+                              is_uniform_by_criterion,
+                              is_uniform_by_definition, uniformity_rhs,
                               verdict_bundle)
 from higman.quadratic import QuadraticNumber as QN
-from higman.schemes import (SchemeError, cayley_scheme, nontrivial_parabolics,
-                            restriction, trivial_scheme, validate,
-                            wreath_product)
+from higman.schemes import (SchemeError, SchemeTable, cayley_scheme,
+                            nontrivial_parabolics, restriction,
+                            trivial_scheme, validate, wreath_product)
 from test_schemes import nested_blocks, traced_peak
-from test_tensor_reference import wreath_checked
+from test_tensor_reference import classes_of, wreath_checked
 
 
 def rank5_wreath():
@@ -165,8 +165,10 @@ def test_definition_per_parabolic(q8_construction):
     res_f = is_uniform_by_definition(scheme, f)
     assert res_f.ok and res_f.cork == 2
     assert res_f.coefficients_consistent is not None
-    verdict, details = is_uniform_by_definition_any(scheme)
-    assert verdict
+    # the bundle runs route 2 over E, then F, which passes
+    b = verdict_bundle(scheme)
+    assert b.definition
+    assert b.definition_details == {e.n_class: res_e, f.n_class: res_f}
 
 
 def test_dismantlable(q8_construction):
@@ -175,8 +177,9 @@ def test_dismantlable(q8_construction):
     res = is_dismantlable(scheme, f)
     # a pass passes no union to `restriction`
     assert res.ok and res.witness is None and res.unions_checked == 0
-    verdict, details = is_dismantlable_any(scheme)
-    assert verdict
+    # the bundle runs route 4 over F first, which passes, so E is not tried
+    b = verdict_bundle(scheme)
+    assert b.dismantlable and b.dismantle_details == {f.n_class: res}
 
 
 def test_dismantlable_fails_over_small_parabolic(q8_construction):
@@ -198,7 +201,35 @@ def test_dismantlable_decides_fine_parabolic_exactly(heis_construction):
     assert not res.ok and 1 <= len(res.witness) <= 5
     assert 1 <= res.unions_checked <= 2
     with pytest.raises(SchemeError):
-        restriction(scheme, [x for ci in res.witness for x in e.classes[ci]])
+        restriction(scheme,
+                    [x for ci in res.witness for x in classes_of(e)[ci]])
+
+
+def test_detection_forms_no_class():
+    # detection reads class sizes and coranks from the tensor, so on a
+    # fresh table of q8cp r=4 (v = 1536) it forms no class; forming the
+    # classes of its four parabolics peaks at about 4.9 MB
+    result = constructions.example2_construct(
+        constructions.q8cp_linked_system(4))
+    assert result.scheme._class_of == {}
+    scheme = result.scheme
+    fresh = SchemeTable(scheme.color, scheme.p, scheme.inverse)
+    det, peak = traced_peak(detect_higmanian, fresh)
+    assert det and det.params == result.expected_params
+    assert peak < 100_000 and fresh._class_of == {}
+
+
+def test_bundle_forms_classes_once(q8_construction):
+    # on a uniform scheme route 2 stops at E's corank and passes at F, and
+    # route 4 passes at F: only F's classes are formed, and only once
+    scheme = q8_construction.result.scheme
+    fresh = SchemeTable(scheme.color, scheme.p, scheme.inverse)
+    F = verdict_bundle(fresh).detection.F
+    (class_of,) = fresh._class_of.values()
+    assert F.class_of is class_of
+    verdict_bundle(fresh)
+    assert len(fresh._class_of) == 1
+    assert fresh._class_of[F.colors] is class_of
 
 
 def test_verdict_bundle_uniform(q8_construction, heis_construction):

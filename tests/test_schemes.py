@@ -13,7 +13,8 @@ from higman.schemes import (SchemeError, SchemeParseError, cayley_scheme,
                             parse_scheme_file, read_scheme, restriction,
                             trivial_scheme, validate, wreath_product,
                             write_scheme)
-from test_tensor_reference import ref_quotient_colors, wreath_checked
+from test_tensor_reference import (classes_of, ref_quotient_colors,
+                                   wreath_checked)
 
 
 def test_one_point_scheme():
@@ -89,7 +90,7 @@ def test_parabolics_higmanian(q8_construction):
 
 
 def ref_quotient(scheme, parab):
-    return validate(ref_quotient_colors(scheme, parab.classes))
+    return validate(ref_quotient_colors(scheme, classes_of(parab)))
 
 
 def test_quotient():
@@ -121,7 +122,7 @@ def test_restriction_higmanian_f_class(q8_construction):
     scheme = q8_construction.result.scheme
     f = nontrivial_parabolics(scheme)[1]
     assert f.n_class == 8
-    ranks = {restriction(scheme, cls).rank for cls in f.classes}
+    ranks = {restriction(scheme, cls).rank for cls in classes_of(f)}
     assert ranks == {3}
 
 

@@ -120,6 +120,13 @@ def ref_parabolics(scheme):
     return sorted(found, key=lambda e: len(e[1][0]))
 
 
+def classes_of(parab):
+    """The classes of a parabolic as sorted tuples of points, in the order
+    of `class_of`, which numbers them by their least point."""
+    order = np.argsort(parab.class_of, kind="stable")
+    return tuple(map(tuple, order.reshape(parab.num_classes, -1).tolist()))
+
+
 def ref_intersection_numbers(color):
     """p[i, j, k] from all r^2 products B_i B_j, read at a cell of color k."""
     r = int(color.max()) + 1
@@ -279,7 +286,7 @@ def wreath_checked(scheme, parab):
     """Whether P is a wreath factor, by cork(P) = rank - |P| + 1, checked
     against the block-counting reference."""
     got = parab.corank == scheme.rank - len(parab.colors) + 1
-    assert got == ref_is_wreath(scheme, parab.colors, parab.classes,
+    assert got == ref_is_wreath(scheme, parab.colors, classes_of(parab),
                                 parab.class_of)
     return got
 
@@ -308,8 +315,7 @@ def ref_is_uniform_by_definition(scheme, parab):
                 + color).ravel()
     gmin = np.full((r, r, r), np.iinfo(np.int64).max, dtype=np.int64)
     gmax = np.full((r, r, r), -1, dtype=np.int64)
-    for gi in range(c):
-        gpts = list(parab.classes[gi])
+    for gi, gpts in enumerate(map(list, classes_of(parab))):
         for i in range(r):
             for j in range(r):
                 M = np.rint(basis[i][:, gpts] @ basis[j][gpts, :]).astype(
@@ -339,10 +345,10 @@ def ref_is_uniform_by_definition(scheme, parab):
 def ref_is_dismantlable(scheme, parab):
     """Whether every nonempty union of classes induces a subscheme, by
     restricting to each union in turn."""
-    c = parab.num_classes
-    for mask in range(1, 1 << c):
-        pts = [x for ci in range(c) if mask >> ci & 1
-               for x in parab.classes[ci]]
+    classes = classes_of(parab)
+    for mask in range(1, 1 << len(classes)):
+        pts = [x for ci, cls in enumerate(classes) if mask >> ci & 1
+               for x in cls]
         try:
             restriction(scheme, pts)
         except SchemeError:
@@ -885,9 +891,11 @@ def test_tensor_structure_matches_reference(reference_schemes, name):
     scheme = reference_schemes[name]
     ref = ref_parabolics(scheme)
     got = parabolics(scheme)
-    assert [(e.colors, e.classes) for e in got] == [r[:2] for r in ref]
+    assert [(e.colors, classes_of(e)) for e in got] == [r[:2] for r in ref]
     for parab, (colors, classes, class_of) in zip(got, ref):
         assert parab.class_of.tolist() == class_of.tolist()
+        assert (parab.num_classes, parab.n_class) == \
+            (len(classes), len(classes[0]))
         ref_q = validate(ref_quotient_colors(scheme, classes))
         assert parab.corank == ref_q.rank
         wreath_checked(scheme, parab)
@@ -906,7 +914,8 @@ def test_restriction_of_unions_matches_reference(reference_schemes, name):
     for parab in parabolics(scheme):
         if parab.num_classes < 2:
             continue
-        pts = parab.classes[-1] + parab.classes[0]
+        classes = classes_of(parab)
+        pts = classes[-1] + classes[0]
         ref_colors = ref_restriction_colors(scheme, pts)
         try:
             ref_r = validate(ref_colors)
@@ -1361,7 +1370,7 @@ def test_skipped_block_products_are_determined(reference_schemes):
             if i not in inside and j not in inside:
                 continue
             full = scheme.p[i, j][scheme.color]
-            for gi, gpts in enumerate(parab.classes):
+            for gi, gpts in enumerate(map(list, classes_of(parab))):
                 in_g = parab.class_of == gi
                 rows_or_cols = in_g[:, None] if i in inside else in_g[None, :]
                 product = basis[i][:, gpts] @ basis[j][gpts, :]
@@ -1496,9 +1505,10 @@ def test_dismantlable_matches_reference(reference_schemes):
         if not res.ok:
             # the witness is a union that `restriction` rejects
             assert 1 <= len(res.witness) <= 5
+            classes = classes_of(parab)
             with pytest.raises(SchemeError):
                 restriction(scheme, [x for ci in res.witness
-                                     for x in parab.classes[ci]])
+                                     for x in classes[ci]])
     assert outcomes == {True, False}
 
 
