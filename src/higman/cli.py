@@ -193,8 +193,7 @@ def cmd_construct(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
 
-    print(f"group: {con.result.product_group.name} "
-          f"(order {con.result.product_group.order})")
+    print(f"group: {con.result.group_name} (order {con.result.scheme.v})")
     print(f"linked system parameters: {con.system.params} "
           f"(formula {con.table1_expected}, "
           f"match: {'yes' if con.table1_match else 'NO'})")
@@ -332,8 +331,8 @@ def cmd_tables(args) -> int:
               f"(formula {con.table1_expected})  scheme "
               f"{con.result.detection.params.astuple()} "
               f"(formula {con.table2_expected.astuple()})  "
-              f"group {con.result.product_group.name} order "
-              f"{con.result.product_group.order}  uniform={bundle.uniform}")
+              f"group {con.result.group_name} order "
+              f"{con.result.scheme.v}  uniform={bundle.uniform}")
         if not ok:
             failures += 1
     return 0 if not failures else 1

@@ -32,8 +32,8 @@ import numpy as np
 
 from .groups import (FiniteGroup, GroupError, GroupIsomorphism, Subgroup,
                      build_family, central_product_q8, check_order, cosets,
-                     digit_fault, direct_product, generalized_dihedral,
-                     gre_multiply, isomorphisms, prime_power)
+                     digit_fault, generalized_dihedral, gre_multiply,
+                     isomorphisms, prime_power)
 from .higmanian import DetectionResult, HigmanianParams, detect_higmanian
 from .quadratic import QuadraticNumber
 from .schemes import SchemeTable, cayley_scheme, plain_lines
@@ -109,11 +109,12 @@ def intersection_condition(G: FiniteGroup, N: Subgroup, X: Iterable[int]) -> boo
 # -- the recipes' shared tail ------------------------------------------------------
 
 def _higmanian_cayley(G: FiniteGroup, parts: tuple[tuple[int, ...], ...],
-                      want: HigmanianParams
+                      want: HigmanianParams, U: FiniteGroup | None = None
                       ) -> tuple[SchemeTable, DetectionResult]:
-    """The Cayley scheme of a recipe's partition and its detection, refused
-    unless it is Higmanian with ``want`` in either labeling."""
-    scheme = cayley_scheme(G, parts)
+    """The Cayley scheme of a recipe's partition of G x U and its
+    detection, refused unless it is Higmanian with ``want`` in either
+    labeling."""
+    scheme = cayley_scheme(G, parts, U)
     det = detect_higmanian(scheme)
     if not det:
         raise ConstructionError(
@@ -330,7 +331,8 @@ def recipe2_params(n: int, lam: int, w: int, nu: int) -> HigmanianParams:
 @dataclass
 class Example2Result:
     system: LinkedSystem
-    product_group: FiniteGroup
+    U: FiniteGroup  # the points are G x U, (g, u) at index g*|U| + u
+    group_name: str  # Prod:<G>,<U>
     parts: tuple[tuple[int, ...], ...]
     scheme: SchemeTable
     detection: DetectionResult
@@ -352,6 +354,9 @@ def example2_construct(system: LinkedSystem,
 
     U is ``phi.source``, and phi an isomorphism onto the associate group;
     without phi, U is the associate group itself, with the identity as phi.
+    The point (g, u) has index g*|U| + u, and `cayley_scheme` reads the
+    scheme off the tables of G and U: no G x U table is built.  The result
+    keeps U and the product's name, Prod:<G>,<U>.
     """
     if system.k != system.m:
         raise ConstructionError("recipe needs semiregular members (k = m)")
@@ -364,15 +369,14 @@ def example2_construct(system: LinkedSystem,
 
     G = system.group
     uname = U.name if U.name and not U.name.startswith("assoc:") else "assoc"
-    P = direct_product(G, U, name=f"Prod:{G.name},{uname}")
     nu_ = U.order
+    check_order(G.order * nu_)
 
     def idx(g: int, u: int) -> int:
         return g * nu_ + u
 
-    e = P.identity
     N = system.forbidden
-    t0 = (e,)
+    t0 = (idx(G.identity, U.identity),)
     t1 = tuple(idx(x, U.identity) for x in N.elements if x != G.identity)
     t2 = tuple(idx(x, U.identity) for x in range(G.order)
                if x not in N.as_set)
@@ -386,8 +390,10 @@ def example2_construct(system: LinkedSystem,
     parts = (t0, tuple(sorted(t1)), tuple(sorted(t2)),
              tuple(sorted(t3)), tuple(sorted(t4)))
     scheme, det = _higmanian_cayley(
-        P, parts, recipe2_params(system.n, system.lam, system.w, system.nu))
-    return Example2Result(system=system, product_group=P, parts=parts,
+        G, parts, recipe2_params(system.n, system.lam, system.w, system.nu),
+        U)
+    return Example2Result(system=system, U=U,
+                          group_name=f"Prod:{G.name},{uname}", parts=parts,
                           scheme=scheme, detection=det)
 
 

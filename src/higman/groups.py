@@ -260,6 +260,27 @@ def gre_multiply(G: FiniteGroup, xs: Sequence[int],
     return np.bincount(G.mul[np.ix_(xs, ys)].ravel(), minlength=G.order)
 
 
+def gre_multiply_product(A: FiniteGroup, B: FiniteGroup, xs: Sequence[int],
+                         ys: Sequence[int]) -> np.ndarray:
+    """`gre_multiply` on A x B, with (a, b) at index a*|B| + b as in
+    `direct_product`, from the factors' tables: the product of (a, b) and
+    (c, d) is A.mul[a, c]*|B| + B.mul[b, d].  No A x B table is built.  The
+    keys are formed a block of xs at a time, from the rows of each table
+    that the block reads; each block, of keys or of rows, has at most
+    BLOCK_ENTRIES cells."""
+    nb = B.order
+    xa, xb = np.divmod(np.asarray(xs, dtype=np.intp), nb)
+    ya, yb = np.divmod(np.asarray(ys, dtype=np.intp), nb)
+    counts = np.zeros(A.order * nb, dtype=np.int64)
+    step = max(1, BLOCK_ENTRIES // max(len(ya), A.order, nb))
+    for s in range(0, len(xa), step):
+        keys = A.mul[xa[s:s + step]][:, ya] * np.int32(nb)
+        keys += B.mul[xb[s:s + step]][:, yb]
+        # the gathers come out in column-major order: count in memory order
+        counts += np.bincount(keys.ravel("K"), minlength=len(counts))
+    return counts
+
+
 # -- isomorphisms ------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ axiom.  A parabolic is its set of colors: the parabolics, their class
 sizes and their coranks are read off that tensor, and a parabolic's
 classes are formed from the color matrix only where a route walks them.
 Restrictions work on the color matrix and are validated again.  Cayley
-schemes of group partitions skip validation: their tensor comes from the
-products of the parts, and their colors are gathered a block of rows at a
-time.
+schemes of partitions of a group G x U skip validation: their tensor comes
+from the products of the parts and their colors from a gather per block of
+G's rows, both read off the tables of G and U, with no G x U table.
+Scheme files are written a block of rows at a time.
 
 Validation and the block-product routes of `higmanian` share one packed
 product check, `DigitRun.check`.  It forms a product a block of rows at a
@@ -29,8 +30,8 @@ from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
-from .groups import (BLOCK_ENTRIES, MAX_DIGITS, FiniteGroup, digit_fault,
-                     gre_multiply, row_blocks)
+from .groups import (BLOCK_ENTRIES, MAX_DIGITS, FiniteGroup, cyclic_group,
+                     digit_fault, gre_multiply_product, row_blocks)
 
 PARABOLIC_RANK_LIMIT = 16
 FLOAT32_EXACT_LIMIT = 1 << 24  # integers below this are exact in float32
@@ -448,39 +449,50 @@ def wreath_product(inner: SchemeTable, outer: SchemeTable) -> SchemeTable:
 
 # -- Cayley schemes ------------------------------------------------------------
 
-def cayley_scheme(G: FiniteGroup, parts: Sequence[Iterable[int]]) -> SchemeTable:
-    """Scheme of a group partition: color(x, y) = part containing y*x^-1.
+def cayley_scheme(G: FiniteGroup, parts: Sequence[Iterable[int]],
+                  U: FiniteGroup | None = None) -> SchemeTable:
+    """Scheme of a partition of G x U: color(x, y) = part containing y*x^-1.
 
-    The partition must have {e} as part 0 and be inverse-closed.  It spans
-    an S-ring, and so a scheme, iff every product of two parts is constant
-    on every part (Schur); that constant is the intersection number.  The
-    pairs (z, y) with color(e, z) = i and color(z, y) = j are those with
-    y = tz, t in T_j and z in T_i, so p_ij^k is the coefficient of
-    T_j T_i at any y in T_k.  No v x v product is formed, and of the
-    r^2 products of parts only one per transpose pair of nontrivial parts.
+    U is the group of order 1 when omitted, so that the parts partition G
+    itself.  The point (g, u) has index g*|U| + u, as in `direct_product`,
+    but no G x U table is built: every product is read off the tables of
+    G and U.  The partition must have {e} as part 0 and be inverse-closed.
+    It spans an S-ring, and so a scheme, iff every product of two parts is
+    constant on every part (Schur); that constant is the intersection
+    number.  The pairs (z, y) with color(e, z) = i and color(z, y) = j are
+    those with y = tz, t in T_j and z in T_i, so p_ij^k is the coefficient
+    of T_j T_i at any y in T_k, formed by `gre_multiply_product`.  No v x v
+    product is formed, and of the r^2 products of parts only one per
+    transpose pair of nontrivial parts.
     """
+    if U is None:
+        U = cyclic_group(1)
+    nu = U.order
+    v = G.order * nu
+    identity = G.identity * nu + U.identity
+    inv = (G.inv[:, None] * nu + U.inv).ravel()
     part_sets = [frozenset(int(x) for x in p) for p in parts]
     total = sum(len(p) for p in part_sets)
     union = frozenset().union(*part_sets)
-    if union - frozenset(range(G.order)):
-        raise SchemeError(f"part element outside 0..{G.order - 1}")
-    if total != G.order or len(union) != G.order:
+    if union - frozenset(range(v)):
+        raise SchemeError(f"part element outside 0..{v - 1}")
+    if total != v or len(union) != v:
         raise SchemeError("parts do not partition the group")
-    if part_sets[0] != frozenset({G.identity}):
+    if part_sets[0] != frozenset({identity}):
         raise SchemeError("part 0 must be the identity singleton")
     rank = len(part_sets)
-    part_of = np.empty(G.order, dtype=np.int16)
+    part_of = np.empty(v, dtype=np.int16)
     for pi, p in enumerate(part_sets):
         part_of[list(p)] = pi
     # istar[i] = the part of some x^-1 with x in T_i; inverse-closed iff
     # that part is the same for every x (empty parts are caught below)
     istar = np.zeros(rank, dtype=np.int64)
-    istar[part_of] = part_of[G.inv]
-    if (part_of[G.inv] != istar[part_of]).any():
+    istar[part_of] = part_of[inv]
+    if (part_of[inv] != istar[part_of]).any():
         raise SchemeError("partition is not inverse-closed")
-    idx = [sorted(p) for p in part_sets]
+    idx = [np.array(sorted(p), dtype=np.intp) for p in part_sets]
     for i, ti in enumerate(idx):
-        if not ti:
+        if not len(ti):
             raise SchemeError(f"partition is not an S-ring: color {i} unused")
     rep = [ti[0] for ti in idx]
 
@@ -496,7 +508,7 @@ def cayley_scheme(G: FiniteGroup, parts: Sequence[Iterable[int]]) -> SchemeTable
     for i, j in itertools.product(range(1, rank), repeat=2):
         if (star[j], star[i]) < (i, j):
             continue
-        prod = gre_multiply(G, idx[j], idx[i])
+        prod = gre_multiply_product(G, U, idx[j], idx[i])
         p[i, j] = prod[rep]
         bad = np.nonzero(prod != p[i, j][part_of])[0]
         if len(bad):
@@ -504,16 +516,25 @@ def cayley_scheme(G: FiniteGroup, parts: Sequence[Iterable[int]]) -> SchemeTable
             k = int(part_of[y])
             raise SchemeError(
                 f"partition is not an S-ring: p_{i},{j}^{k} is not constant: "
-                f"cell ({G.identity},{y}) has {int(prod[y])}, expected "
+                f"cell ({identity},{y}) has {int(prod[y])}, expected "
                 f"{int(p[i, j, k])}",
-                witness=(i, j, k, G.identity, y))
+                witness=(i, j, k, identity, y))
         p[star[j], star[i]] = p[i, j][istar]
-    # color[x, y] = part(y x^-1) = istar[part(x y^-1)], and x y^-1 is
-    # mul[x, inv[y]]: one gather per block of rows, no v x v index
-    dual = istar[part_of].astype(np.int16)
-    color = np.empty((G.order, G.order), dtype=np.int16)
+    # color[(g, u), (h, w)] = part((h, w)(g, u)^-1) = istar[part((g, u)(h,
+    # w)^-1)] = dual[u w^-1][g h^-1], with dual[c] the |G| colors of the
+    # elements (., c).  Per block of G's rows, one gather forms the
+    # quotients g h^-1, and one more per c in U the colors at (., c),
+    # which fill the cells of each (u, w) with u w^-1 = c: w = right[c][u]
+    dual = istar[part_of].astype(np.int16).reshape(G.order, nu).T.copy()
+    right = U.mul[U.inv].tolist()  # right[c][u] = c^-1 u
+    color = np.empty((v, v), dtype=np.int16)
+    cells = color.reshape(G.order, nu, G.order, nu)
     for rows in row_blocks(G.mul):
-        color[rows] = dual[G.mul[rows][:, G.inv]]
+        quotient = G.mul[rows][:, G.inv]
+        for c in range(nu):
+            block = dual[c][quotient]
+            for u, w in enumerate(right[c]):
+                cells[rows, u, :, w] = block
     return SchemeTable(color, p, istar)
 
 
@@ -522,23 +543,27 @@ def cayley_scheme(G: FiniteGroup, parts: Sequence[Iterable[int]]) -> SchemeTable
 def write_scheme(scheme: SchemeTable, path) -> None:
     """Text format: ``scheme <v> <rank>`` then v rows of colors.
 
-    The body is one gather from a table of tokens, the color's name and a
-    space, or a newline at the end of a row.  Each token is zero-padded to
-    the widest name plus one byte, and the pad bytes are dropped after.
+    The body is written a block of rows at a time, of at most
+    BLOCK_ENTRIES cells.  Each block is one gather from a table of tokens,
+    the color's name and a space, or a newline at the end of a row.  Each
+    token is zero-padded to the widest name plus one byte, and the pad
+    bytes are dropped after.  Beyond the colors, only a block is held.
     """
     names = [str(c).encode() for c in range(scheme.rank)]
     width = max(map(len, names)) + 1
     token = np.dtype((np.void, width))
     spaced = np.array([n + b" " for n in names], dtype=f"S{width}").view(token)
     ended = np.array([n + b"\n" for n in names], dtype=f"S{width}").view(token)
-    body = spaced[scheme.color]
-    body[:, -1] = ended[scheme.color[:, -1]]
-    text = body.tobytes()
-    if width > 2:  # some name has two or more digits, so pads exist
-        text = text.translate(None, b"\0")
     with open(path, "wb") as fh:
         fh.write(f"scheme {scheme.v} {scheme.rank}\n".encode())
-        fh.write(text)
+        for rows in row_blocks(scheme.color):
+            block = scheme.color[rows]
+            body = spaced[block]
+            body[:, -1] = ended[block[:, -1]]
+            text = body.tobytes()
+            if width > 2:  # some name has two or more digits, so pads exist
+                text = text.translate(None, b"\0")
+            fh.write(text)
 
 
 class SchemeParseError(ValueError):

@@ -21,6 +21,7 @@ from higman.schemes import (cayley_scheme, read_scheme, trivial_scheme,
                             wreath_product, write_scheme)
 from higman.spectral import (float_eigen_oracle, krein, sim_classes,
                              spectral_data)
+from test_tensor_reference import ref_product_group
 
 
 def _ok(name: str) -> None:
@@ -132,7 +133,7 @@ def test_criterion_6_product_identities(constructions_by_family):
     for con in constructions_by_family.values():
         L = con.system
         res = con.result
-        P = res.product_group
+        P = ref_product_group(res)
         n, lam, w, mu, nu = L.n, L.lam, L.w, L.mu, L.nu
         parts = res.parts
         t = [np.bincount(part, minlength=P.order) for part in parts]
@@ -170,7 +171,7 @@ def test_criterion_7_property_suites(tmp_path, constructions_by_family,
             assert (gre_multiply(G, H.elements, xs) == want).all()
 
     # triangle identity on all basic-set triples of every S-ring
-    partitions = [(c.result.product_group, c.result.parts)
+    partitions = [(ref_product_group(c.result), c.result.parts)
                   for c in constructions_by_family.values()]
     partitions += [(r.group, r.parts) for r in example1_results]
     for G, parts in partitions:

@@ -21,6 +21,7 @@ from higman.groups import (GROUP_ORDER_LIMIT, FiniteGroup, GroupError,
 from higman.higmanian import verdict_bundle
 from higman.quadratic import QuadraticNumber as QN
 from higman.schemes import SchemeError, cayley_scheme
+from test_tensor_reference import ref_product_group
 
 
 # -- difference sets ---------------------------------------------------------
@@ -297,6 +298,22 @@ def test_q8cp_closed_form_at_r4():
     assert system.branch == "-"
 
 
+def test_example2_peak_memory():
+    # recipe 2 reads its scheme off the tables of G and U, and forms its
+    # products and colors in blocks: at q8cp r=4 (v = 1536) the whole
+    # construction peaks under twice its int16 colors, 4.7 MB.  A 1536^2
+    # int32 table of G x U alone would be 9.4 MB
+    system = constructions.q8cp_linked_system(4)
+    tracemalloc.start()
+    try:
+        result = example2_construct(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.scheme.v == 1536
+    assert peak <= 2 * result.scheme.color.nbytes
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_q8cp_construct_runs_no_search(r, monkeypatch):
     def refuse(*args, **kwargs):
@@ -414,7 +431,7 @@ def test_parts_are_self_inverse(q8_construction, heis_construction,
                                 ea_construction):
     for con in (q8_construction, heis_construction, ea_construction):
         res = con.result
-        P = res.product_group
+        P = ref_product_group(res)
         for part in res.parts:
             assert {int(P.inv[x]) for x in part} == set(part)
 
@@ -435,7 +452,7 @@ def test_scheme_valencies_24(q8_construction):
 def test_triangle_identity_all_triples(q8_construction, heis_construction,
                                        ea_construction, example1_results):
     """|Z| p_XY^(Z^-1) = |X| p_YZ^(X^-1) = |Y| p_ZX^(Y^-1)."""
-    partitions = [(c.result.product_group, c.result.parts) for c in
+    partitions = [(ref_product_group(c.result), c.result.parts) for c in
                   (q8_construction, heis_construction, ea_construction)]
     partitions += [(r.group, r.parts) for r in example1_results]
     for G, parts in partitions:
@@ -479,7 +496,8 @@ def cayley_isomorphic(phi1, phi2, system):
     the scheme does not depend on phi."""
     res1, res2 = (example2_construct(system, phi) for phi in (phi1, phi2))
     twist = [phi2.map.index(phi1(u)) for u in range(phi1.source.order)]
-    iso = GroupIsomorphism(res1.product_group, res1.product_group, tuple(
+    P = ref_product_group(res1)
+    iso = GroupIsomorphism(P, P, tuple(
         g * len(twist) + t for g in range(system.group.order) for t in twist))
     assert [{iso(x) for x in p} for p in res1.parts] == \
         [set(p) for p in res2.parts]
@@ -577,5 +595,5 @@ def test_linked_system_file_needs_a_family_spec(tmp_path, q8_construction):
             write_linked_system(linked, path)
         assert not path.exists()
     # recipe 2 names its product over the abstract associate group "assoc"
-    assert example2_construct(system).product_group.name == \
+    assert example2_construct(system).group_name == \
         "Prod:Q8cp:1,assoc"

@@ -9,7 +9,8 @@ from higman.groups import (FiniteGroup, GroupError, GroupIsomorphism,
                            build_family, cosets, cyclic_group,
                            direct_product, elementary_abelian,
                            generalized_dihedral, gre_multiply,
-                           heisenberg_group, isomorphisms, prime_power)
+                           gre_multiply_product, heisenberg_group,
+                           isomorphisms, prime_power)
 
 BUILTIN_SPECS = ["C:4", "C:6", "EA:2:2", "EA:3:2", "Q8cp:1", "Heis:3:1",
                  "GenDih:C:4", "Prod:C:2,C:4"]
@@ -487,9 +488,32 @@ def test_derived_products_match_checked_constructor():
         _assert_matches_checked(P)
 
 
+def test_gre_multiply_product_matches_the_product_table(monkeypatch):
+    # the counts on A x B from the factors' tables, in blocks of one row
+    # of xs, of a few and of all, are those of the materialized table:
+    # identities away from index 0, non-abelian factors on either side,
+    # repeated elements and empty sides
+    rng = random.Random(3)
+    q8r = _relabelled(build_family("Q8cp:1"), [5, 3, 0, 7, 1, 6, 2, 4])
+    s3 = build_family("GenDih:C:3")
+    for A, B in [(q8r, s3), (s3, q8r), (cyclic_group(5), cyclic_group(1)),
+                 (cyclic_group(1), s3)]:
+        P = direct_product(A, B)
+        for size in (0, 1, 7, 30, 30, 30):
+            xs = [rng.randrange(P.order) for _ in range(size)]
+            ys = [rng.randrange(P.order) for _ in range(rng.randrange(40))]
+            want = gre_multiply(P, xs, ys)
+            for entries in (1, 50, groups.BLOCK_ENTRIES):
+                monkeypatch.setattr(groups, "BLOCK_ENTRIES", entries)
+                assert (gre_multiply_product(A, B, xs, ys) == want).all()
+            monkeypatch.undo()
+
+
 def test_recipe2_products_match_checked_constructor(constructions_by_family):
+    # imported here: test_tensor_reference imports this module
+    from test_tensor_reference import ref_product_group
     for con in constructions_by_family.values():
-        _assert_matches_checked(con.result.product_group)
+        _assert_matches_checked(ref_product_group(con.result))
 
 
 @pytest.mark.parametrize("spec, gens", [

@@ -32,7 +32,12 @@ backtracking search that adds one element and one difference at a time,
 and Cayley schemes, whose tensor comes from the products of the parts,
 against `validate` on their color matrices and against the loop over all
 r^2 products (`ref_cayley_products`): the same tensor, and the same
-failing pair, cell and message.  Route 3's integer kernel is checked
+failing pair, cell and message.  Recipe 2's Cayley schemes, read off
+the tables of G and U, are checked against `cayley_scheme` on the G x U
+table materialized as one group (`ref_product_group`): the same colors,
+tensor and inverses on every recipe-2 construction here, and the same
+message and witness on a corrupted partition, also in blocks of a row.
+Route 3's integer kernel is checked
 against the `QuadraticNumber` loops it replaced (`ref_multiplicity_check`,
 `ref_eigen_check`, `ref_sorted_krein`): the same values on every route-3
 parameter tuple, and the same values or errors on corrupted spectral
@@ -56,9 +61,10 @@ index holds frozensets, not sorted tuples (`ref_close`).
 The Lanczos float oracle is checked against the dense oracle it replaced
 (`eigh` of M, one projection per eigenspace): the same multiplicities, P
 within 1e-9, and the same error on wrong exact data.  `write_scheme`,
-which gathers every token at once, is checked against the row-by-row
-writer it replaced (`ref_write_scheme`): the same bytes on every scheme
-here and on random color matrices whose names have 1 to 4 digits.
+which gathers the tokens of a block of rows at once, is checked against
+the row-by-row writer it replaced (`ref_write_scheme`): the same bytes on
+every scheme here and on random color matrices whose names have 1 to 4
+digits, also in blocks of a few rows.
 """
 
 from __future__ import annotations
@@ -76,11 +82,12 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from higman import constructions, higmanian, schemes, spectral
+from higman import constructions, groups, higmanian, schemes, spectral
 from higman.cli import TABLE_GRID
 from higman.constructions import (ConstructionError, search_semiregular_rds,
                                   table1_params, table2_params)
-from higman.groups import build_family, cosets, gre_multiply
+from higman.groups import (build_family, cosets, direct_product, gre_multiply,
+                           isomorphisms)
 from higman.higmanian import (DefinitionCheck, HigmanianParams,
                               _outside_blocks, detect_higmanian,
                               is_dismantlable, is_uniform_by_definition)
@@ -740,6 +747,13 @@ def ref_quadratic_roots(b: Fraction, c: Fraction) -> tuple[RefQuadraticNumber, R
     return (RefQuadraticNumber(-b) + s) / 2, (RefQuadraticNumber(-b) - s) / 2
 
 
+def ref_product_group(res):
+    """Recipe 2's G x U as one group, with its table materialized by
+    `direct_product`: the product whose single table `cayley_scheme` and
+    `gre_multiply` are checked on, against the factor tables."""
+    return direct_product(res.system.group, res.U, name=res.group_name)
+
+
 def ref_gre_multiply(G, xs, ys):
     """Product of the multiset sums of xs and ys: the coefficient vectors
     count repeats, and one weighted table row per element of the smaller
@@ -966,7 +980,7 @@ def cayley_cases(constructions_by_family, example1_results,
                  negative_control_candidates):
     """Every Cayley scheme the suite builds, and every candidate partition
     of the negative-control search, accepted or not."""
-    cases = [(con.result.product_group, con.result.parts)
+    cases = [(ref_product_group(con.result), con.result.parts)
              for con in constructions_by_family.values()]
     cases += [(res.group, res.parts) for res in example1_results]
     cases += list(small_partitions().values()) + thin_partitions()
@@ -1000,6 +1014,75 @@ def test_cayley_scheme_matches_validate(constructions_by_family,
     assert 0 < accepted < len(cases)
 
 
+@pytest.fixture(scope="module")
+def recipe2_results(constructions_by_family):
+    """Every recipe-2 construction the suite builds: the four desk points,
+    q8cp r=3 and r=4, and heis q=3 r=1 under an automorphism phi of its
+    associate group other than the identity."""
+    results = [con.result for con in constructions_by_family.values()]
+    results += [constructions.example2_construct(
+        constructions.q8cp_linked_system(r)) for r in (3, 4)]
+    system = constructions_by_family[("heis", (("q", 3), ("r", 1)))].system
+    winf = constructions.associate_group(system)
+    phi = next(phi for phi in isomorphisms(winf, winf)
+               if phi.map != tuple(range(winf.order)))
+    return results + [constructions.example2_construct(system, phi)]
+
+
+def corrupted_recipe2_parts(res):
+    """Recipe 2's parts with one element of T_3 and its inverse moved to
+    T_4: still an inverse-closed partition, but not an S-ring."""
+    P = ref_product_group(res)
+    x = res.parts[3][0]
+    moved = {x, int(P.inv[x])}
+    parts = [list(part) for part in res.parts]
+    parts[3] = [y for y in parts[3] if y not in moved]
+    parts[4] = sorted(parts[4] + list(moved))
+    return parts
+
+
+def cayley_failure(G, parts, U=None):
+    """The text and witness of the `SchemeError` of a partition."""
+    with pytest.raises(SchemeError) as err:
+        cayley_scheme(G, parts, U)
+    return str(err.value), err.value.witness
+
+
+def test_cayley_scheme_from_factors_matches_product_table(recipe2_results):
+    # recipe 2 reads its scheme off the tables of G and U; the G x U table,
+    # materialized as one group, must give the same colors and tensor
+    assert [res.scheme.v for res in recipe2_results[4:6]] == [384, 1536]
+    for res in recipe2_results:
+        ref = cayley_scheme(ref_product_group(res), res.parts)
+        assert res.scheme.color.tobytes() == ref.color.tobytes()
+        assert (res.scheme.p == ref.p).all()
+        assert (res.scheme.inverse == ref.inverse).all()
+    # and a partition that is not an S-ring fails at the same pair and cell
+    for res in recipe2_results[:1] + recipe2_results[-1:]:
+        parts = corrupted_recipe2_parts(res)
+        want = cayley_failure(ref_product_group(res), parts)
+        assert "not an S-ring" in want[0] and want[1] is not None
+        assert cayley_failure(res.system.group, parts, res.U) == want
+
+
+def test_cayley_scheme_in_small_blocks(monkeypatch, recipe2_results):
+    # the products of parts and the colors are formed in blocks; blocks
+    # of a row or a few, which split every product and every table, give
+    # the same scheme and the same failure
+    cases = [(res, corrupted_recipe2_parts(res)) for res in recipe2_results[:4]]
+    failures = [cayley_failure(res.system.group, parts, res.U)
+                for res, parts in cases]
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", 37)
+    monkeypatch.setattr(schemes, "row_blocks",
+                        lambda matrix, entries=None:
+                        groups.row_blocks(matrix, 37))
+    for (res, parts), failure in zip(cases, failures):
+        got = cayley_scheme(res.system.group, res.parts, res.U)
+        assert got.color.tobytes() == res.scheme.color.tobytes()
+        assert (got.p == res.scheme.p).all()
+        assert cayley_failure(res.system.group, parts, res.U) == failure
+
+
 def ref_cayley_products(G, parts):
     """p_ij^k from all r^2 products of parts, in order, or the text and
     witness of the error on the first product not constant on a part."""
@@ -1030,10 +1113,10 @@ def test_cayley_products_match_all_pairs(constructions_by_family,
     # one product per transpose pair of nontrivial parts gives the tensor of
     # all r^2 products, and the same first failing pair, cell and message
     products = []
-    multiply = schemes.gre_multiply
-    monkeypatch.setattr(schemes, "gre_multiply",
-                        lambda G, xs, ys: products.append(1)
-                        or multiply(G, xs, ys))
+    multiply = schemes.gre_multiply_product
+    monkeypatch.setattr(schemes, "gre_multiply_product",
+                        lambda A, B, xs, ys: products.append(1)
+                        or multiply(A, B, xs, ys))
     outcomes = {"tensor": 0, "failure": 0}
     for G, parts in cayley_cases(constructions_by_family, example1_results,
                                  negative_control_candidates):
@@ -1101,6 +1184,24 @@ def test_scheme_writer_matches_reference(tmp_path, reference_schemes):
                                           rank=rank))
         matrix, declared = parse_scheme_file(path)
         assert declared == rank and (matrix == color).all()
+
+
+def test_scheme_writer_in_row_blocks(tmp_path, monkeypatch,
+                                     reference_schemes):
+    # the body is written a block of rows at a time: blocks of 280 cells,
+    # 7 rows of the random matrices and 2 of the 108-point schemes, the
+    # last one short, give the bytes of the row-by-row writer
+    monkeypatch.setattr(schemes, "row_blocks",
+                        lambda matrix, entries=None:
+                        groups.row_blocks(matrix, 7 * 40))
+    got, want = tmp_path / "got.scheme", tmp_path / "want.scheme"
+    cases = list(reference_schemes.values()) + [
+        SimpleNamespace(color=color, v=len(color), rank=rank)
+        for color, rank in color_matrices()]
+    for scheme in cases:
+        write_scheme(scheme, got)
+        ref_write_scheme(scheme, want)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_irregular_relation_rejected():
