@@ -256,8 +256,10 @@ def gre_multiply(G: FiniteGroup, xs: Sequence[int],
                  ys: Sequence[int]) -> np.ndarray:
     """The group-ring product of two subsets, as int64 counts: entry g is the
     number of pairs (x, y) in xs x ys with xy = g.  Repeated elements count
-    once per occurrence."""
-    return np.bincount(G.mul[np.ix_(xs, ys)].ravel(), minlength=G.order)
+    once per occurrence.  The table is gathered by rows, then columns, and
+    counted in memory order."""
+    xs, ys = (np.asarray(s, dtype=np.intp) for s in (xs, ys))
+    return np.bincount(G.mul[xs][:, ys].ravel("K"), minlength=G.order)
 
 
 def gre_multiply_product(A: FiniteGroup, B: FiniteGroup, xs: Sequence[int],
