@@ -26,8 +26,8 @@ import numpy as np
 
 from .quadratic import QuadraticNumber
 from .schemes import (GATHER_ENTRIES, Parabolic, SchemeError, SchemeTable,
-                      _values_at, digit_runs, first_cells,
-                      nontrivial_parabolics, restriction)
+                      digit_runs, first_cells, nontrivial_parabolics,
+                      restriction)
 from . import spectral
 
 QN = QuadraticNumber
@@ -223,15 +223,14 @@ def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
     the packed right factors stay exact float32 integers below 2^24.  One
     packed product per run and class decides the run's pairs: it is
     constant on a cell set exactly when each of its digits is.
-    ``blocks`` yields, class by class, ``(off, right, basis, formed)``: the
-    points off G, the int16 colors of G x off, which `DigitRun.pack` packs
-    into the right factor of a run, the 0/1 columns A_i[off, G] of each
-    outside color, in float32, and ``formed``, the number of leading runs
-    whose products are formed (see below).  A product is formed only on the
-    rows and columns off G: for x in G, A_i[x, z] != 0 would put z in the
-    class of x, so an outside color has no cell in G x G, and the product
-    is 0 on G's rows and columns.  Every (D, L, k) cell set of route 2
-    with D or L = G lies there, and so does no cell route 4 compares.
+    ``blocks`` yields, class by class, ``(off, right, basis)``: the points
+    off G, the int16 colors of G x off, which `DigitRun.pack` packs into
+    the right factor of a run, and the 0/1 columns A_i[off, G] of each
+    outside color, in float32.  A product is formed only on the rows and
+    columns off G: for x in G, A_i[x, z] != 0 would put z in the class of
+    x, so an outside color has no cell in G x G, and the product is 0 on
+    G's rows and columns.  Every (D, L, k) cell set of route 2 with D or
+    L = G lies there, and so does no cell route 4 compares.
 
     Neither route can fail on a pair with a color inside the parabolic.  If
     i is inside, A_i[x, z] != 0 puts z in the class of x, so for x in G the
@@ -248,19 +247,21 @@ def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
     (`DigitRun.check`, with the right factors right == j), the first
     failing pair is that of a loop over all pairs, and so is its witness.
 
-    ``formed`` is len(runs) - 1 where the last run's product is read off
-    the class counts, and len(runs) elsewhere.  For x off G, every z in G
-    lies in another class, so color(x, z) is outside: sum_{i outside}
+    Neither route forms the product of the last run.  For x off G, every z
+    in G lies in another class, so color(x, z) is outside: sum_{i outside}
     A_i[off, G] = J.  Let L be the largest outside color (a color here,
     not a class).  A pair (L, j) is kept only if j* >= L, so (L, L*) is
     the only kept pair with left color L: it is the last pair, alone in
-    the last run, and every (i, L*) with i != L is kept, since
-    (L, i*) > (i, L*), and checked before it.  Through G, off G,
+    the last run.  Each (i, L*) with i != L is kept, as (L, i*) > (i, L*),
+    and so is each (i, i*), its own transpose; all are checked before it.
+    Through G, off G,
         M_G(L, L*)[x, y] = c(y) - sum_{i != L} M_G(i, L*)[x, y],
-    with c(y) = #{z in G : color(z, y) = L*}, one count over ``right``.
-    Where c is constant on off, M_G(L, L*) is constant on every cell set
-    on which the earlier products are, so it is never the first failing
-    pair, and its product need not be formed.  Where c varies, it is.
+    with c(y) = #{z in G : color(y, z) = L}.  On the diagonal cell (y, y),
+    a 0-cell, M_G(i, i*) is d_i(y) = #{z in G : color(y, z) = i}, and
+    c = |G| - sum_{i != L} d_i.  Route 4 compares all 0-cells off G, and
+    route 2 the 0-cells of each class.  So where the earlier pairs pass, c
+    is constant on each cell set's columns, M_G(L, L*) is constant on
+    every cell set, and (L, L*) passes: it is never the first failing pair.
     """
     outside, inverse, color = parab.outside, scheme.inverse, scheme.color
     pairs = [(i, j) for i in outside for j in outside
@@ -276,11 +277,8 @@ def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
             # A_i[off, G] is A_i*[G, off] transposed, and G's rows gather
             # faster than its columns
             right = color[in_g].take(off, axis=1)
-            counts = np.count_nonzero(right == inverse[outside[-1]], axis=0)
-            yield (off, right,
-                   {i: (right.T == inverse[i]).astype(np.float32)
-                    for i in outside},
-                   len(runs) - int(counts.min() == counts.max()))
+            yield off, right, {i: (right.T == inverse[i]).astype(np.float32)
+                               for i in outside}
     return runs, blocks()
 
 
@@ -315,9 +313,8 @@ def is_uniform_by_definition(scheme: SchemeTable,
     The packed products of `_outside_blocks` are formed off G, and each
     (D, L, k) cell set is compared with its last cell; the other pairs
     pass.  The last cells are found GATHER_ENTRIES cells at a time, and
-    each cell off G is labelled by its triple's key.  Where the class
-    counts determine the last pair (L, L*) from the earlier ones, as
-    sum_{i outside} A_i[off, G] = J, it passes with them, and its
+    each cell off G is labelled by its triple's key.  The last pair
+    (L, L*) passes with the earlier ones (see `_outside_blocks`); its
     coefficients are read at the reference cells only, with no product
     formed."""
     cork = parab.corank
@@ -346,7 +343,7 @@ def is_uniform_by_definition(scheme: SchemeTable,
     runs, blocks = _outside_blocks(scheme, parab)
     gmin = np.full((r, r, r), np.inf)
     gmax = np.full((r, r, r), -np.inf)
-    for gi, (off, right, basis, formed) in enumerate(blocks):
+    for gi, (off, right, basis) in enumerate(blocks):
         # off G, row-major order is that of the full matrix, so the last
         # cell of each triple off G is its last cell in sub coordinates.
         # Triples in G's rows or columns map to no cell off G, and no
@@ -357,13 +354,13 @@ def is_uniform_by_definition(scheme: SchemeTable,
         reference = np.zeros(c * c * r, dtype=np.intp)
         reference[triples] = pos[ref_x] * len(off) + pos[ref_y]
         labels = row_key[off] + col_key[off] + color[off].take(off, axis=1)
-        for n, (i, run) in enumerate(runs):
-            if n < formed:
+        for n, (i, run) in enumerate(runs, start=1):
+            if n < len(runs):
                 values, failure = run.check(basis[i], right, labels,
                                             reference)
-            else:  # determined by the class counts: read at the references
-                values = _values_at(basis[i], run.pack(right), reference)
-                failure = None
+            else:  # (L, L*) passes: read at the references only
+                values, failure = run.values_at(basis[i], right,
+                                                reference), None
             if failure:
                 j, cell = failure
                 x, y = off[list(divmod(cell, len(off)))]
@@ -408,20 +405,21 @@ def is_dismantlable(scheme: SchemeTable, parab: Parabolic) -> DismantleCheck:
     constant, and the sum over any U containing S is h + sum_{G in U} a_G.
 
     Only the packed products of `_outside_blocks` are formed (the other
-    pairs vanish off G), each on the rows and columns off G, and the last
-    pair (L, L*) only where the class counts do not determine it from the
-    earlier ones, as sum_{i outside} A_i[off, G] = J.  A k-cell with
-    classes S1 failing against the reference k-cell with classes S2 names
-    S1 + S2 or S1 + S2 + {G}, so `restriction` rejects one of these; it is
-    the witness.
+    pairs vanish off G), each on the rows and columns off G, but for the
+    last pair (L, L*), which passes with the earlier ones (see
+    `_outside_blocks`).  A k-cell with classes S1 failing against the
+    reference k-cell with classes S2 names S1 + S2 or S1 + S2 + {G}, so
+    `restriction` rejects one of these; it is the witness.
     """
     color, class_of = scheme.color, parab.class_of
     runs, blocks = _outside_blocks(scheme, parab)
-    for gi, (off, right, basis, formed) in enumerate(blocks):
+    if len(runs) < 2:  # no pair, or only (L, L*): nothing to form
+        return DismantleCheck(ok=True)
+    for gi, (off, right, basis) in enumerate(blocks):
         # each cell off G is compared with the first cell of its color
         sub = color[off].take(off, axis=1)
         first = first_cells(sub, scheme.rank)
-        for i, run in runs[:formed]:
+        for i, run in runs[:-1]:
             _, failure = run.check(basis[i], right, sub, first)
             if not failure:
                 continue

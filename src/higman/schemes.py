@@ -90,6 +90,12 @@ class DigitRun(NamedTuple):
         powers = self.base ** np.arange(len(self.colors), dtype=np.int64)
         return np.asarray(packed, dtype=np.int64) // powers[:, None] % self.base
 
+    def values_at(self, left, right, reference) -> np.ndarray:
+        """The packed product of ``left`` and the right factors of the run
+        at the flat indices ``reference`` only, one dot product per cell,
+        with no product formed: the first step of `check`."""
+        return _values_at(left, self.pack(right), reference)
+
     def check(self, left, right, labels, reference):
         """Whether the packed product of ``left`` and the right factors of
         the run, the 0/1 matrices ``right == j``, is constant on each label:
