@@ -223,14 +223,15 @@ def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
     the packed right factors stay exact float32 integers below 2^24.  One
     packed product per run and class decides the run's pairs: it is
     constant on a cell set exactly when each of its digits is.
-    ``blocks`` yields, class by class, ``(off, right, basis)``: the points
-    off G, the int16 colors of G x off, which `DigitRun.pack` packs into
-    the right factor of a run, and the 0/1 columns A_i[off, G] of each
-    outside color, in float32.  A product is formed only on the rows and
-    columns off G: for x in G, A_i[x, z] != 0 would put z in the class of
-    x, so an outside color has no cell in G x G, and the product is 0 on
-    G's rows and columns.  Every (D, L, k) cell set of route 2 with D or
-    L = G lies there, and so does no cell route 4 compares.
+    ``blocks`` yields, class by class, ``(off, sub, right, basis)``: the
+    points off G, the int16 colors of off x off, those of G x off, which
+    `DigitRun.pack` packs into the right factor of a run, and the 0/1
+    columns A_i[off, G] of each outside color, in float32.  A product is
+    formed only on the rows and columns off G: for x in G, A_i[x, z] != 0
+    would put z in the class of x, so an outside color has no cell in
+    G x G, and the product is 0 on G's rows and columns.  Every (D, L, k)
+    cell set of route 2 with D or L = G lies there, and so does no cell
+    route 4 compares.
 
     Neither route can fail on a pair with a color inside the parabolic.  If
     i is inside, A_i[x, z] != 0 puts z in the class of x, so for x in G the
@@ -262,6 +263,17 @@ def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
     route 2 the 0-cells of each class.  So where the earlier pairs pass, c
     is constant on each cell set's columns, M_G(L, L*) is constant on
     every cell set, and (L, L*) passes: it is never the first failing pair.
+
+    Route 2 records each kept pair's coefficients on the triples
+    (D, G, L', k) where A_i meets D x G and A_j meets G x L'.  At corank 2
+    the outside colors form one double coset, so a block between two
+    different classes meets every outside color and a block inside one
+    class meets none: those triples are the ones with D, L' != G.  On
+    them, by the identity above, a(L, L*)(D, G, L', k) is
+    c - sum_{i != L} a(i, L*)(D, G, L', k), with c = |G| - sum_{i != L}
+    a(i, i*)(L', G, L', 0).  So where every other kept pair's coefficients
+    agree across the triples of each k, so do those of (L, L*), and route
+    2 records only the runs it checks.
     """
     outside, inverse, color = parab.outside, scheme.inverse, scheme.color
     pairs = [(i, j) for i in outside for j in outside
@@ -277,8 +289,9 @@ def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
             # A_i[off, G] is A_i*[G, off] transposed, and G's rows gather
             # faster than its columns
             right = color[in_g].take(off, axis=1)
-            yield off, right, {i: (right.T == inverse[i]).astype(np.float32)
-                               for i in outside}
+            yield off, color[off].take(off, axis=1), right, {
+                i: (right.T == inverse[i]).astype(np.float32)
+                for i in outside}
     return runs, blocks()
 
 
@@ -314,9 +327,9 @@ def is_uniform_by_definition(scheme: SchemeTable,
     (D, L, k) cell set is compared with its last cell; the other pairs
     pass.  The last cells are found GATHER_ENTRIES cells at a time, and
     each cell off G is labelled by its triple's key.  The last pair
-    (L, L*) passes with the earlier ones (see `_outside_blocks`); its
-    coefficients are read at the reference cells only, with no product
-    formed."""
+    (L, L*) passes with the earlier ones, and coefficients are recorded
+    for the runs checked only, on the triples with D, L != G (see
+    `_outside_blocks`)."""
     cork = parab.corank
     if cork != 2:
         return DefinitionCheck(ok=False, cork=cork)
@@ -337,30 +350,25 @@ def is_uniform_by_definition(scheme: SchemeTable,
                       np.arange(start * v, start * v + key.size))
     triples = np.flatnonzero(last >= 0)
     D, L, K = np.unravel_index(triples, (c, c, r))
-    occurs = np.zeros((r, c, c), dtype=bool)   # [k, D, L]: k meets D x L
-    occurs[K, D, L] = True
+    ref_x, ref_y = np.divmod(last[triples], v)
+    pos = np.zeros(v, dtype=np.intp)
+    reference = np.zeros(c * c * r, dtype=np.intp)
 
     runs, blocks = _outside_blocks(scheme, parab)
     gmin = np.full((r, r, r), np.inf)
     gmax = np.full((r, r, r), -np.inf)
-    for gi, (off, right, basis) in enumerate(blocks):
+    for gi, (off, sub, right, basis) in enumerate(blocks):
         # off G, row-major order is that of the full matrix, so the last
         # cell of each triple off G is its last cell in sub coordinates.
-        # Triples in G's rows or columns map to no cell off G, and no
-        # outside color meets G x G, so none of them is recorded.
-        pos = np.zeros(v, dtype=np.intp)
+        # A triple in G's rows or columns has no cell off G: its reference
+        # may be any cell, as it is never compared, and it is not recorded
         pos[off] = np.arange(len(off))
-        ref_x, ref_y = np.divmod(last[triples], v)
-        reference = np.zeros(c * c * r, dtype=np.intp)
         reference[triples] = pos[ref_x] * len(off) + pos[ref_y]
-        labels = row_key[off] + col_key[off] + color[off].take(off, axis=1)
-        for n, (i, run) in enumerate(runs, start=1):
-            if n < len(runs):
-                values, failure = run.check(basis[i], right, labels,
-                                            reference)
-            else:  # (L, L*) passes: read at the references only
-                values, failure = run.values_at(basis[i], right,
-                                                reference), None
+        labels = row_key[off] + col_key[off] + sub
+        recorded = (D != gi) & (L != gi)
+        at, k = triples[recorded], K[recorded]
+        for i, run in runs[:-1]:
+            values, failure = run.check(basis[i], right, labels, reference)
             if failure:
                 j, cell = failure
                 x, y = off[list(divmod(cell, len(off)))]
@@ -368,12 +376,9 @@ def is_uniform_by_definition(scheme: SchemeTable,
                     ok=False, cork=2,
                     witness=(int(class_of[x]), gi, int(class_of[y]),
                              i, j, int(color[x, y])))
-            # record coefficient values across admissible triples
-            digits = run.unpack(values[triples])
-            for j, vals in zip(run.colors, digits):
-                sel = occurs[i][D, gi] & occurs[j][gi, L]
-                np.minimum.at(gmin[i, j], K[sel], vals[sel])
-                np.maximum.at(gmax[i, j], K[sel], vals[sel])
+            for j, vals in zip(run.colors, run.unpack(values[at])):
+                np.minimum.at(gmin[i, j], k, vals)
+                np.maximum.at(gmax[i, j], k, vals)
     seen = gmax >= 0
     consistent = bool((gmin[seen] == gmax[seen]).all())
     return DefinitionCheck(ok=True, cork=2, coefficients_consistent=consistent)
@@ -411,13 +416,12 @@ def is_dismantlable(scheme: SchemeTable, parab: Parabolic) -> DismantleCheck:
     reference k-cell with classes S2 names S1 + S2 or S1 + S2 + {G}, so
     `restriction` rejects one of these; it is the witness.
     """
-    color, class_of = scheme.color, parab.class_of
+    class_of = parab.class_of
     runs, blocks = _outside_blocks(scheme, parab)
     if len(runs) < 2:  # no pair, or only (L, L*): nothing to form
         return DismantleCheck(ok=True)
-    for gi, (off, right, basis) in enumerate(blocks):
+    for gi, (off, sub, right, basis) in enumerate(blocks):
         # each cell off G is compared with the first cell of its color
-        sub = color[off].take(off, axis=1)
         first = first_cells(sub, scheme.rank)
         for i, run in runs[:-1]:
             _, failure = run.check(basis[i], right, sub, first)

@@ -71,7 +71,9 @@ class SchemeTable:
 
 class DigitRun(NamedTuple):
     """Products that share a left factor, packed as the base-``base``
-    digits of one product, lowest digit first."""
+    digits of one product, lowest digit first.  `check` forms and compares
+    the packed product; `unpack` reads the digits of the values it
+    returns."""
 
     colors: tuple[int, ...]
     base: int
@@ -89,12 +91,6 @@ class DigitRun(NamedTuple):
         """The digits of the 1-d ``packed``, one row per color."""
         powers = self.base ** np.arange(len(self.colors), dtype=np.int64)
         return np.asarray(packed, dtype=np.int64) // powers[:, None] % self.base
-
-    def values_at(self, left, right, reference) -> np.ndarray:
-        """The packed product of ``left`` and the right factors of the run
-        at the flat indices ``reference`` only, one dot product per cell,
-        with no product formed: the first step of `check`."""
-        return _values_at(left, self.pack(right), reference)
 
     def check(self, left, right, labels, reference):
         """Whether the packed product of ``left`` and the right factors of

@@ -365,8 +365,7 @@ class OracleResult:
 
 
 def float_eigen_oracle(scheme: SchemeTable, exact: EigenData,
-                       relation_order: Sequence[int] | None = None
-                       ) -> OracleResult:
+                       relation_order: Sequence[int]) -> OracleResult:
     """Read the spectrum of the scheme numerically, from its color matrix
     and seeded random draws only, and match it to the exact eigenmatrix.
 
@@ -380,13 +379,12 @@ def float_eigen_oracle(scheme: SchemeTable, exact: EigenData,
     v sum_j s_j^2 theta_j^p, where s_j is the first component of T's j-th
     eigenvector: the multiplicities are m_j = v s_j^2 (Gauss quadrature
     weights), with no v x v product.  relation_order maps eigenmatrix
-    columns to scheme colors (identity when omitted).  Raises when the
-    Krylov space does not close at exactly r steps with r separated Ritz
-    values in 10 draws, when a multiplicity is not an integer, or when the
-    match is off by more than 1e-8.
+    columns to scheme colors.  Raises when the Krylov space does not close
+    at exactly r steps with r separated Ritz values in 10 draws, when a
+    multiplicity is not an integer, or when the match is off by more than
+    1e-8.
     """
-    order = list(relation_order) if relation_order is not None \
-        else list(range(scheme.rank))
+    order = list(relation_order)
     r, v = scheme.rank, scheme.v
     for attempt in range(10):
         rng = np.random.default_rng(12345 + attempt)

@@ -207,8 +207,9 @@ def test_float_oracle_desk_points(constructions_by_family):
 
 
 def test_oracle_rejects_wrong_exact_data(q8_construction):
+    scheme = q8_construction.result.scheme
     with pytest.raises(SpectralError):
-        float_eigen_oracle(q8_construction.result.scheme, spectral_data(P108))
+        float_eigen_oracle(scheme, spectral_data(P108), range(scheme.rank))
 
 
 def test_oracle_runs_no_dense_eigensolver(heis_construction, monkeypatch):
@@ -253,4 +254,5 @@ def test_oracle_rejects_color_matrices_of_non_schemes(color, message):
     color = np.array(color)
     not_a_scheme = types.SimpleNamespace(rank=3, v=len(color), color=color)
     with pytest.raises(SpectralError, match=message):
-        float_eigen_oracle(not_a_scheme, spectral_data(P24))
+        float_eigen_oracle(not_a_scheme, spectral_data(P24),
+                           range(not_a_scheme.rank))

@@ -476,16 +476,14 @@ def ref_higmanian_multiplicities(params, x1, x3):
 
 
 def ref_float_eigen_oracle(scheme: SchemeTable, exact: EigenData,
-                           relation_order: Sequence[int] | None = None
-                           ) -> OracleResult:
+                           relation_order: Sequence[int]) -> OracleResult:
     """Numerically eigendecompose the adjacency matrices and match the rows
     of the exact eigenmatrix, as an independent verification channel.
 
-    relation_order maps eigenmatrix columns to scheme colors (identity when
-    omitted).  Raises when the match is off by more than 1e-8.
+    relation_order maps eigenmatrix columns to scheme colors.  Raises when
+    the match is off by more than 1e-8.
     """
-    order = list(relation_order) if relation_order is not None \
-        else list(range(scheme.rank))
+    order = list(relation_order)
     # bool masks: w * True = w and proj * 1.0 = proj, so M and every cell
     # sum are those of the 0/1 float matrices, without a float copy each
     mats = [scheme.color == c for c in order]
@@ -1534,11 +1532,11 @@ def test_each_route_forms_one_product_per_class_and_pair(reference_schemes,
     outside_blocks = higmanian._outside_blocks
 
     def logged_blocks(blocks):
-        for off, right, basis in blocks:
+        for off, sub, right, basis in blocks:
             for i in basis:
                 basis[i] = basis[i].view(CountedMatmul)
                 basis[i].color = i
-            yield off, right, basis
+            yield off, sub, right, basis
 
     def logged(scheme, parab):
         runs, blocks = outside_blocks(scheme, parab)
@@ -1582,19 +1580,14 @@ def constant_on(values, labels):
     return low >= high
 
 
-def test_skipped_last_products_are_sound(reference_schemes, monkeypatch):
+def test_skipped_last_products_are_sound(reference_schemes):
     # through every class G, the product of the last pair (L, L*), which
     # neither route forms, is formed here.  Off G it is c minus the
     # products of the (i, L*), i != L, with c(y) = #{z in G : color(y, z)
     # = L} = |G| - sum_{i != L} d_i(y), and d_i(y) the product of (i, i*)
     # on the diagonal cell (y, y).  Wherever those earlier products are
-    # constant on every cell set of a route, so is that of (L, L*); and
-    # route 2 records the coefficients it gives
-    unpacked = []
-    unpack = schemes.DigitRun.unpack
-    monkeypatch.setattr(schemes.DigitRun, "unpack", lambda run, packed: (
-        unpacked.append(unpack(run, packed)) or unpacked[-1]))
-    held = failed = recorded = 0
+    # constant on every cell set of a route, so is that of (L, L*)
+    held = failed = 0
     for scheme, parab in block_product_cases(reference_schemes):
         r, c = scheme.rank, parab.num_classes
         class_of, color = parab.class_of, scheme.color.astype(np.int64)
@@ -1603,9 +1596,6 @@ def test_skipped_last_products_are_sound(reference_schemes, monkeypatch):
         basis = {i: (scheme.color == i).astype(np.int64) for i in outside}
         # route 4 labels each cell by its color, route 2 by (D, L, k)
         route_labels = (color, (class_of[:, None] * c + class_of) * r + color)
-        unpacked.clear()
-        definition = is_uniform_by_definition(scheme, parab)
-        runs, _ = _outside_blocks(scheme, parab)
         for gi in range(c):
             gpts = np.flatnonzero(class_of == gi)
             off = np.ix_(class_of != gi, class_of != gi)
@@ -1622,19 +1612,87 @@ def test_skipped_last_products_are_sound(reference_schemes, monkeypatch):
                     held += 1
                 else:
                     failed += 1
-            if definition.ok:
-                # the values route 2 unpacks for the last run of class gi,
-                # over its triples in increasing order of their keys; it
-                # records those of the triples (D, L, k) with D, L != G
-                table = np.zeros(c * c * r, dtype=np.int64)
-                table[route_labels[1]] = M[last]
-                triples = np.unique(route_labels[1])
-                (digits,) = unpacked[(gi + 1) * len(runs) - 1]
-                D, L = triples // (c * r), triples // r % c
-                kept = (D != gi) & (L != gi)
-                assert (digits[kept] == table[triples[kept]]).all()
-                recorded += 1
-    assert held > 100 and failed > 100 and recorded > 10
+    assert held > 100 and failed > 100
+
+
+def kept_pairs_inconsistent(scheme, parab):
+    """The kept pairs of `_outside_blocks` whose block products, formed in
+    int64 through every class G, take more than one value on the triples
+    (D, G, L, k) of one k, over the triples with D, L != G.  Assumes every
+    product is constant on each (D, L, k) cell set off G."""
+    r, c = scheme.rank, parab.num_classes
+    class_of, inverse = parab.class_of, scheme.inverse
+    key = ((class_of[:, None] * c + class_of) * r + scheme.color).ravel()
+    basis = [(scheme.color == i).astype(np.int64) for i in range(r)]
+    values = {}
+    for gi, gpts in enumerate(map(list, classes_of(parab))):
+        off = np.outer(class_of != gi, class_of != gi).ravel()
+        triples = np.unique(key[off])
+        for i, j in itertools.product(parab.outside, repeat=2):
+            if (inverse[j], inverse[i]) < (i, j):
+                continue
+            table = np.zeros(c * c * r, dtype=np.int64)
+            table[key] = (basis[i][:, gpts] @ basis[j][gpts, :]).ravel()
+            for k, value in zip(triples % r, table[triples]):
+                values.setdefault((i, j, int(k)), set()).add(int(value))
+    return {(i, j) for (i, j, _), seen in values.items() if len(seen) > 1}
+
+
+def test_route2_records_the_pairs_that_decide_its_flag(reference_schemes):
+    # route 2 records no coefficient of the last pair (L, L*): where it
+    # passes, the kept pairs agree across triples exactly when all but
+    # (L, L*) do.  And it records each outside pair on the triples with
+    # D, L != G: at corank 2 every outside color meets every block between
+    # two different classes, and none inside one class
+    passed = corank2 = 0
+    for scheme, parab in block_product_cases(reference_schemes):
+        if parab.corank != 2:
+            continue
+        corank2 += 1
+        member = np.zeros((scheme.v, parab.num_classes), dtype=np.int64)
+        member[np.arange(scheme.v), parab.class_of] = 1
+        between = ~np.eye(parab.num_classes, dtype=bool)
+        for i in parab.outside:
+            meets = member.T @ (scheme.color == i).astype(np.int64) @ member
+            assert ((meets > 0) == between).all()
+        res = is_uniform_by_definition(scheme, parab)
+        if not res.ok:
+            continue
+        passed += 1
+        last = parab.outside[-1]
+        inconsistent = kept_pairs_inconsistent(scheme, parab)
+        but_last = inconsistent - {(last, scheme.inverse[last])}
+        assert (not inconsistent) == (not but_last) == \
+            res.coefficients_consistent
+    assert passed > 50 and corank2 > passed
+
+
+def test_route2_flag_reads_every_checked_run(reference_schemes,
+                                             monkeypatch):
+    # the values that route 2 gets for one checked run through class 0 are
+    # zeroed: the coefficients of that run's pairs then differ between
+    # class 0 and the other classes, and the recorded flag turns False.
+    # Class 0's runs are the first checked, one call each
+    check, calls = schemes.DigitRun.check, []
+
+    def zeroed(run, *args):
+        values, failure = check(run, *args)
+        calls.append(run)
+        return values * (len(calls) - 1 != target), failure
+
+    monkeypatch.setattr(schemes.DigitRun, "check", zeroed)
+    altered = 0
+    for scheme, parab in block_product_cases(reference_schemes):
+        runs, _ = _outside_blocks(scheme, parab)
+        target = -1
+        if not is_uniform_by_definition(scheme, parab).ok:
+            continue
+        for target in range(len(runs) - 1):
+            calls.clear()
+            res = is_uniform_by_definition(scheme, parab)
+            assert res.ok and res.coefficients_consistent is False
+            altered += 1
+    assert altered > 50
 
 
 def test_routes_on_the_whole_color_set():
@@ -1882,9 +1940,10 @@ def test_oracle_rejects_what_dense_reference_rejects(q8_construction):
     det = q8_construction.result.detection
     exact = spectral_data(det.params)
     order = list(det.relation_order)
+    p108 = spectral_data(HigmanianParams(4, 9, 3, 18, 16))
     wrong = [
-        (spectral_data(HigmanianParams(4, 9, 3, 18, 16)), None),
-        (spectral_data(HigmanianParams(4, 9, 3, 18, 16)), order),
+        (p108, range(scheme.rank)),
+        (p108, order),
         (exact, [order[i] for i in (0, 1, 3, 2, 4)]),  # S and T swapped
         (dataclasses.replace(
             exact, multiplicities=exact.multiplicities[::-1]), order),
