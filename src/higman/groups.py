@@ -224,8 +224,7 @@ class Subgroup:
         if len(outside):
             x, y = (els[i] for i in outside[0])
             raise GroupError(f"subgroup not closed at ({x},{y})")
-        if parent.order % len(els):
-            raise GroupError("subgroup order does not divide group order")
+        # closed, so a subgroup: its order divides the group's (Lagrange)
         self.parent = parent
         self.elements = els
         self.as_set = frozenset(els)

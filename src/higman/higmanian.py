@@ -243,10 +243,9 @@ def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
     (i, j), and transposition maps the k-cells of D x L onto the k*-cells
     of L x D, and the cells off G onto themselves, so one product decides
     both, with the same coefficients.
-    Since the least (i, j) of each transpose pair is kept, and a packed
-    product that fails is followed by the run's single products in order
-    (`DigitRun.check`, with the right factors right == j), the first
-    failing pair is that of a loop over all pairs, and so is its witness.
+    Since the least (i, j) of each transpose pair is kept, and a run names
+    its first failing pair (`DigitRun.check`), the first failing pair is
+    that of a loop over all pairs, and so is its witness.
 
     Neither route forms the product of the last run.  For x off G, every z
     in G lies in another class, so color(x, z) is outside: sum_{i outside}
@@ -329,7 +328,17 @@ def is_uniform_by_definition(scheme: SchemeTable,
     each cell off G is labelled by its triple's key.  The last pair
     (L, L*) passes with the earlier ones, and coefficients are recorded
     for the runs checked only, on the triples with D, L != G (see
-    `_outside_blocks`)."""
+    `_outside_blocks`), packed: as each digit is below the base, a run's
+    numbers agree across the triples of a k iff each pair's coefficients do.
+
+    At corank 2, route4(F) <=> route2(F) and flag(F).  For i, j outside F
+    and a k-cell (x, y) in D x L, sum_{G not in {D, L}} M_G[x, y] = p_ij^k,
+    as M_D vanishes on D's rows and M_L on L's columns.  Route 4 makes
+    each M_G a constant a_G(k) on the k-cells off G, so route 2 passes.  An
+    outside k has cells in every block between two classes, an inside k in
+    every class.  So the sums at (D, L) and (D', L), or at (D, D) and
+    (D', D'), give a_D(k) = a_D'(k): the flag holds, as with two classes
+    no outside k is recorded.  Route 2 and the flag give route 4 back."""
     cork = parab.corank
     if cork != 2:
         return DefinitionCheck(ok=False, cork=cork)
@@ -355,8 +364,8 @@ def is_uniform_by_definition(scheme: SchemeTable,
     reference = np.zeros(c * c * r, dtype=np.intp)
 
     runs, blocks = _outside_blocks(scheme, parab)
-    gmin = np.full((r, r, r), np.inf)
-    gmax = np.full((r, r, r), -np.inf)
+    gmin = np.full((len(runs), r), np.inf)
+    gmax = np.full((len(runs), r), -np.inf)
     for gi, (off, sub, right, basis) in enumerate(blocks):
         # off G, row-major order is that of the full matrix, so the last
         # cell of each triple off G is its last cell in sub coordinates.
@@ -367,7 +376,7 @@ def is_uniform_by_definition(scheme: SchemeTable,
         labels = row_key[off] + col_key[off] + sub
         recorded = (D != gi) & (L != gi)
         at, k = triples[recorded], K[recorded]
-        for i, run in runs[:-1]:
+        for n, (i, run) in enumerate(runs[:-1]):
             values, failure = run.check(basis[i], right, labels, reference)
             if failure:
                 j, cell = failure
@@ -376,11 +385,9 @@ def is_uniform_by_definition(scheme: SchemeTable,
                     ok=False, cork=2,
                     witness=(int(class_of[x]), gi, int(class_of[y]),
                              i, j, int(color[x, y])))
-            for j, vals in zip(run.colors, run.unpack(values[at])):
-                np.minimum.at(gmin[i, j], k, vals)
-                np.maximum.at(gmax[i, j], k, vals)
-    seen = gmax >= 0
-    consistent = bool((gmin[seen] == gmax[seen]).all())
+            np.minimum.at(gmin[n], k, values[at])
+            np.maximum.at(gmax[n], k, values[at])
+    consistent = bool((gmin >= gmax).all())  # inf >= -inf where unseen
     return DefinitionCheck(ok=True, cork=2, coefficients_consistent=consistent)
 
 

@@ -71,9 +71,8 @@ class SchemeTable:
 
 class DigitRun(NamedTuple):
     """Products that share a left factor, packed as the base-``base``
-    digits of one product, lowest digit first.  `check` forms and compares
-    the packed product; `unpack` reads the digits of the values it
-    returns."""
+    digits of one product, lowest digit first, which `check` forms and
+    compares; `unpack` reads the digits of the values it returns."""
 
     colors: tuple[int, ...]
     base: int
@@ -108,47 +107,44 @@ class DigitRun(NamedTuple):
         may be boolean: each block of its rows is cast to float32.
 
         ``(values, None)`` when every cell agrees, with ``values[l]`` the
-        packed value at ``reference[l]``.  Otherwise some digit disagrees,
-        and the run's single products are checked the same way, in order:
-        ``(values, (j, cell))`` gives the values of the first that fails,
-        of the pair with right color j, and its first failing cell in
-        row-major order, those of a loop over whole single products."""
+        packed value at ``reference[l]``.  Otherwise ``(values, (j, cell))``
+        for j = colors[d], d the least digit that differs anywhere: every
+        digit is below the base, so digit d is the single product of j, and
+        j, its ``values`` and its first failing cell in row-major order are
+        those of a loop over single products."""
         packed = self.pack(right)
-        values = _values_at(left, packed, reference)
-        if _first_mismatch(left, packed, labels, values) is None:
+        x, y = np.divmod(reference, packed.shape[1])
+        values = np.einsum("lk,kl->l", left[x], packed[:, y])
+        failure = _first_mismatch(self, left, packed, labels, values)
+        if failure is None:
             return values, None
-        del packed
-        for j in self.colors:
-            single = (right == j).astype(np.float32)
-            values = _values_at(left, single, reference)
-            cell = _first_mismatch(left, single, labels, values)
-            if cell is not None:
-                return values, (j, cell)
-        raise RuntimeError(f"packed run {self} fails, but none of its products")
+        d, cell = failure
+        return self.unpack(values)[d], (self.colors[d], cell)
 
 
-def _values_at(left, factor, reference) -> np.ndarray:
-    """(left @ factor) at the flat indices ``reference``, one dot product
-    per cell."""
-    x, y = np.divmod(reference, factor.shape[1])
-    return np.einsum("lk,kl->l", left[x], factor[:, y])
-
-
-def _first_mismatch(left, factor, labels, values) -> int | None:
-    """The row-major index of the first cell (x, y) of ``left @ factor``
-    that differs from ``values[labels[x, y]]``, or None.  The product is
-    formed in float32 a block of rows at a time, of at most BLOCK_ENTRIES
-    cells, and compared GATHER_ENTRIES cells at a time."""
-    cols = labels.shape[1]
+def _first_mismatch(run, left, factor, labels, values) -> tuple | None:
+    """The least digit d of ``run`` at which a cell (x, y) of ``left @
+    factor`` differs from ``values[labels[x, y]]``, with the row-major
+    index of its first such cell, or None.  The product is formed in
+    float32 a block of rows at a time, of at most BLOCK_ENTRIES cells, and
+    compared GATHER_ENTRIES cells at a time.  The digits of a difference,
+    by floor division, are 0 below the first digit at which the two differ."""
+    cols, found = labels.shape[1], None
     for rows in row_blocks(labels, BLOCK_ENTRIES):
         product = left[rows].astype(np.float32, copy=False) @ factor
         for part in row_blocks(product, GATHER_ENTRIES):
             diff = product[part]
             diff -= np.take(values, labels[rows][part])
             if diff.any():
-                x = rows.start + part.start
-                return x * cols + int(np.flatnonzero(diff)[0])
-    return None
+                at = np.flatnonzero(diff)
+                digits = run.unpack(diff.flat[at]) != 0
+                d = int(digits.any(axis=1).argmax())
+                if found is None or d < found[0]:
+                    x = rows.start + part.start
+                    found = d, x * cols + int(at[digits[d].argmax()])
+                    if d == 0:
+                        return found
+    return found
 
 
 def digit_runs(colors: Sequence[int], bound: int) -> list[DigitRun]:
@@ -199,13 +195,10 @@ def validate(matrix) -> SchemeTable:
     are packed as base-(n_i + 1) digits, and a run closes before
     (n_i + 1)^len reaches 2^24, below which float32 is exact.
     `DigitRun.check` forms the values at the first cell of each color,
-    from which the intersection numbers are read digit by digit, then the
-    packed product a block of rows at a time, each compared with the
-    values of its cells' colors.  A packed product that is not constant on
-    a color class has a digit that is not; the check then takes that run's
-    products one at a time in order, so the first failing pair, its cell,
-    the message and the witness are those of a loop over single products.
-    Beyond the int16 colors, one left color's 0/1 rows and one packed right
+    from which the intersection numbers are read digit by digit, and
+    compares the packed product with them a block of rows at a time.  It
+    names a failing run's first failing pair and cell, so the message and
+    witness are those of a loop over single products.  Beyond the int16 colors, one left color's 0/1 rows and one packed right
     factor, only a block is held.
     """
     color = np.asarray(matrix)

@@ -187,6 +187,11 @@ def test_search_rds_bad_subgroup(capsys):
     ("Q8cp:1", "0,+1", "error: bad subgroup spec '0,+1'"),
     ("Q8cp:1", "0,1_0", "error: bad subgroup spec '0,1_0'"),
     ("C:+4", "center", "error: bad spec, expected C:<n>"),
+    ("GenDih:", "center", "error: GenDih needs an inner spec"),
+    ("C:0", "center", "error: cyclic group needs order >= 1"),
+    ("EA:2:0", "center", "error: rank must be >= 1"),
+    ("Heis:3:0", "center", "error: r must be >= 1"),
+    ("Q8cp:0", "center", "error: r must be >= 1"),
     pytest.param("GenDih:" * 1200 + "C:2", "center",
                  "error: spec has more than 32 GenDih and Prod heads",
                  id="GenDih-1200"),

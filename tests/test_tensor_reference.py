@@ -1300,7 +1300,8 @@ def test_validate_failures_match_unpacked_reference(
 @pytest.fixture
 def failed_digit(monkeypatch):
     """The digit, within its run, of each pair that `DigitRun.check`
-    names as failing, in call order."""
+    names as failing, read off the packed product's digits, in call
+    order."""
     check, found = schemes.DigitRun.check, []
 
     def recorded(run, *args):
@@ -1320,11 +1321,43 @@ def test_octagon_fails_at_the_second_digit(packing, failed_digit):
         "p_1,2^3 is not constant: cell (0,4) has 0, expected 1"
     assert err.value.witness == (1, 2, 3, 0, 4)
     # n_1 = 2: the products of B_1 are base-3 digits, B_2 the second, and
-    # the check routes 2 and 4 share names the pair from that digit
+    # the check routes 2 and 4 share names the pair from that digit of the
+    # packed product, forming no single product
     runs = schemes.digit_runs([1, 2], 2)
     assert [run.colors for run in runs] == \
         ([(1, 2)] if packing == "packed" else [(1,), (2,)])
     assert failed_digit == ([1] if packing == "packed" else [0])
+
+
+def test_each_check_forms_one_product_pass(monkeypatch, reference_schemes,
+                                           negative_control_candidates):
+    # a run that fails is named from its packed product: `DigitRun.check`
+    # makes one `_first_mismatch` pass per call, pass or fail, in
+    # `validate` and in both routes
+    mismatch, check = schemes._first_mismatch, schemes.DigitRun.check
+    passes, checks = [], []
+
+    def counted_mismatch(*args):
+        passes.append(None)
+        return mismatch(*args)
+
+    def counted_check(run, *args):
+        before = len(passes)
+        values, failure = check(run, *args)
+        checks.append((len(passes) - before, failure is not None))
+        return values, failure
+
+    monkeypatch.setattr(schemes, "_first_mismatch", counted_mismatch)
+    monkeypatch.setattr(schemes.DigitRun, "check", counted_check)
+    for matrix in malformed_matrices() + [
+            ref_cayley_color(G, parts)
+            for G, parts in negative_control_candidates]:
+        validate_outcome(validate, matrix)
+    for scheme, parab in block_product_cases(reference_schemes):
+        is_uniform_by_definition(scheme, parab)
+        is_dismantlable(scheme, parab)
+    assert {made for made, _ in checks} == {1}
+    assert sum(failed for _, failed in checks) > 20
 
 
 @pytest.fixture
@@ -1373,6 +1406,13 @@ def test_later_rows_are_named(blocks, request):
     values, failure = run.check(np.eye(8, dtype=np.float32), right,
                                 np.zeros((8, 7), dtype=np.int16), [0])
     assert failure == (1, 5 * 7 + 3) and values.tolist() == [1]
+    # digit 1 (color 2) differs in row 1, digit 0 (color 1) only in row 5:
+    # the least digit names the pair, at its own first cell
+    right = np.full((8, 7), 3, dtype=np.int16)
+    right[1, 2], right[5, 3] = 2, 1
+    values, failure = run.check(np.eye(8, dtype=np.float32), right,
+                                np.zeros((8, 7), dtype=np.int16), [0])
+    assert failure == (1, 5 * 7 + 3) and values.tolist() == [0]
     matrix = 1 - np.eye(8, dtype=np.int64)
     matrix[6, 7] = 2
     want = ("relation 1 has no single inverse color (witness (7,6))", (7, 6))
@@ -1667,6 +1707,20 @@ def test_route2_records_the_pairs_that_decide_its_flag(reference_schemes):
     assert passed > 50 and corank2 > passed
 
 
+def test_route4_is_route2_and_its_flag(reference_schemes):
+    # route4(F) <=> route2(F) and flag(F) on every parabolic of corank 2
+    # (the proof is in `is_uniform_by_definition`)
+    outcomes = []
+    for scheme, parab in block_product_cases(reference_schemes):
+        if parab.corank != 2:
+            continue
+        res = is_uniform_by_definition(scheme, parab)
+        ok = res.ok and res.coefficients_consistent is True
+        assert is_dismantlable(scheme, parab).ok == ok
+        outcomes.append(ok)
+    assert outcomes.count(True) > 50 and outcomes.count(False) > 10
+
+
 def test_route2_flag_reads_every_checked_run(reference_schemes,
                                              monkeypatch):
     # the values that route 2 gets for one checked run through class 0 are
@@ -1708,7 +1762,7 @@ def test_routes_on_the_whole_color_set():
 
 
 def test_route_witnesses_from_later_digits(monkeypatch, failed_digit):
-    # when a packed product fails, the run's single products name the
+    # when a packed product fails, its least differing digit names the
     # failing pair; the results, witnesses included, are those of runs of
     # one color and of the references, also where a later digit fails
     schemes_ = [orbit_scheme(n, units) for n in range(4, 31)
