@@ -14,6 +14,15 @@ from the products of the parts and their colors from a gather per block of
 G's rows, both read off the tables of G and U, with no G x U table.
 Scheme files are written a block of rows at a time.
 
+Validation reads a candidate tensor at one cell per color and, when one
+color g generates the algebra the candidate describes, checks only the
+products of B_g: they keep the span of the B_i closed under B_g, and as
+every B_i is then a polynomial in B_g, that span is closed under products
+and the candidate is the tensor (the Bose-Mesner algebra argument of
+Brouwer, Cohen and Neumaier, 1989, ch. 2).  Otherwise, or when a product
+of B_g fails, it checks the products of every left color, and names the
+failure.
+
 Validation and the block-product routes of `higmanian` share one packed
 product check, `DigitRun.check`.  It forms a product a block of rows at a
 time and compares it with the values at one reference cell per label, so
@@ -37,6 +46,7 @@ PARABOLIC_RANK_LIMIT = 16
 FLOAT32_EXACT_LIMIT = 1 << 24  # integers below this are exact in float32
 # cells whose labels one step gathers: np.take converts them to intp
 GATHER_ENTRIES = BLOCK_ENTRIES >> 4
+GENERATOR_PRIME = (1 << 24) - 3  # the largest prime below 2^24
 
 
 class SchemeError(ValueError):
@@ -186,6 +196,56 @@ def _is_transpose(a: np.ndarray, b: np.ndarray) -> bool:
                for x in range(0, len(a), side) for y in range(0, len(a), side))
 
 
+def _generates(lift: np.ndarray) -> bool:
+    """Whether e_0, L e_0, L^2 e_0, ... span Q^r, for the nonnegative
+    integer r x r matrix L = ``lift``.
+
+    Decided mod the prime GENERATOR_PRIME: each new vector is reduced
+    against a reduced echelon basis of the ones before it, and once one
+    lies in their span, so do all later ones.  A full rank mod a prime is a
+    nonzero integer determinant, so a full rank over Q; a rank lost only
+    mod the prime costs no soundness, only the fallback.  Entries stay
+    below the prime, below 2^24, so a dot product of at most 2^15 terms
+    (the int16 rank limit) stays below 2^63."""
+    r = len(lift)
+    lift = lift % GENERATOR_PRIME
+    basis, pivots = np.zeros((0, r), dtype=np.int64), []
+    vec = np.eye(1, r, dtype=np.int64)[0]
+    for _ in range(r):
+        vec = (vec - vec[pivots] @ basis) % GENERATOR_PRIME
+        nonzero = np.flatnonzero(vec)
+        if not len(nonzero):
+            return False
+        at = int(nonzero[0])
+        vec = vec * pow(int(vec[at]), -1, GENERATOR_PRIME) % GENERATOR_PRIME
+        basis = np.vstack([(basis - np.outer(basis[:, at], vec))
+                           % GENERATOR_PRIME, vec])
+        pivots.append(at)
+        vec = lift @ vec % GENERATOR_PRIME
+    return True
+
+
+def _proved_by_generator(color: np.ndarray, first: np.ndarray,
+                         n: np.ndarray, p: np.ndarray) -> bool:
+    """Whether one generating color g proves that the candidate ``p`` is
+    the intersection tensor of the row-regular ``color`` with inverse
+    colors, as `validate` states; False when no color generates or g's
+    check fails.
+
+    g is the first color, by fewest runs of `digit_runs` and then by
+    color, whose L_g generates (`_generates`).  One `DigitRun.check` per
+    run shows B_g B_j constant on every color class for 0 < j < last, and
+    B_g B_last = n_g J - sum_{j < last} B_g B_j by the row sums."""
+    rank = len(n)
+    runs = {g: digit_runs(range(1, rank - 1), n[g]) for g in range(1, rank)}
+    for g in sorted(runs, key=lambda g: (len(runs[g]), g)):
+        if _generates(p[g].T):
+            left = color == g
+            return not any(run.check(left, color, color, first)[1]
+                           for run in runs[g])
+    return False
+
+
 def validate(matrix) -> SchemeTable:
     """Check the scheme axioms and derive the intersection tensor.
 
@@ -194,12 +254,24 @@ def validate(matrix) -> SchemeTable:
     B_i B_j is at most the valency n_i, so the right factors of one B_i
     are packed as base-(n_i + 1) digits, and a run closes before
     (n_i + 1)^len reaches 2^24, below which float32 is exact.
-    `DigitRun.check` forms the values at the first cell of each color,
-    from which the intersection numbers are read digit by digit, and
-    compares the packed product with them a block of rows at a time.  It
-    names a failing run's first failing pair and cell, so the message and
-    witness are those of a loop over single products.  Beyond the int16 colors, one left color's 0/1 rows and one packed right
-    factor, only a block is held.
+    The intersection numbers are counted at the first cell of each color,
+    one bincount per color; `DigitRun.check` forms the packed values at
+    those cells and compares the packed product with them a block of rows
+    at a time.  It names a failing run's first failing pair and cell, so
+    the message and witness are those of a loop over single products.
+    Beyond the int16 colors, one left color's 0/1 rows and one packed
+    right factor, only a block is held.
+
+    After the diagonal, inverse and row-sum checks, one generating color g
+    stands in for all left colors when it can (`_proved_by_generator`): if
+    B_g B_j is constant on every color class for every j, and e_0, L_g
+    e_0, L_g^2 e_0, ... span Q^r, with (L_g)_kj = p_gj^k, then every B_i
+    is a polynomial in B_g, so the span of the B_i is closed under
+    products and each p_ij^k is the count at one cell of color k
+    (Brouwer, Cohen and Neumaier, *Distance-Regular Graphs*, 1989, ch. 2).
+    So only g's runs are formed.  When no single color generates, as in
+    every non-commutative scheme, or g's check fails, the loop over every
+    left color runs as above, and names the failure.
     """
     color = np.asarray(matrix)
     if color.ndim != 2 or color.shape[0] != color.shape[1]:
@@ -279,8 +351,17 @@ def validate(matrix) -> SchemeTable:
                 f"p_{i},{int(istar[i])}^0 is not constant: cell ({x},{x}) "
                 f"has {int(rows[x])}, expected {n[i]}",
                 witness=(i, int(istar[i]), 0, x, x))
-    p = np.zeros((rank, rank, rank), dtype=np.int64)
-    p[0] = p[:, 0] = np.eye(rank, dtype=np.int64)
+    # the candidate tensor: p_ij^k counted at the first cell (x_k, y_k) of
+    # color k, one bincount of the pairs (color[x_k, z], color[z, y_k]).
+    # Once every formed product passes, the others follow from them, and
+    # each p_ij^k was counted at a cell of color k, so it is the tensor.
+    p = np.empty((rank, rank, rank), dtype=np.int64)
+    for k in range(rank):
+        pairs = color[rep_x[k]].astype(np.intp) * rank + color[:, rep_y[k]]
+        p[:, :, k] = np.bincount(pairs, minlength=rank * rank).reshape(
+            rank, rank)
+    if _proved_by_generator(color, first, n, p):
+        return SchemeTable(color, p, istar)
     for i in range(1, rank):
         if i == lstar:
             continue
@@ -297,16 +378,6 @@ def validate(matrix) -> SchemeTable:
                     f"p_{i},{j}^{k} is not constant: cell ({x},{y}) "
                     f"has {got}, expected {int(values[k])}",
                     witness=(i, j, k, x, y))
-            p[i, list(run.colors)] = run.unpack(values)
-            for j in run.colors:
-                p[istar[j], istar[i]] = p[i, j][istar]
-    # the last column, then row last* by transpose; its last entry needs
-    # that row, so the column rule runs again for it
-    p[:, last] = n[:, None] - p[:, :last].sum(axis=1)
-    for j in range(1, last):
-        p[lstar, j] = p[istar[j], last][istar]
-    p[lstar, last] = n[lstar] - p[lstar, :last].sum(axis=0)
-
     return SchemeTable(color, p, istar)
 
 

@@ -418,7 +418,8 @@ def test_validate_goes_through_the_shared_kernel(monkeypatch):
 
     monkeypatch.setattr(schemes.DigitRun, "check", recorded)
     scheme = validate(nested_blocks(48, (2, 8)))
-    # i = 1: j = 1, 2 in one run; i = 2: j = 2; i = 3 = 3* is not formed
+    # no single color generates nested blocks, so the loop runs: i = 1:
+    # j = 1, 2 in one run; i = 2: j = 2; i = 3 = 3* is not formed
     assert runs == [(1, 2), (2,)]
     assert scheme.p[1, 1].tolist() == [1, 0, 0, 0]
 

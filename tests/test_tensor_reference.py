@@ -50,16 +50,20 @@ through every class, and checked against both routes' cell sets and route
 2's recorded coefficients), and their witnesses are required to match
 the references and runs cut to one color, also where a later digit of a
 run fails; that failing digit is read where `validate` and both routes
-find it, in the one shared `DigitRun.check`.  `validate`, which packs the products of one left color, is
-checked against the validate that formed one product per pair
-(`ref_validate`, kept verbatim): the same tensor on every scheme, and the
-same message and witness on malformed matrices, with runs packed and cut
-to one color.  `verify_linked_system` is checked against the verifier that
-formed every product, the inverse-partner ones and repeats included: the
-same system or the same error on every closed family of the desk points,
-mutated ones and unions, and the same search result on each branch, where
-the reference search closes families with a copy of `_close` whose RDS
-index holds frozensets, not sorted tuples (`ref_close`).
+find it, in the one shared `DigitRun.check`.  `validate`, which packs
+the products of one left color, is checked against the validate that
+formed one product per pair (`ref_validate`, kept verbatim): the same
+tensor on every scheme, and the same message and witness on malformed
+matrices, with runs packed and cut to one color.  On 198 of those
+schemes one color generates, and `validate` returns the tensor it proves;
+which path runs is pinned: one check on the desk points, the loop on the
+non-commutative thin S3.  `verify_linked_system` is checked against the
+verifier that formed every product, the inverse-partner ones and repeats
+included: the same system or the same error on every closed family of the
+desk points, mutated ones and unions, and the same search result on each
+branch, where the reference search closes families with a copy of
+`_close` whose RDS index holds frozensets, not sorted tuples
+(`ref_close`).
 The Lanczos float oracle is checked against the dense oracle it replaced
 (`eigh` of M, one projection per eigenspace): the same multiplicities, P
 within 1e-9, and the same error on wrong exact data.  `write_scheme`,
@@ -1272,13 +1276,31 @@ def packing(request, monkeypatch):
     return request.param
 
 
-def test_validate_matches_unpacked_reference(reference_schemes, packing):
+@pytest.fixture
+def generated(monkeypatch):
+    """Whether `_proved_by_generator` proved the candidate tensor, False
+    when `validate` takes the loop, in call order."""
+    proved, found = schemes._proved_by_generator, []
+
+    def recorded(*args):
+        found.append(proved(*args))
+        return found[-1]
+
+    monkeypatch.setattr(schemes, "_proved_by_generator", recorded)
+    return found
+
+
+def test_validate_matches_unpacked_reference(reference_schemes, packing,
+                                             generated):
     schemes_ = list(reference_schemes.values()) + thin_schemes()
-    schemes_ += [orbit_scheme(n, units) for n in range(4, 31)
+    schemes_ += [orbit_scheme(n, units) for n in range(4, 41)
                  for units in unit_groups(n)]
     for scheme in schemes_:
         want = validate_outcome(ref_validate, scheme.color)
         assert validate_outcome(validate, scheme.color) == want
+    # one generating color proves the tensor on every desk point, both
+    # recipe-1 instances and most orbit schemes
+    assert (len(schemes_), sum(generated)) == (237, 198)
 
 
 def test_validate_failures_match_unpacked_reference(
@@ -1326,7 +1348,45 @@ def test_octagon_fails_at_the_second_digit(packing, failed_digit):
     runs = schemes.digit_runs([1, 2], 2)
     assert [run.colors for run in runs] == \
         ([(1, 2)] if packing == "packed" else [(1,), (2,)])
-    assert failed_digit == ([1] if packing == "packed" else [0])
+    # B_1 generates the candidate tensor read at the first cells, so its
+    # check fails first, on the same digit; the loop then names the pair
+    assert failed_digit == ([1, 1] if packing == "packed" else [0, 0])
+
+
+@pytest.fixture
+def checked_runs(monkeypatch):
+    """The colors of each run `DigitRun.check` is called on, in call
+    order."""
+    check, found = schemes.DigitRun.check, []
+
+    def recorded(run, *args):
+        found.append(run.colors)
+        return check(run, *args)
+
+    monkeypatch.setattr(schemes.DigitRun, "check", recorded)
+    return found
+
+
+@pytest.mark.parametrize("family, kw", [("q8cp", {"r": 1}),
+                                        ("heis", {"q": 3, "r": 1}),
+                                        ("q8cp", {"r": 3})])
+def test_one_generating_color_makes_one_check(family, kw, checked_runs):
+    validate(constructions.construct_family(family, **kw).result.scheme.color)
+    assert checked_runs == [(1, 2, 3)]
+
+
+def test_thin_s3_takes_the_loop(reference_schemes, generated, monkeypatch):
+    # non-commutative: every color is tried, and none generates
+    generates, tried = schemes._generates, []
+
+    def recorded(lift):
+        tried.append(generates(lift))
+        return tried[-1]
+
+    monkeypatch.setattr(schemes, "_generates", recorded)
+    scheme = reference_schemes["thin S3"]
+    assert validate(scheme.color).p.tolist() == scheme.p.tolist()
+    assert tried == [False] * 5 and generated == [False]
 
 
 def test_each_check_forms_one_product_pass(monkeypatch, reference_schemes,
