@@ -222,16 +222,18 @@ def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
     `digit_runs` with bound |G|, which bounds every product entry, so that
     the packed right factors stay exact float32 integers below 2^24.  One
     packed product per run and class decides the run's pairs: it is
-    constant on a cell set exactly when each of its digits is.
-    ``blocks`` yields, class by class, ``(off, sub, right, basis)``: the
-    points off G, the int16 colors of off x off, those of G x off, which
-    `DigitRun.pack` packs into the right factor of a run, and the 0/1
-    columns A_i[off, G] of each outside color, in float32.  A product is
-    formed only on the rows and columns off G: for x in G, A_i[x, z] != 0
-    would put z in the class of x, so an outside color has no cell in
-    G x G, and the product is 0 on G's rows and columns.  Every (D, L, k)
-    cell set of route 2 with D or L = G lies there, and so does no cell
-    route 4 compares.
+    constant on a cell set exactly when each of its digits is, and
+    `_block_product_routes` forms it once for every route that compares
+    it, so that `verdict_bundle` forms F's products once for routes 2
+    and 4.  ``blocks`` yields, class by class, ``(off, sub, right,
+    basis)``: the points off G, the int16 colors of off x off, those of
+    G x off, which `DigitRun.pack` packs into the right factor of a run,
+    and the 0/1 columns A_i[off, G] of each outside color, in float32.
+    A product is formed only on the rows and columns off G: for x in G,
+    A_i[x, z] != 0 would put z in the class of x, so an outside color has
+    no cell in G x G, and the product is 0 on G's rows and columns.  Every
+    (D, L, k) cell set of route 2 with D or L = G lies there, and so does
+    no cell route 4 compares.
 
     Neither route can fail on a pair with a color inside the parabolic.  If
     i is inside, A_i[x, z] != 0 puts z in the class of x, so for x in G the
@@ -294,16 +296,42 @@ def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
     return runs, blocks()
 
 
-def _first_passing(route, scheme: SchemeTable,
-                   parabolics) -> tuple[bool, dict]:
-    """Run ``route`` on each parabolic in turn up to the first that passes;
-    the scheme-level verdict and each result by class size."""
-    details = {}
-    for parab in parabolics:
-        details[parab.n_class] = res = route(scheme, parab)
-        if res.ok:
-            return True, details
-    return False, details
+def _block_product_routes(scheme: SchemeTable, parab: Parabolic,
+                          *kinds) -> list:
+    """The results of the routes ``kinds``, among `_Definition` (route 2)
+    and `_Dismantle` (route 4), on ``parab``, from one pass over its
+    classes.
+
+    Through each class G, each packed product of `_outside_blocks` that a
+    route forms is formed once, and `DigitRun.check` compares it with the
+    target of every route still open: route 2 labels each cell off G by its
+    (D, L, k) triple, route 4 by its color.  A route closes at its first
+    failing run, and the pass ends when no route is open.  Per target,
+    `DigitRun.check` names the failing pair and cell of that target alone,
+    and a route's target does not depend on the others, so each result is
+    that of a pass for the route alone; neither is read from the other's.
+    """
+    runs, blocks = _outside_blocks(scheme, parab)
+    routes = [kind(scheme, parab, len(runs)) for kind in kinds]
+    live = [route for route in routes if route.result is None]
+    if len(runs) < 2:  # no pair, or only (L, L*): nothing to form
+        live = []
+    for gi, (off, sub, right, basis) in enumerate(blocks if live else ()):
+        targets = {route: route.target(gi, off, sub) for route in live}
+        for n, (i, run) in enumerate(runs[:-1]):
+            outcomes = run.check(basis[i], right, *targets.values())
+            for route, (values, failure) in zip(list(targets), outcomes):
+                if failure:
+                    route.fail(gi, off, i, failure)
+                    del targets[route]
+                else:
+                    route.record(n, values)
+            if not targets:
+                break
+        live = list(targets)
+        if not live:
+            break
+    return [route.finish() for route in routes]
 
 
 # -- uniformity route 2: the definitional block-product check -------------------
@@ -315,6 +343,74 @@ class DefinitionCheck:
     witness: tuple | None = None
     coefficients_consistent: bool | None = None
     # recorded only: whether a_ij^k agrees across class triples
+
+
+class _Definition:
+    """Route 2's comparison in `_block_product_routes`: each cell off G
+    with the last cell of its (D, L, k) triple, and the coefficients of
+    each checked run recorded on the triples with D, L != G.  Decided at
+    once, with no product, on a corank other than 2."""
+
+    def __init__(self, scheme: SchemeTable, parab: Parabolic,
+                 num_runs: int) -> None:
+        cork, self.result = parab.corank, None
+        if cork != 2:
+            self.result = DefinitionCheck(ok=False, cork=cork)
+            return
+        r, v, c = scheme.rank, scheme.v, parab.num_classes
+        self.class_of, self.color = parab.class_of, scheme.color
+        # each cell's (D, L, k) triple; its reference cell is the last one
+        # in row-major order, as when the block values are scattered into a
+        # table.  The key is int16 unless there are many classes.
+        kind = np.int16 if c * c * r <= 1 << 15 else np.intp
+        self.row_key = (self.class_of * (c * r)).astype(kind)[:, None]
+        self.col_key = (self.class_of * r).astype(kind)
+        last = np.full(c * c * r, -1)
+        step = max(1, GATHER_ENTRIES // v)
+        for start in range(0, v, step):
+            rows = slice(start, start + step)
+            key = self.row_key[rows] + self.col_key + self.color[rows]
+            np.maximum.at(last, key.ravel(),
+                          np.arange(start * v, start * v + key.size))
+        self.triples = np.flatnonzero(last >= 0)
+        self.D, self.L, self.K = np.unravel_index(self.triples, (c, c, r))
+        self.ref_x, self.ref_y = np.divmod(last[self.triples], v)
+        self.pos = np.zeros(v, dtype=np.intp)
+        self.reference = np.zeros(c * c * r, dtype=np.intp)
+        self.gmin = np.full((num_runs, r), np.inf)
+        self.gmax = np.full((num_runs, r), -np.inf)
+
+    def target(self, gi: int, off, sub):
+        # off G, row-major order is that of the full matrix, so the last
+        # cell of each triple off G is its last cell in sub coordinates.
+        # A triple in G's rows or columns has no cell off G: its reference
+        # may be any cell, as it is never compared, and it is not recorded
+        self.pos[off] = np.arange(len(off))
+        self.reference[self.triples] = (self.pos[self.ref_x] * len(off)
+                                        + self.pos[self.ref_y])
+        recorded = (self.D != gi) & (self.L != gi)
+        self.at, self.k = self.triples[recorded], self.K[recorded]
+        return self.row_key[off] + self.col_key[off] + sub, self.reference
+
+    def record(self, n: int, values) -> None:
+        np.minimum.at(self.gmin[n], self.k, values[self.at])
+        np.maximum.at(self.gmax[n], self.k, values[self.at])
+
+    def fail(self, gi: int, off, i: int, failure) -> None:
+        j, cell = failure
+        x, y = off[list(divmod(cell, len(off)))]
+        self.result = DefinitionCheck(
+            ok=False, cork=2,
+            witness=(int(self.class_of[x]), gi, int(self.class_of[y]),
+                     i, j, int(self.color[x, y])))
+
+    def finish(self) -> DefinitionCheck:
+        if self.result is not None:
+            return self.result
+        # inf >= -inf where unseen
+        consistent = bool((self.gmin >= self.gmax).all())
+        return DefinitionCheck(ok=True, cork=2,
+                               coefficients_consistent=consistent)
 
 
 def is_uniform_by_definition(scheme: SchemeTable,
@@ -330,6 +426,8 @@ def is_uniform_by_definition(scheme: SchemeTable,
     for the runs checked only, on the triples with D, L != G (see
     `_outside_blocks`), packed: as each digit is below the base, a run's
     numbers agree across the triples of a k iff each pair's coefficients do.
+    `verdict_bundle` forms F's products once for this route and route 4
+    (`_block_product_routes`); this comparison is this route's own.
 
     At corank 2, route4(F) <=> route2(F) and flag(F).  For i, j outside F
     and a k-cell (x, y) in D x L, sum_{G not in {D, L}} M_G[x, y] = p_ij^k,
@@ -339,56 +437,7 @@ def is_uniform_by_definition(scheme: SchemeTable,
     every class.  So the sums at (D, L) and (D', L), or at (D, D) and
     (D', D'), give a_D(k) = a_D'(k): the flag holds, as with two classes
     no outside k is recorded.  Route 2 and the flag give route 4 back."""
-    cork = parab.corank
-    if cork != 2:
-        return DefinitionCheck(ok=False, cork=cork)
-    r, v, c = scheme.rank, scheme.v, parab.num_classes
-    class_of, color = parab.class_of, scheme.color
-    # each cell's (D, L, k) triple; its reference cell is the last one in
-    # row-major order, as when the block values are scattered into a table.
-    # The key is int16 unless there are many classes.
-    kind = np.int16 if c * c * r <= 1 << 15 else np.intp
-    row_key = (class_of * (c * r)).astype(kind)[:, None]
-    col_key = (class_of * r).astype(kind)
-    last = np.full(c * c * r, -1)
-    step = max(1, GATHER_ENTRIES // v)
-    for start in range(0, v, step):
-        rows = slice(start, start + step)
-        key = row_key[rows] + col_key + color[rows]
-        np.maximum.at(last, key.ravel(),
-                      np.arange(start * v, start * v + key.size))
-    triples = np.flatnonzero(last >= 0)
-    D, L, K = np.unravel_index(triples, (c, c, r))
-    ref_x, ref_y = np.divmod(last[triples], v)
-    pos = np.zeros(v, dtype=np.intp)
-    reference = np.zeros(c * c * r, dtype=np.intp)
-
-    runs, blocks = _outside_blocks(scheme, parab)
-    gmin = np.full((len(runs), r), np.inf)
-    gmax = np.full((len(runs), r), -np.inf)
-    for gi, (off, sub, right, basis) in enumerate(blocks):
-        # off G, row-major order is that of the full matrix, so the last
-        # cell of each triple off G is its last cell in sub coordinates.
-        # A triple in G's rows or columns has no cell off G: its reference
-        # may be any cell, as it is never compared, and it is not recorded
-        pos[off] = np.arange(len(off))
-        reference[triples] = pos[ref_x] * len(off) + pos[ref_y]
-        labels = row_key[off] + col_key[off] + sub
-        recorded = (D != gi) & (L != gi)
-        at, k = triples[recorded], K[recorded]
-        for n, (i, run) in enumerate(runs[:-1]):
-            values, failure = run.check(basis[i], right, labels, reference)
-            if failure:
-                j, cell = failure
-                x, y = off[list(divmod(cell, len(off)))]
-                return DefinitionCheck(
-                    ok=False, cork=2,
-                    witness=(int(class_of[x]), gi, int(class_of[y]),
-                             i, j, int(color[x, y])))
-            np.minimum.at(gmin[n], k, values[at])
-            np.maximum.at(gmax[n], k, values[at])
-    consistent = bool((gmin >= gmax).all())  # inf >= -inf where unseen
-    return DefinitionCheck(ok=True, cork=2, coefficients_consistent=consistent)
+    return _block_product_routes(scheme, parab, _Definition)[0]
 
 
 # -- uniformity route 4: dismantlability ----------------------------------------
@@ -400,6 +449,42 @@ class DismantleCheck:
     ok: bool
     witness: tuple[int, ...] | None = None  # failing union, as class indices
     unions_checked: int = 0
+
+
+class _Dismantle:
+    """Route 4's comparison in `_block_product_routes`: each cell off G
+    with the first cell of its color; a failure is confirmed by
+    `restriction`."""
+
+    def __init__(self, scheme: SchemeTable, parab: Parabolic,
+                 num_runs: int) -> None:
+        self.scheme, self.class_of, self.result = scheme, parab.class_of, None
+
+    def target(self, gi: int, off, sub):
+        self.sub, self.first = sub, first_cells(sub, self.scheme.rank)
+        return sub, self.first
+
+    def record(self, n: int, values) -> None:
+        pass
+
+    def fail(self, gi: int, off, i: int, failure) -> None:
+        cell, class_of = failure[1], self.class_of
+        cells = np.divmod([cell, self.first[self.sub.flat[cell]]], len(off))
+        S = set(class_of[off[np.ravel(cells)]].tolist())
+        for checked, union in enumerate((S, S | {gi}), start=1):
+            union = tuple(sorted(union))
+            try:
+                restriction(self.scheme,
+                            np.flatnonzero(np.isin(class_of, union)))
+            except SchemeError:
+                self.result = DismantleCheck(False, union, checked)
+                return
+        # a failing cell names a non-subscheme union: `is_dismantlable`
+        raise RuntimeError(f"both witness unions through class {gi} "
+                           f"induce subschemes")
+
+    def finish(self) -> DismantleCheck:
+        return self.result or DismantleCheck(ok=True)
 
 
 def is_dismantlable(scheme: SchemeTable, parab: Parabolic) -> DismantleCheck:
@@ -422,31 +507,10 @@ def is_dismantlable(scheme: SchemeTable, parab: Parabolic) -> DismantleCheck:
     `_outside_blocks`).  A k-cell with classes S1 failing against the
     reference k-cell with classes S2 names S1 + S2 or S1 + S2 + {G}, so
     `restriction` rejects one of these; it is the witness.
+    `verdict_bundle` forms F's products once for this route and route 2
+    (`_block_product_routes`); this comparison is this route's own.
     """
-    class_of = parab.class_of
-    runs, blocks = _outside_blocks(scheme, parab)
-    if len(runs) < 2:  # no pair, or only (L, L*): nothing to form
-        return DismantleCheck(ok=True)
-    for gi, (off, sub, right, basis) in enumerate(blocks):
-        # each cell off G is compared with the first cell of its color
-        first = first_cells(sub, scheme.rank)
-        for i, run in runs[:-1]:
-            _, failure = run.check(basis[i], right, sub, first)
-            if not failure:
-                continue
-            cell = failure[1]
-            cells = np.divmod([cell, first[sub.flat[cell]]], len(off))
-            S = set(class_of[off[np.ravel(cells)]].tolist())
-            for checked, union in enumerate((S, S | {gi}), start=1):
-                union = tuple(sorted(union))
-                try:
-                    restriction(scheme,
-                                np.flatnonzero(np.isin(class_of, union)))
-                except SchemeError:
-                    return DismantleCheck(False, union, checked)
-            raise RuntimeError(f"both witness unions through class {gi} "
-                               f"induce subschemes")
-    return DismantleCheck(ok=True)
+    return _block_product_routes(scheme, parab, _Dismantle)[0]
 
 
 # -- the bundle ------------------------------------------------------------------
@@ -498,13 +562,16 @@ def verdict_bundle(scheme: SchemeTable, seed: int = 0,
                    oracle: bool = False) -> VerdictBundle:
     """Run all four uniformity routes on a Higmanian scheme.
 
-    The verdicts must coincide (they are provably equivalent for genuine
-    Higmanian schemes); disagreement raises VerdictInconsistencyError, which
-    carries the bundle.  A scheme that is not Higmanian raises
-    NotHigmanianError with the detection's reason.  With ``oracle``, the
-    float oracle runs only on a consistent bundle, and its failure raises
-    OracleError.  ``seed`` is accepted and has no effect: every route is
-    exact and none samples.
+    Routes 2 and 4 run on F in one pass over its classes, which forms each
+    block product once for both (`_block_product_routes`); each route
+    compares it with its own target and keeps its own result, and neither
+    verdict is read from the other's.  The verdicts must coincide (they are
+    provably equivalent for genuine Higmanian schemes); disagreement raises
+    VerdictInconsistencyError, which carries the bundle.  A scheme that is
+    not Higmanian raises NotHigmanianError with the detection's reason.
+    With ``oracle``, the float oracle runs only on a consistent bundle, and
+    its failure raises OracleError.  ``seed`` is accepted and has no
+    effect: every route is exact and none samples.
     """
     det = detect_higmanian(scheme)
     if not det:
@@ -512,12 +579,19 @@ def verdict_bundle(scheme: SchemeTable, seed: int = 0,
     params = det.params
     criterion = is_uniform_by_criterion(params)
     eigen, kr, qh = _spectral_verdict(params)
-    # detection leaves E and F as the only nontrivial parabolics.  Route 4
-    # tries F first: fewer classes, cheaper, and decisive on a uniform scheme
-    definition, def_details = _first_passing(is_uniform_by_definition,
-                                             scheme, (det.E, det.F))
-    dismantlable, dis_details = _first_passing(is_dismantlable, scheme,
-                                               (det.F, det.E))
+    # detection leaves E and F as the only nontrivial parabolics.  Route 2
+    # fails on E's corank, 3, with no product.  One pass over F's classes
+    # decides routes 2 and 4 there: F has fewer classes, is cheaper, and is
+    # decisive on a uniform scheme.  Route 4 tries E only when F fails
+    def_f, dis_f = _block_product_routes(scheme, det.F, _Definition,
+                                         _Dismantle)
+    def_details = {det.E.n_class: is_uniform_by_definition(scheme, det.E),
+                   det.F.n_class: def_f}
+    dis_details = {det.F.n_class: dis_f}
+    if not dis_f.ok:
+        dis_details[det.E.n_class] = is_dismantlable(scheme, det.E)
+    definition = any(res.ok for res in def_details.values())
+    dismantlable = any(res.ok for res in dis_details.values())
 
     alt_agrees = True
     if det.alt_params is not None:

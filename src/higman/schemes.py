@@ -25,9 +25,11 @@ failure.
 
 Validation and the block-product routes of `higmanian` share one packed
 product check, `DigitRun.check`.  It forms a product a block of rows at a
-time and compares it with the values at one reference cell per label, so
-beyond the int16 color matrix it holds one v x v float32 factor and a
-block, not a v x v index, basis stack or product.
+time, once, and compares it with the values at one reference cell per
+label of each target it is given: `validate` gives one, and the routes'
+shared pass one per route.  So beyond the int16 color matrix it holds one
+v x v float32 factor and a block, not a v x v index, basis stack or
+product.
 """
 
 from __future__ import annotations
@@ -101,60 +103,82 @@ class DigitRun(NamedTuple):
         powers = self.base ** np.arange(len(self.colors), dtype=np.int64)
         return np.asarray(packed, dtype=np.int64) // powers[:, None] % self.base
 
-    def check(self, left, right, labels, reference):
+    def check(self, left, right, *targets):
         """Whether the packed product of ``left`` and the right factors of
-        the run, the 0/1 matrices ``right == j``, is constant on each label:
-        cell (x, y) has the label ``labels[x, y]``, and the flat index
-        ``reference[l]`` is the reference cell of label l.
+        the run, the 0/1 matrices ``right == j``, is constant on each label
+        of each target ``(labels, reference)``: cell (x, y) has the label
+        ``labels[x, y]``, and the flat index ``reference[l]`` is the
+        reference cell of label l.
 
         The value at each reference cell is formed first, as the dot
         product of a row of ``left`` and a column of the packed factor.  Its
         terms are 0 or a weight, so every partial sum is a nonnegative
         integer at most the value, below 2^24: exact in float32.  The
-        product is then formed a block of rows at a time, in row-major
-        order, and compared with the values of its labels
-        (`_first_mismatch`); no v x v index or product is held.  ``left``
-        may be boolean: each block of its rows is cast to float32.
+        product is then formed once, a block of rows at a time, in
+        row-major order, and compared with the values of each target's
+        labels (`_first_mismatch`); no v x v index or product is held.
+        ``left`` may be boolean: each block of its rows is cast to float32.
 
-        ``(values, None)`` when every cell agrees, with ``values[l]`` the
-        packed value at ``reference[l]``.  Otherwise ``(values, (j, cell))``
-        for j = colors[d], d the least digit that differs anywhere: every
-        digit is below the base, so digit d is the single product of j, and
-        j, its ``values`` and its first failing cell in row-major order are
-        those of a loop over single products."""
+        One result per target: ``(values, None)`` when every cell agrees,
+        with ``values[l]`` the packed value at ``reference[l]``.  Otherwise
+        ``(values, (j, cell))`` for j = colors[d], d the least digit that
+        differs anywhere: every digit is below the base, so digit d is the
+        single product of j, and j, its ``values`` and its first failing
+        cell in row-major order are those of a loop over single products
+        compared with that target alone."""
         packed = self.pack(right)
-        x, y = np.divmod(reference, packed.shape[1])
-        values = np.einsum("lk,kl->l", left[x], packed[:, y])
-        failure = _first_mismatch(self, left, packed, labels, values)
-        if failure is None:
-            return values, None
-        d, cell = failure
-        return self.unpack(values)[d], (self.colors[d], cell)
+        values = []
+        for _, reference in targets:
+            x, y = np.divmod(reference, packed.shape[1])
+            values.append(np.einsum("lk,kl->l", left[x], packed[:, y]))
+        found = _first_mismatch(self, left, packed, [
+            (labels, vals) for (labels, _), vals in zip(targets, values)])
+        return [(vals, None) if failure is None
+                else (self.unpack(vals)[failure[0]],
+                      (self.colors[failure[0]], failure[1]))
+                for vals, failure in zip(values, found)]
 
 
-def _first_mismatch(run, left, factor, labels, values) -> tuple | None:
-    """The least digit d of ``run`` at which a cell (x, y) of ``left @
-    factor`` differs from ``values[labels[x, y]]``, with the row-major
-    index of its first such cell, or None.  The product is formed in
-    float32 a block of rows at a time, of at most BLOCK_ENTRIES cells, and
-    compared GATHER_ENTRIES cells at a time.  The digits of a difference,
-    by floor division, are 0 below the first digit at which the two differ."""
-    cols, found = labels.shape[1], None
-    for rows in row_blocks(labels, BLOCK_ENTRIES):
+def _first_mismatch(run, left, factor, targets) -> list:
+    """For each target ``(labels, values)``, the least digit d of ``run`` at
+    which a cell (x, y) of ``left @ factor`` differs from
+    ``values[labels[x, y]]``, with the row-major index of its first such
+    cell, or None.  The product is formed in float32 a block of rows at a
+    time, of at most BLOCK_ENTRIES cells, once for all targets, and
+    compared with each target still open GATHER_ENTRIES cells at a time; a
+    target closes at its first failing cell of digit 0."""
+    cols, found = targets[0][0].shape[1], [None] * len(targets)
+    open_ = list(range(len(targets)))
+    for rows in row_blocks(targets[0][0], BLOCK_ENTRIES):
         product = left[rows].astype(np.float32, copy=False) @ factor
-        for part in row_blocks(product, GATHER_ENTRIES):
-            diff = product[part]
-            diff -= np.take(values, labels[rows][part])
-            if diff.any():
-                at = np.flatnonzero(diff)
-                digits = run.unpack(diff.flat[at]) != 0
-                d = int(digits.any(axis=1).argmax())
-                if found is None or d < found[0]:
-                    x = rows.start + part.start
-                    found = d, x * cols + int(at[digits[d].argmax()])
+        for t in open_:
+            labels, values = targets[t]
+            for part in row_blocks(product, GATHER_ENTRIES):
+                failure = _least_digit(run, product[part],
+                                       np.take(values, labels[rows][part]))
+                if failure and (found[t] is None or failure[0] < found[t][0]):
+                    d, at = failure
+                    found[t] = d, (rows.start + part.start) * cols + at
                     if d == 0:
-                        return found
+                        break
+        open_ = [t for t in open_ if found[t] is None or found[t][0]]
+        if not open_:
+            break
     return found
+
+
+def _least_digit(run, block, expected) -> tuple | None:
+    """The least digit of ``run`` at which ``block`` differs from
+    ``expected``, which is overwritten, with the flat index of its first
+    such cell, or None.  The digits of a difference, by floor division, are
+    0 below the first digit at which the two differ."""
+    np.subtract(block, expected, out=expected)
+    if not expected.any():
+        return None
+    at = np.flatnonzero(expected)
+    digits = run.unpack(expected.flat[at]) != 0
+    d = int(digits.any(axis=1).argmax())
+    return d, int(at[digits[d].argmax()])
 
 
 def digit_runs(colors: Sequence[int], bound: int) -> list[DigitRun]:
@@ -241,7 +265,7 @@ def _proved_by_generator(color: np.ndarray, first: np.ndarray,
     for g in sorted(runs, key=lambda g: (len(runs[g]), g)):
         if _generates(p[g].T):
             left = color == g
-            return not any(run.check(left, color, color, first)[1]
+            return not any(run.check(left, color, (color, first))[0][1]
                            for run in runs[g])
     return False
 
@@ -368,7 +392,7 @@ def validate(matrix) -> SchemeTable:
         right = [j for j in range(1, last) if (istar[j], istar[i]) >= (i, j)]
         left = color == i
         for run in digit_runs(right, n[i]):
-            values, failure = run.check(left, color, color, first)
+            [(values, failure)] = run.check(left, color, (color, first))
             if failure:
                 j, cell = failure
                 x, y = divmod(cell, v)

@@ -402,10 +402,12 @@ def float_eigen_oracle(scheme: SchemeTable, exact: EigenData,
     weights, Y = ritz
     del M  # v x v float64, freed before the per-color products
 
-    # P_float[j, i] = y_j^T A_i y_j, one thin product A_i Y per color
+    # P_float[j, i] = y_j^T A_i y_j, one thin product A_i Y per color but
+    # the diagonal, A_0 Y = Y
     P_float = np.empty((r, r))
     for i, c in enumerate(order):
-        P_float[:, i] = np.einsum("xj,xj->j", Y, (scheme.color == c) @ Y)
+        AY = Y if c == 0 else (scheme.color == c) @ Y
+        P_float[:, i] = np.einsum("xj,xj->j", Y, AY)
 
     dims = v * weights
     if np.abs(dims - np.rint(dims)).max() > 1e-6:

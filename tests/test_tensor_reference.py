@@ -95,9 +95,10 @@ from higman.constructions import (ConstructionError, search_semiregular_rds,
 from higman.groups import (build_family, cosets, direct_product, gre_multiply,
                            isomorphisms)
 from higman.higmanian import (DefinitionCheck, DismantleCheck,
-                              HigmanianParams, _outside_blocks,
-                              detect_higmanian, is_dismantlable,
-                              is_uniform_by_definition)
+                              HigmanianParams, VerdictInconsistencyError,
+                              _outside_blocks, detect_higmanian,
+                              is_dismantlable, is_uniform_by_definition,
+                              verdict_bundle)
 from higman.quadratic import QuadraticNumber as QN
 from higman.quadratic import quadratic_roots, square_free_decomposition
 from higman.schemes import (FLOAT32_EXACT_LIMIT, SchemeError, SchemeTable,
@@ -1323,14 +1324,14 @@ def test_validate_failures_match_unpacked_reference(
 def failed_digit(monkeypatch):
     """The digit, within its run, of each pair that `DigitRun.check`
     names as failing, read off the packed product's digits, in call
-    order."""
+    order and target order."""
     check, found = schemes.DigitRun.check, []
 
     def recorded(run, *args):
-        M, failure = check(run, *args)
-        if failure:
-            found.append(run.colors.index(failure[0]))
-        return M, failure
+        outcomes = check(run, *args)
+        found.extend(run.colors.index(failure[0])
+                     for _, failure in outcomes if failure)
+        return outcomes
 
     monkeypatch.setattr(schemes.DigitRun, "check", recorded)
     return found
@@ -1393,7 +1394,7 @@ def test_each_check_forms_one_product_pass(monkeypatch, reference_schemes,
                                            negative_control_candidates):
     # a run that fails is named from its packed product: `DigitRun.check`
     # makes one `_first_mismatch` pass per call, pass or fail, in
-    # `validate` and in both routes
+    # `validate`, in both routes and in the bundle's pass for both
     mismatch, check = schemes._first_mismatch, schemes.DigitRun.check
     passes, checks = [], []
 
@@ -1403,9 +1404,11 @@ def test_each_check_forms_one_product_pass(monkeypatch, reference_schemes,
 
     def counted_check(run, *args):
         before = len(passes)
-        values, failure = check(run, *args)
-        checks.append((len(passes) - before, failure is not None))
-        return values, failure
+        outcomes = check(run, *args)
+        checks.append((len(passes) - before,
+                       any(failure for _, failure in outcomes),
+                       len(outcomes)))
+        return outcomes
 
     monkeypatch.setattr(schemes, "_first_mismatch", counted_mismatch)
     monkeypatch.setattr(schemes.DigitRun, "check", counted_check)
@@ -1416,8 +1419,11 @@ def test_each_check_forms_one_product_pass(monkeypatch, reference_schemes,
     for scheme, parab in block_product_cases(reference_schemes):
         is_uniform_by_definition(scheme, parab)
         is_dismantlable(scheme, parab)
-    assert {made for made, _ in checks} == {1}
-    assert sum(failed for _, failed in checks) > 20
+        higmanian._block_product_routes(scheme, parab, higmanian._Definition,
+                                        higmanian._Dismantle)
+    assert {made for made, _, _ in checks} == {1}
+    assert sum(failed for _, failed, _ in checks) > 20
+    assert {targets for _, _, targets in checks} == {1, 2}
 
 
 @pytest.fixture
@@ -1448,9 +1454,13 @@ def test_small_row_blocks_match_references(small_blocks,
     for scheme, parab in cases:
         res = is_uniform_by_definition(scheme, parab)
         assert res == ref_is_uniform_by_definition(scheme, parab)
-        ok = is_dismantlable(scheme, parab).ok
-        assert ok == ref_is_dismantlable(scheme, parab)
-        outcomes.add((res.ok, res.witness is not None, ok))
+        dis = is_dismantlable(scheme, parab)
+        assert dis.ok == ref_is_dismantlable(scheme, parab)
+        # the shared pass compares each block with both targets
+        assert higmanian._block_product_routes(
+            scheme, parab, higmanian._Definition, higmanian._Dismantle) == \
+            [res, dis]
+        outcomes.add((res.ok, res.witness is not None, dis.ok))
     assert {(True, False, True), (False, True, False)} <= outcomes
 
 
@@ -1463,16 +1473,29 @@ def test_later_rows_are_named(blocks, request):
     right = np.ones((8, 7), dtype=np.int16)
     right[5, 3] = 2
     run = schemes.DigitRun((1, 2), 2)
-    values, failure = run.check(np.eye(8, dtype=np.float32), right,
-                                np.zeros((8, 7), dtype=np.int16), [0])
+    [(values, failure)] = run.check(np.eye(8, dtype=np.float32), right,
+                                    (np.zeros((8, 7), dtype=np.int16), [0]))
     assert failure == (1, 5 * 7 + 3) and values.tolist() == [1]
     # digit 1 (color 2) differs in row 1, digit 0 (color 1) only in row 5:
     # the least digit names the pair, at its own first cell
     right = np.full((8, 7), 3, dtype=np.int16)
     right[1, 2], right[5, 3] = 2, 1
-    values, failure = run.check(np.eye(8, dtype=np.float32), right,
-                                np.zeros((8, 7), dtype=np.int16), [0])
+    [(values, failure)] = run.check(np.eye(8, dtype=np.float32), right,
+                                    (np.zeros((8, 7), dtype=np.int16), [0]))
     assert failure == (1, 5 * 7 + 3) and values.tolist() == [0]
+    # one product compared with three targets: each gets the result of a
+    # call of its own, as the second closes at cell 0 and the others run
+    # on to row 5
+    zeros = np.zeros((8, 7), dtype=np.int16)
+    halves = np.repeat(np.array([0, 1], dtype=np.int16), [5, 3])[:, None]
+    targets = [(zeros, [0]), (zeros, [5 * 7 + 3]),
+               (np.repeat(halves, 7, axis=1), [0, 5 * 7 + 3])]
+    shared = run.check(np.eye(8, dtype=np.float32), right, *targets)
+    alone = [run.check(np.eye(8, dtype=np.float32), right, target)[0]
+             for target in targets]
+    assert [(v.tolist(), f) for v, f in shared] == \
+        [(v.tolist(), f) for v, f in alone]
+    assert [f for _, f in shared] == [(1, 5 * 7 + 3), (1, 0), (1, 5 * 7)]
     matrix = 1 - np.eye(8, dtype=np.int64)
     matrix[6, 7] = 2
     want = ("relation 1 has no single inverse color (witness (7,6))", (7, 6))
@@ -1667,6 +1690,133 @@ def test_each_route_forms_one_product_per_class_and_pair(reference_schemes,
         CountedMatmul.log = []
         assert route(heis, F).ok and CountedMatmul.log == [runs[0][0]] * 4
     assert min(passed.values()) > 10 and failed > 10
+    # the bundle forms F's products once for both routes: 4, where a pass
+    # per route took 8.  Route 2 fails on E's corank with no product, and
+    # route 4 does not try E once F passes
+    CountedMatmul.log = []
+    assert verdict_bundle(heis).consistent
+    assert CountedMatmul.log == [runs[0][0]] * 4
+
+
+def standalone_details(scheme, det):
+    """Route 2's and route 4's results as standalone calls, the way the
+    bundle tries the parabolics: route 2 over E, then F, route 4 over F,
+    then E, each up to the first that passes."""
+    details = []
+    for route, order in ((is_uniform_by_definition, (det.E, det.F)),
+                         (is_dismantlable, (det.F, det.E))):
+        found = {}
+        for parab in order:
+            found[parab.n_class] = res = route(scheme, parab)
+            if res.ok:
+                break
+        details.append(list(found.items()))
+    return details
+
+
+def test_bundle_details_equal_standalone_routes(reference_schemes,
+                                                monkeypatch):
+    # one pass over F's classes gives each route the result, and the
+    # order, of its standalone calls, on every desk point and every
+    # Higmanian reference scheme
+    bundled = 0
+    for scheme in reference_schemes.values():
+        det = detect_higmanian(scheme)
+        if det:
+            b = verdict_bundle(scheme)
+            assert [list(b.definition_details.items()),
+                    list(b.dismantle_details.items())] == \
+                standalone_details(scheme, det)
+            bundled += 1
+    assert bundled == 7
+    # where route 4 fails on F, the bundle tries E alone.  No scheme at
+    # hand fails there, so F's result is forced to fail: the bundle is
+    # then inconsistent, and carries E's standalone result
+    scheme = reference_schemes["q8cp {'r': 1}"]
+    det = detect_higmanian(scheme)
+    shared = higmanian._block_product_routes
+    forced = DismantleCheck(ok=False, witness=(0,), unions_checked=1)
+
+    def failing_on_f(scheme, parab, *kinds):
+        results = shared(scheme, parab, *kinds)
+        return results[:1] + [forced] if len(kinds) == 2 else results
+
+    monkeypatch.setattr(higmanian, "_block_product_routes", failing_on_f)
+    with pytest.raises(VerdictInconsistencyError) as err:
+        verdict_bundle(scheme)
+    assert list(err.value.bundle.dismantle_details.items()) == [
+        (det.F.n_class, forced),
+        (det.E.n_class, is_dismantlable(scheme, det.E))]
+
+
+@pytest.mark.parametrize("closed", [0, 1], ids=["route 2", "route 4"])
+def test_one_route_continues_alone(reference_schemes, monkeypatch, closed):
+    # both routes fail at the same class on every failing corank-2 case at
+    # hand, so the shared pass never runs on with one target left.  Here
+    # the first comparison of one route's target is forced to fail, and
+    # the other route, left alone, gets its standalone result, witness
+    # included.  At corank 3 only route 4 has a target
+    cases = [(scheme, parab, [is_uniform_by_definition(scheme, parab),
+                              is_dismantlable(scheme, parab)])
+             for scheme, parab in block_product_cases(reference_schemes)]
+    check, restrict = schemes.DigitRun.check, higmanian.restriction
+    calls, forcing = [], []
+
+    def forced(run, *args):
+        outcomes = check(run, *args)
+        calls.append(len(outcomes))
+        if len(calls) == 1 and len(outcomes) == 2:
+            outcomes[closed] = outcomes[closed][0], (run.colors[0], 0)
+            forcing.append(closed)
+        return outcomes
+
+    def confirming(scheme, points):
+        # route 4's forced failure is confirmed on its first union, and
+        # `validate`'s checks are not the pass's
+        if forcing == [1]:
+            forcing.clear()
+            raise SchemeError("forced")
+        with monkeypatch.context() as m:
+            m.setattr(schemes.DigitRun, "check", check)
+            return restrict(scheme, points)
+
+    monkeypatch.setattr(schemes.DigitRun, "check", forced)
+    monkeypatch.setattr(higmanian, "restriction", confirming)
+    alone = {2: 0, 3: 0}
+    for scheme, parab, want in cases:
+        calls.clear()
+        forcing.clear()
+        got = higmanian._block_product_routes(
+            scheme, parab, higmanian._Definition, higmanian._Dismantle)
+        if calls[:1] == [2]:
+            assert got[closed].ok is False
+            assert got[1 - closed] == want[1 - closed]
+            alone[2] += 1 in calls
+        else:
+            assert got == want and set(calls) <= {1}
+            alone[3] += parab.corank == 3 and bool(calls)
+    assert alone[2] > 50 and alone[3] > 30
+
+
+def test_route4_guard_names_no_impossible_witness(reference_schemes,
+                                                  monkeypatch):
+    # a failing cell always names a union that `restriction` rejects (the
+    # proof in `is_dismantlable`).  A failure forced where route 4 passes
+    # names none, and the guard raises.  Only the pass's first check is
+    # forced, not those of `validate` in `restriction`
+    heis = reference_schemes["heis {'q': 3, 'r': 1}"]
+    F = next(e for e in nontrivial_parabolics(heis) if e.corank == 2)
+    check, calls = schemes.DigitRun.check, []
+
+    def forced(run, *args):
+        calls.append(run)
+        return [(values, (run.colors[0], 0) if len(calls) == 1 else failure)
+                for values, failure in check(run, *args)]
+
+    monkeypatch.setattr(schemes.DigitRun, "check", forced)
+    with pytest.raises(RuntimeError, match="both witness unions through "
+                       "class 0 induce subschemes"):
+        is_dismantlable(heis, F)
 
 
 def constant_on(values, labels):
@@ -1790,9 +1940,9 @@ def test_route2_flag_reads_every_checked_run(reference_schemes,
     check, calls = schemes.DigitRun.check, []
 
     def zeroed(run, *args):
-        values, failure = check(run, *args)
+        [(values, failure)] = check(run, *args)
         calls.append(run)
-        return values * (len(calls) - 1 != target), failure
+        return [(values * (len(calls) - 1 != target), failure)]
 
     monkeypatch.setattr(schemes.DigitRun, "check", zeroed)
     altered = 0
