@@ -565,13 +565,18 @@ def verdict_bundle(scheme: SchemeTable, seed: int = 0,
     Routes 2 and 4 run on F in one pass over its classes, which forms each
     block product once for both (`_block_product_routes`); each route
     compares it with its own target and keeps its own result, and neither
-    verdict is read from the other's.  The verdicts must coincide (they are
-    provably equivalent for genuine Higmanian schemes); disagreement raises
-    VerdictInconsistencyError, which carries the bundle.  A scheme that is
-    not Higmanian raises NotHigmanianError with the detection's reason.
-    With ``oracle``, the float oracle runs only on a consistent bundle, and
-    its failure raises OracleError.  ``seed`` is accepted and has no
-    effect: every route is exact and none samples.
+    verdict is read from the other's.  Route 4 on E runs only when F
+    fails, to report E's witness, and cannot change ``dismantlable``: F's
+    classes are unions of E's, so E dismantlable would make F so, and E
+    never passes below F anyway, as a color of F outside E joins two
+    E-classes of one F-class and misses a third E-class.  The verdicts
+    must coincide (they are provably equivalent for genuine Higmanian
+    schemes); disagreement raises VerdictInconsistencyError, which carries
+    the bundle.  A scheme that is not Higmanian raises NotHigmanianError
+    with the detection's reason.  With ``oracle``, the float oracle runs
+    only on a consistent bundle, and its failure raises OracleError.
+    ``seed`` is accepted and has no effect: every route is exact and none
+    samples.
     """
     det = detect_higmanian(scheme)
     if not det:

@@ -8,6 +8,7 @@ the full intersection tensor and rejects non-schemes with the first violated
 axiom.  A parabolic is its set of colors: the parabolics, their class
 sizes and their coranks are read off that tensor, and a parabolic's
 classes are formed from the color matrix only where a route walks them.
+The scheme keeps the color sets, and each parabolic object its own facts.
 Restrictions work on the color matrix and are validated again.  Cayley
 schemes of partitions of a group G x U skip validation: their tensor comes
 from the products of the parts and their colors from a gather per block of
@@ -37,6 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
@@ -72,7 +74,6 @@ class SchemeTable:
         self.inverse = inverse    # color involution i -> i*
         self.valencies = p[np.arange(self.rank), inverse, 0]  # n_i = p_ii*^0
         self._parabolics: list[frozenset] | None = None  # see parabolics()
-        self._class_of: dict[frozenset, np.ndarray] = {}  # Parabolic.class_of
 
     def is_symmetric(self) -> bool:
         return bool((self.inverse == np.arange(self.rank)).all())
@@ -416,13 +417,14 @@ def trivial_scheme(v: int) -> SchemeTable:
 @dataclass(frozen=True)
 class Parabolic:
     """A closed subset of colors: the equivalence relation that is their
-    union.  Its class size and count come from the valencies; its classes
-    are formed from the color matrix only when `class_of` is first read."""
+    union.  Its class size, outside colors and corank are read off the
+    valencies and the tensor, and its classes off the color matrix; each
+    is computed on first use and kept on this object."""
 
     scheme: SchemeTable = field(repr=False)
     colors: frozenset[int]
 
-    @property
+    @cached_property
     def n_class(self) -> int:
         return int(self.scheme.valencies[sorted(self.colors)].sum())
 
@@ -430,47 +432,37 @@ class Parabolic:
     def num_classes(self) -> int:
         return self.scheme.v // self.n_class
 
-    @property
+    @cached_property
     def class_of(self) -> np.ndarray:
         """Each point's class, numbered in the order of the classes' least
-        points: each point's least class-mate names its class.  Formed on
-        first use and kept on the scheme, once per color set."""
-        cache, color = self.scheme._class_of, self.scheme.color
-        if self.colors not in cache:
-            inside = color == 0
-            for c in self.colors - {0}:
-                inside |= color == c
-            cache[self.colors] = np.unique(inside.argmax(axis=1),
-                                           return_inverse=True)[1]
-        return cache[self.colors]
+        points: each point's least class-mate names its class."""
+        color = self.scheme.color
+        inside = color == 0
+        for c in self.colors - {0}:
+            inside |= color == c
+        return np.unique(inside.argmax(axis=1), return_inverse=True)[1]
 
-    @property
-    def outside(self) -> list[int]:
+    @cached_property
+    def outside(self) -> tuple[int, ...]:
         """The colors not in the parabolic, in increasing order."""
-        return [i for i in range(self.scheme.rank) if i not in self.colors]
+        return tuple(sorted(set(range(self.scheme.rank)) - self.colors))
 
     def is_trivial(self) -> bool:
         return len(self.colors) in (1, self.scheme.rank)
 
-    def double_cosets(self) -> list[frozenset[int]]:
-        """The distinct color sets P i P for colors i outside P.
-
-        These are the color sets met by the blocks between two different
-        classes, so they are the colors of the quotient."""
+    @cached_property
+    def corank(self) -> int:
+        """Rank of the quotient scheme on the classes: 1 plus the number of
+        distinct color sets P i P for colors i outside P, the color sets
+        met by the blocks between two different classes.  P is a wreath
+        factor, every P i P with i outside P being {i}, exactly when this
+        is rank - |P| + 1."""
         p = self.scheme.p
         inside = sorted(self.colors)
         left = p[inside].any(axis=0)          # [i, s]: s in P i
         right = p[:, inside].any(axis=1)      # [s, k]: k in s P
         reach = (left.astype(np.int64) @ right) > 0
-        return list(dict.fromkeys(
-            frozenset(np.nonzero(reach[i])[0].tolist()) for i in self.outside))
-
-    @property
-    def corank(self) -> int:
-        """Rank of the quotient scheme on the classes.  P is a wreath factor,
-        every P i P with i outside P being {i}, exactly when this is
-        rank - |P| + 1."""
-        return 1 + len(self.double_cosets())
+        return 1 + len({reach[i].tobytes() for i in self.outside})
 
 
 def parabolics(scheme: SchemeTable) -> list[Parabolic]:

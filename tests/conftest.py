@@ -4,7 +4,7 @@ from higman.constructions import (construct_family, example1_construct,
                                   search_semiregular_rds)
 from higman.groups import FiniteGroup, GroupError, Subgroup, build_family
 from higman.higmanian import detect_higmanian
-from higman.schemes import SchemeError, cayley_scheme
+from higman.schemes import Parabolic, SchemeError, cayley_scheme
 
 DESK_POINTS = (
     ("q8cp", dict(r=1)),
@@ -34,6 +34,21 @@ def heis_construction(constructions_by_family):
 @pytest.fixture(scope="session")
 def ea_construction(constructions_by_family):
     return constructions_by_family[("ea", (("j", 1), ("q", 3), ("r", 1)))]
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """The color sets of the parabolics that compute their corank and
+    their classes while the test runs, in order, one entry per compute."""
+    log = {"corank": [], "class_of": []}
+    for name, seen in log.items():
+        prop = vars(Parabolic)[name]
+
+        def counted(parab, func=prop.func, seen=seen):
+            seen.append(parab.colors)
+            return func(parab)
+        monkeypatch.setattr(prop, "func", counted)
+    return log
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -5,16 +6,23 @@ import subprocess
 import sys
 import time
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
 import higman
 from higman import cli, higmanian, schemes, spectral
 from higman.cli import main
+from higman.constructions import construct_family, example1_construct
+from higman.groups import build_family
+from higman.higmanian import HigmanianParams, uniformity_rhs
+from higman.quadratic import square_free_decomposition
 from higman.schemes import (nontrivial_parabolics, trivial_scheme,
                             wreath_product, write_scheme)
 from test_higmanian import rank5_wreath
 from test_tensor_reference import orbit_scheme
+
+C9 = build_family("C:9")
 
 
 def run(capsys, *argv):
@@ -115,7 +123,8 @@ def test_analyze_rank5_wreath_names_parabolic_count(tmp_path, capsys):
         f"a Higmanian scheme has exactly 2")
 
 
-def test_analyze_lists_parabolics_up_to_the_scan_limit(tmp_path, capsys):
+def test_analyze_lists_parabolics_up_to_the_scan_limit(tmp_path, capsys,
+                                                        computed):
     # C:15 with every element its own color has rank 15, within the scan's
     # rank limit: one parabolic per subgroup, listed by class size
     thin = orbit_scheme(15, (1,))
@@ -130,7 +139,8 @@ def test_analyze_lists_parabolics_up_to_the_scan_limit(tmp_path, capsys):
         f"1x15 (colors {list(range(15))})",
         "not Higmanian: rank 15 != 5"]
     # the listing reads the tensor and forms no class
-    assert cli.analyze_scheme(thin, "c15")[1] == 2 and thin._class_of == {}
+    assert cli.analyze_scheme(thin, "c15")[1] == 2
+    assert computed["class_of"] == []
 
 
 def test_analyze_malformed_file(tmp_path, capsys):
@@ -506,6 +516,30 @@ def test_analyze_inconsistent_verdicts(tmp_path, capsys, monkeypatch):
     assert "oracle_max_abs_error" not in report["spectral"]
 
 
+def test_analyze_non_uniform_exits_1(tmp_path, capsys, monkeypatch,
+                                     heis_construction):
+    # no realized Higmanian scheme is non-uniform, so the real heis q=3 r=1
+    # bundle stands in with all four verdicts False
+    scheme = heis_construction.result.scheme
+    bundle = dataclasses.replace(
+        higmanian.verdict_bundle(scheme), criterion=False, definition=False,
+        q_higmanian=False, dismantlable=False)
+    monkeypatch.setattr(higmanian, "verdict_bundle",
+                        lambda scheme, oracle=False: bundle)
+    path = tmp_path / "heis.scheme"
+    write_scheme(scheme, path)
+    code, stdout, _ = run(capsys, "analyze", str(path))
+    assert code == cli.EXIT_NON_UNIFORM == 1
+    assert stdout.splitlines()[-1] == "uniform: no (all four routes agree)"
+    code, stdout, _ = run(capsys, "analyze", str(path), "--json")
+    assert code == 1
+    report = json.loads(stdout)
+    assert report["consistent"] is True
+    assert report["verdicts"] == {
+        "criterion": False, "definition": False, "q_higmanian": False,
+        "dismantlable": False}
+
+
 def test_analyze_oracle_failure(tmp_path, capsys, monkeypatch):
     # an oracle failure is exit 5 with one stderr line, not a traceback
     # with exit 1 ("Higmanian but not uniform")
@@ -546,6 +580,44 @@ def test_oracle_runs_only_on_consistent_verdicts(tmp_path, capsys,
     assert code == 5 and err == ""
     assert "FATAL: verdicts disagree" in stdout.splitlines()
     assert calls == []
+
+
+def _reversed_valencies():
+    eigen = spectral.spectral_data(HigmanianParams(3, 3, 3, 6, 0))
+    return dataclasses.replace(eigen, valencies=eigen.valencies[::-1])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: schemes.parabolics(orbit_scheme(17, (1,))),
+     "parabolic scan is exponential in rank; rank 17 over limit 16"),
+    (lambda: construct_family("x", r=1), "unknown family 'x'"),
+    (lambda: construct_family("heis", r=1), "heis needs q and r"),
+    (lambda: construct_family("ea", q=3, r=1), "ea needs q, r and j"),
+    (lambda: example1_construct(C9, C9.subgroup(range(9)), [1]),
+     "forbidden subgroup must be proper nontrivial"),
+    (lambda: example1_construct(C9, C9.subgroup([0, 3, 6]), []),
+     "X must be a nonempty proper subset"),
+    (lambda: spectral.eigenvalue_pair(SimpleNamespace(f=3, m=2, n=2, k=0,
+                                                      t=0)),
+     "k must be positive"),
+    (lambda: spectral.eigenvalue_pair(SimpleNamespace(f=3, m=2, n=2, k=5,
+                                                      t=0)),
+     "no symmetric scheme with these parameters: negative discriminant -19"),
+    (lambda: HigmanianParams(3, 2, 2, 3, -1), "t must be nonnegative"),
+    (lambda: uniformity_rhs(1, 2, 2, 1),
+     "need f, m, n >= 2 and 0 < k <= mn"),
+    (lambda: square_free_decomposition(-1), "negative radicand"),
+    (lambda: _reversed_valencies().check(),
+     "row 0 of P must be the valency vector"),
+], ids=["rank limit", "unknown family", "heis args", "ea args",
+        "N = G", "empty X", "k = 0", "negative discriminant", "t < 0",
+        "rhs args", "negative radicand", "row 0 of P"])
+def test_library_guards_the_cli_screens_first(call, message):
+    # the CLI refuses these arguments before it calls the library, so
+    # only a library caller meets the library's own message
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_closed_stdout_exits_3_without_traceback():

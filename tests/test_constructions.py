@@ -315,7 +315,7 @@ def test_example2_peak_memory():
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
-def test_q8cp_construct_runs_no_search(r, monkeypatch):
+def test_q8cp_construct_runs_no_search(r, monkeypatch, computed):
     def refuse(*args, **kwargs):
         raise AssertionError("construct_family searched")
     monkeypatch.setattr(constructions, "search_semiregular_rds", refuse)
@@ -323,7 +323,7 @@ def test_q8cp_construct_runs_no_search(r, monkeypatch):
     con = construct_family("q8cp", r=r)
     assert con.table1_match and con.table2_match and con.associate_match
     assert con.result.detection.params == table2_params("q8cp", r=r)
-    assert con.result.scheme._class_of == {}  # no class is formed
+    assert computed["class_of"] == []  # no class is formed
     bundle = verdict_bundle(con.result.scheme)
     assert bundle.consistent and bundle.uniform
 

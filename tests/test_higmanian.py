@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from higman import constructions
+from higman.constructions import construct_family
 from higman.groups import build_family
 from higman.higmanian import (HigmanianParams, NotHigmanianError,
                               detect_higmanian, is_dismantlable,
@@ -12,6 +13,7 @@ from higman.quadratic import QuadraticNumber as QN
 from higman.schemes import (SchemeError, SchemeTable, cayley_scheme,
                             nontrivial_parabolics, restriction,
                             trivial_scheme, validate, wreath_product)
+from conftest import DESK_POINTS
 from test_schemes import nested_blocks, traced_peak
 from test_tensor_reference import classes_of, wreath_checked
 
@@ -205,31 +207,42 @@ def test_dismantlable_decides_fine_parabolic_exactly(heis_construction):
                     [x for ci in res.witness for x in classes_of(e)[ci]])
 
 
-def test_detection_forms_no_class():
+def test_detection_forms_no_class(computed):
     # detection reads class sizes and coranks from the tensor, so on a
     # fresh table of q8cp r=4 (v = 1536) it forms no class; forming the
     # classes of its four parabolics peaks at about 4.9 MB
     result = constructions.example2_construct(
         constructions.q8cp_linked_system(4))
-    assert result.scheme._class_of == {}
+    assert computed["class_of"] == []
     scheme = result.scheme
     fresh = SchemeTable(scheme.color, scheme.p, scheme.inverse)
     det, peak = traced_peak(detect_higmanian, fresh)
     assert det and det.params == result.expected_params
-    assert peak < 100_000 and fresh._class_of == {}
+    assert peak < 100_000 and computed["class_of"] == []
 
 
-def test_bundle_forms_classes_once(q8_construction):
+def test_bundle_forms_classes_once(q8_construction, computed):
     # on a uniform scheme route 2 stops at E's corank and passes at F, and
-    # route 4 passes at F: only F's classes are formed, and only once
+    # route 4 passes at F: only F's classes are formed, and only once, on
+    # the F that detection hands to both routes; E and F each compute
+    # their corank once
     scheme = q8_construction.result.scheme
     fresh = SchemeTable(scheme.color, scheme.p, scheme.inverse)
-    F = verdict_bundle(fresh).detection.F
-    (class_of,) = fresh._class_of.values()
-    assert F.class_of is class_of
-    verdict_bundle(fresh)
-    assert len(fresh._class_of) == 1
-    assert fresh._class_of[F.colors] is class_of
+    det = verdict_bundle(fresh).detection
+    assert det.F.class_of is det.F.class_of and det.E.corank == 3
+    assert computed == {"corank": [det.E.colors, det.F.colors],
+                        "class_of": [det.F.colors]}
+
+
+def test_desk_op_computes_twelve_coranks(computed):
+    # each desk point's construction detects E and F once (1 corank, on E)
+    # and its bundle detects them again (E and F once each): 12 coranks
+    # where recomputing on every access took 16, and one F's classes per
+    # bundle
+    bundles = [verdict_bundle(construct_family(family, **kw).result.scheme)
+               for family, kw in DESK_POINTS]
+    assert len(computed["corank"]) == 12
+    assert computed["class_of"] == [b.detection.F.colors for b in bundles]
 
 
 def test_verdict_bundle_uniform(q8_construction, heis_construction):

@@ -485,9 +485,18 @@ def test_validate_rank_limit():
     assert str(info.value) == "rank 32943 over the int16 color limit"
 
 
-def test_parabolics_scanned_once(q8_construction):
+def test_parabolics_scanned_once(q8_construction, computed):
+    # the scan keeps color sets on the scheme; each parabolic computes its
+    # corank and its classes once, on first use, and keeps them
     scheme = q8_construction.result.scheme
-    first, again = parabolics(scheme), parabolics(scheme)
-    assert all(a.class_of is b.class_of for a, b in zip(first, again))
-    assert [e.corank for e in first] == [ref_quotient(scheme, e).rank
-                                         for e in first]
+    first = parabolics(scheme)
+    scanned = scheme._parabolics
+    again = parabolics(scheme)
+    assert scheme._parabolics is scanned
+    assert [a.colors for a in first] == [b.colors for b in again]
+    assert all(e.class_of is e.class_of for e in first)
+    coranks = [e.corank for e in first]
+    assert coranks == [ref_quotient(scheme, e).rank for e in first]
+    assert [e.corank for e in first] == coranks  # read again, kept
+    colors = [e.colors for e in first]
+    assert computed == {"corank": colors, "class_of": colors}

@@ -2034,6 +2034,34 @@ def test_dismantlable_matches_reference(reference_schemes):
     assert outcomes == {True, False}
 
 
+def test_dismantlable_passes_up_nested_parabolics(reference_schemes):
+    # for parabolics P < Q every Q-class is a union of P-classes, so every
+    # union of Q-classes is one of P-classes: P dismantlable implies Q
+    # dismantlable, and route 4 on E cannot pass where it fails on F.  P
+    # in fact never passes below a nontrivial Q: take P-classes G1, G2 in
+    # one Q-class and G3 in another; a color of Q \ P joins G1 to G2, and
+    # no point of G3 meets it in the union of the three
+    orbits = [orbit_scheme(n, units) for n in range(6, 31)
+              for units in unit_groups(n)]
+    counts = {}
+    for name, schemes in (
+            ("reference", list(reference_schemes.values())),
+            ("orbit", [s for s in orbits if s.rank <= 16])):
+        pairs = p_ok = q_fails = 0
+        for scheme in schemes:
+            parabs = nontrivial_parabolics(scheme)
+            ok = {e.colors: is_dismantlable(scheme, e).ok for e in parabs}
+            for P, Q in itertools.permutations(parabs, 2):
+                if P.colors < Q.colors:
+                    assert ok[Q.colors] or not ok[P.colors]
+                    pairs += 1
+                    p_ok += ok[P.colors]
+                    q_fails += not ok[Q.colors]
+        counts[name] = pairs, p_ok, q_fails
+    # (nested pairs, P passing, Q failing)
+    assert counts == {"reference": (8, 0, 0), "orbit": (153, 0, 64)}
+
+
 def rank5_schemes(reference_schemes, negative_controls):
     """The rank-5 schemes at hand: the reference schemes, the negative
     controls and the rank-5 orbit schemes of C:4 to C:60."""
