@@ -46,7 +46,8 @@ class FiniteGroup:
     Each scan of the check compares blocks of at most 2^20 table entries,
     so its transients stay a few MB at every order.  Every table is checked
     except a direct product's, which :func:`direct_product` derives from
-    its two checked factors.
+    its two checked factors; so EA:p:k, a product of copies of C_p, is not
+    checked either.
     """
 
     def __init__(self, mul, name: str = "") -> None:
@@ -392,23 +393,6 @@ def _base_digits(p: int, k: int) -> np.ndarray:
     return np.arange(p ** k)[:, None] // p ** np.arange(k) % p
 
 
-def _digit_add(p: int, k: int) -> np.ndarray:
-    """Table of digit-wise x + y mod p on k-digit base-p numbers: the group
-    (Z/p)^k, which is also the additive group of GF(p^k).  Digit t has
-    weight p^t.  The table is built one digit at a time in the layout of
-    `direct_product`, (Z/p)^t = (Z/p)^(t-1) x Z/p with the new digit the
-    least significant: T_t = T_(t-1) p + T_1 on the pairs of high parts
-    and low digits, with no pass of ``% p`` over a whole table."""
-    idx = np.arange(p, dtype=np.int32)
-    one = (idx[:, None] + idx[None, :]) % p
-    out = one
-    for _ in range(1, k):
-        n = len(out)
-        out = (out[:, None, :, None] * p + one[None, :, None, :]).reshape(
-            n * p, n * p)
-    return out
-
-
 def _poly_mul(p: int, i: int, poly: Sequence[int]) -> np.ndarray:
     """Multiplication table of F_p[X]/(poly), digit t being the coefficient
     of X^t: a*b = sum_t a_t C^t b, with C the companion matrix of poly."""
@@ -433,7 +417,10 @@ def _gf_mul(p: int, i: int) -> np.ndarray:
         mul = _poly_mul(p, i, poly)
         if mul[1:, 1:].all():
             return mul
-    raise GroupError("no irreducible polynomial found")  # pragma: no cover
+    # unreachable: F_p has a monic irreducible polynomial of every degree
+    # (Gauss's count), and the rows of _base_digits(p, i), each with a
+    # leading 1 appended, are every monic polynomial of degree i
+    raise GroupError("no irreducible polynomial found")
 
 
 # -- built-in families -------------------------------------------------------
@@ -480,25 +467,35 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, name: str = "") -> FiniteGrou
 
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
+    """(Z/p)^k, also the additive group of GF(p^k), as C_p and k - 1 direct
+    products with it.  Each product appends C_p as the least significant
+    base-p digit, so x + y adds the digits of x and y mod p.  Only C_p's
+    table is checked, as a direct product of checked groups is a group.
+    The guards come first, so a refused spec allocates no table."""
     if k < 1:
         raise GroupError("rank must be >= 1")
     check_order(p, k)
     if not is_prime(p):
         raise GroupError(f"{p} is not prime")
-    return FiniteGroup(_digit_add(p, k), name=f"EA:{p}:{k}")
+    cp = cyclic_group(p)
+    G = functools.reduce(direct_product, [cp] * (k - 1), cp)
+    G.name = f"EA:{p}:{k}"
+    return G
 
 
 def heisenberg_group(q: int, r: int) -> FiniteGroup:
     """Tuples (a, b, c) in F_q^r x F_q^r x F_q with
     (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a.b'), indexed by the base-q
-    digits a, b, c, most significant first.  Its base-p digits make
-    (a+a', b+b', c+c') digit-wise addition; a.b' is the index of (0, 0, a.b').
+    digits a, b, c, most significant first.  On base-p digits
+    (a+a', b+b', c+c') is the addition of EA:p:(2r+1)i, q = p^i, whose
+    table this reads; a.b' is the index of (0, 0, a.b').  The product
+    table is checked.
     """
     if r < 1:
         raise GroupError("r must be >= 1")
     n = check_order(q, 2 * r + 1)
     p, i = prime_power(q)
-    add = _digit_add(p, (2 * r + 1) * i)
+    add = elementary_abelian(p, (2 * r + 1) * i).mul
     fmul = _gf_mul(p, i)
     x = np.arange(n, dtype=np.int32)
     dot = np.zeros_like(add)

@@ -2,16 +2,18 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
 import higman
-from higman import cli, higmanian, schemes, spectral
+from higman import cli, constructions, higmanian, schemes, spectral
 from higman.cli import main
 from higman.constructions import construct_family, example1_construct
 from higman.groups import build_family
@@ -214,6 +216,27 @@ def test_search_rds_refuses_spellings(capsys, spec, forbidden, message):
     code, stdout, err = run(capsys, "search-rds", spec, forbidden)
     assert code == 3 and stdout == ""
     assert err.splitlines() == [err.strip()] and err.startswith(message)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("EA:1:3", "1 is not prime"),
+    ("EA:0:2", "0 is not prime"),
+    ("EA:9:2", "9 is not prime"),
+    ("EA:6:1", "6 is not prime"),
+    ("EA:2:0", "rank must be >= 1"),
+])
+def test_search_rds_refuses_ea_specs(capsys, monkeypatch, spec, message):
+    # an EA table is not checked, so its guards are all that stands before
+    # it: a refused spec never reaches cyclic_group, its first table
+    monkeypatch.setattr("higman.groups.cyclic_group", None)
+    code, stdout, err = run(capsys, "search-rds", spec, "0")
+    assert (code, stdout, err) == (3, "", f"error: {message}\n")
+
+
+def test_search_linked_refuses_w_below_2(capsys):
+    code, stdout, err = run(capsys, "search-linked-system", "Q8cp:1",
+                            "center", "1")
+    assert (code, stdout, err) == (3, "", "error: need w >= 2\n")
 
 
 def test_search_linked_none_found(capsys):
@@ -637,3 +660,58 @@ def test_closed_stdout_exits_3_without_traceback():
         os.close(write_end)
     assert proc.returncode == 3
     assert b"Traceback" not in proc.stderr
+
+
+def _mutated(raw: bytes, rng: random.Random, start: int) -> bytes:
+    """``raw`` with 1 to 3 byte replacements, deletions or insertions, each
+    at or after ``start``; the new bytes are mostly digits and separators,
+    so that some mutants still parse."""
+    out = bytearray(raw)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice("rdi")
+        at = rng.randrange(start, len(out) + (kind == "i"))
+        byte = rng.choice(b"0123456789 \n\t\r-+x\xff")
+        if kind == "r":
+            out[at] = byte
+        elif kind == "d":
+            del out[at]
+        else:
+            out.insert(at, byte)
+    return bytes(out)
+
+
+def test_byte_mutants_keep_the_exit_code_contract(tmp_path, capsys):
+    # 300 seeded mutants of a scheme file and of a linked-system file: no
+    # exception escapes, every exit 3 or 4 prints one stderr line, and a
+    # mutant is read by the command's reader exactly when the command gets
+    # past reading.  The linked system's group spec line is not mutated: a
+    # one-byte edit can name a group whose table is hundreds of MB
+    scheme, linked = tmp_path / "q8_1.scheme", tmp_path / "heis.linked"
+    run(capsys, "construct", "q8cp", "1", "-o", str(scheme))
+    run(capsys, "search-linked-system", "Heis:3:1", "center", "3",
+        "-o", str(linked))
+    rng = random.Random(11)
+    codes = {}
+    for command, path, reader, read_codes, exit_codes in [
+            ("analyze", scheme, schemes.read_scheme, {0, 2}, {0, 2, 3, 4}),
+            ("verify-linked", linked, constructions.read_linked_system, {0},
+             {0, 3, 4})]:
+        raw = path.read_bytes()
+        start = raw.index(b"\n") + 1 if command == "verify-linked" else 0
+        mutant = tmp_path / ("mutant" + path.suffix)
+        codes[command] = Counter()
+        for _ in range(300):
+            mutant.write_bytes(_mutated(raw, rng, start))
+            code, _, err = run(capsys, command, str(mutant))
+            assert code in exit_codes
+            codes[command][code] += 1
+            if code in (3, 4):
+                assert err.splitlines() == [err.strip()] and err.strip()
+            try:
+                reader(mutant)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == (code in read_codes)
+    assert codes == {"analyze": Counter({0: 13, 3: 245, 4: 42}),
+                     "verify-linked": Counter({0: 11, 3: 144, 4: 145})}

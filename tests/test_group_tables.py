@@ -9,8 +9,8 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from higman.groups import (_IRREDUCIBLE, GroupError, Subgroup, _digit_add,
-                           _gf_mul, build_family, cosets)
+from higman.groups import (_IRREDUCIBLE, FiniteGroup, GroupError, Subgroup,
+                           _gf_mul, build_family, cosets, elementary_abelian)
 
 
 class _ReferenceGF:
@@ -101,20 +101,41 @@ PRIME_FIELDS = [(p, 1) for p in (2, 3, 5, 7)]
                          + FALLBACK_FIELDS)
 def test_field_tables_match_digit_loops(p, i):
     add, mul = _ReferenceGF(p, i).tables()
-    assert (_digit_add(p, i) == add).all()
+    assert (elementary_abelian(p, i).mul == add).all()
     assert (_gf_mul(p, i) == mul).all()
 
 
-@pytest.mark.parametrize("p,k", [(2, k) for k in range(1, 11)]
-                         + [(3, k) for k in range(1, 7)]
-                         + [(5, k) for k in range(1, 4)])
+EA_GRID = ([(2, k) for k in range(1, 11)] + [(3, k) for k in range(1, 7)]
+           + [(5, k) for k in range(1, 4)])
+
+
+@pytest.mark.parametrize("p,k", EA_GRID)
 def test_digit_add_matches_digit_formula(p, k):
     # the digit-at-a-time table against one pass of % p per digit
     digits = np.arange(p ** k)[:, None] // p ** np.arange(k) % p
     want = sum((d[:, None] + d[None, :]) % p * p ** t
                for t, d in enumerate(digits.T))
-    got = _digit_add(p, k)
+    got = elementary_abelian(p, k).mul
     assert got.dtype == np.int32 and (got == want).all()
+
+
+@pytest.mark.parametrize("p,k", EA_GRID)
+def test_elementary_abelian_checks_only_its_cyclic_factor(p, k, monkeypatch):
+    # EA:p:k is C_p and k - 1 direct products with it: the one table
+    # checked is C_p's, and a checked copy of the product agrees with it
+    checked_names = []
+    init = FiniteGroup.__init__
+
+    def counted(group, mul, name=""):
+        checked_names.append(name)
+        init(group, mul, name)
+    monkeypatch.setattr(FiniteGroup, "__init__", counted)
+    G = elementary_abelian(p, k)
+    monkeypatch.undo()
+    assert checked_names == [f"C:{p}"] and G.name == f"EA:{p}:{k}"
+    copy = FiniteGroup(G.mul)
+    assert copy.identity == G.identity and copy.generators == G.generators
+    assert G.inv.dtype == copy.inv.dtype and (G.inv == copy.inv).all()
 
 
 def test_fixed_polynomials_kept_where_not_least():

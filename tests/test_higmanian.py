@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 
@@ -318,3 +321,41 @@ def test_route_peak_memory_per_cell(route):
     result, peak = traced_peak(route, scheme, parab)
     assert result.ok
     assert peak <= 9 * scheme.v ** 2
+
+
+def _relabeled(scheme: SchemeTable, rng: random.Random):
+    """The scheme with its points permuted at random and its colors by a
+    random sigma fixing 0, validated afresh; and sigma."""
+    pi = np.array(rng.sample(range(scheme.v), scheme.v))
+    sigma = [0] + rng.sample(range(1, scheme.rank), scheme.rank - 1)
+    color = np.empty_like(scheme.color)
+    color[np.ix_(pi, pi)] = np.asarray(sigma)[scheme.color]
+    return validate(color), sigma
+
+
+def _bundle_facts(bundle) -> tuple:
+    return (bundle.params, bundle.verdicts,
+            {n: dataclasses.asdict(res)
+             for n, res in bundle.definition_details.items()},
+            {n: dataclasses.asdict(res)
+             for n, res in bundle.dismantle_details.items()},
+            [str(rhs) for rhs in bundle.rhs_candidates], bundle.alt_agrees)
+
+
+def test_verdicts_invariant_under_relabeling(constructions_by_family):
+    # four relabelings of each of q8cp r = 1-3, heis q=3 r=1 and ea q=3:
+    # the same parameters, verdicts, route results and right-hand sides,
+    # and the canonical relation order carried through sigma
+    rng = random.Random(41)
+    points = [construct_family("q8cp", r=r) for r in (1, 2, 3)]
+    points += [con for (family, _), con in constructions_by_family.items()
+               if family != "q8cp"]
+    for con in points:
+        scheme = con.result.scheme
+        want = verdict_bundle(scheme)
+        for _ in range(4):
+            relabeled, sigma = _relabeled(scheme, rng)
+            got = verdict_bundle(relabeled)
+            assert _bundle_facts(got) == _bundle_facts(want)
+            assert got.detection.relation_order == tuple(
+                sigma[c] for c in want.detection.relation_order)
