@@ -82,16 +82,17 @@ def verify_dds(G: FiniteGroup, N: Subgroup, X: Iterable[int]) -> DivisibleDiffer
         raise ConstructionError(f"element outside 0..{G.order - 1}")
     diffs = gre_multiply(G, xs, G.inv[list(xs)])
     diffs[G.identity] -= len(xs)
-    n_sharp = [x for x in N.elements if x != G.identity]
-    outside = [x for x in range(G.order) if x not in N.as_set]
+    n_sharp = np.setdiff1d(N.elements, [G.identity])
+    outside = np.setdiff1d(np.arange(G.order), N.elements)
     lams = []
     for where, part in (("on N^#", n_sharp), ("outside N", outside)):
-        lam = int(diffs[part[0]]) if part else 0
-        for x in part:
-            if diffs[x] != lam:
-                raise ConstructionError(
-                    f"difference count not constant {where}: element {x} "
-                    f"has {int(diffs[x])}, element {part[0]} has {lam}")
+        lam = int(diffs[part[0]]) if len(part) else 0
+        bad = np.flatnonzero(diffs[part] != lam)
+        if len(bad):
+            x = int(part[bad[0]])
+            raise ConstructionError(
+                f"difference count not constant {where}: element {x} "
+                f"has {int(diffs[x])}, element {int(part[0])} has {lam}")
         lams.append(lam)
     lam1, lam2 = lams
     return DivisibleDifferenceSet(
@@ -634,37 +635,16 @@ def q8cp_linked_system(r: int) -> LinkedSystem:
     return verify_linked_system(G, G.center(), sorted([X, X_inv]))
 
 
-def _searched_system(family: str, q: int, w: int, group_spec: str,
-                     mu_nu: tuple[int, int]) -> LinkedSystem:
-    """The first linked system of size w that the searches find in the
-    family group, over its forbidden-subgroup candidates: the center for
-    heis, the cyclic subgroups of order q for ea with q prime."""
-    G = build_family(group_spec)
-    if family != "ea":
-        candidates = [G.center()]
-    elif prime_power(q)[1] == 1:
-        candidates = [H for H in G.cyclic_subgroups() if H.order == q]
-    else:
-        candidates = []
-    if not candidates:
-        raise ConstructionError(
-            f"no forbidden-subgroup candidates of order {q}")
-    for N in candidates:
-        rds = search_semiregular_rds(G, N)
-        if not rds:
-            continue
-        found = search_linked_system(G, N, w, rds_list=rds, mu_nu=mu_nu)
-        if found is not None:
-            return found
-    raise ConstructionError(
-        f"no closed linked system of size {w} found in {G.name}")
-
-
 def construct_family(family: str, q: int | None = None, r: int | None = None,
                      j: int | None = None) -> FamilyConstruction:
     """End-to-end pipeline: a linked system, in closed form for q8cp and by
     search for heis and ea, then the associate group and the Cayley scheme,
     compared with the closed-form parameter tables.
+
+    The searched families take N = {0, ..., q-1}, the last coordinate: the
+    center of Heis(q, r), and a cyclic subgroup of EA:q:k, so ea is
+    searched at prime q only.  The search returns its first linked system
+    of size w on Table 1's (mu, nu) branch, else the first it meets.
 
     A point whose product group G x U would pass ``GROUP_ORDER_LIMIT`` is
     refused with ``GroupOrderError`` before any group is built."""
@@ -674,8 +654,16 @@ def construct_family(family: str, q: int | None = None, r: int | None = None,
     check_order(t2.v)
     if family == "q8cp":
         system = q8cp_linked_system(r)
+    elif family == "ea" and prime_power(q)[1] > 1:
+        raise ConstructionError(
+            f"no forbidden-subgroup candidates of order {q}")
     else:
-        system = _searched_system(family, q, w, group_spec, (t1[5], t1[6]))
+        G = build_family(group_spec)
+        system = search_linked_system(G, G.subgroup(range(q)), w,
+                                      mu_nu=(t1[5], t1[6]))
+        if system is None:
+            raise ConstructionError(
+                f"no closed linked system of size {w} found in {G.name}")
 
     assoc = associate_group(system)
     expected_assoc = build_family(assoc_spec)

@@ -144,25 +144,6 @@ class FiniteGroup:
     def center(self) -> "Subgroup":
         return Subgroup(self, np.flatnonzero((self.mul == self.mul.T).all(1)))
 
-    def cyclic_subgroups(self) -> list["Subgroup"]:
-        """Every cyclic subgroup, ordered by (order, elements).  <x> is read
-        off the walk x, x^2, ... up to the identity.  Its generators are
-        the x^k with k prime to its order, so they are marked and not
-        walked again, and each subgroup is validated once."""
-        walked = np.zeros(self.order, dtype=bool)
-        found = []
-        for x in range(self.order):
-            if walked[x]:
-                continue
-            powers = [x]
-            while powers[-1] != self.identity:
-                powers.append(int(self.mul[powers[-1], x]))
-            for k, y in enumerate(powers, start=1):
-                if math.gcd(k, len(powers)) == 1:
-                    walked[y] = True
-            found.append(Subgroup(self, powers))
-        return sorted(found, key=lambda h: (h.order, h.elements))
-
     def __repr__(self) -> str:
         tag = self.name or "FiniteGroup"
         return f"<{tag} of order {self.order}>"

@@ -88,11 +88,21 @@ def negative_controls(negative_control_candidates):
     return found
 
 
+def cyclic_subgroups(G: FiniteGroup) -> list[Subgroup]:
+    """Every cyclic subgroup, one closure per element, ordered by (order,
+    elements)."""
+    found: dict[tuple[int, ...], Subgroup] = {}
+    for x in range(G.order):
+        h = G.generated_subgroup([x])
+        found.setdefault(h.elements, h)
+    return sorted(found.values(), key=lambda h: (h.order, h.elements))
+
+
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup, by join-closure of the cyclic ones (order <= 128)."""
     if G.order > 128:
         raise GroupError("subgroup enumeration capped at order 128")
-    pool = {h.elements: h for h in G.cyclic_subgroups()}
+    pool = {h.elements: h for h in cyclic_subgroups(G)}
     grew = True
     while grew:
         grew = False

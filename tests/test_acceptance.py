@@ -21,6 +21,7 @@ from higman.schemes import (cayley_scheme, read_scheme, trivial_scheme,
                             wreath_product, write_scheme)
 from higman.spectral import (float_eigen_oracle, krein, sim_classes,
                              spectral_data)
+from conftest import cyclic_subgroups
 from test_tensor_reference import ref_product_group
 
 
@@ -162,7 +163,7 @@ def test_criterion_7_property_suites(tmp_path, constructions_by_family,
              "GenDih:C:4", "Prod:C:2,C:4", "Q8cp:2", "EA:3:3"]
     for spec in specs:
         G = build_family(spec)
-        subs = G.cyclic_subgroups()
+        subs = cyclic_subgroups(G)
         for _ in range(100):
             H = rng.choice(subs)
             xs = [x for x in H.elements if rng.random() < 0.5] or [G.identity]

@@ -333,7 +333,7 @@ def test_tables_cli(capsys):
         "heis q=5 r=1: SKIP (search space 5^25 exceeds cap 16777216)"
     assert by_label["ea q=9 r=1 j=1"] == \
         "ea q=9 r=1 j=1: SKIP (no forbidden-subgroup candidates of order 9)"
-    # only cyclic forbidden subgroups of prime order are tried
+    # N is elements 0..q-1, a cyclic subgroup of EA:p:k only at prime q
     assert by_label["ea q=4 r=1 j=2"] == \
         "ea q=4 r=1 j=2: SKIP (no forbidden-subgroup candidates of order 4)"
     assert "MISMATCH" not in stdout

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import tracemalloc
@@ -21,6 +22,7 @@ from higman.groups import (GROUP_ORDER_LIMIT, FiniteGroup, GroupError,
 from higman.higmanian import verdict_bundle
 from higman.quadratic import QuadraticNumber as QN
 from higman.schemes import SchemeError, cayley_scheme
+from conftest import cyclic_subgroups
 from test_tensor_reference import ref_product_group
 
 
@@ -176,6 +178,45 @@ def test_associate_groups(q8_construction, heis_construction,
         assoc = associate_group(con.system)
         assert assoc.order == con.system.w + 1
         assert next(isomorphisms(assoc, build_family(spec)), None)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda L: associate_group(dataclasses.replace(L, k=L.m + 1)),
+     "associate group needs semiregular members"),
+    (lambda L: example2_construct(dataclasses.replace(L, k=L.m + 1)),
+     "recipe needs semiregular members (k = m)"),
+    # both members their own inverses, and each product of the two read as
+    # the first: the induced operation on {inf, 0, 1} is not associative
+    (lambda L: associate_group(dataclasses.replace(
+        L, psi={(0, 1): 0, (1, 0): 0}, chi=(0, 1))),
+     "induced operation is not a group: associativity fails at (1,1,2)"),
+])
+def test_linked_system_guards(call, message):
+    with pytest.raises(ConstructionError) as exc:
+        call(constructions.q8cp_linked_system(1))
+    assert str(exc.value) == message
+
+
+# -- the forbidden subgroup of the searched families --------------------------------
+
+@pytest.mark.parametrize("q, r", [(3, 1), (3, 2), (5, 1), (7, 1), (9, 1)])
+def test_heisenberg_center_is_the_first_q_elements(q, r):
+    assert build_family(f"Heis:{q}:{r}").center().elements == tuple(range(q))
+
+
+# EA:7:5 has order 16,807, over GROUP_ORDER_LIMIT: p = 7 takes k = 4
+@pytest.mark.parametrize("p, k", [(3, 3), (3, 5), (5, 3), (5, 5), (7, 3),
+                                  (7, 4)])
+def test_first_p_elements_are_the_least_cyclic_subgroup(p, k):
+    G = build_family(f"EA:{p}:{k}")
+    order_p = [h.elements for h in cyclic_subgroups(G) if h.order == p]
+    assert order_p[0] == tuple(range(p))
+
+
+def test_searched_families_forbid_the_first_q_elements(heis_construction,
+                                                       ea_construction):
+    for con in (heis_construction, ea_construction):
+        assert con.system.forbidden.elements == tuple(range(con.q))
 
 
 # -- searches ----------------------------------------------------------------------

@@ -416,23 +416,14 @@ FAMILY_SPECS = ["C:1", "C:12", "EA:2:4", "EA:3:3", "Heis:2:1", "Heis:2:2",
                 "Prod:Q8cp:1,C:3"]
 
 
-@pytest.mark.parametrize("spec", sorted(set(BUILTIN_SPECS + FAMILY_SPECS)))
-def test_cyclic_subgroups_match_one_closure_per_element(spec, monkeypatch):
-    # the power walks find the subgroups that one generated_subgroup per
-    # element finds, and validate each of them once
-    G = build_family(spec)
-    found = {}
-    for x in range(G.order):
-        h = G.generated_subgroup([x])
-        found.setdefault(h.elements, h)
-    want = sorted(found, key=lambda els: (len(els), els))
-    built = []
-    subgroup = groups.Subgroup
-    monkeypatch.setattr(groups, "Subgroup",
-                        lambda *args: built.append(args) or subgroup(*args))
-    got = G.cyclic_subgroups()
-    assert [h.elements for h in got] == want
-    assert len(built) == len(want)
+def test_cosets_and_isomorphism_guards():
+    G, H = build_family("C:4"), build_family("C:4")
+    with pytest.raises(GroupError) as exc:
+        cosets(G, H.subgroup([0, 2]))
+    assert str(exc.value) == "subgroup belongs to a different group"
+    with pytest.raises(GroupError) as exc:
+        GroupIsomorphism(G, G, (0, 0, 1, 2))
+    assert str(exc.value) == "map is not a bijection"
 
 
 @pytest.mark.parametrize("spec", FAMILY_SPECS)

@@ -2470,6 +2470,12 @@ def corrupted_spectral_inputs():
          bad.multiplicities, bad.valencies),
         ("multiplicities in Q(sqrt 3)", bad.P,
          (QN(1), QN(6, 1, 3), QN(9), QN(6, -1, 3), QN(2)), bad.valencies),
+        # in P24_BAD columns 2 and 3 cancel each other's sqrt 2 in every
+        # s_ijk; one entry + 1 breaks that, so krein's m_1 m_1 s_111 mixes
+        # the two radicals
+        ("krein across Q(sqrt 2) and Q(sqrt 3)",
+         replaced(bad.P, 1, 2, bad.P[1][2] + 1),
+         (QN(1), QN(6, 1, 3), QN(9), QN(6, -1, 3), QN(2)), bad.valencies),
     ]
     for data, name in ((good, "P24"), (bad, "P24_BAD")):
         for i, j in itertools.product(range(1, 5), range(5)):
@@ -2576,6 +2582,42 @@ def ref_verify_dds(G, N, X):
     return constructions.DivisibleDifferenceSet(
         group=G, forbidden=N, elements=xs, m=G.order // N.order,
         n=N.order, k=len(xs), lambda1=lam1, lambda2=lam2)
+
+
+def test_verify_dds_matches_reference(constructions_by_family):
+    # random subsets, most refused on N^#; one random element per coset of
+    # N, so 0 on N^# and most refused outside N; the desk members, which
+    # pass; a trivial N and N = G, with one part empty
+    rng = random.Random(5)
+    cases = [(con.system.group, con.system.forbidden, con.system.sets)
+             for con in constructions_by_family.values()]
+    for spec, elements in (("C:8", [0, 4]), ("Q8cp:2", [0, 1]), ("C:6", [0]),
+                           ("C:4", range(4)), ("EA:3:3", range(3))):
+        G = build_family(spec)
+        cases.append((G, G.subgroup(elements), ()))
+    seen = set()
+    for G, N, members in cases:
+        blocks = cosets(G, N)
+        sets = list(members)
+        for _ in range(20):
+            sets.append(rng.sample(range(G.order), rng.randint(1, G.order)))
+            sets.append([rng.choice(b) for b in blocks])
+        for X in sets:
+            got = dds_outcome(constructions.verify_dds, G, N, X)
+            assert got == dds_outcome(ref_verify_dds, G, N, X)
+            seen.add(got.split(":")[0] if isinstance(got, str) else "passed")
+    assert seen == {"difference count not constant on N^#",
+                    "difference count not constant outside N", "passed"}
+
+
+def dds_outcome(verify, G, N, X):
+    """What `verify_dds` or its reference returns, or the text of its
+    error."""
+    try:
+        d = verify(G, N, X)
+    except ConstructionError as exc:
+        return str(exc)
+    return (d.elements, d.m, d.n, d.k, d.lambda1, d.lambda2)
 
 
 def ref_product_vector(G, cache, a, b):
