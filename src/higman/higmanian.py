@@ -212,7 +212,7 @@ def is_uniform_by_criterion(params: HigmanianParams) -> bool:
 
 def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
     """What routes 2 and 4 build their block products from: ``(runs,
-    blocks)``, with the product of (i, j) through class G being
+    block)``, with M_G, the product of (i, j) through class G, being
     A_i[:, G] A_j[G, :] = basis[i] @ (right == j) for G's ``basis`` and
     ``right``.
 
@@ -225,10 +225,11 @@ def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
     constant on a cell set exactly when each of its digits is, and
     `_block_product_routes` forms it once for every route that compares
     it, so that `verdict_bundle` forms F's products once for routes 2
-    and 4.  ``blocks`` yields, class by class, ``(off, sub, right,
+    and 4.  ``block(gi)`` gives, for class G = gi, ``(off, sub, right,
     basis)``: the points off G, the int16 colors of off x off, those of
     G x off, which `DigitRun.pack` packs into the right factor of a run,
-    and the 0/1 columns A_i[off, G] of each outside color, in float32.
+    and the 0/1 columns A_i[off, G] of each outside color, in float32.  It
+    is gathered only for a class whose products are formed.
     A product is formed only on the rows and columns off G: for x in G,
     A_i[x, z] != 0 would put z in the class of x, so an outside color has
     no cell in G x G, and the product is 0 on G's rows and columns.  Every
@@ -282,18 +283,15 @@ def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
     runs = [(i, run) for i, group in itertools.groupby(pairs, lambda ij: ij[0])
             for run in digit_runs([j for _, j in group], parab.n_class)]
 
-    def blocks():
-        class_of = parab.class_of
-        for gi in range(parab.num_classes):
-            in_g = class_of == gi
-            off = np.flatnonzero(~in_g)
-            # A_i[off, G] is A_i*[G, off] transposed, and G's rows gather
-            # faster than its columns
-            right = color[in_g].take(off, axis=1)
-            yield off, color[off].take(off, axis=1), right, {
-                i: (right.T == inverse[i]).astype(np.float32)
-                for i in outside}
-    return runs, blocks()
+    def block(gi):
+        in_g = parab.class_of == gi
+        off = np.flatnonzero(~in_g)
+        # A_i[off, G] is A_i*[G, off] transposed, and G's rows gather
+        # faster than its columns
+        right = color[in_g].take(off, axis=1)
+        return off, color[off].take(off, axis=1), right, {
+            i: (right.T == inverse[i]).astype(np.float32) for i in outside}
+    return runs, block
 
 
 def _block_product_routes(scheme: SchemeTable, parab: Parabolic,
@@ -310,13 +308,31 @@ def _block_product_routes(scheme: SchemeTable, parab: Parabolic,
     `DigitRun.check` names the failing pair and cell of that target alone,
     and a route's target does not depend on the others, so each result is
     that of a pass for the route alone; neither is read from the other's.
+
+    The last class G* is decided from the tensor where it can be.  For a
+    checked pair (i, j) and a k-cell (x, y) in D x L, sum_{G not in {D, L}}
+    M_G[x, y] = p_ij^k, as the sum over every class is (A_i A_j)[x, y], M_D
+    vanishes on D's rows and M_L on L's columns.  So off G*
+        M_G*[x, y] = p_ij^k - sum_{G not in {D, L, G*}} M_G[x, y],
+    packed alike for a run.  A route still open at G* has passed on every
+    other class, and its `derive` decides G* from that identity with no
+    product where the sum is constant on each of its cell sets: route 2
+    always, route 4 when its constants agree across the classes.  Such a
+    route passes on G*, as a pass over G*'s products would find; a route
+    not so decided has G*'s products formed and compared as at any class.
+    So every result and witness is that of the pass over every class.
     """
-    runs, blocks = _outside_blocks(scheme, parab)
-    routes = [kind(scheme, parab, len(runs)) for kind in kinds]
+    runs, block = _outside_blocks(scheme, parab)
+    routes = [kind(scheme, parab, runs) for kind in kinds]
     live = [route for route in routes if route.result is None]
     if len(runs) < 2:  # no pair, or only (L, L*): nothing to form
         live = []
-    for gi, (off, sub, right, basis) in enumerate(blocks if live else ()):
+    for gi in range(parab.num_classes):
+        if gi == parab.num_classes - 1:
+            live = [route for route in live if not route.derive(gi)]
+        if not live:
+            break
+        off, sub, right, basis = block(gi)
         targets = {route: route.target(gi, off, sub) for route in live}
         for n, (i, run) in enumerate(runs[:-1]):
             outcomes = run.check(basis[i], right, *targets.values())
@@ -329,8 +345,6 @@ def _block_product_routes(scheme: SchemeTable, parab: Parabolic,
             if not targets:
                 break
         live = list(targets)
-        if not live:
-            break
     return [route.finish() for route in routes]
 
 
@@ -349,10 +363,12 @@ class _Definition:
     """Route 2's comparison in `_block_product_routes`: each cell off G
     with the last cell of its (D, L, k) triple, and the coefficients of
     each checked run recorded on the triples with D, L != G.  Decided at
-    once, with no product, on a corank other than 2."""
+    once, with no product, on a corank other than 2, and with no product
+    through the last class once every other class has passed (`derive`).
+    """
 
     def __init__(self, scheme: SchemeTable, parab: Parabolic,
-                 num_runs: int) -> None:
+                 runs: list) -> None:
         cork, self.result = parab.corank, None
         if cork != 2:
             self.result = DefinitionCheck(ok=False, cork=cork)
@@ -361,24 +377,40 @@ class _Definition:
         self.class_of, self.color = parab.class_of, scheme.color
         # each cell's (D, L, k) triple; its reference cell is the last one
         # in row-major order, as when the block values are scattered into a
-        # table.  The key is int16 unless there are many classes.
+        # table.  The key is int16 unless there are many classes.  Row
+        # blocks are scanned from the bottom, and the scan stops once every
+        # triple that can occur has its last cell: the |P| inside colors in
+        # each of the c diagonal blocks and the r - |P| outside colors in
+        # each of the c (c - 1) others.  That count is an upper bound, so a
+        # triple that does not occur only makes the scan run to the top
         kind = np.int16 if c * c * r <= 1 << 15 else np.intp
         self.row_key = (self.class_of * (c * r)).astype(kind)[:, None]
         self.col_key = (self.class_of * r).astype(kind)
+        inside = len(parab.colors)
+        possible = c * inside + c * (c - 1) * (r - inside)
         last = np.full(c * c * r, -1)
         step = max(1, GATHER_ENTRIES // v)
-        for start in range(0, v, step):
-            rows = slice(start, start + step)
+        for stop in range(v, 0, -step):
+            rows = slice(max(0, stop - step), stop)
             key = self.row_key[rows] + self.col_key + self.color[rows]
             np.maximum.at(last, key.ravel(),
-                          np.arange(start * v, start * v + key.size))
+                          np.arange(rows.start * v, stop * v))
+            if np.count_nonzero(last >= 0) == possible:
+                break
         self.triples = np.flatnonzero(last >= 0)
         self.D, self.L, self.K = np.unravel_index(self.triples, (c, c, r))
         self.ref_x, self.ref_y = np.divmod(last[self.triples], v)
         self.pos = np.zeros(v, dtype=np.intp)
         self.reference = np.zeros(c * c * r, dtype=np.intp)
-        self.gmin = np.full((num_runs, r), np.inf)
-        self.gmax = np.full((num_runs, r), -np.inf)
+        self.gmin = np.full((len(runs), r), np.inf)
+        self.gmax = np.full((len(runs), r), -np.inf)
+        # per checked run: its packed p_ij^k, sum_pos base^pos p_{i j_pos}^k
+        # for each k, and the sum of its recorded values on each triple
+        self.packed_p = np.array(
+            [run.base ** np.arange(len(run.colors))
+             @ scheme.p[i, list(run.colors)] for i, run in runs[:-1]],
+            dtype=np.float64)
+        self.sums = np.zeros((len(runs), c * c * r))
 
     def target(self, gi: int, off, sub):
         # off G, row-major order is that of the full matrix, so the last
@@ -388,13 +420,32 @@ class _Definition:
         self.pos[off] = np.arange(len(off))
         self.reference[self.triples] = (self.pos[self.ref_x] * len(off)
                                         + self.pos[self.ref_y])
-        recorded = (self.D != gi) & (self.L != gi)
-        self.at, self.k = self.triples[recorded], self.K[recorded]
+        self._recorded(gi)
         return self.row_key[off] + self.col_key[off] + sub, self.reference
 
+    def _recorded(self, gi: int) -> None:
+        recorded = (self.D != gi) & (self.L != gi)
+        self.at, self.k = self.triples[recorded], self.K[recorded]
+
     def record(self, n: int, values) -> None:
-        np.minimum.at(self.gmin[n], self.k, values[self.at])
-        np.maximum.at(self.gmax[n], self.k, values[self.at])
+        self._note(n, values[self.at])
+
+    def _note(self, n: int, got) -> None:
+        np.minimum.at(self.gmin[n], self.k, got)
+        np.maximum.at(self.gmax[n], self.k, got)
+        self.sums[n, self.at] += got
+
+    def derive(self, gi: int) -> bool:
+        """Route 2 passes on the last class G* with no product, and its
+        values are recorded.  Every other class G has passed, so M_G is
+        constant on each triple (D, L, k) with D, L != G, and on a triple
+        with D, L != G*, M_G* = p_ij^k - sum_{G not in {D, L, G*}} M_G is
+        too (`_block_product_routes`), packed: the run's packed p_ij^k less
+        the values recorded on that triple through the other classes."""
+        self._recorded(gi)
+        for n, packed in enumerate(self.packed_p):
+            self._note(n, packed[self.k] - self.sums[n, self.at])
+        return True
 
     def fail(self, gi: int, off, i: int, failure) -> None:
         j, cell = failure
@@ -420,14 +471,18 @@ def is_uniform_by_definition(scheme: SchemeTable,
 
     The packed products of `_outside_blocks` are formed off G, and each
     (D, L, k) cell set is compared with its last cell; the other pairs
-    pass.  The last cells are found GATHER_ENTRIES cells at a time, and
-    each cell off G is labelled by its triple's key.  The last pair
-    (L, L*) passes with the earlier ones, and coefficients are recorded
-    for the runs checked only, on the triples with D, L != G (see
-    `_outside_blocks`), packed: as each digit is below the base, a run's
-    numbers agree across the triples of a k iff each pair's coefficients do.
-    `verdict_bundle` forms F's products once for this route and route 4
-    (`_block_product_routes`); this comparison is this route's own.
+    pass.  The last cells are found GATHER_ENTRIES cells at a time, from
+    the bottom rows up to the first row block by which every triple that
+    can occur has one, and each cell off G is labelled by its triple's
+    key.  The last pair (L, L*) passes with the earlier ones, and
+    coefficients are recorded for the runs checked only, on the triples
+    with D, L != G (see `_outside_blocks`), packed: as each digit is below
+    the base, a run's numbers agree across the triples of a k iff each
+    pair's coefficients do.  The last class passes with the others, and
+    its coefficients are derived from theirs and the tensor
+    (`_Definition.derive`).  `verdict_bundle` forms F's products once for
+    this route and route 4 (`_block_product_routes`); this comparison is
+    this route's own.
 
     At corank 2, route4(F) <=> route2(F) and flag(F).  For i, j outside F
     and a k-cell (x, y) in D x L, sum_{G not in {D, L}} M_G[x, y] = p_ij^k,
@@ -454,18 +509,41 @@ class DismantleCheck:
 class _Dismantle:
     """Route 4's comparison in `_block_product_routes`: each cell off G
     with the first cell of its color; a failure is confirmed by
-    `restriction`."""
+    `restriction`.  Through each class G, each checked run's constant
+    a_G(k) on the k-cells off G is kept as the least and greatest over the
+    classes so far."""
 
     def __init__(self, scheme: SchemeTable, parab: Parabolic,
-                 num_runs: int) -> None:
+                 runs: list) -> None:
         self.scheme, self.class_of, self.result = scheme, parab.class_of, None
+        self.low = np.full((len(runs), scheme.rank), np.inf)
+        self.high = np.full((len(runs), scheme.rank), -np.inf)
 
     def target(self, gi: int, off, sub):
         self.sub, self.first = sub, first_cells(sub, self.scheme.rank)
         return sub, self.first
 
     def record(self, n: int, values) -> None:
-        pass
+        np.minimum(self.low[n], values, out=self.low[n])
+        np.maximum(self.high[n], values, out=self.high[n])
+
+    def derive(self, gi: int) -> bool:
+        """Whether route 4 passes on the last class G* with no product:
+        when, for every checked run and color k, a_G(k) is one value a(k)
+        over the other classes G.  A k-cell (x, y) in D x L off G* is off
+        every G not in {D, L, G*}, so there M_G* = p_ij^k - sum_{G not in
+        {D, L, G*}} a_G(k) (`_block_product_routes`) = p_ij^k - (c - 1 -
+        |{D, L}|) a(k).  An inside color k has its cells in the diagonal
+        blocks only, D = L, and an outside one in the others only, D != L,
+        so M_G* is constant on the k-cells off G*.  When the constants
+        differ, G*'s products are formed.
+
+        Every color has a cell off every class once c >= 3, so each a_G(k)
+        is a value of M_G, not the stand-in at cell 0 of `first_cells`: an
+        inside color has cells in every class, and at most 2 |G| n_k of an
+        outside color's c |G| n_k cells meet G's rows or columns.  With
+        c = 2 only one class is recorded, and nothing is compared."""
+        return bool((self.low >= self.high).all())
 
     def fail(self, gi: int, off, i: int, failure) -> None:
         cell, class_of = failure[1], self.class_of
@@ -504,7 +582,9 @@ def is_dismantlable(scheme: SchemeTable, parab: Parabolic) -> DismantleCheck:
     Only the packed products of `_outside_blocks` are formed (the other
     pairs vanish off G), each on the rows and columns off G, but for the
     last pair (L, L*), which passes with the earlier ones (see
-    `_outside_blocks`).  A k-cell with classes S1 failing against the
+    `_outside_blocks`), and for the last class, once every other class has
+    passed and each color's constants a_G agree across them
+    (`_Dismantle.derive`).  A k-cell with classes S1 failing against the
     reference k-cell with classes S2 names S1 + S2 or S1 + S2 + {G}, so
     `restriction` rejects one of these; it is the witness.
     `verdict_bundle` forms F's products once for this route and route 2

@@ -253,19 +253,23 @@ def _generates(lift: np.ndarray) -> bool:
 def _proved_by_generator(color: np.ndarray, first: np.ndarray,
                          n: np.ndarray, p: np.ndarray) -> bool:
     """Whether one generating color g proves that the candidate ``p`` is
-    the intersection tensor of the row-regular ``color`` with inverse
-    colors, as `validate` states; False when no color generates or g's
-    check fails.
+    the intersection tensor of ``color`` with inverse colors and valencies
+    ``n`` read off row 0, as `validate` states; False when no color
+    generates or g's check fails.
 
     g is the first color, by fewest runs of `digit_runs` and then by
-    color, whose L_g generates (`_generates`).  One `DigitRun.check` per
-    run shows B_g B_j constant on every color class for 0 < j < last, and
-    B_g B_last = n_g J - sum_{j < last} B_g B_j by the row sums."""
+    color, whose L_g generates (`_generates`).  g's rows are checked
+    first: each sums to n_g, so that n_g bounds every entry of B_g B_j and
+    serves as the digit bound.  One `DigitRun.check` per run then shows
+    B_g B_j constant on every color class for 0 < j < last, and B_g B_last
+    = n_g J - sum_{j < last} B_g B_j by the row sums."""
     rank = len(n)
     runs = {g: digit_runs(range(1, rank - 1), n[g]) for g in range(1, rank)}
     for g in sorted(runs, key=lambda g: (len(runs[g]), g)):
         if _generates(p[g].T):
             left = color == g
+            if (np.count_nonzero(left, axis=1) != n[g]).any():
+                return False
             return not any(run.check(left, color, (color, first))[0][1]
                            for run in runs[g])
     return False
@@ -287,16 +291,18 @@ def validate(matrix) -> SchemeTable:
     Beyond the int16 colors, one left color's 0/1 rows and one packed
     right factor, only a block is held.
 
-    After the diagonal, inverse and row-sum checks, one generating color g
-    stands in for all left colors when it can (`_proved_by_generator`): if
-    B_g B_j is constant on every color class for every j, and e_0, L_g
-    e_0, L_g^2 e_0, ... span Q^r, with (L_g)_kj = p_gj^k, then every B_i
-    is a polynomial in B_g, so the span of the B_i is closed under
-    products and each p_ij^k is the count at one cell of color k
+    After the diagonal and inverse checks, the valencies are read off row
+    0, and one generating color g stands in for all left colors when it
+    can (`_proved_by_generator`): if B_g is row-regular, B_g B_j is
+    constant on every color class for every j, and e_0, L_g e_0, L_g^2
+    e_0, ... span Q^r, with (L_g)_kj = p_gj^k, then every B_i is a
+    polynomial in B_g, so row-regular, the span of the B_i is closed
+    under products and each p_ij^k is the count at one cell of color k
     (Brouwer, Cohen and Neumaier, *Distance-Regular Graphs*, 1989, ch. 2).
-    So only g's runs are formed.  When no single color generates, as in
-    every non-commutative scheme, or g's check fails, the loop over every
-    left color runs as above, and names the failure.
+    So only g's rows and runs are checked.  When no single color
+    generates, as in every non-commutative scheme, or g's check fails,
+    every color's row sums are checked, and then the loop over every left
+    color runs as above; each names the first failure.
     """
     color = np.asarray(matrix)
     if color.ndim != 2 or color.shape[0] != color.shape[1]:
@@ -357,25 +363,16 @@ def validate(matrix) -> SchemeTable:
 
     # intersection numbers: B_i B_j must be constant on every color class.
     # The row sums of B_i are the diagonal of B_i B_i*, so B_i must be
-    # row-regular; then sum_j B_j = J gives B_i B_last = n_i J -
-    # sum_{j != last} B_i B_j.  B_0 = I is never a factor, and (B_i B_j)^T =
-    # B_j* B_i*, so only the first product of each such pair is formed, and
-    # none with j = last or i = last*.  Each B_i is a left factor as the
-    # 0/1 matrix color == i, and the right factors of a run are packed
-    # from the color matrix itself (`DigitRun.pack`).
+    # row-regular, with the valency n_i of row 0; then sum_j B_j = J gives
+    # B_i B_last = n_i J - sum_{j != last} B_i B_j.  B_0 = I is never a
+    # factor, and (B_i B_j)^T = B_j* B_i*, so only the first product of
+    # each such pair is formed, and none with j = last or i = last*.  Each
+    # B_i is a left factor as the 0/1 matrix color == i, and the right
+    # factors of a run are packed from the color matrix itself
+    # (`DigitRun.pack`).
     last = rank - 1
     lstar = istar[last]
-    n = np.ones(rank, dtype=np.int64)
-    for i in range(1, rank):
-        rows = np.count_nonzero(color == i, axis=1)
-        n[i] = rows[0]
-        bad = np.nonzero(rows != n[i])[0]
-        if len(bad):
-            x = int(bad[0])
-            raise SchemeError(
-                f"p_{i},{int(istar[i])}^0 is not constant: cell ({x},{x}) "
-                f"has {int(rows[x])}, expected {n[i]}",
-                witness=(i, int(istar[i]), 0, x, x))
+    n = np.bincount(color[0], minlength=rank).astype(np.int64)
     # the candidate tensor: p_ij^k counted at the first cell (x_k, y_k) of
     # color k, one bincount of the pairs (color[x_k, z], color[z, y_k]).
     # Once every formed product passes, the others follow from them, and
@@ -385,8 +382,19 @@ def validate(matrix) -> SchemeTable:
         pairs = color[rep_x[k]].astype(np.intp) * rank + color[:, rep_y[k]]
         p[:, :, k] = np.bincount(pairs, minlength=rank * rank).reshape(
             rank, rank)
+    # a proof by g makes every B_i a polynomial in the row-regular B_g, so
+    # row-regular: only the loop needs every color's rows checked
     if _proved_by_generator(color, first, n, p):
         return SchemeTable(color, p, istar)
+    for i in range(1, rank):
+        rows = np.count_nonzero(color == i, axis=1)
+        bad = np.flatnonzero(rows != n[i])
+        if len(bad):
+            x = int(bad[0])
+            raise SchemeError(
+                f"p_{i},{int(istar[i])}^0 is not constant: cell ({x},{x}) "
+                f"has {int(rows[x])}, expected {n[i]}",
+                witness=(i, int(istar[i]), 0, x, x))
     for i in range(1, rank):
         if i == lstar:
             continue

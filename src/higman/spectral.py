@@ -379,10 +379,12 @@ def float_eigen_oracle(scheme: SchemeTable, exact: EigenData,
     v sum_j s_j^2 theta_j^p, where s_j is the first component of T's j-th
     eigenvector: the multiplicities are m_j = v s_j^2 (Gauss quadrature
     weights), with no v x v product.  relation_order maps eigenmatrix
-    columns to scheme colors.  Raises when the Krylov space does not close
-    at exactly r steps with r separated Ritz values in 10 draws, when a
-    multiplicity is not an integer, or when the match is off by more than
-    1e-8.
+    columns to scheme colors.  The rows of P_float are matched to the
+    exact rows by the first row permutation, in lexicographic order, of
+    least valency-normalized error; all r! errors are formed in one array
+    expression.  Raises when the Krylov space does not close at exactly r
+    steps with r separated Ritz values in 10 draws, when a multiplicity is
+    not an integer, or when the match is off by more than 1e-8.
     """
     order = list(relation_order)
     r, v = scheme.rank, scheme.v
@@ -414,16 +416,15 @@ def float_eigen_oracle(scheme: SchemeTable, exact: EigenData,
         raise SpectralError(
             f"trace moments give non-integer multiplicities {dims.tolist()}")
 
-    # match rows to the exact eigenmatrix by valency-normalized profile
+    # match rows to the exact eigenmatrix by valency-normalized profile:
+    # every row permutation at once, and the first least, as a loop over
+    # them in order keeping each strictly smaller error would pick
     n = np.array(exact.valencies, dtype=np.float64)
     exact_rows = np.array([[float(x) for x in row] for row in exact.P])
-    best = None
-    for perm in itertools.permutations(range(r)):
-        err = np.abs(P_float[list(perm)] / n - exact_rows / n).max()
-        if best is None or err < best[0]:
-            best = (err, perm)
-    err_norm, perm = best
-    P_matched = P_float[list(perm)]
+    perms = np.array(list(itertools.permutations(range(r))))
+    errs = np.abs(P_float[perms] / n - exact_rows / n).max(axis=(1, 2))
+    perm = perms[int(np.argmin(errs))]
+    P_matched = P_float[perm]
     mults = tuple(int(np.rint(dims[j])) for j in perm)
     max_err = float(np.abs(P_matched - exact_rows).max())
     if max_err > 1e-8:

@@ -1390,6 +1390,41 @@ def test_thin_s3_takes_the_loop(reference_schemes, generated, monkeypatch):
     assert tried == [False] * 5 and generated == [False]
 
 
+def octagon_swapped(a, b):
+    """C8 colored by min(distance, 3), with the colors of the symmetric
+    cell pairs a and b swapped."""
+    d = np.abs(np.subtract.outer(np.arange(8), np.arange(8)))
+    color = np.minimum(np.minimum(d, 8 - d), 3)
+    before = color.copy()
+    (x, y), (z, w) = a, b
+    color[x, y] = color[y, x] = before[z, w]
+    color[z, w] = color[w, z] = before[x, y]
+    return color
+
+
+@pytest.mark.parametrize("a, b, checks, want", [
+    # color 1 stays the 8-cycle, and colors 2 and 3 lose row-regularity
+    ((0, 2), (0, 3), [(1, 2)],
+     ("p_2,2^0 is not constant: cell (2,2) has 1, expected 2",
+      (2, 2, 0, 2, 2))),
+    # color 1, the generator read off row 0, is not row-regular itself
+    ((0, 1), (0, 3), [],
+     ("p_1,1^0 is not constant: cell (1,1) has 1, expected 2",
+      (1, 1, 0, 1, 1))),
+], ids=["other color", "generator"])
+def test_irregular_rows_named_after_the_generator(a, b, checks, want,
+                                                  checked_runs, generated):
+    # the valencies come from row 0, and only the generator g's rows are
+    # checked before its product.  A failing proof leads to every color's
+    # rows, so the message and witness are those of a row check of every
+    # color first.  When g's rows hold, its product is formed and fails;
+    # when they do not, no product is formed
+    matrix = octagon_swapped(a, b)
+    assert validate_outcome(validate, matrix) == want
+    assert checked_runs == checks and generated == [False]
+    assert validate_outcome(ref_validate, matrix) == want
+
+
 def test_each_check_forms_one_product_pass(monkeypatch, reference_schemes,
                                            negative_control_candidates):
     # a run that fails is named from its packed product: `DigitRun.check`
@@ -1646,30 +1681,37 @@ class CountedMatmul(np.ndarray):
         return super().__matmul__(other)
 
 
-def test_each_route_forms_one_product_per_class_and_pair(reference_schemes,
-                                                         monkeypatch):
-    # a route that passes forms one packed product for every class and
-    # every run of `_outside_blocks` but the last, no more and no fewer.
-    # No route forms a product of the last run, the pair (L, L*) for L the
-    # largest outside color, pass or fail
-    outside_blocks = higmanian._outside_blocks
+def logged_outside_blocks(outside_blocks):
+    """`_outside_blocks` whose outside bases log, in CountedMatmul.log, the
+    left color of each product formed through any class."""
+    def logged(scheme, parab):
+        runs, block = outside_blocks(scheme, parab)
 
-    def logged_blocks(blocks):
-        for off, sub, right, basis in blocks:
+        def logged_block(gi):
+            off, sub, right, basis = block(gi)
             for i in basis:
                 basis[i] = basis[i].view(CountedMatmul)
                 basis[i].color = i
-            yield off, sub, right, basis
+            return off, sub, right, basis
+        return runs, logged_block
+    return logged
 
-    def logged(scheme, parab):
-        runs, blocks = outside_blocks(scheme, parab)
-        return runs, logged_blocks(blocks)
 
-    monkeypatch.setattr(higmanian, "_outside_blocks", logged)
+def test_each_route_forms_one_product_per_class_and_pair(reference_schemes,
+                                                         monkeypatch):
+    # a route that passes forms one packed product for every class but the
+    # last and every run of `_outside_blocks` but the last, no more and no
+    # fewer: the last class is decided from the tensor.  No route forms a
+    # product of the last run, the pair (L, L*) for L the largest outside
+    # color, pass or fail
+    outside_blocks = higmanian._outside_blocks
+    monkeypatch.setattr(higmanian, "_outside_blocks",
+                        logged_outside_blocks(outside_blocks))
     passed = {is_uniform_by_definition: 0, is_dismantlable: 0}
     failed = 0
     for scheme, parab in block_product_cases(reference_schemes):
-        want = parab.num_classes * (len(outside_blocks(scheme, parab)[0]) - 1)
+        want = ((parab.num_classes - 1)
+                * (len(outside_blocks(scheme, parab)[0]) - 1))
         for route in passed:
             CountedMatmul.log = []
             ok = route(scheme, parab).ok
@@ -1680,22 +1722,148 @@ def test_each_route_forms_one_product_per_class_and_pair(reference_schemes,
             else:
                 failed += bool(CountedMatmul.log)
     # heis 3 1's F: pairs (S, S), (S, T), (T, T) in runs [S, T] and [T]
-    # through each of 4 classes.  [T] is the last run: 4 products, where
-    # every run took 8 and single pairs 12
+    # through each of 4 classes.  [T] is the last run, and the last class
+    # is derived: 3 products, where every run through every class took 8
+    # and single pairs 12
     heis = reference_schemes["heis {'q': 3, 'r': 1}"]
     F = next(e for e in nontrivial_parabolics(heis) if e.corank == 2)
     runs, _ = outside_blocks(heis, F)
     assert [len(run.colors) for _, run in runs] == [2, 1]
     for route in passed:
         CountedMatmul.log = []
-        assert route(heis, F).ok and CountedMatmul.log == [runs[0][0]] * 4
+        assert route(heis, F).ok and CountedMatmul.log == [runs[0][0]] * 3
     assert min(passed.values()) > 10 and failed > 10
-    # the bundle forms F's products once for both routes: 4, where a pass
-    # per route took 8.  Route 2 fails on E's corank with no product, and
+    # the bundle forms F's products once for both routes: 3, where a pass
+    # per route took 6.  Route 2 fails on E's corank with no product, and
     # route 4 does not try E once F passes
     CountedMatmul.log = []
     assert verdict_bundle(heis).consistent
-    assert CountedMatmul.log == [runs[0][0]] * 4
+    assert CountedMatmul.log == [runs[0][0]] * 3
+
+
+def test_route4_forms_the_last_class_when_its_constants_differ(
+        reference_schemes, monkeypatch):
+    # route 4's derived check passes on every case at hand, so it is forced
+    # to fail here: the last class's products are then formed, c per
+    # checked run, and every result and witness is unchanged.  Route 2
+    # still derives the last class in the shared pass
+    outside_blocks = higmanian._outside_blocks
+    derive, derived = higmanian._Dismantle.derive, []
+
+    def recorded(route, gi):
+        derived.append(derive(route, gi))
+        return derived[-1]
+
+    monkeypatch.setattr(higmanian._Dismantle, "derive", recorded)
+    cases = [(scheme, parab, [is_uniform_by_definition(scheme, parab),
+                              is_dismantlable(scheme, parab)])
+             for scheme, parab in block_product_cases(reference_schemes)]
+    assert len(derived) > 50 and all(derived)
+    # the constants compared are values of the products: with 3 or more
+    # classes, every color has a cell off every class
+    for scheme, parab, _ in cases:
+        if parab.num_classes >= 3:
+            for gi in range(parab.num_classes):
+                off = np.flatnonzero(parab.class_of != gi)
+                assert len(np.unique(scheme.color[np.ix_(off, off)])) == \
+                    scheme.rank
+    monkeypatch.setattr(higmanian._Dismantle, "derive",
+                        lambda route, gi: False)
+    monkeypatch.setattr(higmanian, "_outside_blocks",
+                        logged_outside_blocks(outside_blocks))
+    formed = 0
+    for scheme, parab, want in cases:
+        per_class = len(outside_blocks(scheme, parab)[0]) - 1
+        CountedMatmul.log = []
+        assert is_dismantlable(scheme, parab) == want[1]
+        if want[1].ok:
+            assert len(CountedMatmul.log) == parab.num_classes * per_class
+            formed += per_class > 0
+        CountedMatmul.log = []
+        assert higmanian._block_product_routes(
+            scheme, parab, higmanian._Definition,
+            higmanian._Dismantle) == want
+        if want[1].ok:
+            assert len(CountedMatmul.log) == parab.num_classes * per_class
+    assert formed > 10
+    # heis 3 1's bundle: 4 products of the run [S, T], one per class
+    heis = reference_schemes["heis {'q': 3, 'r': 1}"]
+    CountedMatmul.log = []
+    assert verdict_bundle(heis).consistent and len(CountedMatmul.log) == 4
+
+
+def test_route2_derives_the_values_it_would_form(reference_schemes,
+                                                 monkeypatch):
+    # route 2's values on the last class, derived from the tensor and the
+    # other classes' values, are those of the products it would form there
+    note, noted = higmanian._Definition._note, []
+
+    def recorded(route, n, got):
+        noted.append((n, np.asarray(got, dtype=np.float64).tolist()))
+        note(route, n, got)
+
+    monkeypatch.setattr(higmanian._Definition, "_note", recorded)
+    derived = 0
+    for scheme, parab in block_product_cases(reference_schemes):
+        if parab.corank != 2:
+            continue
+        noted.clear()
+        res = is_uniform_by_definition(scheme, parab)
+        if not res.ok:
+            continue
+        derived_notes = list(noted)
+        noted.clear()
+        with monkeypatch.context() as m:
+            m.setattr(higmanian._Definition, "derive",
+                      lambda route, gi: False)
+            assert is_uniform_by_definition(scheme, parab) == res
+        assert noted == derived_notes
+        derived += bool(noted)
+    assert derived > 50
+
+
+class LoggedRows(np.ndarray):
+    """An int16 color matrix that logs the row slices read from it."""
+    rows: list = []
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            LoggedRows.rows.append(item)
+        return super().__getitem__(item)
+
+
+@pytest.mark.parametrize("blocks", ["whole", "small"])
+def test_route2_last_cells_match_a_full_scan(blocks, request,
+                                             reference_schemes):
+    # the last cell of every (D, L, k) triple, found from the bottom row
+    # block up, is the last one of a scan of the whole matrix; with small
+    # blocks the scan stops before the top
+    if blocks == "small":
+        request.getfixturevalue("small_blocks")
+    stopped = corank2 = 0
+    for scheme, parab in block_product_cases(reference_schemes):
+        if parab.corank != 2:
+            continue
+        corank2 += 1
+        r, v, c = scheme.rank, scheme.v, parab.num_classes
+        class_of = parab.class_of
+        key = ((class_of[:, None] * c + class_of) * r + scheme.color).ravel()
+        want = np.full(c * c * r, -1)
+        np.maximum.at(want, key, np.arange(v * v))
+        logged = SchemeTable(scheme.color.view(LoggedRows), scheme.p,
+                             scheme.inverse)
+        LoggedRows.rows = []
+        route = higmanian._Definition(logged, parab,
+                                      _outside_blocks(scheme, parab)[0])
+        got = np.full(c * c * r, -1)
+        got[route.triples] = route.ref_x * v + route.ref_y
+        assert (got == want).all()
+        scanned = {row for rows in LoggedRows.rows
+                   for row in range(*rows.indices(v))}
+        assert max(scanned) == v - 1
+        stopped += min(scanned) > 0
+    assert corank2 > 50
+    assert (stopped > 50) == (blocks == "small")
 
 
 def standalone_details(scheme, det):
