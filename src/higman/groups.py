@@ -469,22 +469,29 @@ def heisenberg_group(q: int, r: int) -> FiniteGroup:
     (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a.b'), indexed by the base-q
     digits a, b, c, most significant first.  On base-p digits
     (a+a', b+b', c+c') is the addition of EA:p:(2r+1)i, q = p^i, whose
-    table this reads; a.b' is the index of (0, 0, a.b').  The product
-    table is checked.
+    table this reads; a.b' is the index of (0, 0, a.b').  The tables are
+    read with flat `take`s, a block of rows of at most BLOCK_ENTRIES
+    entries at a time; every flat index is below n^2 <= 2^28, so int32.
+    The product table is checked.
     """
     if r < 1:
         raise GroupError("r must be >= 1")
     n = check_order(q, 2 * r + 1)
     p, i = prime_power(q)
     add = elementary_abelian(p, (2 * r + 1) * i).mul
-    fmul = _gf_mul(p, i)
+    flat_add, flat_fmul = add.ravel(), _gf_mul(p, i).ravel()
     x = np.arange(n, dtype=np.int32)
-    dot = np.zeros_like(add)
-    for t in range(r):
-        a_t = x // q ** (2 * r - t) % q
-        b_t = x // q ** (r - t) % q
-        dot = add[dot, fmul[a_t[:, None], b_t[None, :]]]
-    return FiniteGroup(add[add, dot], name=f"Heis:{q}:{r}")
+    mul = np.empty_like(add)
+    for rows in row_blocks(add):
+        dot = np.zeros_like(add[rows])
+        for t in range(r):
+            a_t = x[rows] // q ** (2 * r - t) % q
+            b_t = x // q ** (r - t) % q
+            dot *= n
+            dot += flat_fmul.take(a_t[:, None] * q + b_t)
+            dot = flat_add.take(dot)
+        mul[rows] = flat_add.take(add[rows] * n + dot)
+    return FiniteGroup(mul, name=f"Heis:{q}:{r}")
 
 
 def central_product_q8(r: int) -> FiniteGroup:

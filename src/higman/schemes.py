@@ -10,10 +10,12 @@ sizes and their coranks are read off that tensor, and a parabolic's
 classes are formed from the color matrix only where a route walks them.
 The scheme keeps the color sets, and each parabolic object its own facts.
 Restrictions work on the color matrix and are validated again.  Cayley
-schemes of partitions of a group G x U skip validation: their tensor comes
-from the products of the parts and their colors from a gather per block of
-G's rows, both read off the tables of G and U, with no G x U table.
-Scheme files are written a block of rows at a time.
+schemes of partitions of a group G x U skip validation: a candidate tensor
+is counted at one element per part, and the products of one generating
+part prove it, as in validation below, or else one product per transpose
+pair of parts; their colors come from a gather per block of G's rows.
+All of it is read off the tables of G and U, with no G x U table.  Scheme
+files are written a block of rows at a time.
 
 Validation reads a candidate tensor at one cell per color and, when one
 color g generates the algebra the candidate describes, checks only the
@@ -551,9 +553,21 @@ def cayley_scheme(G: FiniteGroup, parts: Sequence[Iterable[int]],
     constant on every part (Schur); that constant is the intersection
     number.  The pairs (z, y) with color(e, z) = i and color(z, y) = j are
     those with y = tz, t in T_j and z in T_i, so p_ij^k is the coefficient
-    of T_j T_i at any y in T_k, formed by `gre_multiply_product`.  No v x v
-    product is formed, and of the r^2 products of parts only one per
-    transpose pair of nontrivial parts.
+    of T_j T_i at any y in T_k.  The candidate tensor counts it at the
+    least y of each T_k, one bincount of length v per part.
+
+    A partition that passes the guards has T_0 = {e}, is inverse-closed
+    and has no empty part, so each A_i, the 0/1 matrix of color i, is
+    row-regular, the A_i sum to J, and A_i* is the transpose of A_i.  So
+    `validate`'s proof by one generating color applies as it stands
+    (`_proved_by_generator`): when L_g, (L_g)_kj = p_gj^k, generates for
+    some part g, the r - 2 products T_j T_g, 0 < j < r - 1, constant on
+    every part, prove the S-ring and the candidate; T_last T_g = |T_g| G
+    - sum_{j < last} T_j T_g.  When no part generates, as in every
+    non-commutative S-ring, or a product of g fails, one product per
+    transpose pair of nontrivial parts is formed instead, and the first
+    that fails is named.  Products are formed by `gre_multiply_product`;
+    no v x v product is formed.
     """
     if U is None:
         U = cyclic_group(1)
@@ -584,32 +598,51 @@ def cayley_scheme(G: FiniteGroup, parts: Sequence[Iterable[int]],
     for i, ti in enumerate(idx):
         if not len(ti):
             raise SchemeError(f"partition is not an S-ring: color {i} unused")
-    rep = [ti[0] for ti in idx]
+    # the candidate tensor: p_ij^k = #{z in T_i : y z^-1 in T_j}, counted
+    # at the least element y = (a, b) of T_k, one bincount of the pairs
+    # (part(z), part(y z^-1)) over every z = (g, u), y z^-1 = (a g^-1, b
+    # u^-1)
+    p = np.empty((rank, rank, rank), dtype=np.int64)
+    left = part_of.astype(np.intp) * rank
+    for k, ti in enumerate(idx):
+        a, b = divmod(int(ti[0]), nu)
+        quotient = G.mul[a][G.inv][:, None] * nu + U.mul[b][U.inv]
+        p[:, :, k] = np.bincount(left + part_of[quotient.ravel()],
+                                 minlength=rank * rank).reshape(rank, rank)
 
-    # T_0 = {e}, so T_j T_0 = T_j and T_0 T_i = T_i.  Of the other pairs,
-    # only the least of each {(i, j), (j*, i*)} is formed: (T_j T_i)^-1 =
-    # T_i* T_j*, and inversion maps T_k onto T_k*, so p_j*i*^k = p_ij^k*,
-    # and one product is constant on every part iff the other is.  A
-    # failing pair's partner fails too, so the first failing pair is the
-    # first of a loop over all pairs.
-    p = np.zeros((rank, rank, rank), dtype=np.int64)
-    p[0, range(rank), range(rank)] = p[range(rank), 0, range(rank)] = 1
-    star = istar.tolist()
-    for i, j in itertools.product(range(1, rank), repeat=2):
-        if (star[j], star[i]) < (i, j):
-            continue
+    def failure(i, j):
+        """The first y at which T_j T_i differs from p_ij^part(y), with
+        the product, or None."""
         prod = gre_multiply_product(G, U, idx[j], idx[i])
-        p[i, j] = prod[rep]
-        bad = np.nonzero(prod != p[i, j][part_of])[0]
-        if len(bad):
-            y = int(bad[0])
-            k = int(part_of[y])
-            raise SchemeError(
-                f"partition is not an S-ring: p_{i},{j}^{k} is not constant: "
-                f"cell ({identity},{y}) has {int(prod[y])}, expected "
-                f"{int(p[i, j, k])}",
-                witness=(i, j, k, identity, y))
-        p[star[j], star[i]] = p[i, j][istar]
+        bad = np.flatnonzero(prod != p[i, j][part_of])
+        return (int(bad[0]), prod) if len(bad) else None
+
+    # parts are tried largest first: a small part often lies in a proper
+    # parabolic, so does not generate, and at desk scale a rank test
+    # costs more than a product.  When a product of g fails, the loop
+    # fails too, as it forms that product or its transpose partner
+    order = sorted(range(1, rank), key=lambda g: (-len(idx[g]), g))
+    g = next((g for g in order if _generates(p[g].T)), None)
+    if g is None or any(failure(g, j) for j in range(1, rank - 1)):
+        # T_0 = {e}, so T_j T_0 = T_j and T_0 T_i = T_i.  Of the other
+        # pairs, only the least of each {(i, j), (j*, i*)} is formed:
+        # (T_j T_i)^-1 = T_i* T_j*, and inversion maps T_k onto T_k*, so
+        # p_j*i*^k = p_ij^k*, and one product is constant on every part
+        # iff the other is.  A failing pair's partner fails too, so the
+        # first failing pair is the first of a loop over all pairs.
+        star = istar.tolist()
+        for i, j in itertools.product(range(1, rank), repeat=2):
+            if (star[j], star[i]) < (i, j):
+                continue
+            found = failure(i, j)
+            if found:
+                y, prod = found
+                k = int(part_of[y])
+                raise SchemeError(
+                    f"partition is not an S-ring: p_{i},{j}^{k} is not "
+                    f"constant: cell ({identity},{y}) has {int(prod[y])}, "
+                    f"expected {int(p[i, j, k])}",
+                    witness=(i, j, k, identity, y))
     # color[(g, u), (h, w)] = part((h, w)(g, u)^-1) = istar[part((g, u)(h,
     # w)^-1)] = dual[u w^-1][g h^-1], with dual[c] the |G| colors of the
     # elements (., c).  Per block of G's rows, one gather forms the
@@ -634,10 +667,12 @@ def write_scheme(scheme: SchemeTable, path) -> None:
     """Text format: ``scheme <v> <rank>`` then v rows of colors.
 
     The body is written a block of rows at a time, of at most
-    BLOCK_ENTRIES cells.  Each block is one gather from a table of tokens,
-    the color's name and a space, or a newline at the end of a row.  Each
-    token is zero-padded to the widest name plus one byte, and the pad
-    bytes are dropped after.  Beyond the colors, only a block is held.
+    GATHER_ENTRIES cells.  Each block is one `take` from a table of
+    tokens, the color's name and a space, or a newline at the end of a
+    row: `take` copies the block's colors to intp, but fancy indexing of
+    the void tokens takes numpy's slower generic path.  Each token is
+    zero-padded to the widest name plus one byte, and the pad bytes are
+    dropped after.  Beyond the colors, only a block is held.
     """
     names = [str(c).encode() for c in range(scheme.rank)]
     width = max(map(len, names)) + 1
@@ -646,10 +681,10 @@ def write_scheme(scheme: SchemeTable, path) -> None:
     ended = np.array([n + b"\n" for n in names], dtype=f"S{width}").view(token)
     with open(path, "wb") as fh:
         fh.write(f"scheme {scheme.v} {scheme.rank}\n".encode())
-        for rows in row_blocks(scheme.color):
+        for rows in row_blocks(scheme.color, GATHER_ENTRIES):
             block = scheme.color[rows]
-            body = spaced[block]
-            body[:, -1] = ended[block[:, -1]]
+            body = spaced.take(block)
+            body[:, -1] = ended.take(block[:, -1])
             text = body.tobytes()
             if width > 2:  # some name has two or more digits, so pads exist
                 text = text.translate(None, b"\0")

@@ -150,10 +150,14 @@ def test_fixed_polynomials_kept_where_not_least():
 
 # sha256 of mul.astype('<i4').tobytes(), first 16 hex digits, as built by the
 # per-element loops these builders replaced; Q8cp:r as built by r - 1 rounds
-# of direct product and quotient by the identified central involutions
+# of direct product and quotient by the identified central involutions;
+# Heis:3:3 and Heis:5:1 as built from whole-table gathers, before the row
+# blocks: Heis:3:3, at 2187^2 entries, spans five of them
 PINNED_DIGESTS = {
     "Heis:3:1": "5a006f1ce2a029a0",
     "Heis:3:2": "8c9c1e8cfc4a07f7",
+    "Heis:3:3": "c3e59626e0e3ddec",
+    "Heis:5:1": "fe11097c4957490b",
     "Heis:4:1": "dc7384de1f7b670a",
     "Heis:9:1": "496a272739f2334d",
     "EA:3:3": "fccb855f84f4a7e4",

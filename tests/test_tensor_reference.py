@@ -81,7 +81,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from functools import total_ordering
+from functools import cache, total_ordering
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -1112,39 +1112,153 @@ def ref_cayley_products(G, parts):
     return p
 
 
-def test_cayley_products_match_all_pairs(constructions_by_family,
-                                         example1_results,
-                                         negative_control_candidates,
-                                         monkeypatch):
-    # one product per transpose pair of nontrivial parts gives the tensor of
-    # all r^2 products, and the same first failing pair, cell and message
+def ref_cayley_product_count(G, parts):
+    """``(g, by_g, by_pairs)``: the generating part g that `cayley_scheme`
+    tries, or None, and how many products of parts it forms, from the
+    products of all pairs.  The candidate p_gj^k is the coefficient of
+    T_j T_g at the least element of T_k.  g is the first part, largest
+    first, whose L_g, (L_g)_kj = p_gj^k, generates; its products T_j T_g,
+    0 < j < r - 1, are formed up to the first that is not constant on
+    every part.  Unless all of them are, one product per transpose pair
+    of nontrivial parts follows, up to the first that is not."""
+    idx = [sorted(int(x) for x in part) for part in parts]
+    part_of = np.empty(G.order, dtype=np.int64)
+    for pi, part in enumerate(idx):
+        part_of[part] = pi
+    rep = [part[0] for part in idx]
+    r = len(idx)
+
+    @cache
+    def prod(i, j):  # T_j T_i
+        return ref_gre_multiply(G, idx[j], idx[i])
+
+    def constant(i, j):
+        t = prod(i, j)
+        return (t == t[rep][part_of]).all()
+
+    order = sorted(range(1, r), key=lambda g: (-len(idx[g]), g))
+    g = next((g for g in order if schemes._generates(
+        np.array([prod(g, j)[rep] for j in range(r)]).T)), None)
+    by_g = 0
+    if g is not None:
+        for j in range(1, r - 1):
+            by_g += 1
+            if not constant(g, j):
+                break
+        else:
+            return g, by_g, 0
+    star = part_of[G.inv[rep]]
+    by_pairs = 0
+    for i, j in itertools.product(range(1, r), repeat=2):
+        if (star[j], star[i]) >= (i, j):
+            by_pairs += 1
+            if not constant(i, j):
+                break
+    return g, by_g, by_pairs
+
+
+@pytest.fixture
+def formed_products(monkeypatch):
+    """The products of parts that `cayley_scheme` forms while the test
+    runs, one entry each."""
     products = []
     multiply = schemes.gre_multiply_product
     monkeypatch.setattr(schemes, "gre_multiply_product",
                         lambda A, B, xs, ys: products.append(1)
                         or multiply(A, B, xs, ys))
-    outcomes = {"tensor": 0, "failure": 0}
+    return products
+
+
+def test_cayley_products_match_all_pairs(constructions_by_family,
+                                         example1_results,
+                                         negative_control_candidates,
+                                         formed_products):
+    # the products of one generating part, or else one product per
+    # transpose pair of nontrivial parts, give the tensor of all r^2
+    # products, and the same first failing pair, cell and message.  A
+    # proof by g forms r - 2 products; the fallback forms g's up to its
+    # first failing one, then the pairs' up to theirs
+    outcomes = {"proved": 0, "pairs": 0, "g fails": 0, "pair fails": 0}
     for G, parts in cayley_cases(constructions_by_family, example1_results,
                                  negative_control_candidates):
-        products.clear()
+        formed_products.clear()
         try:
             scheme = cayley_scheme(G, parts)
         except SchemeError as exc:
             if exc.witness is None:  # refused before any product
                 continue
             assert (str(exc), exc.witness) == ref_cayley_products(G, parts)
-            outcomes["failure"] += 1
+            g, by_g, by_pairs = ref_cayley_product_count(G, parts)
+            assert len(formed_products) == by_g + by_pairs
+            outcomes["pair fails" if g is None else "g fails"] += 1
             continue
         assert (scheme.p == ref_cayley_products(G, parts)).all()
-        star = scheme.inverse.tolist()
-        r = scheme.rank
-        assert len(products) == sum(
-            (star[j], star[i]) >= (i, j)
-            for i, j in itertools.product(range(1, r), repeat=2))
-        if star == list(range(r)):  # symmetric: the pairs i <= j
-            assert len(products) == r * (r - 1) // 2
-        outcomes["tensor"] += 1
+        g, by_g, by_pairs = ref_cayley_product_count(G, parts)
+        assert len(formed_products) == by_g + by_pairs
+        if g is None:
+            star = scheme.inverse.tolist()
+            assert by_pairs == sum(
+                (star[j], star[i]) >= (i, j)
+                for i, j in itertools.product(range(1, scheme.rank), repeat=2))
+            outcomes["pairs"] += 1
+        else:
+            assert (by_g, by_pairs) == (scheme.rank - 2, 0)
+            outcomes["proved"] += 1
     assert min(outcomes.values()) > 0, outcomes
+
+
+def test_recipe2_schemes_are_proved_by_one_part(recipe2_results,
+                                                formed_products):
+    # every recipe-2 scheme, from the tables of G and U, is proved by the
+    # r - 2 products of one generating part
+    for res in recipe2_results:
+        formed_products.clear()
+        got = cayley_scheme(res.system.group, res.parts, res.U)
+        assert (got.p == res.scheme.p).all()
+        assert len(formed_products) == got.rank - 2 == 3
+
+
+def test_noncommutative_sring_falls_back_to_all_pairs(formed_products):
+    # in a non-commutative S-ring no part generates: every transpose pair
+    # of nontrivial parts is formed, and the tensor is validate's
+    cases = [small_partitions()["thin S3"], thin_partitions()[1]]
+    for G, parts in cases:
+        formed_products.clear()
+        got = cayley_scheme(G, parts)
+        ref = validate(ref_cayley_color(G, parts))
+        assert not G.is_abelian()
+        assert not any(schemes._generates(got.p[g].T)
+                       for g in range(1, got.rank))
+        assert (got.p == ref.p).all() and (got.inverse == ref.inverse).all()
+        assert len(formed_products) == ref_cayley_product_count(
+            G, parts)[2] == (G.order - 1) * G.order // 2
+
+
+def test_generator_failure_names_the_first_failing_pair(recipe2_results,
+                                                        formed_products):
+    # a partition that is not an S-ring, whose candidate tensor still has
+    # a generating part: g's check fails, and the pair loop names the
+    # first failing pair, cell and message, as it did before the proof
+    # by g existed (these texts were taken from the pair loop alone)
+    want = {24: ("partition is not an S-ring: p_1,3^4 is not constant: "
+                 "cell (0,8) has 1, expected 0", (1, 3, 4, 0, 8)),
+            96: ("partition is not an S-ring: p_1,3^4 is not constant: "
+                 "cell (0,8) has 1, expected 0", (1, 3, 4, 0, 8)),
+            108: ("partition is not an S-ring: p_1,3^4 is not constant: "
+                  "cell (0,6) has 1, expected 0", (1, 3, 4, 0, 6)),
+            81: ("partition is not an S-ring: p_1,3^4 is not constant: "
+                 "cell (0,13) has 1, expected 0", (1, 3, 4, 0, 13))}
+    for res in recipe2_results[:4]:
+        parts = corrupted_recipe2_parts(res)
+        P = ref_product_group(res)
+        g, by_g, by_pairs = ref_cayley_product_count(P, parts)
+        assert g is not None and 0 < by_g <= len(parts) - 2 and by_pairs
+        formed_products.clear()
+        got = cayley_failure(res.system.group, parts, res.U)
+        assert len(formed_products) == by_g + by_pairs
+        assert got == ref_cayley_products(P, parts)
+        if P.order in want:
+            assert got == want[P.order]
 
 
 def ref_write_scheme(scheme, path) -> None:
