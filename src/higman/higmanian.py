@@ -241,11 +241,10 @@ def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
     product through G is the full (A_i A_j)[x, y], p_ij^k on every k-cell,
     and for x off G it is 0; the case j inside is the same by columns.  The
     class of x decides which, so the product is constant on every (D, L, k)
-    cell set, recording p_ij^k on every triple it meets, and 0 on every
-    cell off G.  The product of (j*, i*) is the transpose of that of
-    (i, j), and transposition maps the k-cells of D x L onto the k*-cells
-    of L x D, and the cells off G onto themselves, so one product decides
-    both, with the same coefficients.
+    cell set, and 0 on every cell off G.  The product of (j*, i*) is the
+    transpose of that of (i, j), and transposition maps the k-cells of
+    D x L onto the k*-cells of L x D, and the cells off G onto themselves,
+    so one product decides both.
     Since the least (i, j) of each transpose pair is kept, and a run names
     its first failing pair (`DigitRun.check`), the first failing pair is
     that of a loop over all pairs, and so is its witness.
@@ -265,17 +264,6 @@ def _outside_blocks(scheme: SchemeTable, parab: Parabolic):
     route 2 the 0-cells of each class.  So where the earlier pairs pass, c
     is constant on each cell set's columns, M_G(L, L*) is constant on
     every cell set, and (L, L*) passes: it is never the first failing pair.
-
-    Route 2 records each kept pair's coefficients on the triples
-    (D, G, L', k) where A_i meets D x G and A_j meets G x L'.  At corank 2
-    the outside colors form one double coset, so a block between two
-    different classes meets every outside color and a block inside one
-    class meets none: those triples are the ones with D, L' != G.  On
-    them, by the identity above, a(L, L*)(D, G, L', k) is
-    c - sum_{i != L} a(i, L*)(D, G, L', k), with c = |G| - sum_{i != L}
-    a(i, i*)(L', G, L', 0).  So where every other kept pair's coefficients
-    agree across the triples of each k, so do those of (L, L*), and route
-    2 records only the runs it checks.
     """
     outside, inverse, color = parab.outside, scheme.inverse, scheme.color
     pairs = [(i, j) for i in outside for j in outside
@@ -355,16 +343,13 @@ class DefinitionCheck:
     ok: bool
     cork: int
     witness: tuple | None = None
-    coefficients_consistent: bool | None = None
-    # recorded only: whether a_ij^k agrees across class triples
 
 
 class _Definition:
     """Route 2's comparison in `_block_product_routes`: each cell off G
-    with the last cell of its (D, L, k) triple, and the coefficients of
-    each checked run recorded on the triples with D, L != G.  Decided at
-    once, with no product, on a corank other than 2, and with no product
-    through the last class once every other class has passed (`derive`).
+    with the last cell of its (D, L, k) triple.  Decided at once, with no
+    product, on a corank other than 2, and with no product through the
+    last class once every other class has passed (`derive`).
     """
 
     def __init__(self, scheme: SchemeTable, parab: Parabolic,
@@ -398,53 +383,30 @@ class _Definition:
             if np.count_nonzero(last >= 0) == possible:
                 break
         self.triples = np.flatnonzero(last >= 0)
-        self.D, self.L, self.K = np.unravel_index(self.triples, (c, c, r))
         self.ref_x, self.ref_y = np.divmod(last[self.triples], v)
         self.pos = np.zeros(v, dtype=np.intp)
         self.reference = np.zeros(c * c * r, dtype=np.intp)
-        self.gmin = np.full((len(runs), r), np.inf)
-        self.gmax = np.full((len(runs), r), -np.inf)
-        # per checked run: its packed p_ij^k, sum_pos base^pos p_{i j_pos}^k
-        # for each k, and the sum of its recorded values on each triple
-        self.packed_p = np.array(
-            [run.base ** np.arange(len(run.colors))
-             @ scheme.p[i, list(run.colors)] for i, run in runs[:-1]],
-            dtype=np.float64)
-        self.sums = np.zeros((len(runs), c * c * r))
 
     def target(self, gi: int, off, sub):
         # off G, row-major order is that of the full matrix, so the last
         # cell of each triple off G is its last cell in sub coordinates.
         # A triple in G's rows or columns has no cell off G: its reference
-        # may be any cell, as it is never compared, and it is not recorded
+        # may be any cell, as it is never compared
         self.pos[off] = np.arange(len(off))
         self.reference[self.triples] = (self.pos[self.ref_x] * len(off)
                                         + self.pos[self.ref_y])
-        self._recorded(gi)
         return self.row_key[off] + self.col_key[off] + sub, self.reference
 
-    def _recorded(self, gi: int) -> None:
-        recorded = (self.D != gi) & (self.L != gi)
-        self.at, self.k = self.triples[recorded], self.K[recorded]
-
     def record(self, n: int, values) -> None:
-        self._note(n, values[self.at])
-
-    def _note(self, n: int, got) -> None:
-        np.minimum.at(self.gmin[n], self.k, got)
-        np.maximum.at(self.gmax[n], self.k, got)
-        self.sums[n, self.at] += got
+        pass
 
     def derive(self, gi: int) -> bool:
-        """Route 2 passes on the last class G* with no product, and its
-        values are recorded.  Every other class G has passed, so M_G is
-        constant on each triple (D, L, k) with D, L != G, and on a triple
-        with D, L != G*, M_G* = p_ij^k - sum_{G not in {D, L, G*}} M_G is
-        too (`_block_product_routes`), packed: the run's packed p_ij^k less
-        the values recorded on that triple through the other classes."""
-        self._recorded(gi)
-        for n, packed in enumerate(self.packed_p):
-            self._note(n, packed[self.k] - self.sums[n, self.at])
+        """Route 2 passes on the last class G* with no product.  Every
+        other class G has passed, so M_G is constant on each triple
+        (D, L, k) with D, L != G, and on a triple with D, L != G*,
+        M_G* = p_ij^k - sum_{G not in {D, L, G*}} M_G is too
+        (`_block_product_routes`).  A triple with D or L = G* has no cell
+        off G*."""
         return True
 
     def fail(self, gi: int, off, i: int, failure) -> None:
@@ -456,12 +418,7 @@ class _Definition:
                      i, j, int(self.color[x, y])))
 
     def finish(self) -> DefinitionCheck:
-        if self.result is not None:
-            return self.result
-        # inf >= -inf where unseen
-        consistent = bool((self.gmin >= self.gmax).all())
-        return DefinitionCheck(ok=True, cork=2,
-                               coefficients_consistent=consistent)
+        return self.result or DefinitionCheck(ok=True, cork=2)
 
 
 def is_uniform_by_definition(scheme: SchemeTable,
@@ -474,24 +431,17 @@ def is_uniform_by_definition(scheme: SchemeTable,
     pass.  The last cells are found GATHER_ENTRIES cells at a time, from
     the bottom rows up to the first row block by which every triple that
     can occur has one, and each cell off G is labelled by its triple's
-    key.  The last pair (L, L*) passes with the earlier ones, and
-    coefficients are recorded for the runs checked only, on the triples
-    with D, L != G (see `_outside_blocks`), packed: as each digit is below
-    the base, a run's numbers agree across the triples of a k iff each
-    pair's coefficients do.  The last class passes with the others, and
-    its coefficients are derived from theirs and the tensor
-    (`_Definition.derive`).  `verdict_bundle` forms F's products once for
-    this route and route 4 (`_block_product_routes`); this comparison is
-    this route's own.
+    key.  The last pair (L, L*) passes with the earlier ones (see
+    `_outside_blocks`), and the last class once the others have, with no
+    product (`_Definition.derive`).  `verdict_bundle` forms F's products
+    once for this route and route 4 (`_block_product_routes`); this
+    comparison is this route's own.
 
-    At corank 2, route4(F) <=> route2(F) and flag(F).  For i, j outside F
-    and a k-cell (x, y) in D x L, sum_{G not in {D, L}} M_G[x, y] = p_ij^k,
-    as M_D vanishes on D's rows and M_L on L's columns.  Route 4 makes
-    each M_G a constant a_G(k) on the k-cells off G, so route 2 passes.  An
-    outside k has cells in every block between two classes, an inside k in
-    every class.  So the sums at (D, L) and (D', L), or at (D, D) and
-    (D', D'), give a_D(k) = a_D'(k): the flag holds, as with two classes
-    no outside k is recorded.  Route 2 and the flag give route 4 back."""
+    At corank 2, route 4 passing implies route 2 passing: route 4 makes
+    each M_G a constant a_G(k) on the k-cells off G, and every (D, L, k)
+    cell set off G consists of k-cells off G.  Whether route 2 implies
+    route 4 on the F of a Higmanian scheme is open; `verdict_bundle`
+    raises VerdictInconsistencyError where they disagree."""
     return _block_product_routes(scheme, parab, _Definition)[0]
 
 

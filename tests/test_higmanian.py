@@ -166,12 +166,11 @@ def test_definition_per_parabolic(q8_construction):
     # cork(E) = 3, so the literal definition fails over E...
     res_e = is_uniform_by_definition(scheme, e)
     assert not res_e.ok and res_e.cork == 3
-    # ...and holds over F, whose quotient is trivial
-    res_f = is_uniform_by_definition(scheme, f)
-    assert res_f.ok and res_f.cork == 2
-    assert res_f.coefficients_consistent is not None
-    # the bundle runs route 2 over E, then F, which passes
+    # ...and holds over F, whose quotient is trivial, as route 4 does
     b = verdict_bundle(scheme)
+    res_f = is_uniform_by_definition(scheme, f)
+    assert res_f.ok and res_f.cork == 2 and b.dismantle_details[f.n_class].ok
+    # the bundle runs route 2 over E, then F, which passes
     assert b.definition
     assert b.definition_details == {e.n_class: res_e, f.n_class: res_f}
 

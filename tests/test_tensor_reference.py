@@ -311,50 +311,73 @@ def ref_restriction_colors(scheme, points):
     return ref_relabel(scheme.color[np.ix_(pts, pts)])
 
 
-def ref_is_uniform_by_definition(scheme, parab):
-    """Every block product A_i^{DG} A_j^{GL}, each class G and all (i, j) in
-    order, scattered into a (D, L, k) table; the last write is the
-    reference, the first row-major cell that differs is the witness."""
-    cork = parab.corank
-    if cork != 2:
-        return DefinitionCheck(ok=False, cork=cork)
-    r, v, c = scheme.rank, scheme.v, parab.num_classes
-    class_of = parab.class_of
-    color = scheme.color.astype(np.int64)
+def ref_triple_key(scheme, parab):
+    """Each cell's (D, L, k) triple, raveled, as an index into a c x c x r
+    table."""
+    r, c, class_of = scheme.rank, parab.num_classes, parab.class_of
+    return ((class_of[:, None] * c + class_of[None, :]) * r
+            + scheme.color.astype(np.int64)).ravel()
+
+
+def ref_block_tables(scheme, parab):
+    """Each block product A_i^{DG} A_j^{GL}, each class G and all (i, j) in
+    order, as ``(gi, i, j, M, table)``: M raveled, and scattered into a
+    (D, L, k) table, where the last write is the value of each triple."""
+    r, c = scheme.rank, parab.num_classes
     basis = [(scheme.color == i).astype(np.float64) for i in range(r)]
-    member = np.zeros((v, c))
-    member[np.arange(v), class_of] = 1.0
-    occurs = [np.rint(member.T @ basis[i] @ member).astype(np.int64) > 0
-              for i in range(r)]
-    flat_key = ((class_of[:, None] * c + class_of[None, :]) * r
-                + color).ravel()
-    gmin = np.full((r, r, r), np.iinfo(np.int64).max, dtype=np.int64)
-    gmax = np.full((r, r, r), -1, dtype=np.int64)
+    key = ref_triple_key(scheme, parab)
     for gi, gpts in enumerate(map(list, classes_of(parab))):
         for i in range(r):
             for j in range(r):
                 M = np.rint(basis[i][:, gpts] @ basis[j][gpts, :]).astype(
                     np.int64).ravel()
                 table = np.zeros(c * c * r, dtype=np.int64)
-                table[flat_key] = M
-                bad = np.nonzero(table[flat_key] != M)[0]
-                if len(bad):
-                    x, y = divmod(int(bad[0]), v)
-                    return DefinitionCheck(
-                        ok=False, cork=2,
-                        witness=(int(class_of[x]), gi, int(class_of[y]),
-                                 i, j, int(color[x, y])))
-                adm = occurs[i][:, gi][:, None] & occurs[j][gi, :][None, :]
-                blocks = table.reshape(c, c, r)
-                for k in range(r):
-                    sel = adm & occurs[k]
-                    if sel.any():
-                        vals = blocks[:, :, k][sel]
-                        gmin[i, j, k] = min(gmin[i, j, k], int(vals.min()))
-                        gmax[i, j, k] = max(gmax[i, j, k], int(vals.max()))
+                table[key] = M
+                yield gi, i, j, M, table
+
+
+def ref_is_uniform_by_definition(scheme, parab):
+    """Every block product of `ref_block_tables`; the first row-major cell
+    that differs from its triple's value is the witness."""
+    cork = parab.corank
+    if cork != 2:
+        return DefinitionCheck(ok=False, cork=cork)
+    class_of, key = parab.class_of, ref_triple_key(scheme, parab)
+    for gi, i, j, M, table in ref_block_tables(scheme, parab):
+        bad = np.nonzero(table[key] != M)[0]
+        if len(bad):
+            x, y = divmod(int(bad[0]), scheme.v)
+            return DefinitionCheck(
+                ok=False, cork=2,
+                witness=(int(class_of[x]), gi, int(class_of[y]),
+                         i, j, int(scheme.color[x, y])))
+    return DefinitionCheck(ok=True, cork=2)
+
+
+def ref_coefficients_consistent(scheme, parab):
+    """Whether each a_ij^k, the value of the product of (i, j) through G on
+    the k-cells of D x L, is one value over every class triple (D, G, L)
+    with A_i meeting D x G, A_j meeting G x L and k meeting D x L.
+    Assumes route 2 passes, so that each product is constant on each of
+    its (D, L, k) cell sets."""
+    r, v, c = scheme.rank, scheme.v, parab.num_classes
+    member = np.zeros((v, c))
+    member[np.arange(v), parab.class_of] = 1.0
+    occurs = [np.rint(member.T @ (scheme.color == i) @ member) > 0
+              for i in range(r)]
+    gmin = np.full((r, r, r), np.iinfo(np.int64).max, dtype=np.int64)
+    gmax = np.full((r, r, r), -1, dtype=np.int64)
+    for gi, i, j, _, table in ref_block_tables(scheme, parab):
+        adm = occurs[i][:, gi][:, None] & occurs[j][gi, :][None, :]
+        blocks = table.reshape(c, c, r)
+        for k in range(r):
+            sel = adm & occurs[k]
+            if sel.any():
+                vals = blocks[:, :, k][sel]
+                gmin[i, j, k] = min(gmin[i, j, k], int(vals.min()))
+                gmax[i, j, k] = max(gmax[i, j, k], int(vals.max()))
     seen = gmax >= 0
-    consistent = bool((gmin[seen] == gmax[seen]).all())
-    return DefinitionCheck(ok=True, cork=2, coefficients_consistent=consistent)
+    return bool((gmin[seen] == gmax[seen]).all())
 
 
 def ref_is_dismantlable(scheme, parab):
@@ -1908,32 +1931,17 @@ def test_route4_forms_the_last_class_when_its_constants_differ(
 
 def test_route2_derives_the_values_it_would_form(reference_schemes,
                                                  monkeypatch):
-    # route 2's values on the last class, derived from the tensor and the
-    # other classes' values, are those of the products it would form there
-    note, noted = higmanian._Definition._note, []
-
-    def recorded(route, n, got):
-        noted.append((n, np.asarray(got, dtype=np.float64).tolist()))
-        note(route, n, got)
-
-    monkeypatch.setattr(higmanian._Definition, "_note", recorded)
-    derived = 0
-    for scheme, parab in block_product_cases(reference_schemes):
-        if parab.corank != 2:
-            continue
-        noted.clear()
-        res = is_uniform_by_definition(scheme, parab)
-        if not res.ok:
-            continue
-        derived_notes = list(noted)
-        noted.clear()
-        with monkeypatch.context() as m:
-            m.setattr(higmanian._Definition, "derive",
-                      lambda route, gi: False)
-            assert is_uniform_by_definition(scheme, parab) == res
-        assert noted == derived_notes
-        derived += bool(noted)
-    assert derived > 50
+    # route 2 passes on the last class with no product, and every result,
+    # witness included, is that of the pass that forms the last class's
+    # products
+    cases = [(scheme, parab, is_uniform_by_definition(scheme, parab))
+             for scheme, parab in block_product_cases(reference_schemes)
+             if parab.corank == 2]
+    monkeypatch.setattr(higmanian._Definition, "derive",
+                        lambda route, gi: False)
+    for scheme, parab, res in cases:
+        assert is_uniform_by_definition(scheme, parab) == res
+    assert sum(res.ok for _, _, res in cases) > 50
 
 
 class LoggedRows(np.ndarray):
@@ -2147,98 +2155,22 @@ def test_skipped_last_products_are_sound(reference_schemes):
     assert held > 100 and failed > 100
 
 
-def kept_pairs_inconsistent(scheme, parab):
-    """The kept pairs of `_outside_blocks` whose block products, formed in
-    int64 through every class G, take more than one value on the triples
-    (D, G, L, k) of one k, over the triples with D, L != G.  Assumes every
-    product is constant on each (D, L, k) cell set off G."""
-    r, c = scheme.rank, parab.num_classes
-    class_of, inverse = parab.class_of, scheme.inverse
-    key = ((class_of[:, None] * c + class_of) * r + scheme.color).ravel()
-    basis = [(scheme.color == i).astype(np.int64) for i in range(r)]
-    values = {}
-    for gi, gpts in enumerate(map(list, classes_of(parab))):
-        off = np.outer(class_of != gi, class_of != gi).ravel()
-        triples = np.unique(key[off])
-        for i, j in itertools.product(parab.outside, repeat=2):
-            if (inverse[j], inverse[i]) < (i, j):
-                continue
-            table = np.zeros(c * c * r, dtype=np.int64)
-            table[key] = (basis[i][:, gpts] @ basis[j][gpts, :]).ravel()
-            for k, value in zip(triples % r, table[triples]):
-                values.setdefault((i, j, int(k)), set()).add(int(value))
-    return {(i, j) for (i, j, _), seen in values.items() if len(seen) > 1}
-
-
-def test_route2_records_the_pairs_that_decide_its_flag(reference_schemes):
-    # route 2 records no coefficient of the last pair (L, L*): where it
-    # passes, the kept pairs agree across triples exactly when all but
-    # (L, L*) do.  And it records each outside pair on the triples with
-    # D, L != G: at corank 2 every outside color meets every block between
-    # two different classes, and none inside one class
-    passed = corank2 = 0
-    for scheme, parab in block_product_cases(reference_schemes):
-        if parab.corank != 2:
-            continue
-        corank2 += 1
-        member = np.zeros((scheme.v, parab.num_classes), dtype=np.int64)
-        member[np.arange(scheme.v), parab.class_of] = 1
-        between = ~np.eye(parab.num_classes, dtype=bool)
-        for i in parab.outside:
-            meets = member.T @ (scheme.color == i).astype(np.int64) @ member
-            assert ((meets > 0) == between).all()
-        res = is_uniform_by_definition(scheme, parab)
-        if not res.ok:
-            continue
-        passed += 1
-        last = parab.outside[-1]
-        inconsistent = kept_pairs_inconsistent(scheme, parab)
-        but_last = inconsistent - {(last, scheme.inverse[last])}
-        assert (not inconsistent) == (not but_last) == \
-            res.coefficients_consistent
-    assert passed > 50 and corank2 > passed
-
-
 def test_route4_is_route2_and_its_flag(reference_schemes):
-    # route4(F) <=> route2(F) and flag(F) on every parabolic of corank 2
-    # (the proof is in `is_uniform_by_definition`)
+    # on every parabolic of corank 2, route 4 passing implies route 2
+    # passing (the proof is in `is_uniform_by_definition`), and where route
+    # 2 passes, route 4 passes exactly when each a_ij^k is one value across
+    # the class triples
     outcomes = []
     for scheme, parab in block_product_cases(reference_schemes):
         if parab.corank != 2:
             continue
-        res = is_uniform_by_definition(scheme, parab)
-        ok = res.ok and res.coefficients_consistent is True
-        assert is_dismantlable(scheme, parab).ok == ok
-        outcomes.append(ok)
+        route2 = is_uniform_by_definition(scheme, parab).ok
+        route4 = is_dismantlable(scheme, parab).ok
+        assert route2 or not route4
+        if route2:
+            assert ref_coefficients_consistent(scheme, parab) == route4
+        outcomes.append(route2)
     assert outcomes.count(True) > 50 and outcomes.count(False) > 10
-
-
-def test_route2_flag_reads_every_checked_run(reference_schemes,
-                                             monkeypatch):
-    # the values that route 2 gets for one checked run through class 0 are
-    # zeroed: the coefficients of that run's pairs then differ between
-    # class 0 and the other classes, and the recorded flag turns False.
-    # Class 0's runs are the first checked, one call each
-    check, calls = schemes.DigitRun.check, []
-
-    def zeroed(run, *args):
-        [(values, failure)] = check(run, *args)
-        calls.append(run)
-        return [(values * (len(calls) - 1 != target), failure)]
-
-    monkeypatch.setattr(schemes.DigitRun, "check", zeroed)
-    altered = 0
-    for scheme, parab in block_product_cases(reference_schemes):
-        runs, _ = _outside_blocks(scheme, parab)
-        target = -1
-        if not is_uniform_by_definition(scheme, parab).ok:
-            continue
-        for target in range(len(runs) - 1):
-            calls.clear()
-            res = is_uniform_by_definition(scheme, parab)
-            assert res.ok and res.coefficients_consistent is False
-            altered += 1
-    assert altered > 50
 
 
 def test_routes_on_the_whole_color_set():
